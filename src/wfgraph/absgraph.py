@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .enumeration import compute_finite_values
@@ -58,18 +59,31 @@ class Graph:
     nodes: tuple[Value, ...]                 # canonically ordered
     arcs: tuple[tuple[int, int], ...]        # sorted index pairs
 
+    @cached_property
+    def _index(self) -> dict[Value, int]:
+        index: dict[Value, int] = {}
+        for i, v in enumerate(self.nodes):
+            index.setdefault(v, i)
+        return index
+
+    @cached_property
+    def _succ(self) -> dict[int, list[int]]:
+        succ: dict[int, list[int]] = {}
+        for (s, j) in self.arcs:
+            succ.setdefault(s, []).append(j)
+        return succ
+
     def node_index(self, v: Value) -> int:
         try:
-            return self.nodes.index(v)
-        except ValueError:
+            return self._index[v]
+        except KeyError:
             raise GraphError(f"not a node: {value_text(v)}") from None
 
     def nexts(self, u: Value) -> list[Value]:
-        i = self.node_index(u)
-        return [self.nodes[j] for (s, j) in self.arcs if s == i]
+        return [self.nodes[j] for j in self.succ_indices(self.node_index(u))]
 
     def succ_indices(self, i: int) -> list[int]:
-        return [j for (s, j) in self.arcs if s == i]
+        return list(self._succ.get(i, ()))
 
 
 @dataclass(frozen=True)

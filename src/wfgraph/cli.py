@@ -36,12 +36,15 @@ from .measure import (
     omap_from_json,
     omap_to_json,
     synthesize_omap,
+    verify_counterexample,
 )
 from .model import Model, ModelError, parse_model
 from .ordinals import OrdinalError
+from .veceval import Capacity
 
 _TOOL_ERRORS = (ModelError, GraphError, NotTotal, BlastError, OrdinalError,
-                SynthesisError, CertificationError, OSError, ValueError)
+                SynthesisError, CertificationError, Capacity, OSError,
+                ValueError)
 _VERDICT_ERRORS = (CycleCounterexample, DescentError, BakeryError)
 
 
@@ -142,6 +145,8 @@ def _cmd_synth(args) -> int:
     try:
         omap = synthesize_omap(tg)
     except CycleCounterexample as cc:
+        if not verify_counterexample(tg, cc):
+            raise SynthesisError(f"counterexample failed verification: {cc}")
         sys.stdout.write(counterexample_report(cc))
         return 2
     doc = omap_to_json(omap)

@@ -20,9 +20,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence, Union
 
-from .absgraph import MAY_INC, STRICT_DEC, Graph, TaggedGraph
+from .absgraph import MAY_INC, STRICT_DEC, Graph, GraphError, TaggedGraph
 from .model import Value, value_from_json, value_text, value_to_json
 from .ordinals import (Bnl, Descriptor, Ordinal, bnl_bnd, bnl_to_ordinal,
                        mk_bnl)
@@ -63,15 +64,19 @@ class Omap:
     def nodes(self) -> tuple[Value, ...]:
         return tuple(n for n, _ in self.descriptors)
 
-    def as_dict(self) -> dict[Value, Descriptor]:
+    @cached_property
+    def _by_node(self) -> dict[Value, Descriptor]:
         return dict(self.descriptors)
+
+    def as_dict(self) -> dict[Value, Descriptor]:
+        return dict(self._by_node)
 
     @property
     def bnl_bound(self) -> int:
         return bnl_bnd((d for _, d in self.descriptors), self.widths)
 
     def mk_bnl(self, x, map_e: Callable, map_o: Callable) -> Bnl:
-        return mk_bnl(x, self.as_dict(), self.widths, map_e, map_o)
+        return mk_bnl(x, self._by_node, self.widths, map_e, map_o)
 
     def msr(self, x, map_e: Callable, map_o: Callable) -> Ordinal:
         return bnl_to_ordinal(self.mk_bnl(x, map_e, map_o))
@@ -265,7 +270,10 @@ def verify_counterexample(tg: TaggedGraph, cc: CycleCounterexample) -> bool:
     strict: dict[str, bool] = {m: False for m in tg.measures}
     inc: dict[str, bool] = {m: False for m in tg.measures}
     for n, (u, v) in enumerate(zip(cc.cycle, cc.cycle[1:])):
-        i, j = tg.node_index(u), tg.node_index(v)
+        try:
+            i, j = tg.node_index(u), tg.node_index(v)
+        except GraphError:
+            return False
         if (i, j) not in arcset:
             return False
         for name in tg.measures:

@@ -9,7 +9,9 @@ small:
   columns.  Everything else stays out of the cross product entirely.
 * staged filtering: the hypothesis is split into conjuncts, and each conjunct
   is applied as soon as the atoms it needs are present, starting with the
-  conjunct whose missing atoms span the smallest domain.
+  conjunct whose missing atoms span the smallest domain.  Each conjunct's
+  atoms are found once, before staging; every step only re-measures the
+  spans of the atoms still missing.
 
 Unconstrained atoms never enter the table, which is sound because a
 satisfying row extends to full environments by fixing them arbitrarily.
@@ -483,18 +485,23 @@ def build_table(var_sorts: dict[str, Sort], hyp: Expr, trm_exprs: list[Expr],
 
     Callers pass already-scalarized expressions (see ``scalarize``)."""
     table = Table(var_sorts, row_cap)
-    pending = split_conjuncts(hyp)
+    # demand analysis once per conjunct: (conjunct, its atoms, their cards)
+    pending = []
+    for c in split_conjuncts(hyp):
+        keys = atoms_for([c], var_sorts)
+        pending.append((c, keys, [sort_card(atom_sort(k, var_sorts))
+                                  for k in keys]))
     while pending:
-        def missing_span(c: Expr) -> int:
+        def missing_span(i: int) -> int:
+            _, keys, cards = pending[i]
             span = 1
-            for k in atoms_for([c], var_sorts):
+            for k, card in zip(keys, cards):
                 if k not in table.cols:
-                    span *= sort_card(atom_sort(k, var_sorts))
+                    span *= card
             return span
 
-        best_ix = min(range(len(pending)), key=lambda i: missing_span(pending[i]))
-        conj = pending.pop(best_ix)
-        table.extend(atoms_for([conj], var_sorts))
+        conj, keys, _ = pending.pop(min(range(len(pending)), key=missing_span))
+        table.extend(keys)
         if table.n:
             mask = eval_vec(conj, table)
             assert isinstance(mask, VBool)
@@ -542,6 +549,11 @@ def distinct_rows(v: VVal, n_rows: int) -> list[Value]:
     because every leaf's numeric code is ordered the same way as the
     canonical Value order within its sort, the lexicographic row order numpy
     produces IS the canonical order.
+
+    A record's top-level items repeat across rows (the same source node
+    pairs with many destinations), so each item's column slice is uniqued
+    on its own and every distinct slice decoded once; the rows then share
+    those sub-values instead of rebuilding them.
     """
     if n_rows == 0:
         return []
@@ -552,7 +564,23 @@ def distinct_rows(v: VVal, n_rows: int) -> list[Value]:
         np.broadcast_to(np.asarray(leaf.arr, dtype=np.int64), (n_rows,))
         for leaf in leaves])
     uniq = np.unique(mat, axis=0)
-    return [_rebuild(v, [int(c) for c in row], [0]) for row in uniq]
+    if not isinstance(v, VRec):
+        return [_leaf_value(v, c) for c in uniq[:, 0].tolist()]
+    names = []
+    columns = []  # per item: its value in each distinct row
+    start = 0
+    for name, item in v.items:
+        width = len(vval_leaves(item))
+        names.append(name)
+        if width == 0:
+            columns.append([_rebuild(item, [], [0])] * len(uniq))
+            continue
+        part, inverse = np.unique(uniq[:, start:start + width], axis=0,
+                                  return_inverse=True)
+        start += width
+        decoded = [_rebuild(item, row, [0]) for row in part.tolist()]
+        columns.append([decoded[i] for i in inverse.reshape(-1).tolist()])
+    return [TupleV(tuple(zip(names, row))) for row in zip(*columns)]
 
 
 def exhaustive_values(var_sorts: dict[str, Sort], hyp: Expr, trm: Expr,

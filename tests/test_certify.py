@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+import wfgraph.certify as certify
 from wfgraph.absgraph import GraphError, TaggedGraph, graph_text, map_graph, tag_graph
 from wfgraph.bakery import bakery_model, bakery_text
 from wfgraph.certify import (
@@ -161,6 +162,61 @@ def test_tampered_omap_fails_concrete_sweep(model, rank_parts):
     res = check_measure_decrease(model, "rank", bad)
     assert not res.passed
     assert "does not decrease" in res.witness["reason"]
+
+
+@pytest.fixture(scope="module")
+def nlock_223():
+    m = bakery_model(n=2, r=2, w=3)
+    tg = tag_graph(m, "nlock", map_graph(m, "nlock"))
+    return m, synthesize_omap(tg)
+
+
+def test_perturbed_nlock_descriptor_pins_sweep_witness(nlock_223):
+    # swap the two measures in one descriptor: the sweep must report the
+    # same first failing case and reason text as the per-case computation
+    m, om = nlock_223
+    descs = list(om.descriptors)
+    k = [d for _, d in descs].index((24, "pos", 2, "ndx", 0))
+    descs[k] = (descs[k][0], (24, "ndx", 2, "pos", 0))
+    res = check_measure_decrease(m, "nlock",
+                                 Omap(tuple(descs), om.measures, om.widths))
+    assert not res.passed
+    assert res.witness == {
+        "case": "((:src ((:loc 9) (:choosing nil) (:pos-valid t) "
+                "(:pos=0 nil) (:inv t))) (:dst ((:loc 10) (:choosing nil) "
+                "(:pos-valid t) (:pos=0 nil) (:inv t))) (:src-pos (2)) "
+                "(:dst-pos (1)) (:src-ndx (0)) (:dst-ndx (2)))",
+        "reason": "bnl does not decrease: (24, 2, 2, 1, 0) !< "
+                  "(24, 2, 1, 0, 0)"}
+
+
+def test_sweep_compares_every_case(nlock_223, monkeypatch):
+    # bnls and ordinals are shared between cases, comparisons are not
+    m, om = nlock_223
+    cases, lt_calls, ord_calls = [], [], []
+    real_cfv, real_lt = certify.compute_finite_values, certify.o_lt
+    real_ord = certify.bnl_to_ordinal
+
+    def cfv(*args):
+        r = real_cfv(*args)
+        cases.append(len(r.values))
+        return r
+
+    def lt(a, b):
+        lt_calls.append(1)
+        return real_lt(a, b)
+
+    def to_ord(a):
+        ord_calls.append(1)
+        return real_ord(a)
+
+    monkeypatch.setattr(certify, "compute_finite_values", cfv)
+    monkeypatch.setattr(certify, "o_lt", lt)
+    monkeypatch.setattr(certify, "bnl_to_ordinal", to_ord)
+    assert check_measure_decrease(m, "nlock", om).passed
+    assert len(cases) == 1 and cases[0] > 1000
+    assert len(lt_calls) == cases[0]
+    assert len(ord_calls) < cases[0] // 4
 
 
 def test_closure_passes_standalone(model, rank_parts):

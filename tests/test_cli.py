@@ -10,9 +10,13 @@ import subprocess
 
 import pytest
 
+import wfgraph.cli as cli
 from wfgraph.absgraph import graph_from_json
 from wfgraph.bakery import bakery_text
 from wfgraph.cli import cli_main
+from wfgraph.measure import CycleCounterexample
+from wfgraph.model import NatV
+from wfgraph.veceval import Capacity
 
 CHECK_LINE = ("ok: model bakery, params {'n': 2, 'r': 2, 'w': 3}, "
               "maps: rank (step), nlock (blok)\n")
@@ -192,6 +196,57 @@ def test_tool_errors_exit_1(tmp_path, capsys):
     assert cli_main(["synth", "--map", "rank", "--num", "0"]) == 1
     err = capsys.readouterr().err
     assert "error" in err
+
+
+def test_capacity_is_a_tool_error(monkeypatch, tmp_path, capsys):
+    # nlock certify at (4,3,4) needs 16.8M rows; raise that from the stage
+    # rather than build it
+    def too_big(*args, **kwargs):
+        raise Capacity(16777216, 4194304)
+
+    om = tmp_path / "om.json"
+    assert cli_main(["synth", "--map", "nlock", "--width", "2",
+                     "--out", str(om)]) == 0
+    monkeypatch.setattr(cli, "certify_relation", too_big)
+    assert cli_main(["certify", "--omap", str(om), "--width", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("wfgraph: error: enumeration needs 16777216 rows, "
+                   "cap is 4194304\n")
+
+
+def test_synth_refuses_unverified_counterexample(monkeypatch, capsys):
+    def bogus(tg):  # a "cycle" that is not closed and not in the graph
+        raise CycleCounterexample([NatV(0, 1), NatV(1, 1)], [{}])
+
+    monkeypatch.setattr(cli, "synthesize_omap", bogus)
+    assert cli_main(["synth", "--map", "rank", "--width", "2"]) == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert "counterexample failed verification" in out.err
+
+
+def test_non_covering_omap_fails_as_a_check(tmp_path, capsys):
+    om = tmp_path / "om.json"
+    assert cli_main(["synth", "--map", "nlock", "--width", "2",
+                     "--out", str(om)]) == 0
+    tg = tmp_path / "tg.json"
+    assert cli_main(["order", "--map", "nlock", "--width", "2",
+                     "--out", str(tg)]) == 0
+    graph = graph_from_json(json.loads(tg.read_text()))
+    doc = json.loads(om.read_text())
+    k = graph.arcs[0][1]  # a node with an incoming arc
+    dropped = doc["node_texts"][k]
+    for key in ("nodes", "node_texts", "descriptors"):
+        del doc[key][k]
+    om.write_text(json.dumps(doc))
+    cert = tmp_path / "cert.json"
+    assert cli_main(["certify", "--omap", str(om), "--width", "2",
+                     "--out", str(cert)]) == 2
+    checks = {c["name"]: c for c in json.loads(cert.read_text())["checks"]}
+    assert not checks["omap-valid"]["pass"]
+    assert checks["omap-valid"]["witness"]["node"] == dropped
+    assert checks["omap-valid"]["witness"]["reason"] == "node not in omap"
+    capsys.readouterr()
 
 
 def test_console_script(tmp_path):
