@@ -1,10 +1,11 @@
 """Certify both bundled relations, then try to sneak a lie past the checker.
 
-The certifier recomputes everything the synthesis claimed: that the graph
-is closed under the concrete relation, that every tag is backed by an
-enumeration query, that descriptors fall along arcs, and finally a sweep
-that checks strict decrease of the composed measure with plain tuple
-comparison, nothing shared with the construction.
+The certifier recomputes everything the synthesis claimed from one
+enumeration that sweeps the concrete relation.  Plain-Python checks of
+those cases confirm that the graph is closed under the relation, that
+every tag holds on its arc, and that the composed measure strictly falls,
+all by plain tuple comparison, nothing shared with the construction.  A
+symbolic scan checks that descriptors fall along arcs.
 """
 
 from wfgraph.absgraph import TaggedGraph, map_graph, tag_graph
@@ -41,5 +42,5 @@ cert = certify_relation(model, "rank", doctored, om, text)
 print(f"after forging runs:strict-dec on arc {victim}:")
 for c in cert.checks:
     print(f"  {c.name:24s} {'pass' if c.passed else 'FAIL'}")
-print("\nthe forged tag is caught twice: once against the concrete relation,")
-print("and again when the sweep finds a step whose measure fails to fall.")
+print("\nthe forged tag is caught twice in the one sweep: once when a case on")
+print("its arc fails to fall, and again as a step the measure fails to drop.")

@@ -288,20 +288,11 @@ def rel_graph(model: Model, map_name: str, backend: str = "exhaustive",
               num: int = 4096) -> Graph:
     """Graph of a blocking map: nodes are the map's domain, arcs follow
     the system's blocking relation."""
-    mp = model.map_decl(map_name)
-    if mp.kind != "blok":
+    if model.map_decl(map_name).kind != "blok":
         raise GraphError(f"map '{map_name}' is not a blocking map")
-    sysd = model.system
-    if sysd is None:
-        raise GraphError("model has no system declaration")
-    a = mp.var
-    blok = model.define(sysd.blok).apply(Var(a), Var(_OTHER_VAR))
-    dom_b = subst_vars(mp.domain, {a: Var(_OTHER_VAR)})
-    rel_hyp = And((blok, mp.domain, dom_b))
-    dst_trm = subst_vars(mp.node, {a: Var(_OTHER_VAR)})
-    var_sorts: dict[str, Sort] = {a: mp.state_sort,
-                                  _OTHER_VAR: mp.state_sort}
-    return comp_map_rel(var_sorts, mp.domain, mp.node, rel_hyp, mp.node,
+    mp, rel, dst_state, var_sorts = relation_parts(model, map_name)
+    dst_trm = subst_vars(mp.node, {mp.var: dst_state})
+    return comp_map_rel(var_sorts, mp.domain, mp.node, rel, mp.node,
                         dst_trm, backend, num)
 
 

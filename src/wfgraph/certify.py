@@ -2,19 +2,22 @@
 
 The builder modules construct a tagged graph and synthesize an omap; this
 module re-checks everything from the model and the serialized artifacts
-without trusting builder state:
+without trusting builder state.  One enumeration query, ``relation_cases``,
+sweeps the concrete relation once: the distinct (source node, destination
+node, source and destination measures) combinations of related pairs whose
+source lies in the graph or the omap.  Four of the five checks read those
+cases in plain Python, with no further queries and no ordering code shared
+with graph construction:
 
-  closure            every concrete related pair stays inside the graph's
-                     arcs (sources quantified over states mapping into the
-                     graph)
-  strict-arc/noninc  the order tags are sound against the concrete
-                     semantics, arc by arc
+  closure            every case from a graph node lands on one of that
+                     node's successors
+  strict-arc/noninc  the order tags are sound: on each tagged arc, every
+                     case's measure drops (strict-dec) or does not grow
+                     (non-inc), by plain tuple comparison
   omap-valid         the descriptor mapping decreases lexicographically
-                     across every arc, by symbolic entry scan
-  measure-decrease   concrete sweep: across every related pair the
-                     synthesized bnl and its ordinal strictly drop,
-                     checked with the plain evaluator and plain Python
-                     comparisons rather than the query pipeline
+                     across every arc, by symbolic entry scan (no query)
+  measure-decrease   across every case the synthesized bnl and its
+                     ordinal strictly drop
 
 A Certificate records input hashes and one verdict per check; it passes
 only if every check does.  ``iterate_descent`` and
@@ -27,17 +30,17 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from itertools import groupby
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .absgraph import (
     NON_INC, SRC_VAR, STRICT_DEC, Graph, GraphError, NotTotal, TaggedGraph,
-    comp_map_reach, false_inv_nodes, lex_le_expr, lex_lt_expr,
-    relation_parts)
+    comp_map_reach, false_inv_nodes, relation_parts)
 from .enumeration import compute_finite_values
 from .measure import Omap
 from .model import (
-    And, BoolV, Const, Eq, Expr, Model, Not, Or, TupleE, TupleV, Value, Var,
+    And, BoolV, Const, Eq, Expr, Model, Or, TupleE, TupleV, Value, Var,
     eval_expr, subst_vars, value_text, value_to_json)
 from .ordinals import Ordinal, bnl_lt, bnl_to_ordinal, expand_descriptor, o_lt
 
@@ -77,6 +80,11 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def _nats(t: Value) -> tuple[int, ...]:
+    assert isinstance(t, TupleV)
+    return tuple(x.val for _, x in t.items)  # type: ignore[union-attr]
+
+
 def abstraction_functions(model: Model, map_name: str):
     """Concrete evaluators (map_e, map_o) for a map declaration."""
     mp = model.map_decl(map_name)
@@ -85,91 +93,101 @@ def abstraction_functions(model: Model, map_name: str):
         return eval_expr(mp.node, {mp.var: x})
 
     def map_o(x: Value, name: str) -> tuple[int, ...]:
-        v = eval_expr(mp.measure_expr(name), {mp.var: x})
-        assert isinstance(v, TupleV)
-        return tuple(item.val for _, item in v.items)  # type: ignore[union-attr]
+        return _nats(eval_expr(mp.measure_expr(name), {mp.var: x}))
 
     return map_e, map_o
 
 
-def _method(backend: str) -> str:
-    return "exhaustive" if backend == "exhaustive" else "sat-emptiness"
+SWEEP = "concrete-sweep"
 
 
-def _arc_exprs(model: Model, map_name: str):
+# the sweep's enumerated (src, dst, src-<m>, dst-<m>...) tuples, grouped by
+# abstract (source, destination) pair
+Sweep = dict[tuple[Value, Value], list[TupleV]]
+
+
+def _side(q: TupleV, side: str) -> dict[str, tuple[int, ...]]:
+    """One side ("src" or "dst") of a sweep case: its measures by name."""
+    return {name[len(side) + 1:]: _nats(x) for name, x in q.items[2:]
+            if name.startswith(side + "-")}  # type: ignore[union-attr]
+
+
+def relation_cases(model: Model, map_name: str, scope: tuple[Value, ...],
+                   backend: str = "exhaustive", num: int = 65536) -> Sweep:
+    """The one enumeration behind the relation checks: the distinct (source
+    node, destination node, source and destination measures) combinations
+    of related pairs whose source maps into ``scope``, canonically ordered.
+    """
     mp, rel, dst_state, var_sorts = relation_parts(model, map_name)
     node_x = mp.node
-    node_y = subst_vars(mp.node, {mp.var: dst_state})
-    ord_x = {n: mp.measure_expr(n) for n in mp.measure_names}
-    ord_y = {n: subst_vars(mp.measure_expr(n), {mp.var: dst_state})
-             for n in mp.measure_names}
-    return mp, rel, var_sorts, node_x, node_y, ord_x, ord_y
+    items: list[tuple[Optional[str], Expr]] = [
+        ("src", node_x), ("dst", subst_vars(node_x, {mp.var: dst_state}))]
+    for name in mp.measure_names:
+        ord_x = mp.measure_expr(name)
+        items.append((f"src-{name}", ord_x))
+        items.append((f"dst-{name}", subst_vars(ord_x, {mp.var: dst_state})))
+    in_scope = Or(tuple(Eq(node_x, Const(u)) for u in scope))
+    r = compute_finite_values(var_sorts, And((rel, in_scope)),
+                              TupleE(tuple(items)), num, backend)
+    if not r.is_total:
+        raise NotTotal("certificate sweep", num)
+    # canonical order sorts on src, then dst, so each pair's cases are
+    # adjacent and grouping compares neighbours instead of hashing nodes
+    return {pair: list(group) for pair, group in groupby(
+        r.values, key=lambda q: (q.items[0][1], q.items[1][1]))}
 
 
-def check_closure(model: Model, map_name: str, g: Graph,
-                  backend: str = "exhaustive") -> CheckResult:
-    """No concrete related pair may leave the graph: for every node u,
-    sources mapping to u only reach destinations among u's successors."""
-    _, rel, var_sorts, node_x, node_y, _, _ = _arc_exprs(model, map_name)
-    pair = TupleE((("src", node_x), ("dst", node_y)))
+def check_closure(g: Graph, sweep: Sweep) -> CheckResult:
+    """No concrete related pair may leave the graph: for every node u, the
+    cases from u only reach u's successors.  The witness is the
+    canonically first escaping pair of the first such node."""
+    dsts: dict[Value, list[Value]] = {}
+    for u, v in sweep:
+        dsts.setdefault(u, []).append(v)
     for i, u in enumerate(g.nodes):
-        succs = [g.nodes[j] for j in g.succ_indices(i)]
-        escape: Expr
-        if succs:
-            inside = Or(tuple(Eq(node_y, Const(v)) for v in succs))
-            escape = Not(inside)
-        else:
-            escape = Const(BoolV(True))
-        hyp = And((rel, Eq(node_x, Const(u)), escape))
-        r = compute_finite_values(var_sorts, hyp, pair, 1, backend)
-        if r.values:
-            w = r.values[0]
-            return CheckResult("closure", False, _method(backend),
-                               {"pair": value_to_json(w),
-                                "pair_text": value_text(w)})
-    return CheckResult("closure", True, _method(backend))
+        succs = {g.nodes[j] for j in g.succ_indices(i)}
+        for v in dsts.get(u, ()):
+            if v not in succs:
+                w = TupleV((("src", u), ("dst", v)))
+                return CheckResult("closure", False, SWEEP,
+                                   {"pair": value_to_json(w),
+                                    "pair_text": value_text(w)})
+    return CheckResult("closure", True, SWEEP)
 
 
-def check_arc_tags(model: Model, map_name: str, tg: TaggedGraph,
-                   backend: str = "exhaustive") -> list[CheckResult]:
+def check_arc_tags(tg: TaggedGraph, sweep: Sweep) -> list[CheckResult]:
     """Tag soundness, split into the strict and non-increasing halves:
-    a strict-dec tag admits no concrete pair whose measure fails to drop,
-    a non-inc tag admits none whose measure grows."""
-    _, rel, var_sorts, node_x, node_y, ord_x, ord_y = _arc_exprs(
-        model, map_name)
-    results = {}
-    for check_name, bad_tag in (("strict-arc-decrease", STRICT_DEC),
-                                ("noninc-arc-nonincrease", NON_INC)):
+    a strict-dec tag admits no case on its arc whose measure fails to drop,
+    a non-inc tag admits none whose measure grows.  Measures compare as
+    plain tuples of naturals; the witness is the first offending (arc,
+    measure) in arc order, with its smallest (source, destination) pair."""
+    results = []
+    for check_name, bad_tag, holds in (
+            ("strict-arc-decrease", STRICT_DEC, lambda s, d: d < s),
+            ("noninc-arc-nonincrease", NON_INC, lambda s, d: d <= s)):
         witness = None
         for (i, j) in tg.arcs:
+            u, v = tg.nodes[i], tg.nodes[j]
             for name in tg.measures:
                 if tg.tags[(i, j, name)] != bad_tag:
                     continue
-                if bad_tag == STRICT_DEC:
-                    # violation: destination measure not below source
-                    violation = lex_le_expr(ord_x[name], ord_y[name])
-                else:
-                    # violation: destination measure above source
-                    violation = lex_lt_expr(ord_x[name], ord_y[name])
-                hyp = And((rel, Eq(node_x, Const(tg.nodes[i])),
-                           Eq(node_y, Const(tg.nodes[j])), violation))
-                pair = TupleE((("src-ord", ord_x[name]),
-                               ("dst-ord", ord_y[name])))
-                r = compute_finite_values(var_sorts, hyp, pair, 1, backend)
-                if r.values:
-                    witness = {
-                        "src": value_text(tg.nodes[i]),
-                        "dst": value_text(tg.nodes[j]),
-                        "measure": name,
-                        "orders": value_to_json(r.values[0]),
-                    }
+                src, dst = f"src-{name}", f"dst-{name}"
+                ords = [(_nats(q.get(src)), _nats(q.get(dst)), q)
+                        for q in sweep.get((u, v), ())]
+                bad = [o for o in ords if not holds(o[0], o[1])]
+                if bad:
+                    q = min(bad, key=lambda o: o[:2])[2]
+                    orders = TupleV((("src-ord", q.get(src)),
+                                     ("dst-ord", q.get(dst))))
+                    witness = {"src": value_text(u), "dst": value_text(v),
+                               "measure": name,
+                               "orders": value_to_json(orders)}
                     break
             if witness:
                 break
-        results[check_name] = CheckResult(check_name, witness is None,
-                                          _method(backend), witness)
-    return [results["strict-arc-decrease"],
-            results["noninc-arc-nonincrease"]]
+        results.append(CheckResult(check_name, witness is None, SWEEP,
+                                   witness))
+    return results
 
 
 def check_omap_valid(tg: TaggedGraph, omap: Omap) -> CheckResult:
@@ -219,90 +237,68 @@ def check_omap_valid(tg: TaggedGraph, omap: Omap) -> CheckResult:
     return CheckResult("omap-valid", True, "symbolic-scan")
 
 
-def _tuple_field(v: TupleV, name: str) -> Value:
-    for n, x in v.items:
-        if n == name:
-            return x
-    raise KeyError(name)
+def check_measure_decrease(omap: Omap, sweep: Sweep) -> CheckResult:
+    """Strict decrease of the synthesized measure across every case whose
+    source the omap covers.
 
-
-def check_measure_decrease(model: Model, map_name: str, omap: Omap,
-                           backend: str = "exhaustive",
-                           num: int = 65536) -> CheckResult:
-    """Concrete sweep of the synthesized measure across the relation.
-
-    Enumerates the distinct (source node, source measures, destination
-    node, destination measures) combinations the relation produces, then
-    checks bnl and ordinal strict decrease for each in plain Python; this
-    route shares no ordering code with graph construction.  Each side of a
-    case, a (node, measure tuples) half-state, recurs across many cases, so
-    its padded bnl and ordinal are computed once per distinct half-state;
-    ``bnl_lt`` and ``o_lt`` still compare every case, in order.
+    Checks bnl and ordinal strict decrease for each case in plain Python;
+    this route shares no ordering code with graph construction.  Each side
+    of a case, a (node, measure tuples) half-state, recurs across many
+    cases, so its padded bnl and ordinal are computed once per distinct
+    half-state; ``bnl_lt`` and ``o_lt`` still compare every case, in order.
     """
-    mp, rel, var_sorts, node_x, node_y, ord_x, ord_y = _arc_exprs(
-        model, map_name)
-    in_scope = Or(tuple(Eq(node_x, Const(u)) for u in omap.nodes))
-    items: list[tuple[Optional[str], Expr]] = [("src", node_x),
-                                               ("dst", node_y)]
-    for name in mp.measure_names:
-        items.append((f"src-{name}", ord_x[name]))
-        items.append((f"dst-{name}", ord_y[name]))
-    r = compute_finite_values(var_sorts, And((rel, in_scope)),
-                              TupleE(tuple(items)), num, backend)
-    if not r.is_total:
-        raise NotTotal("measure-decrease sweep", num)
     descs = omap.as_dict()
     bound = omap.bnl_bound
-    halves: dict[tuple, tuple[tuple[int, ...], Ordinal]] = {}
+    halves: dict[Value, dict[tuple, tuple[tuple[int, ...], Ordinal]]] = {}
 
-    def half(node: Value, prefix: str, q: TupleV
+    def half(node: Value, vals: dict[str, tuple[int, ...]], memo: dict
              ) -> tuple[tuple[int, ...], Ordinal]:
-        """Padded bnl and ordinal of one side of a case, computed once per
-        distinct (node, measure tuples)."""
-        ts = tuple(_tuple_field(q, f"{prefix}-{name}")
-                   for name in mp.measure_names)
-        key = (node, ts)
-        got = halves.get(key)
+        """Padded bnl and ordinal of one side of a case; ``memo`` holds
+        the node's half-states, keyed by measure tuples."""
+        key = tuple(vals.values())
+        got = memo.get(key)
         if got is None:
-            vals = {}
-            for name, t in zip(mp.measure_names, ts):
-                assert isinstance(t, TupleV)
-                vals[name] = tuple(x.val for _, x in t.items)  # type: ignore
             e = expand_descriptor(descs[node], vals)
             bnl = tuple(e) + (0,) * (bound - len(e))
-            got = halves[key] = (bnl, bnl_to_ordinal(bnl))
+            got = memo[key] = (bnl, bnl_to_ordinal(bnl))
         return got
 
-    for q in r.values:
-        assert isinstance(q, TupleV)
-        src = _tuple_field(q, "src")
-        dst = _tuple_field(q, "dst")
-        bad = None
-        if dst not in descs:
-            bad = "destination outside the omap"
-        else:
-            bx, ox = half(src, "src", q)
-            by, oy = half(dst, "dst", q)
+    def failed(q: TupleV, reason: str) -> CheckResult:
+        return CheckResult("measure-decrease", False, SWEEP, {
+            "case": value_text(q), "reason": reason})
+
+    for (u, v), cases in sweep.items():
+        if u not in descs:
+            continue
+        if v not in descs:
+            return failed(cases[0], "destination outside the omap")
+        memo_u = halves.setdefault(u, {})
+        memo_v = halves.setdefault(v, {})
+        for q in cases:
+            bx, ox = half(u, _side(q, "src"), memo_u)
+            by, oy = half(v, _side(q, "dst"), memo_v)
             if not bnl_lt(by, bx):
-                bad = f"bnl does not decrease: {by} !< {bx}"
-            elif not o_lt(oy, ox):
-                bad = "ordinal does not decrease"
-        if bad is not None:
-            return CheckResult("measure-decrease", False, "concrete-sweep", {
-                "case": value_text(q), "reason": bad})
-    return CheckResult("measure-decrease", True, "concrete-sweep")
+                return failed(q, f"bnl does not decrease: {by} !< {bx}")
+            if not o_lt(oy, ox):
+                return failed(q, "ordinal does not decrease")
+    return CheckResult("measure-decrease", True, SWEEP)
 
 
 def certify_relation(model: Model, map_name: str, tg: TaggedGraph,
                      omap: Omap, model_text: str,
                      backend: str = "exhaustive",
                      num: int = 65536) -> Certificate:
+    """Run the five checks.  The relation is enumerated once, from the
+    graph's and the omap's nodes; the closure, tag and measure-decrease
+    checks all read those cases."""
     from .absgraph import graph_text
     from .measure import omap_text
-    checks = [check_closure(model, map_name, tg, backend)]
-    checks.extend(check_arc_tags(model, map_name, tg, backend))
+    scope = tuple(dict.fromkeys(omap.nodes + tg.nodes))
+    sweep = relation_cases(model, map_name, scope, backend, num)
+    checks = [check_closure(tg, sweep)]
+    checks.extend(check_arc_tags(tg, sweep))
     checks.append(check_omap_valid(tg, omap))
-    checks.append(check_measure_decrease(model, map_name, omap, backend, num))
+    checks.append(check_measure_decrease(omap, sweep))
     return Certificate(
         model_sha256=_sha256(model_text),
         graph_sha256=_sha256(graph_text(tg)),

@@ -18,9 +18,8 @@ Backends:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
-from .bitblast import bitblast, dimacs, _lit_val
+from .bitblast import bitblast, _lit_val
 from .model import Expr, Sort, Value, canonical_sorted
 from .sat import make_solver
 from .veceval import DEFAULT_ROW_CAP, exhaustive_values
@@ -37,17 +36,11 @@ class EnumResult:
 
 def compute_finite_values(var_sorts: dict[str, Sort], hyp: Expr, trm: Expr,
                           num: int, backend: str = "exhaustive",
-                          dump_cnf: Optional[str] = None,
                           row_cap: int = DEFAULT_ROW_CAP) -> EnumResult:
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
     if num < 0:
         raise ValueError("num must be non-negative")
-
-    if dump_cnf is not None:
-        circuit = bitblast(trm, hyp, var_sorts)
-        with open(dump_cnf, "w") as f:
-            f.write(dimacs(circuit, extra_units=(circuit.hyp_lit,)))
 
     if backend == "exhaustive":
         all_values = exhaustive_values(var_sorts, hyp, trm, row_cap=row_cap)

@@ -14,8 +14,8 @@ dispatches on a natural with a mandatory default arm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional, Union
+from dataclasses import dataclass
+from typing import Iterable, Optional, Union
 
 from .sexpr import SExpr, SExprError, parse_sexprs, pretty, lst, sym, kw, num
 
@@ -395,41 +395,6 @@ def free_vars(e: Expr) -> frozenset[str]:
     out: frozenset[str] = frozenset()
     for c in expr_children(e):
         out |= free_vars(c)
-    return out
-
-
-READS_ALL = None  # sentinel: the whole variable is read
-
-
-def field_reads(e: Expr) -> dict[str, Optional[frozenset[str]]]:
-    """Per free variable, the set of record fields the expression can read.
-
-    ``READS_ALL`` (None) means the variable is used whole (equality on
-    records, record update, tuple membership, or a scalar variable).  Only
-    ``var.field`` projections contribute precise sets; anything else is
-    conservative.  Evaluation provably depends only on the reported reads.
-    """
-    out: dict[str, Optional[frozenset[str]]] = {}
-
-    def merge(name: str, fields: Optional[frozenset[str]]):
-        if name in out and out[name] is READS_ALL:
-            return
-        if fields is READS_ALL:
-            out[name] = READS_ALL
-        else:
-            out[name] = (out.get(name) or frozenset()) | fields
-
-    def walk(x: Expr):
-        if isinstance(x, Var):
-            merge(x.name, READS_ALL)
-            return
-        if isinstance(x, Field) and isinstance(x.rec, Var):
-            merge(x.rec.name, frozenset((x.name,)))
-            return
-        for c in expr_children(x):
-            walk(c)
-
-    walk(e)
     return out
 
 

@@ -8,7 +8,9 @@ import json
 import pytest
 
 import wfgraph.certify as certify
-from wfgraph.absgraph import GraphError, TaggedGraph, graph_text, map_graph, tag_graph
+from wfgraph.absgraph import (
+    MAY_INC, NON_INC, STRICT_DEC, GraphError, TaggedGraph, graph_text,
+    map_graph, tag_graph)
 from wfgraph.bakery import bakery_model, bakery_text
 from wfgraph.certify import (
     Certificate,
@@ -19,13 +21,16 @@ from wfgraph.certify import (
     certificate_to_json,
     certify_relation,
     certify_state_invariant,
+    check_arc_tags,
     check_closure,
     check_measure_decrease,
     check_omap_valid,
     iterate_descent,
+    relation_cases,
 )
 from wfgraph.measure import Omap, omap_text, synthesize_omap
-from wfgraph.model import BoolV, Const, Eq, Var, eval_expr
+from wfgraph.model import (
+    BoolV, Const, Eq, TupleV, Var, eval_expr, value_from_json, value_text)
 from wfgraph.ordinals import ordinal_text
 
 
@@ -97,8 +102,8 @@ def test_deleted_arc_fails_closure(model, rank_parts):
 
 def test_lying_strict_tag_caught_twice(model, rank_parts):
     # claim runs strictly decreases on the 0 -> 1 arc; the arc check
-    # catches the tag, and the concrete sweep catches the omap synthesized
-    # from the lie; the two routes stay independent
+    # catches the tag, and the measure-decrease check catches the omap
+    # synthesized from the lie; both read the one concrete sweep
     tg, _ = rank_parts
     lied = _retag(tg, (0, 1), "runs", "strict-dec")
     om = synthesize_omap(lied)
@@ -159,7 +164,7 @@ def test_tampered_omap_fails_concrete_sweep(model, rank_parts):
     descs[0], descs[1] = ((descs[0][0], descs[1][1]),
                           (descs[1][0], descs[0][1]))
     bad = Omap(tuple(descs), om.measures, om.widths)
-    res = check_measure_decrease(model, "rank", bad)
+    res = check_measure_decrease(bad, relation_cases(model, "rank", bad.nodes))
     assert not res.passed
     assert "does not decrease" in res.witness["reason"]
 
@@ -178,8 +183,8 @@ def test_perturbed_nlock_descriptor_pins_sweep_witness(nlock_223):
     descs = list(om.descriptors)
     k = [d for _, d in descs].index((24, "pos", 2, "ndx", 0))
     descs[k] = (descs[k][0], (24, "ndx", 2, "pos", 0))
-    res = check_measure_decrease(m, "nlock",
-                                 Omap(tuple(descs), om.measures, om.widths))
+    bad = Omap(tuple(descs), om.measures, om.widths)
+    res = check_measure_decrease(bad, relation_cases(m, "nlock", bad.nodes))
     assert not res.passed
     assert res.witness == {
         "case": "((:src ((:loc 9) (:choosing nil) (:pos-valid t) "
@@ -213,7 +218,8 @@ def test_sweep_compares_every_case(nlock_223, monkeypatch):
     monkeypatch.setattr(certify, "compute_finite_values", cfv)
     monkeypatch.setattr(certify, "o_lt", lt)
     monkeypatch.setattr(certify, "bnl_to_ordinal", to_ord)
-    assert check_measure_decrease(m, "nlock", om).passed
+    assert check_measure_decrease(
+        om, relation_cases(m, "nlock", om.nodes)).passed
     assert len(cases) == 1 and cases[0] > 1000
     assert len(lt_calls) == cases[0]
     assert len(ord_calls) < cases[0] // 4
@@ -221,7 +227,95 @@ def test_sweep_compares_every_case(nlock_223, monkeypatch):
 
 def test_closure_passes_standalone(model, rank_parts):
     tg, _ = rank_parts
-    assert check_closure(model, "rank", tg).passed
+    assert check_closure(tg, relation_cases(model, "rank", tg.nodes)).passed
+
+
+@pytest.mark.parametrize("backend", ["exhaustive", "sat"])
+def test_certify_relation_sweeps_once(backend, monkeypatch):
+    m = bakery_model(n=1, r=1, w=2)
+    calls = []
+    real_cfv = certify.compute_finite_values
+
+    def cfv(*args):
+        calls.append(1)
+        return real_cfv(*args)
+
+    for name in ("rank", "nlock"):
+        tg = tag_graph(m, name, map_graph(m, name))
+        om = synthesize_omap(tg)
+        monkeypatch.setattr(certify, "compute_finite_values", cfv)
+        calls.clear()
+        cert = certify_relation(m, name, tg, om, bakery_text(), backend)
+        monkeypatch.undo()
+        assert cert.passed
+        assert len(calls) == 1
+        assert {c.method for c in cert.checks} == {"concrete-sweep",
+                                                   "symbolic-scan"}
+
+
+# -- mutation: each lie about the graph is caught by the check that owns it,
+# with a witness naming the lie; honest weakenings pass
+
+
+@pytest.fixture(scope="module", params=["rank", "nlock"])
+def swept(request, model):
+    tg = tag_graph(model, request.param, map_graph(model, request.param))
+    return tg, relation_cases(model, request.param, tg.nodes)
+
+
+def _pair_text(u, v) -> str:
+    return value_text(TupleV((("src", u), ("dst", v))))
+
+
+def test_every_deleted_arc_fails_closure(swept):
+    tg, sweep = swept
+    for a in tg.arcs:
+        arcs = tuple(x for x in tg.arcs if x != a)
+        cut = TaggedGraph(tg.nodes, arcs, tg.measures, tg.widths, tg.tags)
+        res = check_closure(cut, sweep)
+        assert not res.passed
+        assert res.witness["pair_text"] == _pair_text(tg.nodes[a[0]],
+                                                      tg.nodes[a[1]])
+
+
+PROMOTIONS = {MAY_INC: (NON_INC, STRICT_DEC), NON_INC: (STRICT_DEC,)}
+DEMOTIONS = {STRICT_DEC: (NON_INC, MAY_INC), NON_INC: (MAY_INC,)}
+OWNER = {STRICT_DEC: "strict-arc-decrease",
+         NON_INC: "noninc-arc-nonincrease"}
+
+
+def test_every_refuted_promotion_fails_its_tag_check(swept):
+    tg, sweep = swept
+    promoted = 0
+    for (i, j) in tg.arcs:
+        for name in tg.measures:
+            for lie in PROMOTIONS.get(tg.tags[(i, j, name)], ()):
+                res = {c.name: c for c in
+                       check_arc_tags(_retag(tg, (i, j), name, lie), sweep)}
+                bad = res.pop(OWNER[lie])
+                (other,) = res.values()
+                assert other.passed and not bad.passed
+                w = bad.witness
+                assert (w["src"], w["dst"], w["measure"]) == (
+                    value_text(tg.nodes[i]), value_text(tg.nodes[j]), name)
+                orders = value_from_json(w["orders"])
+                src = tuple(x.val for _, x in orders.get("src-ord").items)
+                dst = tuple(x.val for _, x in orders.get("dst-ord").items)
+                assert dst >= src if lie == STRICT_DEC else dst > src
+                promoted += 1
+    assert promoted > 0
+
+
+def test_every_demotion_passes_tag_checks(swept):
+    tg, sweep = swept
+    demoted = 0
+    for (i, j) in tg.arcs:
+        for name in tg.measures:
+            for weaker in DEMOTIONS.get(tg.tags[(i, j, name)], ()):
+                res = check_arc_tags(_retag(tg, (i, j), name, weaker), sweep)
+                assert all(c.passed for c in res)
+                demoted += 1
+    assert demoted > 0
 
 
 def test_certificate_json_and_hashes(model, rank_parts):

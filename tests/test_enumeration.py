@@ -118,18 +118,6 @@ def test_solve_calls_count_blocking_probes():
     assert res.solve_calls == 2
 
 
-def test_dump_cnf(tmp_path):
-    path = tmp_path / "query.cnf"
-    vs = {"x": NatSort(2)}
-    compute_finite_values(vs, Const(BoolV(True)), Var("x"), 5, "exhaustive",
-                          dump_cnf=str(path))
-    text = path.read_text()
-    assert text.startswith("p cnf ")
-    compute_finite_values(vs, Const(BoolV(True)), Var("x"), 5, "sat",
-                          dump_cnf=str(path))
-    assert path.read_text() == text
-
-
 def test_bad_backend_and_budget():
     vs = {"x": BOOL}
     with pytest.raises(ValueError):
