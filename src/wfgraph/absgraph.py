@@ -6,13 +6,14 @@ graph by worklist closure from the initial nodes, ``comp_map_rel`` builds
 it from an explicit binary relation over a declared domain, and
 ``comp_map_order`` tags every arc, per component measure, with whether the
 measure strictly decreases, never increases, or may increase across the
-concrete pairs the arc abstracts.
+concrete pairs the arc abstracts.  Tagging asks one query per source
+node, covering all of its arcs and measures at once.
 
-Queries reference the current source (and, for tagging, destination) node
-through the reserved variables ``@src`` and ``@dst``; this module
-substitutes the concrete node value before enumeration.  Every enumeration
-must be total: a cutoff means the abstraction has more behavior than the
-budget and raises NotTotal rather than returning a partial graph.
+Reachability queries reference the current source node through the
+reserved variable ``@src``; this module substitutes the concrete node
+value before enumeration.  Every enumeration must be total: a cutoff
+means the abstraction has more behavior than the budget and raises
+NotTotal rather than returning a partial graph.
 """
 
 from __future__ import annotations
@@ -27,9 +28,15 @@ from .model import (
     And, BoolV, Const, Eq, Expr, Le, Lt, Model, Not, Or, Sort, TupleE,
     TupleV, Value, Var, canonical_sorted, subst_vars, value_from_json,
     value_text, value_to_json)
+from .veceval import DEFAULT_ROW_CAP
 
 SRC_VAR = "@src"
-DST_VAR = "@dst"
+
+# Tag queries take no caller budget.  An exhaustive table never holds more
+# distinct values than veceval's row cap, and a SAT query returns at most
+# one value per (destination node, tag combination), so this bound only
+# guards totality.
+TAG_BUDGET = DEFAULT_ROW_CAP + 1
 
 STRICT_DEC = "strict-dec"
 NON_INC = "non-inc"
@@ -203,7 +210,8 @@ def lex_le_expr(a: Expr, b: Expr) -> Expr:
     return out
 
 
-def comp_map_order(g: Graph, var_sorts: dict[str, Sort], ordr_hyp: Expr,
+def comp_map_order(g: Graph, var_sorts: dict[str, Sort], rel_hyp: Expr,
+                   src_trm: Expr, dst_trm: Expr,
                    ord_trms: dict[str, tuple[Expr, Expr]],
                    measures: tuple[str, ...], widths: dict[str, int],
                    backend: str = "exhaustive") -> TaggedGraph:
@@ -213,24 +221,39 @@ def comp_map_order(g: Graph, var_sorts: dict[str, Sort], ordr_hyp: Expr,
     (s, d): if no concrete pair on the arc has d >=lex s the measure
     strictly decreases there; failing that, if none has d >lex s it is
     non-increasing; otherwise it may increase.
+
+    One query per source node u enumerates the distinct (destination
+    node, s <=lex d, s <lex d per measure) combinations of pairs related
+    by ``rel_hyp`` whose source maps to u.  Destinations that are not
+    successors of u in ``g`` are ignored, and a successor with no
+    concrete pair reads strict-dec.
     """
-    truth = Const(BoolV(True))
     tags: dict[tuple[int, int, str], str] = {}
-    for (i, j) in g.arcs:
-        sub = {SRC_VAR: Const(g.nodes[i]), DST_VAR: Const(g.nodes[j])}
-        hyp_arc = subst_vars(ordr_hyp, sub)
-        for name in measures:
-            src_e, dst_e = ord_trms[name]
-            src_e = subst_vars(src_e, sub)
-            dst_e = subst_vars(dst_e, sub)
-            q1 = And((hyp_arc, lex_le_expr(src_e, dst_e)))
-            r1 = compute_finite_values(var_sorts, q1, truth, 1, backend)
-            if not r1.values:
-                tags[(i, j, name)] = STRICT_DEC
-                continue
-            q2 = And((hyp_arc, lex_lt_expr(src_e, dst_e)))
-            r2 = compute_finite_values(var_sorts, q2, truth, 1, backend)
-            tags[(i, j, name)] = NON_INC if not r2.values else MAY_INC
+    items: list[tuple[Optional[str], Expr]] = [("dst", dst_trm)]
+    for name in measures:
+        src_e, dst_e = ord_trms[name]
+        items.append((f"le-{name}", lex_le_expr(src_e, dst_e)))
+        items.append((f"lt-{name}", lex_lt_expr(src_e, dst_e)))
+    trm = TupleE(tuple(items))
+    for i in sorted({i for (i, _) in g.arcs}):
+        u = g.nodes[i]
+        hyp_u = And((rel_hyp, Eq(src_trm, Const(u))))
+        r = compute_finite_values(var_sorts, hyp_u, trm, TAG_BUDGET,
+                                  backend)
+        if not r.is_total:
+            raise NotTotal("tag", TAG_BUDGET, u)
+        held: dict[Value, set[str]] = {}  # dst -> flags true for it
+        for q in r.values:
+            (_, dst), *flags = q.items  # type: ignore[union-attr]
+            held.setdefault(dst, set()).update(
+                f for f, x in flags if x == BoolV(True))
+        for j in g.succ_indices(i):
+            got = held.get(g.nodes[j], set())
+            for name in measures:
+                tags[(i, j, name)] = (
+                    STRICT_DEC if f"le-{name}" not in got
+                    else NON_INC if f"lt-{name}" not in got
+                    else MAY_INC)
     return TaggedGraph(g.nodes, g.arcs, tuple(measures), dict(widths), tags)
 
 
@@ -332,13 +355,11 @@ def tag_graph(model: Model, map_name: str, g: Graph,
     """Order-tag an abstract graph using the map's component measures."""
     mp, rel, dst_state, var_sorts = relation_parts(model, map_name)
     node_dst = subst_vars(mp.node, {mp.var: dst_state})
-    ordr_hyp = And((rel, Eq(mp.node, Var(SRC_VAR)),
-                    Eq(node_dst, Var(DST_VAR))))
     ord_trms = {
         name: (mp.measure_expr(name),
                subst_vars(mp.measure_expr(name), {mp.var: dst_state}))
         for name in mp.measure_names}
-    return comp_map_order(g, var_sorts, ordr_hyp, ord_trms,
+    return comp_map_order(g, var_sorts, rel, mp.node, node_dst, ord_trms,
                           mp.measure_names, mp.widths, backend)
 
 

@@ -244,21 +244,23 @@ def check_measure_decrease(omap: Omap, sweep: Sweep) -> CheckResult:
     Checks bnl and ordinal strict decrease for each case in plain Python;
     this route shares no ordering code with graph construction.  Each side
     of a case, a (node, measure tuples) half-state, recurs across many
-    cases, so its padded bnl and ordinal are computed once per distinct
-    half-state; ``bnl_lt`` and ``o_lt`` still compare every case, in order.
+    cases, so its padded bnl and ordinal are computed once per node, side
+    and distinct measure items; ``bnl_lt`` and ``o_lt`` still compare
+    every case, in order.
     """
     descs = omap.as_dict()
     bound = omap.bnl_bound
     halves: dict[Value, dict[tuple, tuple[tuple[int, ...], Ordinal]]] = {}
 
-    def half(node: Value, vals: dict[str, tuple[int, ...]], memo: dict
+    def half(node: Value, q: TupleV, side: str, memo: dict
              ) -> tuple[tuple[int, ...], Ordinal]:
         """Padded bnl and ordinal of one side of a case; ``memo`` holds
-        the node's half-states, keyed by measure tuples."""
-        key = tuple(vals.values())
+        the node's half-states, keyed by the case's measure items for that
+        side, so a hit costs a tuple slice and no decoding."""
+        key = q.items[2::2] if side == "src" else q.items[3::2]
         got = memo.get(key)
         if got is None:
-            e = expand_descriptor(descs[node], vals)
+            e = expand_descriptor(descs[node], _side(q, side))
             bnl = tuple(e) + (0,) * (bound - len(e))
             got = memo[key] = (bnl, bnl_to_ordinal(bnl))
         return got
@@ -275,8 +277,8 @@ def check_measure_decrease(omap: Omap, sweep: Sweep) -> CheckResult:
         memo_u = halves.setdefault(u, {})
         memo_v = halves.setdefault(v, {})
         for q in cases:
-            bx, ox = half(u, _side(q, "src"), memo_u)
-            by, oy = half(v, _side(q, "dst"), memo_v)
+            bx, ox = half(u, q, "src", memo_u)
+            by, oy = half(v, q, "dst", memo_v)
             if not bnl_lt(by, bx):
                 return failed(q, f"bnl does not decrease: {by} !< {bx}")
             if not o_lt(oy, ox):

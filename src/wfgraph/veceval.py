@@ -542,30 +542,59 @@ def _rebuild(v: VVal, codes: list[int], pos: list[int]) -> Value:
     return _leaf_value(v, codes[i])
 
 
+def _leaf_card(leaf: VVal) -> int:
+    if isinstance(leaf, VBool):
+        return 2
+    if isinstance(leaf, VNat):
+        return 1 << leaf.width
+    if isinstance(leaf, VEnum):
+        return len(leaf.syms)
+    raise TypeError("not a scalar leaf")
+
+
+def _lex_rank(cols: list[np.ndarray], cards: list[int]
+              ) -> tuple[np.ndarray, np.ndarray]:
+    """Dense lexicographic rank of every row of ``cols``, and one row
+    index per rank.
+
+    Built one column at a time: the rank so far, scaled by the next
+    column's cardinality, plus that column, re-densified by a 1-D unique.
+    The rank never exceeds the row count, so the combined key stays below
+    rows x card whatever the row's total cardinality.
+    """
+    rank = np.zeros(len(cols[0]), dtype=np.int64)
+    for col, card in zip(cols, cards):
+        _, rank = np.unique(rank * card + col, return_inverse=True)
+    first = np.empty(int(rank.max()) + 1, dtype=np.int64)
+    first[rank] = np.arange(len(rank))  # rows of equal rank are equal
+    return rank, first
+
+
 def distinct_rows(v: VVal, n_rows: int) -> list[Value]:
     """Distinct values of ``v`` across the table rows, canonically ordered.
 
-    Leaf codes are stacked into an integer matrix and uniqued row-wise;
-    because every leaf's numeric code is ordered the same way as the
-    canonical Value order within its sort, the lexicographic row order numpy
-    produces IS the canonical order.
+    Leaf codes form one integer column per leaf, and rows are ranked
+    lexicographically over those columns (``_lex_rank``); because every
+    leaf's numeric code is ordered the same way as the canonical Value
+    order within its sort, rank order IS the canonical order.
 
     A record's top-level items repeat across rows (the same source node
-    pairs with many destinations), so each item's column slice is uniqued
-    on its own and every distinct slice decoded once; the rows then share
-    those sub-values instead of rebuilding them.
+    pairs with many destinations), so each item's columns are ranked on
+    their own over the distinct rows and every distinct item value decoded
+    once; the rows then share those sub-values instead of rebuilding them.
     """
     if n_rows == 0:
         return []
     leaves = vval_leaves(v)
     if not leaves:
         return [_rebuild(v, [], [0])]
-    mat = np.column_stack([
-        np.broadcast_to(np.asarray(leaf.arr, dtype=np.int64), (n_rows,))
-        for leaf in leaves])
-    uniq = np.unique(mat, axis=0)
+    cols = [np.broadcast_to(np.asarray(leaf.arr, dtype=np.int64), (n_rows,))
+            for leaf in leaves]
+    cards = [_leaf_card(leaf) for leaf in leaves]
+    _, first = _lex_rank(cols, cards)
+    uniq = [col[first] for col in cols]
     if not isinstance(v, VRec):
-        return [_leaf_value(v, c) for c in uniq[:, 0].tolist()]
+        return [_leaf_value(v, c) for c in uniq[0].tolist()]
     names = []
     columns = []  # per item: its value in each distinct row
     start = 0
@@ -573,13 +602,14 @@ def distinct_rows(v: VVal, n_rows: int) -> list[Value]:
         width = len(vval_leaves(item))
         names.append(name)
         if width == 0:
-            columns.append([_rebuild(item, [], [0])] * len(uniq))
+            columns.append([_rebuild(item, [], [0])] * len(first))
             continue
-        part, inverse = np.unique(uniq[:, start:start + width], axis=0,
-                                  return_inverse=True)
+        part = uniq[start:start + width]
+        rank, part_first = _lex_rank(part, cards[start:start + width])
         start += width
-        decoded = [_rebuild(item, row, [0]) for row in part.tolist()]
-        columns.append([decoded[i] for i in inverse.reshape(-1).tolist()])
+        codes = np.column_stack([col[part_first] for col in part]).tolist()
+        decoded = [_rebuild(item, row, [0]) for row in codes]
+        columns.append([decoded[i] for i in rank.tolist()])
     return [TupleV(tuple(zip(names, row))) for row in zip(*columns)]
 
 

@@ -10,6 +10,7 @@ from collections import Counter
 
 import pytest
 
+import wfgraph.absgraph as absgraph
 from wfgraph.absgraph import (
     Graph,
     GraphError,
@@ -28,6 +29,7 @@ from wfgraph.absgraph import (
     tag_graph,
 )
 from wfgraph.bakery import BakeSh, BakeTr, bake_init, bake_tr_next, bakery_model
+from wfgraph.enumeration import compute_finite_values
 from wfgraph.model import (
     BoolV,
     NatSort,
@@ -219,6 +221,44 @@ def test_backends_agree_on_rank_graph():
     assert ge == gs
     assert tag_graph(m, "rank", ge, backend="exhaustive") \
         == tag_graph(m, "rank", gs, backend="sat")
+
+
+def test_exhaustive_tagging_asks_one_query_per_source_node(model,
+                                                            monkeypatch):
+    graphs = {name: map_graph(model, name) for name in ("rank", "nlock")}
+    calls = []
+
+    def counting(var_sorts, hyp, trm, num, backend):
+        calls.append(backend)
+        return compute_finite_values(var_sorts, hyp, trm, num, backend)
+
+    monkeypatch.setattr(absgraph, "compute_finite_values", counting)
+    for name, want in (("rank", 20), ("nlock", 6)):
+        calls.clear()
+        g = graphs[name]
+        tag_graph(model, name, g)
+        assert len({i for (i, _) in g.arcs}) == want
+        assert len(calls) == want, name
+
+
+@pytest.mark.parametrize("name", ["rank", "nlock"])
+def test_backends_agree_on_tags_of_edited_graphs(name):
+    # exhaustive against sat tags on the honest graph, with its first arc
+    # deleted, and with one extra arc that no concrete pair takes
+    m = bakery_model(n=1, r=1, w=2)
+    g = map_graph(m, name)
+    arcs = set(g.arcs)
+    extra = next((i, j) for i in range(len(g.nodes))
+                 for j in range(len(g.nodes)) if (i, j) not in arcs)
+    tagged = []
+    for arc_set in (g.arcs, g.arcs[1:], tuple(sorted(arcs | {extra}))):
+        h = Graph(g.nodes, arc_set)
+        te = tag_graph(m, name, h, backend="exhaustive")
+        assert te == tag_graph(m, name, h, backend="sat")
+        tagged.append(te)
+    with_extra = tagged[-1]
+    assert all(with_extra.tags[extra + (msr,)] == "strict-dec"
+               for msr in with_extra.measures)
 
 
 def test_graph_json_roundtrip(rank_tg):

@@ -1,7 +1,7 @@
 """The exhaustive backend's table builder and row decoder against plain
 reference versions: demand analysis runs once per conjunct, the staged
 tables come out column for column as the per-step analysis built them, and
-the shared-sub-value decoder returns exactly the per-row rebuild."""
+the dense-rank decoder returns exactly the per-row rebuild."""
 
 import numpy as np
 from hypothesis import given, settings
@@ -150,3 +150,17 @@ def test_distinct_rows_edge_cases():
     got = distinct_rows(pairs, 3)
     assert got == _reference_rows(pairs, 3) and len(got) == 3
     assert got[0].items[0][1] is got[2].items[0][1]
+
+
+def test_distinct_rows_past_64_bits_of_cardinality():
+    # ten 8-bit leaves span 2**80 codes, more than any int64 row key holds;
+    # the dense rank never grows past the row count
+    rng = np.random.default_rng(5)
+    n_rows = 400
+    cols = rng.integers(0, 4, size=(10, n_rows)) * 85  # 0, 85, 170, 255
+    rec = VRec(tuple((f"f{i}", VNat(cols[i], 8)) for i in range(10)))
+    got = distinct_rows(rec, n_rows)
+    assert got == _reference_rows(rec, n_rows)
+    assert 1 < len(got) <= n_rows
+    nested = VRec((("a", VRec(rec.items[:5])), ("b", VRec(rec.items[5:]))))
+    assert distinct_rows(nested, n_rows) == _reference_rows(nested, n_rows)
