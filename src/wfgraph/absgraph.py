@@ -8,6 +8,8 @@ it from an explicit binary relation over a declared domain, and
 measure strictly decreases, never increases, or may increase across the
 concrete pairs the arc abstracts.  Tagging asks one query per source
 node, covering all of its arcs and measures at once.
+``certify_state_invariant`` re-runs reachability with a claimed state
+predicate in the node and reports the reached nodes where it is false.
 
 Reachability queries reference the current source node through the
 reserved variable ``@src``; this module substitutes the concrete node
@@ -297,14 +299,46 @@ def reach_graph(model: Model, map_name: str, backend: str = "exhaustive",
     """Reachable abstract graph of a step map: initial node from the
     system's init function, arcs from its step relation (undone states
     inside the map domain)."""
+    return _reach(model, map_name, model.map_decl(map_name).node, backend,
+                  num)
+
+
+def _reach(model: Model, map_name: str, node: Expr, backend: str,
+           num: int) -> Graph:
+    """``reach_graph`` with ``node`` as the step map's node expression."""
     mp, y, rel, var_sorts = _step_parts(model, map_name)
-    sysd = model.system
-    init_state = model.define(sysd.init).body
-    init_trm = subst_vars(mp.node, {mp.var: init_state})
-    step_hyp = And((Eq(mp.node, Var(SRC_VAR)), rel))
-    step_trm = subst_vars(mp.node, {mp.var: y})
+    init_trm = subst_vars(node, {mp.var: model.define(model.system.init).body})
+    step_hyp = And((Eq(node, Var(SRC_VAR)), rel))
+    step_trm = subst_vars(node, {mp.var: y})
     return comp_map_reach(var_sorts, Const(BoolV(True)), init_trm,
                           step_hyp, step_trm, backend, num)
+
+
+def certify_state_invariant(model: Model, map_name: str,
+                            inv: Optional[Expr] = None,
+                            backend: str = "exhaustive", num: int = 4096
+                            ) -> tuple[bool, Graph, list[Value]]:
+    """Prove a state predicate holds on every reachable abstract node by
+    re-running reachability with the predicate as the node's inv field.
+    Defaults to the map's own declared inv entry."""
+    mp = model.map_decl(map_name)
+    if mp.kind != "step":
+        raise GraphError("state invariants certify against a step map")
+    items = []
+    replaced = False
+    for name, e in mp.node.items:
+        if name == "inv":
+            items.append((name, inv if inv is not None else e))
+            replaced = True
+        else:
+            items.append((name, e))
+    if not replaced:
+        if inv is None:
+            raise GraphError(f"map '{map_name}' declares no inv field")
+        items.append(("inv", inv))
+    g = _reach(model, map_name, TupleE(tuple(items)), backend, num)
+    offenders = false_inv_nodes(g)
+    return (not offenders, g, offenders)
 
 
 def rel_graph(model: Model, map_name: str, backend: str = "exhaustive",

@@ -20,10 +20,12 @@ with graph construction:
                      ordinal strictly drop
 
 A Certificate records input hashes and one verdict per check; it passes
-only if every check does.  ``iterate_descent`` and
-``certify_state_invariant`` are the dynamic companions: one walks a
-concrete descent asserting the measure falls each step, the other proves
-a claimed state invariant inductive over the reachable abstraction.
+only if every check does.  ``iterate_descent`` is the dynamic companion:
+it walks a concrete descent asserting the measure falls each step.  From
+``absgraph`` this module takes only the graph data types, the tag names
+and ``relation_parts`` (the relation itself), never graph construction;
+state-invariant proofs, which do rebuild a reachable graph, live there
+(``absgraph.certify_state_invariant``).
 """
 
 from __future__ import annotations
@@ -35,13 +37,12 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .absgraph import (
-    NON_INC, SRC_VAR, STRICT_DEC, Graph, GraphError, NotTotal, TaggedGraph,
-    comp_map_reach, false_inv_nodes, relation_parts)
+    NON_INC, STRICT_DEC, Graph, NotTotal, TaggedGraph, relation_parts)
 from .enumeration import compute_finite_values
 from .measure import Omap
 from .model import (
-    And, BoolV, Const, Eq, Expr, Model, Or, TupleE, TupleV, Value, Var,
-    eval_expr, subst_vars, value_text, value_to_json)
+    And, Const, Eq, Expr, Model, Or, TupleE, TupleV, Value, eval_expr,
+    subst_vars, value_text, value_to_json)
 from .ordinals import Ordinal, bnl_lt, bnl_to_ordinal, expand_descriptor, o_lt
 
 
@@ -356,35 +357,3 @@ def iterate_descent(x0: Value, chooser: Callable[[Value], Optional[Value]],
         x, m = y, my
     raise DescentError(f"no normal form within {max_steps} steps")
 
-
-def certify_state_invariant(model: Model, map_name: str,
-                            inv: Optional[Expr] = None,
-                            backend: str = "exhaustive", num: int = 4096
-                            ) -> tuple[bool, Graph, list[Value]]:
-    """Prove a state predicate holds on every reachable abstract node by
-    re-running reachability with the predicate as the node's inv field.
-    Defaults to the map's own declared inv entry."""
-    mp, rel, dst_state, var_sorts = relation_parts(model, map_name)
-    if mp.kind != "step":
-        raise GraphError("state invariants certify against a step map")
-    items = []
-    replaced = False
-    for name, e in mp.node.items:
-        if name == "inv":
-            items.append((name, inv if inv is not None else e))
-            replaced = True
-        else:
-            items.append((name, e))
-    if not replaced:
-        if inv is None:
-            raise GraphError(f"map '{map_name}' declares no inv field")
-        items.append(("inv", inv))
-    node = TupleE(tuple(items))
-    sysd = model.system
-    init_trm = subst_vars(node, {mp.var: model.define(sysd.init).body})
-    step_hyp = And((Eq(node, Var(SRC_VAR)), rel))
-    step_trm = subst_vars(node, {mp.var: dst_state})
-    g = comp_map_reach(var_sorts, Const(BoolV(True)), init_trm, step_hyp,
-                       step_trm, backend, num)
-    offenders = false_inv_nodes(g)
-    return (not offenders, g, offenders)

@@ -93,7 +93,8 @@ def _add_common(p: argparse.ArgumentParser, *, map_required: bool = True):
     p.add_argument("--backend", choices=BACKENDS, default="exhaustive")
     p.add_argument("--num", type=int,
                    help="value budget per enumeration query (default 4096; "
-                        "certification sweeps 65536)")
+                        "certification sweeps 65536, and large sweeps such "
+                        "as nlock at --n 4 --runs 3 --width 4 need more)")
     _add_params(p)
     p.add_argument("--out", help="output file (default: stdout)")
 

@@ -177,12 +177,12 @@ def bnl_bnd(descriptors: Iterable[Descriptor],
 
 
 def mk_bnl(x, descriptors: Mapping[object, Descriptor],
-           widths: Mapping[str, int],
+           widths: Mapping[str, int], bound: int,
            map_e: Callable[[object], object],
            map_o: Callable[[object, str], Sequence[int]]) -> Bnl:
     """Measure value of concrete state ``x``: its node's descriptor with
     measure names replaced by the state's measure tuples, zero-padded on
-    the right to the common bound."""
+    the right to ``bound``, the descriptors' common ``bnl_bnd``."""
     node = map_e(x)
     if node not in descriptors:
         raise OrdinalError(
@@ -194,12 +194,11 @@ def mk_bnl(x, descriptors: Mapping[object, Descriptor],
                 f"measure {name!r} produced width {len(v)}, "
                 f"declared {widths[name]}")
     expanded = expand_descriptor(descriptors[node], values)
-    bound = bnl_bnd(descriptors.values(), widths)
     return tuple(expanded) + (0,) * (bound - len(expanded))
 
 
 def msr(x, descriptors: Mapping[object, Descriptor],
-        widths: Mapping[str, int],
+        widths: Mapping[str, int], bound: int,
         map_e: Callable[[object], object],
         map_o: Callable[[object, str], Sequence[int]]) -> Ordinal:
-    return bnl_to_ordinal(mk_bnl(x, descriptors, widths, map_e, map_o))
+    return bnl_to_ordinal(mk_bnl(x, descriptors, widths, bound, map_e, map_o))

@@ -12,6 +12,14 @@ small:
   conjunct whose missing atoms span the smallest domain.  Each conjunct's
   atoms are found once, before staging; every step only re-measures the
   spans of the atoms still missing.
+* chunked staging: when crossing the next conjunct's missing atoms would
+  take the table past ``CHUNK_ROWS`` rows, the rows are split into
+  contiguous blocks, each block runs the remaining conjuncts on its own,
+  and the survivors are concatenated.  Crossing repeats old rows in order,
+  so the result is the unchunked table row for row, while no intermediate
+  holds more than ``max(CHUNK_ROWS, largest atom domain)`` rows.  The row
+  cap bounds the surviving rows, and the one crossing that cannot be split:
+  a single atom whose domain passes both ``CHUNK_ROWS`` and the cap.
 
 Unconstrained atoms never enter the table, which is sound because a
 satisfying row extends to full environments by fixing them arbitrarily.
@@ -32,7 +40,8 @@ from .model import (
 
 
 class Capacity(Exception):
-    """The enumeration table would exceed the configured row cap."""
+    """The enumeration's surviving rows, or one atom's domain, would exceed
+    the configured row cap."""
 
     def __init__(self, rows: int, cap: int):
         super().__init__(f"enumeration needs {rows} rows, cap is {cap}")
@@ -41,6 +50,9 @@ class Capacity(Exception):
 
 
 DEFAULT_ROW_CAP = 1 << 22
+
+# target size of an intermediate table; wider crossings run in row blocks
+CHUNK_ROWS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -325,9 +337,8 @@ def _vwhere(mask: np.ndarray, a: VVal, b: VVal) -> VVal:
 class Table:
     """Environments as parallel columns, one per atom present."""
 
-    def __init__(self, var_sorts: dict[str, Sort], row_cap: int = DEFAULT_ROW_CAP):
+    def __init__(self, var_sorts: dict[str, Sort]):
         self.var_sorts = var_sorts
-        self.row_cap = row_cap
         self.n = 1
         self.cols: dict[AtomKey, np.ndarray] = {}
 
@@ -341,8 +352,6 @@ class Table:
         for d in domains:
             factor *= len(d)
         new_n = self.n * factor
-        if new_n > self.row_cap:
-            raise Capacity(new_n, self.row_cap)
         for k in self.cols:
             self.cols[k] = np.repeat(self.cols[k], factor)
         tile = self.n
@@ -482,31 +491,98 @@ def build_table(var_sorts: dict[str, Sort], hyp: Expr, trm_exprs: list[Expr],
                 row_cap: int = DEFAULT_ROW_CAP) -> Table:
     """Table of exactly the environments (projected to read atoms) that
     satisfy ``hyp``, extended to cover the atoms of ``trm_exprs``.
+    Raises Capacity when that table would exceed ``row_cap`` rows.
 
     Callers pass already-scalarized expressions (see ``scalarize``)."""
-    table = Table(var_sorts, row_cap)
     # demand analysis once per conjunct: (conjunct, its atoms, their cards)
     pending = []
     for c in split_conjuncts(hyp):
         keys = atoms_for([c], var_sorts)
         pending.append((c, keys, [sort_card(atom_sort(k, var_sorts))
                                   for k in keys]))
-    while pending:
-        def missing_span(i: int) -> int:
-            _, keys, cards = pending[i]
-            span = 1
-            for k, card in zip(keys, cards):
-                if k not in table.cols:
-                    span *= card
-            return span
+    trm_keys = atoms_for(trm_exprs, var_sorts)
+    return _stage(Table(var_sorts), pending, None, trm_keys, row_cap)
 
-        conj, keys, _ = pending.pop(min(range(len(pending)), key=missing_span))
-        table.extend(keys)
-        if table.n:
-            mask = eval_vec(conj, table)
-            assert isinstance(mask, VBool)
-            table.filter(np.broadcast_to(mask.arr, (table.n,)))
-    table.extend(atoms_for(trm_exprs, var_sorts))
+
+_Conjunct = tuple[Expr, list[AtomKey], list[int]]
+
+
+def _stage(table: Table, pending: list[_Conjunct],
+           current: Optional[_Conjunct], trm_keys: list[AtomKey],
+           row_cap: int) -> Table:
+    """Apply ``current`` (if any) and then every ``pending`` conjunct to
+    ``table``, smallest missing span first, and extend the survivors over
+    ``trm_keys``.
+
+    A conjunct's missing atoms are crossed in the longest leading run whose
+    span fits ``CHUNK_ROWS`` (at least one atom); the conjunct stays
+    ``current`` until all of them are in.  When that run would take a table
+    of several rows past ``CHUNK_ROWS``, the rows go through in contiguous
+    blocks instead (``_in_blocks``).  A single atom wider than both
+    ``CHUNK_ROWS`` and ``row_cap`` raises Capacity before its domain is
+    built."""
+    while pending or current is not None:
+        if current is None:
+            def missing_span(i: int) -> int:
+                _, keys, cards = pending[i]
+                span = 1
+                for k, card in zip(keys, cards):
+                    if k not in table.cols:
+                        span *= card
+                return span
+
+            current = pending.pop(min(range(len(pending)), key=missing_span))
+        conj, keys, cards = current
+        run: list[AtomKey] = []
+        span = 1
+        missing = [(k, c) for k, c in zip(keys, cards) if k not in table.cols]
+        for k, card in missing:
+            if run and span * card > CHUNK_ROWS:
+                break
+            run.append(k)
+            span *= card
+        if table.n > 1 and table.n * span > CHUNK_ROWS:
+            return _in_blocks(table, max(1, CHUNK_ROWS // span), pending,
+                              current, trm_keys, row_cap)
+        # a run this wide is one atom crossing one row: it cannot be split
+        if table.n * span > max(CHUNK_ROWS, row_cap):
+            raise Capacity(table.n * span, row_cap)
+        table.extend(run)
+        if len(run) == len(missing):
+            current = None
+            if table.n:
+                mask = eval_vec(conj, table)
+                assert isinstance(mask, VBool)
+                table.filter(np.broadcast_to(mask.arr, (table.n,)))
+    span = 1
+    for k in trm_keys:
+        if k not in table.cols:
+            span *= sort_card(atom_sort(k, table.var_sorts))
+    if table.n * span > row_cap:
+        raise Capacity(table.n * span, row_cap)
+    table.extend(trm_keys)
+    return table
+
+
+def _in_blocks(table: Table, size: int, pending: list[_Conjunct],
+               current: Optional[_Conjunct], trm_keys: list[AtomKey],
+               row_cap: int) -> Table:
+    """``_stage`` run on each contiguous block of ``size`` rows of
+    ``table``, the results concatenated in block order into ``table``."""
+    parts: list[Table] = []
+    total = 0
+    for lo in range(0, table.n, size):
+        block = Table(table.var_sorts)
+        block.n = min(size, table.n - lo)
+        block.cols = {k: col[lo:lo + size] for k, col in table.cols.items()}
+        part = _stage(block, list(pending), current, trm_keys, row_cap)
+        total += part.n
+        if total > row_cap:
+            raise Capacity(total, row_cap)
+        parts.append(part)
+    table.cols = {k: np.concatenate([p.cols[k] for p in parts])
+                  for k in parts[0].cols}
+    table.n = total
     return table
 
 

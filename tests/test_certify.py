@@ -9,8 +9,8 @@ import pytest
 
 import wfgraph.certify as certify
 from wfgraph.absgraph import (
-    MAY_INC, NON_INC, STRICT_DEC, GraphError, TaggedGraph, graph_text,
-    map_graph, tag_graph)
+    MAY_INC, NON_INC, STRICT_DEC, GraphError, TaggedGraph,
+    certify_state_invariant, graph_text, map_graph, tag_graph)
 from wfgraph.bakery import bakery_model, bakery_text
 from wfgraph.certify import (
     Certificate,
@@ -20,7 +20,6 @@ from wfgraph.certify import (
     certificate_text,
     certificate_to_json,
     certify_relation,
-    certify_state_invariant,
     check_arc_tags,
     check_closure,
     check_measure_decrease,

@@ -199,7 +199,7 @@ def test_tool_errors_exit_1(tmp_path, capsys):
 
 
 def test_capacity_is_a_tool_error(monkeypatch, tmp_path, capsys):
-    # nlock certify at (4,3,4) needs 16.8M rows; raise that from the stage
+    # a sweep whose surviving rows pass the cap; raise that from the stage
     # rather than build it
     def too_big(*args, **kwargs):
         raise Capacity(16777216, 4194304)

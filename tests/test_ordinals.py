@@ -204,12 +204,11 @@ def test_mk_bnl_pads_to_common_bound():
     def map_o(x, name):
         return x[1]
 
-    assert mk_bnl(("A", (5, 7)), TOY_DESCRIPTORS, TOY_WIDTHS, map_e, map_o) \
-        == (2, 5, 7)
-    assert mk_bnl(("B", (0, 0)), TOY_DESCRIPTORS, TOY_WIDTHS, map_e, map_o) \
-        == (1, 0, 0)
-    assert msr(("B", (0, 0)), TOY_DESCRIPTORS, TOY_WIDTHS, map_e, map_o) \
-        == Ordinal(((2, 1),))
+    bound = bnl_bnd(TOY_DESCRIPTORS.values(), TOY_WIDTHS)
+    args = (TOY_DESCRIPTORS, TOY_WIDTHS, bound, map_e, map_o)
+    assert mk_bnl(("A", (5, 7)), *args) == (2, 5, 7)
+    assert mk_bnl(("B", (0, 0)), *args) == (1, 0, 0)
+    assert msr(("B", (0, 0)), *args) == Ordinal(((2, 1),))
 
 
 def test_mk_bnl_rejects_bad_states():
@@ -219,7 +218,9 @@ def test_mk_bnl_rejects_bad_states():
     def map_o(x, name):
         return x[1]
 
+    bound = bnl_bnd(TOY_DESCRIPTORS.values(), TOY_WIDTHS)
+    args = (TOY_DESCRIPTORS, TOY_WIDTHS, bound, map_e, map_o)
     with pytest.raises(OrdinalError):
-        mk_bnl(("C", (0, 0)), TOY_DESCRIPTORS, TOY_WIDTHS, map_e, map_o)
+        mk_bnl(("C", (0, 0)), *args)
     with pytest.raises(OrdinalError):
-        mk_bnl(("A", (1,)), TOY_DESCRIPTORS, TOY_WIDTHS, map_e, map_o)
+        mk_bnl(("A", (1,)), *args)

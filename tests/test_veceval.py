@@ -1,19 +1,28 @@
 """The exhaustive backend's table builder and row decoder against plain
 reference versions: demand analysis runs once per conjunct, the staged
-tables come out column for column as the per-step analysis built them, and
-the dense-rank decoder returns exactly the per-row rebuild."""
+tables come out column for column as the per-step analysis built them,
+chunked staging returns the unchunked table row for row, and the
+dense-rank decoder returns exactly the per-row rebuild."""
+
+import random
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import wfgraph.veceval as veceval
-from wfgraph.absgraph import relation_parts
+from _gen import rand_expr, rand_sort, rand_var_sorts
+from wfgraph.absgraph import map_graph, relation_parts
 from wfgraph.bakery import bakery_model
-from wfgraph.model import TupleE, sort_card, subst_vars
+from wfgraph.certify import relation_cases
+from wfgraph.model import (
+    BOOL, AddMod, And, Const, Eq, Le, NatSort, NatV, Or, TupleE, Var,
+    sort_card, subst_vars)
 from wfgraph.veceval import (
-    Table, VBool, VEnum, VNat, VRec, atom_sort, atoms_for, build_table,
-    distinct_rows, eval_vec, scalarize, split_conjuncts)
+    Capacity, Table, VBool, VEnum, VNat, VRec, atom_sort, atoms_for,
+    build_table, distinct_rows, eval_vec, exhaustive_values, scalarize,
+    split_conjuncts)
 
 # -- build_table ---------------------------------------------------------------
 
@@ -66,6 +75,120 @@ def test_build_table_runs_demand_analysis_once_per_conjunct(monkeypatch):
     assert list(got.cols) == list(ref.cols)
     for k in ref.cols:
         assert np.array_equal(got.cols[k], ref.cols[k])
+
+
+# -- chunked staging -----------------------------------------------------------
+
+UNCHUNKED = 1 << 62
+
+
+def _assert_same_table(got: Table, ref: Table):
+    assert got.n == ref.n
+    assert list(got.cols) == list(ref.cols)
+    for k in ref.cols:
+        assert got.cols[k].dtype == ref.cols[k].dtype
+        assert np.array_equal(got.cols[k], ref.cols[k])
+
+
+def _build(chunk, *args, **kw):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(veceval, "CHUNK_ROWS", chunk)
+        return build_table(*args, **kw)
+
+
+def _extend_sizes(monkeypatch) -> list[int]:
+    """Row count of every table right after each ``Table.extend``."""
+    sizes: list[int] = []
+    extend = Table.extend
+
+    def recording(self, keys):
+        extend(self, keys)
+        sizes.append(self.n)
+
+    monkeypatch.setattr(Table, "extend", recording)
+    return sizes
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((4, 16)))
+def test_chunked_staging_matches_unchunked(seed, chunk):
+    rng = random.Random(seed)
+    var_sorts = rand_var_sorts(rng, max_vars=5, max_width=3)
+
+    def conjunct():
+        # a disjunction keeps rows alive, so later conjuncts cross wide
+        return Or((rand_expr(rng, var_sorts, BOOL, 3),
+                   rand_expr(rng, var_sorts, BOOL, 3)))
+
+    hyp = scalarize(And(tuple(conjunct() for _ in range(rng.randint(1, 4)))),
+                    var_sorts)
+    trm = scalarize(rand_expr(rng, var_sorts, rand_sort(rng), 2), var_sorts)
+    ref = _build(UNCHUNKED, var_sorts, hyp, [trm])
+    _assert_same_table(_build(chunk, var_sorts, hyp, [trm]), ref)
+
+
+def test_nlock_sweep_tables_stay_within_chunk(monkeypatch):
+    # unchunked, this sweep crosses 65,536 rows with a 64-value span
+    model = bakery_model(2, 3, 4)
+    scope = map_graph(model, "nlock").nodes
+    sizes = _extend_sizes(monkeypatch)
+    sweep = relation_cases(model, "nlock", scope)
+    assert sweep and sizes
+    assert max(sizes) <= veceval.CHUNK_ROWS
+    assert max(sizes) > veceval.CHUNK_ROWS // 4
+
+
+@pytest.mark.parametrize("chunk", [16, 64])
+def test_wide_first_conjunct_crosses_one_atom_first(monkeypatch, chunk):
+    # one conjunct reads three 32-value atoms: its span passes the chunk
+    # target on a 1-row table, so atoms go in one run at a time
+    var_sorts = {v: NatSort(5) for v in ("x", "y", "z")}
+    hyp = Eq(AddMod(Var("x"), Var("y")), Var("z"))
+    trm = TupleE((("x", Var("x")), ("z", Var("z"))))
+    ref = _build(UNCHUNKED, var_sorts, hyp, [trm])
+    values = exhaustive_values(var_sorts, hyp, trm)
+    sizes = _extend_sizes(monkeypatch)
+    monkeypatch.setattr(veceval, "CHUNK_ROWS", chunk)
+    _assert_same_table(build_table(var_sorts, hyp, [trm]), ref)
+    assert sizes[0] == 32  # only x crossed the 1-row table
+    assert max(sizes) <= max(chunk, 32)
+    assert exhaustive_values(var_sorts, hyp, trm) == values
+    assert len(values) == 32 * 32
+
+
+@pytest.mark.parametrize("chunk", [4, UNCHUNKED])
+def test_capacity_counts_survivors(monkeypatch, chunk):
+    monkeypatch.setattr(veceval, "CHUNK_ROWS", chunk)
+    var_sorts = {"x": NatSort(4), "y": NatSort(4), "z": NatSort(4)}
+    x, y = Var("x"), Var("y")
+    # 256 rows are crossed, 16 survive: fits a cap of 100
+    assert build_table(var_sorts, Eq(x, y), [], row_cap=100).n == 16
+    # 136 survivors do not
+    with pytest.raises(Capacity):
+        build_table(var_sorts, Le(x, y), [], row_cap=100)
+    # nor do 16 survivors crossed with a term atom
+    with pytest.raises(Capacity):
+        build_table(var_sorts, Eq(x, y), [Var("z")], row_cap=100)
+    assert build_table(var_sorts, Eq(x, Const(NatV(3, 4))), [Var("z")],
+                       row_cap=100).n == 16
+
+
+@pytest.mark.parametrize("chunk", [4, veceval.CHUNK_ROWS])
+def test_atom_wider_than_cap_raises_without_building_its_domain(
+        monkeypatch, chunk):
+    monkeypatch.setattr(veceval, "CHUNK_ROWS", chunk)
+    sizes = _extend_sizes(monkeypatch)
+    wide = {"x": NatSort(40), "y": NatSort(4)}
+    x, y = Var("x"), Var("y")
+    # 2^40 values cannot be crossed, on one row or on each of many
+    for hyp in (Eq(x, Const(NatV(3, 40))),
+                And((Le(y, Const(NatV(2, 4))), Eq(x, Const(NatV(3, 40)))))):
+        with pytest.raises(Capacity):
+            build_table(wide, hyp, [])
+    assert all(n <= 16 for n in sizes)
+    # a single atom past the chunk target but within the cap still crosses
+    assert build_table({"x": NatSort(6)}, Eq(x, Const(NatV(3, 6))), [],
+                       row_cap=64).n == 1
 
 
 # -- distinct_rows -------------------------------------------------------------
