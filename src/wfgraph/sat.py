@@ -1,13 +1,27 @@
-"""SAT backends: a built-in DPLL solver and an optional IPASIR bridge.
+"""SAT backends: a built-in CDCL solver and an optional IPASIR bridge.
 
-The built-in solver is deliberately plain: two-watched-literal propagation,
-chronological backtracking, decisions on the lowest-indexed unassigned
-variable, tried False first.  That makes every run deterministic, which the
-enumeration layer relies on for reproducible value orders and solve counts.
+The built-in solver is conflict-driven clause learning in the style of GRASP
+(Marques-Silva & Sakallah 1999) with MiniSat's two-watched-literal
+propagation (Een & Sorensson 2003).  Each conflict is analysed to its first
+unique implication point; the learned clause is kept and the search jumps
+back, non-chronologically, to the level where that clause asserts.
 
-The solver is incremental in the way model enumeration needs: clauses added
-after a satisfying assignment prune the search in place, so the next
-solve() call continues the same depth-first walk instead of restarting.
+Decisions fall on the lowest-indexed unassigned variable, tried False first.
+There are no restarts, no clause deletion and no activity heuristic, so the
+same clauses always give the same sequence of models; the enumeration layer
+relies on that for reproducible value orders and solve counts.  Bitblasting
+numbers the inputs first, so decisions fall on inputs.
+
+Model enumeration adds a blocking clause after each satisfying assignment.
+``add_clause`` first cancels the search to decision level 0, then adds the
+clause; learned clauses stay, since the clause set only grows.  At level 0
+false literals are dropped, satisfied clauses and tautologies skipped, and
+units assigned for good, so a level-0 conflict or an empty clause leaves the
+solver unsatisfiable from then on.
+
+The class keeps the name ``DpllSolver``: the benchmark's tracer
+(``perfbench/tracer.py``) wraps ``DpllSolver.solve`` and
+``DpllSolver.add_clause`` by name for its ``sat.*`` spans.
 
 Set the WFG_IPASIR_LIB environment variable to the path of a shared library
 exporting the IPASIR API to enable the ``ipasir`` backend.
@@ -19,174 +33,203 @@ import ctypes
 import os
 from typing import Optional
 
-_UNASSIGNED = -1
-_FALSE = 0
-_TRUE = 1
-
-_IMPLIED = 0
-_DECISION = 1
-_FLIPPED = 2
-
 
 class DpllSolver:
+    """CDCL over clauses of DIMACS literals (see the module docstring).
+
+    Internally variable ``v`` is the literal codes ``2v`` (true) and ``2v+1``
+    (false), so ``code ^ 1`` negates.  ``_val[code]`` is 1, -1 or 0 for
+    true, false or unassigned.  A clause is a list of codes whose watched
+    literals sit at positions 0 and 1; ``_watches[code]`` holds the clauses
+    to visit when ``code`` becomes true, i.e. those watching ``code ^ 1``.
+    A clause that implies a literal holds it at position 0.
+    """
+
     def __init__(self, num_vars: int):
         self.num_vars = num_vars
-        self.clauses: list[list[int]] = []
         self.model: list[bool] = []
-        self._assign = [_UNASSIGNED] * (num_vars + 1)
-        # watches indexed by encoded literal 2*v (positive) / 2*v+1 (negative)
-        self._watches: list[list[int]] = [[] for _ in range(2 * (num_vars + 1))]
-        self._watched: list[tuple[int, int]] = []
+        n = num_vars + 1
+        self._val = [0] * (2 * n)
+        self._level = [0] * n
+        self._reason: list[Optional[list[int]]] = [None] * n
+        self._watches: list[list[list[int]]] = [[] for _ in range(2 * n)]
         self._trail: list[int] = []
-        self._kind: list[int] = []
-        self._units: list[int] = []
-        self._prop_head = 0
+        self._lim: list[int] = []  # trail length at each decision
+        self._qhead = 0
+        self._next = 1  # no variable below this one is unassigned
+        self._seen = bytearray(n)
         self._ok = True
 
-    @staticmethod
-    def _enc(lit: int) -> int:
-        return 2 * abs(lit) + (0 if lit > 0 else 1)
+    def _assign(self, code: int, reason: Optional[list[int]]):
+        self._val[code] = 1
+        self._val[code ^ 1] = -1
+        v = code >> 1
+        self._level[v] = len(self._lim)
+        self._reason[v] = reason
+        self._trail.append(code)
 
-    def _state(self, lit: int) -> int:
-        v = self._assign[abs(lit)]
-        if v == _UNASSIGNED:
-            return _UNASSIGNED
-        return _TRUE if (v == _TRUE) == (lit > 0) else _FALSE
-
-    def _push(self, lit: int, kind: int):
-        self._assign[abs(lit)] = _TRUE if lit > 0 else _FALSE
-        self._trail.append(lit)
-        self._kind.append(kind)
-
-    def _backtrack(self) -> bool:
-        """Undo to the most recent unflipped decision and flip it."""
-        trail, kind, assign = self._trail, self._kind, self._assign
-        while trail:
-            lit = trail.pop()
-            k = kind.pop()
-            assign[abs(lit)] = _UNASSIGNED
-            if k == _DECISION:
-                self._push(-lit, _FLIPPED)
-                self._prop_head = len(trail) - 1
-                if self._reassert_units():
-                    return True
-                # the flipped branch falsifies a unit clause; keep unwinding
-        self._prop_head = 0
-        return False
-
-    def _reassert_units(self) -> bool:
-        """Re-push unit-clause literals the backtrack may have unassigned.
-
-        Unit clauses have no watches, so nothing else restores them after
-        their assignment is popped off the trail.
-        """
-        for l in self._units:
-            st = self._state(l)
-            if st == _FALSE:
-                return False
-            if st == _UNASSIGNED:
-                self._push(l, _IMPLIED)
-        return True
+    def _cancel_until(self, level: int):
+        if len(self._lim) <= level:
+            return
+        val, trail = self._val, self._trail
+        start = self._lim[level]
+        low = self._next
+        for code in trail[start:]:
+            val[code] = val[code ^ 1] = 0
+            v = code >> 1
+            if v < low:
+                low = v
+        del trail[start:]
+        del self._lim[level:]
+        self._qhead = start
+        self._next = low
 
     def add_clause(self, lits: list[int]):
-        seen: list[int] = []
+        n = self.num_vars
+        if lits and (0 in lits or min(lits) < -n or max(lits) > n):
+            bad = next(l for l in lits if not 1 <= abs(l) <= n)
+            raise ValueError(f"literal {bad} out of range")
+        if not self._ok:
+            return
+        if self._lim:
+            self._cancel_until(0)
+        val = self._val
+        clause: list[int] = []
         for l in lits:
-            if not 1 <= abs(l) <= self.num_vars:
-                raise ValueError(f"literal {l} out of range")
-            if -l in seen:
-                return  # tautology
-            if l not in seen:
-                seen.append(l)
-        cl = seen
-        if not cl:
+            code = l << 1 if l > 0 else -l << 1 | 1
+            x = val[code]
+            if x == 0:
+                if code not in clause:
+                    if code ^ 1 in clause:
+                        return  # tautology
+                    clause.append(code)
+            elif x == 1:
+                return  # satisfied at level 0
+        if not clause:
             self._ok = False
-            self.clauses.append(cl)
-            self._watched.append((0, 0))
-            return
-        # back out of any region of the tree the new clause forbids
-        while self._ok and all(self._state(l) == _FALSE for l in cl):
-            if not self._backtrack():
+        elif len(clause) == 1:
+            self._assign(clause[0], None)
+            if self._propagate() is not None:
                 self._ok = False
-        ci = len(self.clauses)
-        self.clauses.append(cl)
-        if len(cl) == 1:
-            self._watched.append((0, 0))
-            self._units.append(cl[0])
-            if self._ok and self._state(cl[0]) == _UNASSIGNED:
-                self._push(cl[0], _IMPLIED)
-            return
-        if self._ok:
-            free = [k for k in range(len(cl)) if self._state(cl[k]) != _FALSE]
-            w0 = free[0]
-            w1 = free[1] if len(free) > 1 else (1 if w0 == 0 else 0)
-            if len(free) == 1 and self._state(cl[w0]) == _UNASSIGNED:
-                self._push(cl[w0], _IMPLIED)
         else:
-            w0, w1 = 0, 1
-        self._watched.append((w0, w1))
-        self._watches[self._enc(cl[w0])].append(ci)
-        self._watches[self._enc(cl[w1])].append(ci)
+            self._watches[clause[0] ^ 1].append(clause)
+            self._watches[clause[1] ^ 1].append(clause)
 
-    def _propagate(self) -> bool:
-        trail = self._trail
-        while self._prop_head < len(trail):
-            lit = trail[self._prop_head]
-            self._prop_head += 1
-            wl = self._watches[self._enc(-lit)]
-            i = 0
-            while i < len(wl):
-                ci = wl[i]
-                cl = self.clauses[ci]
-                w0, w1 = self._watched[ci]
-                if cl[w0] == -lit:
-                    w0, w1 = w1, w0  # keep the falsified literal in w1
-                other = cl[w0]
-                st = self._state(other)
-                if st == _TRUE:
-                    self._watched[ci] = (w0, w1)
-                    i += 1
-                    continue
-                moved = False
-                for k in range(len(cl)):
-                    if k == w0 or k == w1:
-                        continue
-                    if self._state(cl[k]) != _FALSE:
-                        self._watched[ci] = (w0, k)
-                        self._watches[self._enc(cl[k])].append(ci)
-                        wl[i] = wl[-1]
-                        wl.pop()
-                        moved = True
-                        break
-                if moved:
-                    continue
-                self._watched[ci] = (w0, w1)
-                if st == _FALSE:
-                    return False
-                self._push(other, _IMPLIED)
+    def _propagate(self) -> Optional[list[int]]:
+        """Unit-propagate the trail; return a conflicting clause or None."""
+        val, trail, watches = self._val, self._trail, self._watches
+        level, reason = self._level, self._reason
+        dl = len(self._lim)
+        qhead = self._qhead
+        while qhead < len(trail):
+            p = trail[qhead]
+            qhead += 1
+            false_lit = p ^ 1
+            ws = watches[p]
+            i = j = 0
+            end = len(ws)
+            while i < end:
+                c = ws[i]
                 i += 1
-        return True
+                if c[0] == false_lit:
+                    c[0] = c[1]
+                    c[1] = false_lit
+                first = c[0]
+                if val[first] == 1:
+                    ws[j] = c
+                    j += 1
+                    continue
+                for k in range(2, len(c)):
+                    lk = c[k]
+                    if val[lk] != -1:
+                        c[1] = lk
+                        c[k] = false_lit
+                        watches[lk ^ 1].append(c)
+                        break
+                else:
+                    ws[j] = c
+                    j += 1
+                    if val[first] == -1:
+                        del ws[j:i]
+                        return c
+                    val[first] = 1
+                    val[first ^ 1] = -1
+                    v = first >> 1
+                    level[v] = dl
+                    reason[v] = c
+                    trail.append(first)
+            del ws[j:]
+        self._qhead = qhead
+        return None
+
+    def _analyze(self, confl: list[int]) -> tuple[list[int], int]:
+        """1-UIP learned clause (asserting literal first, the literal of
+        the backjump level second) and the level to jump back to."""
+        seen, level, reason, trail = (self._seen, self._level, self._reason,
+                                      self._trail)
+        dl = len(self._lim)
+        learnt = [0]
+        pending = 0  # seen literals of the current level not yet resolved
+        idx = len(trail) - 1
+        lits = confl
+        while True:
+            for q in lits:
+                v = q >> 1
+                if not seen[v] and level[v] > 0:
+                    seen[v] = 1
+                    if level[v] == dl:
+                        pending += 1
+                    else:
+                        learnt.append(q)
+            while not seen[trail[idx] >> 1]:
+                idx -= 1
+            p = trail[idx]
+            idx -= 1
+            seen[p >> 1] = 0
+            pending -= 1
+            if pending == 0:
+                break
+            lits = reason[p >> 1][1:]
+        learnt[0] = p ^ 1
+        back = 0
+        for k in range(1, len(learnt)):
+            v = learnt[k] >> 1
+            seen[v] = 0
+            if level[v] > back:
+                back = level[v]
+                learnt[1], learnt[k] = learnt[k], learnt[1]
+        return learnt, back
 
     def solve(self) -> bool:
         if not self._ok:
             return False
-        assign = self._assign
-        n = self.num_vars
+        self._cancel_until(0)
+        val, n = self._val, self.num_vars
         while True:
-            if self._propagate():
-                decision = 0
-                for v in range(1, n + 1):
-                    if assign[v] == _UNASSIGNED:
-                        decision = v
-                        break
-                if decision == 0:
-                    self.model = [False] + [assign[v] == _TRUE
-                                            for v in range(1, n + 1)]
-                    return True
-                self._push(-decision, _DECISION)  # try False first
-            else:
-                if not self._backtrack():
+            confl = self._propagate()
+            if confl is not None:
+                if not self._lim:
                     self._ok = False
                     return False
+                learnt, back = self._analyze(confl)
+                self._cancel_until(back)
+                if len(learnt) > 1:
+                    self._watches[learnt[0] ^ 1].append(learnt)
+                    self._watches[learnt[1] ^ 1].append(learnt)
+                    self._assign(learnt[0], learnt)
+                else:
+                    self._assign(learnt[0], None)
+                continue
+            v = self._next
+            while v <= n and val[2 * v]:
+                v += 1
+            self._next = v
+            if v > n:
+                self.model = [False] + [val[2 * u] == 1
+                                        for u in range(1, n + 1)]
+                return True
+            self._lim.append(len(self._trail))
+            self._assign(2 * v + 1, None)  # try False first
 
 
 class IpasirSolver:

@@ -252,6 +252,23 @@ def test_certify_relation_sweeps_once(backend, monkeypatch):
                                                    "symbolic-scan"}
 
 
+@pytest.mark.parametrize("name, params",
+                         [("rank", (2, 2, 3)), ("nlock", (1, 1, 2))],
+                         ids=["rank-2,2,3", "nlock-1,1,2"])
+def test_backends_agree_on_the_whole_pipeline(name, params):
+    m = bakery_model(*params)
+    got = {}
+    for backend in ("exhaustive", "sat"):
+        g = map_graph(m, name, backend)
+        tg = tag_graph(m, name, g, backend)
+        om = synthesize_omap(tg)
+        cert = certify_relation(m, name, tg, om, bakery_text(), backend)
+        assert cert.passed, backend
+        got[backend] = (graph_text(g), graph_text(tg), omap_text(om),
+                        [(c.name, c.passed, c.method) for c in cert.checks])
+    assert got["sat"] == got["exhaustive"]
+
+
 # -- mutation: each lie about the graph is caught by the check that owns it,
 # with a witness naming the lie; honest weakenings pass
 
