@@ -2,12 +2,14 @@
 monitored scheduler.
 
 `models/bakery.wfm` is the source of truth; the dataclasses and transition
-functions here replay the same semantics on plain Python values so a
-simulation does not pay expression evaluation per step.  The two routes are
-cross-checked against each other in the test suite, and every run is watched
-by the synthesized measures: the scheduler's blocking descent must strictly
+functions here replay the same semantics on plain Python values, so a step
+itself evaluates no model expression.  The two routes are cross-checked
+against each other in the test suite, and every run is watched by the
+synthesized measures: the scheduler's blocking descent must strictly
 decrease the no-lock measure, and each global step must strictly decrease
-the fixed-length list-of-bnl rank measure.
+the fixed-length list-of-bnl rank measure.  The measures evaluate the map's
+expressions through closures compiled once per `Bakery`; a step moves one
+process, so the monitor re-measures only that process's rank entry.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ from .absgraph import map_graph, tag_graph
 from .certify import DescentError, abstraction_functions
 from .measure import Omap, synthesize_omap
 from .model import (
+    FALSE,
+    TRUE,
     BoolSort,
-    BoolV,
     Model,
     NatV,
-    TupleSort,
     TupleV,
     Value,
     parse_model,
@@ -262,7 +264,13 @@ class Bakery:
             raise BakeryError("parameters must be positive")
         self.n, self.r, self.w = n, r, w
         self.model = bakery_model(n, r, w)
-        self._proc = self.model.record_sort("proc")
+        # per field of the model's proc sort: its name, the BakeTr
+        # attribute, and its width with a cache of the NatV leaves built so
+        # far (None for a boolean field); process values share these leaves
+        self._fields = tuple(
+            (name, name.replace("-", "_"),
+             None if isinstance(fs, BoolSort) else (fs.width, {}))
+            for name, fs in self.model.record_sort("proc").fields)
         self.rank_omap = self._synth("rank", backend)
         self._rank_e, self._rank_o = abstraction_functions(self.model, "rank")
         self.nlock_omap = self._synth("nlock", backend)
@@ -277,12 +285,21 @@ class Bakery:
         return bake_init(self.n, self.r)
 
     def tr_value(self, a: BakeTr) -> Value:
-        """The process as a model value, for the abstraction functions."""
+        """The process as a model value, for the abstraction functions.
+
+        Leaves are shared: a NatV is built (and range-checked) the first
+        time its field takes that raw value, and reused after."""
         items = []
-        for name, fs in self._proc.fields:
-            v = getattr(a, name.replace("-", "_"))
-            items.append((name, BoolV(v) if isinstance(fs, BoolSort)
-                          else NatV(v, fs.width)))
+        for name, attr, nat in self._fields:
+            v = getattr(a, attr)
+            if nat is None:
+                leaf = TRUE if v else FALSE
+            else:
+                width, leaves = nat
+                leaf = leaves.get(v)
+                if leaf is None:
+                    leaf = leaves[v] = NatV(v, width)
+            items.append((name, leaf))
         return TupleV(tuple(items))
 
     def nlock_msr(self, a: BakeTr) -> Ordinal:
@@ -331,7 +348,11 @@ class Bakery:
             i = choose_ready(st.trs, st.sh, oracle, self.nlock_msr)
             before = st.trs[i]
             st2 = self.step(st, i)
-            bn2 = self.rank_bnll(st2)
+            # only process i moved, and each entry is a function of its
+            # own process alone: re-measure that one entry
+            bn2 = list(bn)
+            bn2[i] = self.rank_omap.mk_bnl(self.tr_value(st2.trs[i]),
+                                           self._rank_e, self._rank_o)
             if not bnll_lt(bn2, bn):
                 raise DescentError(
                     f"rank measure failed to fall at step {len(trace)}: "

@@ -43,11 +43,11 @@ def compute_finite_values(var_sorts: dict[str, Sort], hyp: Expr, trm: Expr,
         raise ValueError("num must be non-negative")
 
     if backend == "exhaustive":
-        all_values = exhaustive_values(var_sorts, hyp, trm, row_cap=row_cap)
-        if len(all_values) < num:
-            return EnumResult(tuple(all_values), True, len(all_values) + 1)
-        picked = tuple(all_values[:num])
-        return EnumResult(picked, False, len(picked))
+        # only the first num values are decoded: fewer means the set ran out
+        values = exhaustive_values(var_sorts, hyp, trm, row_cap, limit=num)
+        if len(values) < num:
+            return EnumResult(tuple(values), True, len(values) + 1)
+        return EnumResult(tuple(values), False, num)
 
     circuit = bitblast(trm, hyp, var_sorts)
     solver = make_solver(circuit.num_vars, backend)

@@ -10,12 +10,18 @@ The surface syntax is s-expressions (see ``sexpr``).  ``a.field`` reads a
 record field, ``(update a :f e ...)`` copies a record with fields replaced,
 ``t`` / ``nil`` are the boolean literals, and ``(case e (0 ...) (t ...))``
 dispatches on a natural with a mandatory default arm.
+
+Evaluation compiles: ``compile_expr`` turns an expression into a Python
+closure in one pass, one closure per node, and a caller that evaluates an
+expression many times (the abstraction functions, the run monitor) compiles
+it once and calls the closure.  ``eval_expr`` is compile-then-call, for
+one-shot evaluation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from .sexpr import SExpr, SExprError, parse_sexprs, pretty, lst, sym, kw, num
 
@@ -434,77 +440,155 @@ def subst_vars(e: Expr, mapping: dict[str, Expr]) -> Expr:
 # ---------------------------------------------------------------------------
 # evaluation
 
+Env = dict[str, Value]
+Compiled = Callable[[Env], Value]
 
-def eval_expr(e: Expr, env: dict[str, Value]) -> Value:
-    """Reference interpreter; total on well-sorted input."""
+TRUE, FALSE = BoolV(True), BoolV(False)
+
+
+def compile_expr(e: Expr) -> Compiled:
+    """Compile an expression to a closure over an environment.
+
+    One recursive pass builds one closure per node, so a call walks no tree
+    and dispatches on no node type.  A call raises ``EvalError`` for an
+    unbound variable and for field access or update on a non-record value,
+    and asserts the sort of every operand; a case takes its first arm whose
+    key equals the scrutinee, else its default.  Total on well-sorted input.
+    """
     if isinstance(e, Var):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise EvalError(f"unbound variable '{e.name}'") from None
+        name = e.name
+
+        def var(env: Env) -> Value:
+            try:
+                return env[name]
+            except KeyError:
+                raise EvalError(f"unbound variable '{name}'") from None
+        return var
     if isinstance(e, Const):
-        return e.value
+        value = e.value
+        return lambda env: value
     if isinstance(e, Field):
-        rec = eval_expr(e.rec, env)
-        if not isinstance(rec, TupleV):
-            raise EvalError(f"field access on non-record value")
-        return rec.get(e.name)
+        rec, fname = compile_expr(e.rec), e.name
+
+        def field(env: Env) -> Value:
+            r = rec(env)
+            if not isinstance(r, TupleV):
+                raise EvalError("field access on non-record value")
+            return r.get(fname)
+        return field
     if isinstance(e, Update):
-        rec = eval_expr(e.rec, env)
-        if not isinstance(rec, TupleV):
-            raise EvalError("update on non-record value")
-        news = {n: eval_expr(x, env) for n, x in e.updates}
-        return TupleV(tuple((n, news.get(n, v)) for n, v in rec.items))
+        rec = compile_expr(e.rec)
+        updates = tuple((n, compile_expr(x)) for n, x in e.updates)
+
+        def update(env: Env) -> Value:
+            r = rec(env)
+            if not isinstance(r, TupleV):
+                raise EvalError("update on non-record value")
+            news = {n: f(env) for n, f in updates}
+            return TupleV(tuple((n, news.get(n, v)) for n, v in r.items))
+        return update
     if isinstance(e, Ite):
-        c = eval_expr(e.cond, env)
-        assert isinstance(c, BoolV)
-        return eval_expr(e.then if c.val else e.alt, env)
-    if isinstance(e, Eq):
-        return BoolV(eval_expr(e.a, env) == eval_expr(e.b, env))
-    if isinstance(e, Lt):
-        a, b = eval_expr(e.a, env), eval_expr(e.b, env)
-        assert isinstance(a, NatV) and isinstance(b, NatV)
-        return BoolV(a.val < b.val)
-    if isinstance(e, Le):
-        a, b = eval_expr(e.a, env), eval_expr(e.b, env)
-        assert isinstance(a, NatV) and isinstance(b, NatV)
-        return BoolV(a.val <= b.val)
-    if isinstance(e, AddMod):
-        a, b = eval_expr(e.a, env), eval_expr(e.b, env)
-        assert isinstance(a, NatV) and isinstance(b, NatV) and a.width == b.width
-        return NatV((a.val + b.val) & ((1 << a.width) - 1), a.width)
-    if isinstance(e, SubSat):
-        a, b = eval_expr(e.a, env), eval_expr(e.b, env)
-        assert isinstance(a, NatV) and isinstance(b, NatV) and a.width == b.width
-        return NatV(max(a.val - b.val, 0), a.width)
+        cond, then, alt = (compile_expr(e.cond), compile_expr(e.then),
+                           compile_expr(e.alt))
+
+        def ite(env: Env) -> Value:
+            c = cond(env)
+            assert isinstance(c, BoolV)
+            return then(env) if c.val else alt(env)
+        return ite
     if isinstance(e, Not):
-        a = eval_expr(e.a, env)
-        assert isinstance(a, BoolV)
-        return BoolV(not a.val)
+        fa = compile_expr(e.a)
+
+        def not_(env: Env) -> Value:
+            a = fa(env)
+            assert isinstance(a, BoolV)
+            return FALSE if a.val else TRUE
+        return not_
+    if isinstance(e, Eq):
+        fa, fb = compile_expr(e.a), compile_expr(e.b)
+        return lambda env: TRUE if fa(env) == fb(env) else FALSE
+    if isinstance(e, Lt):
+        fa, fb = compile_expr(e.a), compile_expr(e.b)
+
+        def lt(env: Env) -> Value:
+            a, b = fa(env), fb(env)
+            assert isinstance(a, NatV) and isinstance(b, NatV)
+            return TRUE if a.val < b.val else FALSE
+        return lt
+    if isinstance(e, Le):
+        fa, fb = compile_expr(e.a), compile_expr(e.b)
+
+        def le(env: Env) -> Value:
+            a, b = fa(env), fb(env)
+            assert isinstance(a, NatV) and isinstance(b, NatV)
+            return TRUE if a.val <= b.val else FALSE
+        return le
+    if isinstance(e, AddMod):
+        fa, fb = compile_expr(e.a), compile_expr(e.b)
+
+        def add_mod(env: Env) -> Value:
+            a, b = fa(env), fb(env)
+            assert isinstance(a, NatV) and isinstance(b, NatV) \
+                and a.width == b.width
+            return NatV((a.val + b.val) & ((1 << a.width) - 1), a.width)
+        return add_mod
+    if isinstance(e, SubSat):
+        fa, fb = compile_expr(e.a), compile_expr(e.b)
+
+        def sub_sat(env: Env) -> Value:
+            a, b = fa(env), fb(env)
+            assert isinstance(a, NatV) and isinstance(b, NatV) \
+                and a.width == b.width
+            return NatV(max(a.val - b.val, 0), a.width)
+        return sub_sat
     if isinstance(e, And):
-        for x in e.args:
-            v = eval_expr(x, env)
-            assert isinstance(v, BoolV)
-            if not v.val:
-                return BoolV(False)
-        return BoolV(True)
+        conjuncts = tuple(compile_expr(x) for x in e.args)
+
+        def and_(env: Env) -> Value:
+            for f in conjuncts:
+                v = f(env)
+                assert isinstance(v, BoolV)
+                if not v.val:
+                    return FALSE
+            return TRUE
+        return and_
     if isinstance(e, Or):
-        for x in e.args:
-            v = eval_expr(x, env)
-            assert isinstance(v, BoolV)
-            if v.val:
-                return BoolV(True)
-        return BoolV(False)
+        disjuncts = tuple(compile_expr(x) for x in e.args)
+
+        def or_(env: Env) -> Value:
+            for f in disjuncts:
+                v = f(env)
+                assert isinstance(v, BoolV)
+                if v.val:
+                    return TRUE
+            return FALSE
+        return or_
     if isinstance(e, TupleE):
-        return TupleV(tuple((n, eval_expr(x, env)) for n, x in e.items))
+        names = tuple(n for n, _ in e.items)
+        fns = tuple(compile_expr(x) for _, x in e.items)
+
+        def tuple_(env: Env) -> Value:
+            return TupleV(tuple(zip(names, [f(env) for f in fns])))
+        return tuple_
     if isinstance(e, CaseNat):
-        s = eval_expr(e.scrut, env)
-        assert isinstance(s, NatV)
+        scrut, default = compile_expr(e.scrut), compile_expr(e.default)
+        arms: dict[int, Compiled] = {}
         for key, body in e.arms:
-            if s.val == key:
-                return eval_expr(body, env)
-        return eval_expr(e.default, env)
+            arms.setdefault(key, compile_expr(body))  # the first arm wins
+
+        def case(env: Env) -> Value:
+            s = scrut(env)
+            assert isinstance(s, NatV)
+            return arms.get(s.val, default)(env)
+        return case
     raise TypeError(f"not an expression: {e!r}")
+
+
+def eval_expr(e: Expr, env: Env) -> Value:
+    """Evaluate ``e`` once under ``env``: ``compile_expr(e)(env)``.  A
+    caller that evaluates the same expression many times compiles it once
+    with ``compile_expr`` and calls the closure instead."""
+    return compile_expr(e)(env)
 
 
 def infer_sort(e: Expr, env: dict[str, Sort]) -> Sort:

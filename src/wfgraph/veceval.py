@@ -646,8 +646,10 @@ def _lex_rank(cols: list[np.ndarray], cards: list[int]
     return rank, first
 
 
-def distinct_rows(v: VVal, n_rows: int) -> list[Value]:
-    """Distinct values of ``v`` across the table rows, canonically ordered.
+def distinct_rows(v: VVal, n_rows: int,
+                  limit: Optional[int] = None) -> list[Value]:
+    """Distinct values of ``v`` across the table rows, canonically ordered;
+    with a ``limit``, only the first ``limit`` of them are decoded.
 
     Leaf codes form one integer column per leaf, and rows are ranked
     lexicographically over those columns (``_lex_rank``); because every
@@ -659,7 +661,7 @@ def distinct_rows(v: VVal, n_rows: int) -> list[Value]:
     their own over the distinct rows and every distinct item value decoded
     once; the rows then share those sub-values instead of rebuilding them.
     """
-    if n_rows == 0:
+    if n_rows == 0 or limit == 0:
         return []
     leaves = vval_leaves(v)
     if not leaves:
@@ -668,6 +670,7 @@ def distinct_rows(v: VVal, n_rows: int) -> list[Value]:
             for leaf in leaves]
     cards = [_leaf_card(leaf) for leaf in leaves]
     _, first = _lex_rank(cols, cards)
+    first = first[:limit]  # rank order is canonical order
     uniq = [col[first] for col in cols]
     if not isinstance(v, VRec):
         return [_leaf_value(v, c) for c in uniq[0].tolist()]
@@ -690,12 +693,14 @@ def distinct_rows(v: VVal, n_rows: int) -> list[Value]:
 
 
 def exhaustive_values(var_sorts: dict[str, Sort], hyp: Expr, trm: Expr,
-                      row_cap: int = DEFAULT_ROW_CAP) -> list[Value]:
+                      row_cap: int = DEFAULT_ROW_CAP,
+                      limit: Optional[int] = None) -> list[Value]:
     """All distinct values of ``trm`` over environments satisfying ``hyp``,
-    canonically ordered.  The reference backend behind compute-finite-values."""
+    canonically ordered, or the first ``limit`` of them.  The reference
+    backend behind compute-finite-values."""
     hyp_s = scalarize(hyp, var_sorts)
     trm_s = scalarize(trm, var_sorts)
     table = build_table(var_sorts, hyp_s, [trm_s], row_cap)
     if table.n == 0:
         return []
-    return distinct_rows(eval_vec(trm_s, table), table.n)
+    return distinct_rows(eval_vec(trm_s, table), table.n, limit)

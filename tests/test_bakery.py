@@ -47,7 +47,8 @@ from wfgraph.model import (
     Var,
     eval_expr,
 )
-from wfgraph.ordinals import Ordinal, o_lt, ordinal_text
+from wfgraph.ordinals import (
+    Ordinal, bnll_lt, bnll_to_ordinal, o_lt, ordinal_text)
 
 
 N, R, W = 2, 2, 3
@@ -295,6 +296,35 @@ def test_step_only_moves_one_rank_position(bakery):
             if j != i:
                 assert bn2[j] == bn[j]
         st = st2
+
+
+def _fully_remeasured_run(b: Bakery, seed: int):
+    """The monitored run with every process's rank re-measured at every
+    step; ``Bakery.run`` re-measures only the process that moved."""
+    oracle = random.Random(seed).choice
+    st = b.init()
+    bn = b.rank_bnll(st)
+    measures = [bnll_to_ordinal(b.n, bn, b.rank_omap.bnl_bound)]
+    while not all(a.done for a in st.trs):
+        st = b.step(st, choose_ready(st.trs, st.sh, oracle, b.nlock_msr))
+        bn2 = b.rank_bnll(st)
+        assert bnll_lt(bn2, bn)
+        measures.append(bnll_to_ordinal(b.n, bn2, b.rank_omap.bnl_bound))
+        bn = bn2
+    return st, measures
+
+
+@pytest.mark.parametrize("params, seeds", [
+    ((2, 2, 3), (0, 1, 2, 3)),
+    ((3, 1, 2), (0, 1, 2)),
+])
+def test_incremental_monitor_matches_full_remeasure(params, seeds):
+    b = Bakery(*params)
+    for seed in seeds:
+        res = b.run(seed=seed)
+        final, measures = _fully_remeasured_run(b, seed)
+        assert res.final == final
+        assert list(res.measures) == measures
 
 
 def test_monitor_catches_tampered_measure(bakery):

@@ -364,6 +364,29 @@ def test_abstraction_functions(model, rank_parts):
     assert map_o(x0, "loop") == (0,)
 
 
+def test_abstraction_functions_compile_each_expression_once(
+        model, monkeypatch):
+    compiled = []
+    compile_expr = certify.compile_expr
+
+    def counting(e):
+        compiled.append(e)
+        return compile_expr(e)
+
+    monkeypatch.setattr(certify, "compile_expr", counting)
+    mp = model.map_decl("rank")
+    map_e, map_o = abstraction_functions(model, "rank")
+    assert compiled == [mp.node] + [e for _, e in mp.measures]
+    x0 = eval_expr(model.define("init").body, {})
+    for _ in range(3):
+        assert map_e(x0) == eval_expr(mp.node, {mp.var: x0})
+        for name in mp.measure_names:
+            assert map_o(x0, name) == tuple(
+                x.val for _, x in eval_expr(mp.measure_expr(name),
+                                            {mp.var: x0}).items)
+    assert len(compiled) == 1 + len(mp.measures)
+
+
 def _model_stepper(model):
     """Concrete next-state walker at a pinned shared state, halting on
     done; exercises descent without the scheduler machinery."""

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import wfgraph.veceval as veceval
 from _gen import rand_expr, rand_sort, rand_var_sorts
 from wfgraph.enumeration import BACKENDS, EnumResult, compute_finite_values
 from wfgraph.model import (
@@ -18,6 +19,7 @@ from wfgraph.model import (
     NatSort,
     NatV,
     Not,
+    TupleE,
     Var,
     sort_card,
 )
@@ -78,6 +80,31 @@ def test_cutoff_semantics():
         res = compute_finite_values(vs, top, Var("x"), 17, backend)
         assert res.is_total
         assert res.solve_calls == 17
+
+
+@pytest.mark.parametrize("trm", [
+    Var("x"),
+    TupleE((("x", Var("x")), ("y", Var("y")), ("z", Var("z")))),
+], ids=["scalar", "record"])
+def test_over_budget_exhaustive_query_decodes_at_most_num(monkeypatch, trm):
+    vs = {"x": NatSort(3), "y": NatSort(3), "z": NatSort(3)}
+    top = Const(BoolV(True))
+    full = compute_finite_values(vs, top, trm, 1000)
+    assert full.is_total
+    leaves = len(trm.items) if isinstance(trm, TupleE) else 1
+    decoded = []
+    leaf_value = veceval._leaf_value
+
+    def counting(leaf, code):
+        decoded.append(code)
+        return leaf_value(leaf, code)
+
+    monkeypatch.setattr(veceval, "_leaf_value", counting)
+    for num in (0, 1, 5):
+        decoded.clear()
+        res = compute_finite_values(vs, top, trm, num)
+        assert res == EnumResult(full.values[:num], False, num)
+        assert len(decoded) <= num * leaves
 
 
 def test_zero_budget():

@@ -1,12 +1,17 @@
 """Model language: parsing, sorts, evaluation, and value plumbing."""
 
+import random
+
+import numpy as np
 import pytest
 
+from _gen import rand_expr, rand_sort, rand_var_sorts
 from wfgraph.bakery import bakery_text
 from wfgraph.model import (
     BOOL,
     And,
     BoolV,
+    CaseNat,
     Const,
     EnumSort,
     EnumV,
@@ -20,6 +25,7 @@ from wfgraph.model import (
     TupleV,
     Var,
     canonical_sorted,
+    compile_expr,
     default_value,
     eval_expr,
     free_vars,
@@ -33,6 +39,7 @@ from wfgraph.model import (
     value_to_json,
 )
 from wfgraph.sexpr import SExprError, parse_sexprs, pretty, to_text
+from wfgraph.veceval import Table, _leaf_value, eval_vec
 
 
 @pytest.fixture(scope="module")
@@ -200,6 +207,45 @@ def test_eval_unknown_field():
 def test_eval_unbound_var():
     with pytest.raises(EvalError):
         eval_expr(Var("nope"), {})
+
+
+def test_compiled_errors_surface_when_called():
+    unbound = compile_expr(Var("nope"))  # compiling evaluates nothing
+    with pytest.raises(EvalError, match="unbound variable 'nope'"):
+        unbound({})
+    with pytest.raises(EvalError, match="field access on non-record"):
+        compile_expr(Field(Var("x"), "f"))({"x": NatV(0, 1)})
+
+
+def test_compiled_case_takes_first_matching_arm():
+    # the parser rejects duplicate keys; a hand-built case keeps the
+    # interpreter's first-match order, with the default as fallback
+    one, two, three = (Const(NatV(k, 2)) for k in (1, 2, 3))
+    case = CaseNat(Var("s"), ((1, one), (1, two)), three)
+    f = compile_expr(case)
+    assert f({"s": NatV(1, 2)}) == NatV(1, 2)
+    assert f({"s": NatV(0, 2)}) == NatV(3, 2)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_compiled_matches_vectorized_on_random_scalar_expressions(seed):
+    # veceval's eval_vec is an independent evaluator: over the full table of
+    # environments, each compiled closure must agree with it row by row
+    rng = random.Random(seed)
+    var_sorts = rand_var_sorts(rng)
+    table = Table(var_sorts)
+    table.extend([(v, None) for v in var_sorts])
+
+    def column(vv):
+        return [_leaf_value(vv, c)
+                for c in np.broadcast_to(vv.arr, (table.n,)).tolist()]
+
+    cols = {v: column(table.var_vval(v)) for v in var_sorts}
+    envs = [{v: cols[v][r] for v in var_sorts} for r in range(table.n)]
+    for _ in range(5):
+        e = rand_expr(rng, var_sorts, rand_sort(rng), 4)
+        f = compile_expr(e)
+        assert [f(env) for env in envs] == column(eval_vec(e, table)), e
 
 
 # -- static helpers ----------------------------------------------------------
