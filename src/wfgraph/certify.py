@@ -5,19 +5,23 @@ module re-checks everything from the model and the serialized artifacts
 without trusting builder state.  One enumeration query, ``relation_cases``,
 sweeps the concrete relation once: the distinct (source node, destination
 node, source and destination measures) combinations of related pairs whose
-source lies in the graph or the omap.  Four of the five checks read those
-cases in plain Python, with no further queries and no ordering code shared
-with graph construction:
+source lies in the graph or the omap.  The cases stay integer columns (a
+``veceval.DistinctRows``: each item's distinct values, decoded once, and
+one id per case), canonically ordered, so each (source, destination)
+pair's cases are one row range.  Four of the five checks read those
+columns, with no further queries and no ordering code shared with graph
+construction; only a witness case is decoded:
 
   closure            every case from a graph node lands on one of that
                      node's successors
   strict-arc/noninc  the order tags are sound: on each tagged arc, every
                      case's measure drops (strict-dec) or does not grow
-                     (non-inc), by plain tuple comparison
+                     (non-inc), comparing ranks of the measures' tuples
   omap-valid         the descriptor mapping decreases lexicographically
                      across every arc, by symbolic entry scan (no query)
   measure-decrease   across every case the synthesized bnl and its
-                     ordinal strictly drop
+                     ordinal strictly drop; bnls and ordinals are built
+                     once per distinct half-state
 
 A Certificate records input hashes and one verdict per check; it passes
 only if every check does.  ``iterate_descent`` is the dynamic companion:
@@ -32,9 +36,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from itertools import groupby
+from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Callable, Optional
+
+import numpy as np
 
 from .absgraph import (
     NON_INC, STRICT_DEC, Graph, NotTotal, TaggedGraph, relation_parts)
@@ -46,7 +52,10 @@ from .model import (
 # not called here; the benchmark tracer counts one-shot evaluations at
 # ``wfgraph.certify:eval_expr`` and resolves that name by import
 from .model import eval_expr  # noqa: F401
-from .ordinals import Ordinal, bnl_lt, bnl_to_ordinal, expand_descriptor, o_lt
+from .ordinals import (
+    Ordinal, OrdinalError, bnl_lt, bnl_ranks, bnl_to_ordinal,
+    expand_descriptor, o_lt)
+from .veceval import DistinctRows, lex_rank
 
 
 class CertificationError(Exception):
@@ -112,15 +121,13 @@ def abstraction_functions(model: Model, map_name: str):
 SWEEP = "concrete-sweep"
 
 
-# the sweep's enumerated (src, dst, src-<m>, dst-<m>...) tuples, grouped by
-# abstract (source, destination) pair
-Sweep = dict[tuple[Value, Value], list[TupleV]]
-
-
-def _side(q: TupleV, side: str) -> dict[str, tuple[int, ...]]:
-    """One side ("src" or "dst") of a sweep case: its measures by name."""
-    return {name[len(side) + 1:]: _nats(x) for name, x in q.items[2:]
-            if name.startswith(side + "-")}  # type: ignore[union-attr]
+@dataclass(frozen=True)
+class Sweep:
+    """The sweep's distinct (src, dst, src-<m>, dst-<m>...) cases as integer
+    columns, canonically ordered, and each abstract (source, destination)
+    pair's row range ``[lo, hi)``, in that order."""
+    rows: DistinctRows
+    pairs: dict[tuple[Value, Value], tuple[int, int]]
 
 
 def relation_cases(model: Model, map_name: str, scope: tuple[Value, ...],
@@ -142,10 +149,16 @@ def relation_cases(model: Model, map_name: str, scope: tuple[Value, ...],
                               TupleE(tuple(items)), num, backend)
     if not r.is_total:
         raise NotTotal("certificate sweep", num)
+    rows = r.values
+    if not rows:
+        return Sweep(rows, {})
     # canonical order sorts on src, then dst, so each pair's cases are
-    # adjacent and grouping compares neighbours instead of hashing nodes
-    return {pair: list(group) for pair, group in groupby(
-        r.values, key=lambda q: (q.items[0][1], q.items[1][1]))}
+    # adjacent: a pair starts wherever either id changes
+    src, dst = rows.item_ids[0], rows.item_ids[1]
+    cut = (np.flatnonzero((src[1:] != src[:-1]) | (dst[1:] != dst[:-1]))
+           + 1).tolist()
+    return Sweep(rows, {(rows.item(0, lo), rows.item(1, lo)): (lo, hi)
+                        for lo, hi in zip([0] + cut, cut + [len(rows)])})
 
 
 def check_closure(g: Graph, sweep: Sweep) -> CheckResult:
@@ -153,7 +166,7 @@ def check_closure(g: Graph, sweep: Sweep) -> CheckResult:
     cases from u only reach u's successors.  The witness is the
     canonically first escaping pair of the first such node."""
     dsts: dict[Value, list[Value]] = {}
-    for u, v in sweep:
+    for u, v in sweep.pairs:
         dsts.setdefault(u, []).append(v)
     for i, u in enumerate(g.nodes):
         succs = {g.nodes[j] for j in g.succ_indices(i)}
@@ -166,30 +179,52 @@ def check_closure(g: Graph, sweep: Sweep) -> CheckResult:
     return CheckResult("closure", True, SWEEP)
 
 
+def _measure_ranks(rows: DistinctRows, name: str
+                   ) -> tuple[int, int, np.ndarray, np.ndarray]:
+    """The item indices of measure ``name``'s source and destination
+    values, and per case their ranks in one shared order of the measure's
+    nat tuples."""
+    s, d = rows.names.index(f"src-{name}"), rows.names.index(f"dst-{name}")
+    ranks = np.array(bnl_ranks([_nats(x) for k in (s, d)
+                                for x in rows.item_values[k]]),
+                     dtype=np.int64)
+    ns = len(rows.item_values[s])
+    return s, d, ranks[:ns][rows.item_ids[s]], ranks[ns:][rows.item_ids[d]]
+
+
 def check_arc_tags(tg: TaggedGraph, sweep: Sweep) -> list[CheckResult]:
     """Tag soundness, split into the strict and non-increasing halves:
     a strict-dec tag admits no case on its arc whose measure fails to drop,
     a non-inc tag admits none whose measure grows.  Measures compare as
-    plain tuples of naturals; the witness is the first offending (arc,
-    measure) in arc order, with its smallest (source, destination) pair."""
+    tuples of naturals, through their ranks, over the arc's row range; the
+    witness is the first offending (arc, measure) in arc order, with its
+    smallest (source, destination) pair."""
+    rows = sweep.rows
+    ranked: dict[str, tuple[int, int, np.ndarray, np.ndarray]] = {}
     results = []
     for check_name, bad_tag, holds in (
-            ("strict-arc-decrease", STRICT_DEC, lambda s, d: d < s),
-            ("noninc-arc-nonincrease", NON_INC, lambda s, d: d <= s)):
+            ("strict-arc-decrease", STRICT_DEC, np.less),
+            ("noninc-arc-nonincrease", NON_INC, np.less_equal)):
         witness = None
         for (i, j) in tg.arcs:
             u, v = tg.nodes[i], tg.nodes[j]
             for name in tg.measures:
                 if tg.tags[(i, j, name)] != bad_tag:
                     continue
-                src, dst = f"src-{name}", f"dst-{name}"
-                ords = [(_nats(q.get(src)), _nats(q.get(dst)), q)
-                        for q in sweep.get((u, v), ())]
-                bad = [o for o in ords if not holds(o[0], o[1])]
-                if bad:
-                    q = min(bad, key=lambda o: o[:2])[2]
-                    orders = TupleV((("src-ord", q.get(src)),
-                                     ("dst-ord", q.get(dst))))
+                span = sweep.pairs.get((u, v))
+                if span is None:
+                    continue
+                if name not in ranked:
+                    ranked[name] = _measure_ranks(rows, name)
+                s_item, d_item, s_rank, d_rank = ranked[name]
+                lo, hi = span
+                s, d = s_rank[lo:hi], d_rank[lo:hi]
+                bad = np.flatnonzero(~holds(d, s))
+                if bad.size:
+                    key = s[bad] * (int(d.max()) + 1) + d[bad]
+                    row = lo + int(bad[np.argmin(key)])
+                    orders = TupleV((("src-ord", rows.item(s_item, row)),
+                                     ("dst-ord", rows.item(d_item, row))))
                     witness = {"src": value_text(u), "dst": value_text(v),
                                "measure": name,
                                "orders": value_to_json(orders)}
@@ -252,48 +287,94 @@ def check_measure_decrease(omap: Omap, sweep: Sweep) -> CheckResult:
     """Strict decrease of the synthesized measure across every case whose
     source the omap covers.
 
-    Checks bnl and ordinal strict decrease for each case in plain Python;
-    this route shares no ordering code with graph construction.  Each side
+    This route shares no ordering code with graph construction.  Each side
     of a case, a (node, measure tuples) half-state, recurs across many
-    cases, so its padded bnl and ordinal are computed once per node, side
-    and distinct measure items; ``bnl_lt`` and ``o_lt`` still compare
-    every case, in order.
+    cases, so the distinct halves of each side are found over the id
+    columns, and each one's padded bnl and ordinal are built and validated
+    once.  Every case's bnls compare by their dense ranks
+    (``ordinals.bnl_ranks``), and ``o_lt`` compares every case's ordinals,
+    in order.  Only a failing case is decoded: the first in canonical
+    order, whose halves are rebuilt and compared directly, so a half that
+    cannot be built raises there, as it would case by case.
     """
     descs = omap.as_dict()
     bound = omap.bnl_bound
-    halves: dict[Value, dict[tuple, tuple[tuple[int, ...], Ordinal]]] = {}
+    rows = sweep.rows
 
-    def half(node: Value, q: TupleV, side: str, memo: dict
-             ) -> tuple[tuple[int, ...], Ordinal]:
-        """Padded bnl and ordinal of one side of a case; ``memo`` holds
-        the node's half-states, keyed by the case's measure items for that
-        side, so a hit costs a tuple slice and no decoding."""
-        key = q.items[2::2] if side == "src" else q.items[3::2]
-        got = memo.get(key)
-        if got is None:
-            e = expand_descriptor(descs[node], _side(q, side))
-            bnl = tuple(e) + (0,) * (bound - len(e))
-            got = memo[key] = (bnl, bnl_to_ordinal(bnl))
-        return got
-
-    def failed(q: TupleV, reason: str) -> CheckResult:
+    def failed(row: int, reason: str) -> CheckResult:
         return CheckResult("measure-decrease", False, SWEEP, {
-            "case": value_text(q), "reason": reason})
+            "case": value_text(rows[row]), "reason": reason})
 
-    for (u, v), cases in sweep.items():
+    checked = np.zeros(len(rows), dtype=bool)
+    outside = None  # the first case whose destination the omap lacks
+    for (u, v), (lo, hi) in sweep.pairs.items():
         if u not in descs:
             continue
         if v not in descs:
-            return failed(cases[0], "destination outside the omap")
-        memo_u = halves.setdefault(u, {})
-        memo_v = halves.setdefault(v, {})
-        for q in cases:
-            bx, ox = half(u, q, "src", memo_u)
-            by, oy = half(v, q, "dst", memo_v)
-            if not bnl_lt(by, bx):
-                return failed(q, f"bnl does not decrease: {by} !< {bx}")
-            if not o_lt(oy, ox):
-                return failed(q, "ordinal does not decrease")
+            outside = lo
+            break
+        checked[lo:hi] = True
+    at = np.flatnonzero(checked)
+    if at.size:
+        names = rows.names
+        assert names is not None
+
+        def half(side: int, key: Sequence[int]
+                 ) -> tuple[tuple[int, ...], Ordinal]:
+            """Padded bnl and ordinal of a source (``side`` 0) or
+            destination (1) half-state, given its node and measure ids."""
+            ks = range(side, len(names), 2)
+            values = {names[k][4:]: _nats(rows.item_values[k][i])
+                      for k, i in zip(ks[1:], key[1:])}
+            e = expand_descriptor(descs[rows.item_values[side][key[0]]],
+                                  values)
+            bnl = tuple(e) + (0,) * (bound - len(e))
+            return bnl, bnl_to_ordinal(bnl)
+
+        sides = []  # per side: each distinct half (None if it raised), and
+        for side in (0, 1):  # the half of every checked case
+            cols = [ids[at] for ids in rows.item_ids[side::2]]
+            of, first = lex_rank(cols, [len(v) for v in
+                                        rows.item_values[side::2]])
+            halves: list[Optional[tuple[tuple[int, ...], Ordinal]]] = []
+            for key in np.column_stack([c[first] for c in cols]).tolist():
+                try:
+                    halves.append(half(side, key))
+                except OrdinalError:  # raised again if a case reaches it
+                    halves.append(None)
+            sides.append((halves, of))
+        (src, src_of), (dst, dst_of) = sides
+        bnls = [h[0] for h in src + dst if h is not None]
+        rank_of = dict(zip(bnls, bnl_ranks(bnls)))
+
+        def rank_len(side, of) -> tuple[np.ndarray, np.ndarray]:
+            """Per case: its half's bnl rank and length, -1 if unbuilt."""
+            rl = np.array([(rank_of[h[0]], len(h[0])) if h is not None
+                           else (-1, -1) for h in side], dtype=np.int64)
+            return rl[of, 0], rl[of, 1]
+
+        src_rank, src_len = rank_len(src, src_of)
+        dst_rank, dst_len = rank_len(dst, dst_of)
+        # the cases where bnl_lt fails, or it or a half would raise
+        bad = ((src_len < 0) | (dst_len < 0) | (src_len != dst_len)
+               | (dst_rank >= src_rank))
+        stop = int(np.argmax(bad)) if bad.any() else len(at)
+        src_ord = [h[1] if h else None for h in src]
+        dst_ord = [h[1] if h else None for h in dst]
+        for k, (a, b) in enumerate(zip(dst_of[:stop].tolist(),
+                                       src_of[:stop].tolist())):
+            if not o_lt(dst_ord[a], src_ord[b]):
+                return failed(int(at[k]), "ordinal does not decrease")
+        if stop < len(at):
+            row = int(at[stop])
+            bx, by = (half(side, [int(ids[row])
+                                  for ids in rows.item_ids[side::2]])[0]
+                      for side in (0, 1))
+            if bnl_lt(by, bx):
+                raise CertificationError("bnl ranks disagree with bnl_lt")
+            return failed(row, f"bnl does not decrease: {by} !< {bx}")
+    if outside is not None:
+        return failed(outside, "destination outside the omap")
     return CheckResult("measure-decrease", True, SWEEP)
 
 

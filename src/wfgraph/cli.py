@@ -160,10 +160,10 @@ def _cmd_certify(args) -> int:
     model, text = _load_model(args)
     with open(args.omap) as fh:
         doc = json.load(fh)
+    omap = omap_from_json(doc)
     map_name = args.map or doc.get("map")
     if not map_name:
         raise ModelError("omap names no map; pass --map")
-    omap = omap_from_json(doc)
     tg = _tagged(model, map_name, args.backend, args.num)
     cert = certify_relation(model, map_name, tg, omap, text,
                             args.backend, args.num or 65536)

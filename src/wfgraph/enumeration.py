@@ -13,6 +13,11 @@ Backends:
   sat         bit-blast to CNF, enumerate models with the built-in solver,
               blocking each found output pattern
   ipasir      same loop through an external IPASIR shared library
+
+Every backend returns its values as one ``veceval.DistinctRows``: per
+top-level item, its distinct values and an integer id column.  The
+exhaustive backend builds it from its table without building any row; the
+solver backends wrap the values they decoded.
 """
 
 from __future__ import annotations
@@ -22,14 +27,14 @@ from dataclasses import dataclass
 from .bitblast import bitblast, _lit_val
 from .model import Expr, Sort, Value, canonical_sorted
 from .sat import make_solver
-from .veceval import DEFAULT_ROW_CAP, exhaustive_values
+from .veceval import DEFAULT_ROW_CAP, DistinctRows, exhaustive_values
 
 BACKENDS = ("exhaustive", "sat", "ipasir")
 
 
 @dataclass(frozen=True)
 class EnumResult:
-    values: tuple[Value, ...]  # distinct, canonically ordered
+    values: DistinctRows  # distinct, canonically ordered
     is_total: bool
     solve_calls: int
 
@@ -46,8 +51,8 @@ def compute_finite_values(var_sorts: dict[str, Sort], hyp: Expr, trm: Expr,
         # only the first num values are decoded: fewer means the set ran out
         values = exhaustive_values(var_sorts, hyp, trm, row_cap, limit=num)
         if len(values) < num:
-            return EnumResult(tuple(values), True, len(values) + 1)
-        return EnumResult(tuple(values), False, num)
+            return EnumResult(values, True, len(values) + 1)
+        return EnumResult(values, False, num)
 
     circuit = bitblast(trm, hyp, var_sorts)
     solver = make_solver(circuit.num_vars, backend)
@@ -55,19 +60,20 @@ def compute_finite_values(var_sorts: dict[str, Sort], hyp: Expr, trm: Expr,
         for clause in circuit.clauses:
             solver.add_clause(clause)
         solver.add_clause([circuit.hyp_lit])
-        values: list[Value] = []
+        found: list[Value] = []
         calls = 0
         is_total = False
-        while len(values) < num:
+        while len(found) < num:
             calls += 1
             if not solver.solve():
                 is_total = True
                 break
             model = solver.model
-            values.append(circuit.decode_output(model))
+            found.append(circuit.decode_output(model))
             solver.add_clause(
                 [-l if _lit_val(model, l) else l for l in circuit.outputs])
-        return EnumResult(tuple(canonical_sorted(values)), is_total, calls)
+        return EnumResult(DistinctRows.of(canonical_sorted(found)), is_total,
+                          calls)
     finally:
         close = getattr(solver, "close", None)
         if close:

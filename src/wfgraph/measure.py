@@ -301,12 +301,27 @@ def omap_to_json(m: Omap) -> dict:
     }
 
 
-def omap_from_json(doc: dict) -> Omap:
-    if doc.get("format") != "wfgraph-omap-v1":
+def omap_from_json(doc) -> Omap:
+    """The omap of a parsed ``omap_to_json`` document.  A document of any
+    other shape raises SynthesisError."""
+    if not isinstance(doc, dict) or doc.get("format") != "wfgraph-omap-v1":
         raise SynthesisError("not an omap document")
-    nodes = [value_from_json(n) for n in doc["nodes"]]
+    for key, kind, what in (("nodes", list, "an array"),
+                            ("descriptors", list, "an array"),
+                            ("measures", list, "an array"),
+                            ("widths", dict, "an object")):
+        if not isinstance(doc.get(key), kind):
+            raise SynthesisError(f"omap {key!r} is missing or not {what}")
+    nodes = []
+    for n in doc["nodes"]:
+        try:
+            nodes.append(value_from_json(n))
+        except (KeyError, IndexError, TypeError, ValueError):
+            raise SynthesisError(f"bad omap node {n!r}") from None
     descs = []
     for d in doc["descriptors"]:
+        if not isinstance(d, list):
+            raise SynthesisError(f"bad descriptor {d!r}")
         entries: list[Union[int, str]] = []
         for e in d:
             if isinstance(e, str):
@@ -318,8 +333,14 @@ def omap_from_json(doc: dict) -> Omap:
         descs.append(tuple(entries))
     if len(nodes) != len(descs):
         raise SynthesisError("node/descriptor count mismatch")
+    if not all(isinstance(m, str) for m in doc["measures"]):
+        raise SynthesisError("omap measures must be names")
+    widths = doc["widths"]
+    if not all(isinstance(w, int) and not isinstance(w, bool) and w >= 0
+               for w in widths.values()):
+        raise SynthesisError("omap widths must be naturals")
     return Omap(tuple(zip(nodes, descs)), tuple(doc["measures"]),
-                {str(k): int(v) for k, v in doc["widths"].items()})
+                dict(widths))
 
 
 def omap_text(m: Omap) -> str:

@@ -46,18 +46,30 @@ def bnl_le(a: Sequence[int], b: Sequence[int]) -> bool:
     return not bnl_lt(b, a)
 
 
+def bnl_ranks(bnls: Sequence[Sequence[int]]) -> list[int]:
+    """Dense rank of each bnl in bnl order: equal bnls share a rank, and
+    for two bnls of one length, ``bnl_lt(a, b)`` exactly when a's rank is
+    below b's.  Each bnl is validated once, so a caller comparing many
+    pairs out of few distinct bnls compares ranks instead."""
+    for a in bnls:
+        _check_bnl(a)
+    order = {t: r for r, t in enumerate(sorted({tuple(a) for a in bnls}))}
+    return [order[tuple(a)] for a in bnls]
+
+
 def bnll_lt(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
+    """Length-first, then position-wise bnl order.  Every member of both
+    lists is validated once, before anything is compared, so a bad entry
+    raises even in a member past the first difference, or when the lengths
+    alone decide."""
     inner = {len(x) for x in a} | {len(x) for x in b}
     if len(inner) > 1:
         raise OrdinalError(f"bnll inner bounds differ: {sorted(inner)}")
+    for x in (*a, *b):
+        _check_bnl(x)
     if len(a) != len(b):
         return len(a) < len(b)
-    for x, y in zip(a, b):
-        if bnl_lt(x, y):
-            return True
-        if bnl_lt(y, x):
-            return False
-    return False
+    return [tuple(x) for x in a] < [tuple(y) for y in b]
 
 
 def bnll_le(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:

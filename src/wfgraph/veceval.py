@@ -2,8 +2,8 @@
 
 The exhaustive enumeration backend materializes one numpy column per scalar
 "atom" (a scalar-sorted variable, or one field of a record variable) and
-evaluates expressions over whole columns at once.  Two things keep the tables
-small:
+evaluates expressions over whole columns at once.  Three things keep the
+tables small:
 
 * demand analysis: only fields an expression can actually read become
   columns.  Everything else stays out of the cross product entirely.
@@ -23,10 +23,18 @@ small:
 
 Unconstrained atoms never enter the table, which is sound because a
 satisfying row extends to full environments by fixing them arbitrarily.
+
+Results stay columnar too: ``distinct_rows`` ranks the surviving rows and
+returns a ``DistinctRows``, which holds each top-level item's distinct
+values, decoded once, and one integer id column per item.  A row's value is
+built only when a caller reads that row, so a consumer that works on the
+ids (the certifier's sweep) decodes nothing but the items and its
+witnesses.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -35,8 +43,8 @@ import numpy as np
 from .model import (
     AddMod, And, BoolSort, BoolV, CaseNat, Const, EnumSort, EnumV, Eq,
     Expr, Field, Ite, Le, Lt, NatSort, NatV, Not, Or, Sort, SubSat, TupleE,
-    TupleSort, TupleV, Update, Value, Var, expr_children, infer_sort,
-    sort_card)
+    TupleSort, TupleV, Update, Value, Var, canonical_sorted, expr_children,
+    infer_sort, sort_card)
 
 
 class Capacity(Exception):
@@ -628,8 +636,8 @@ def _leaf_card(leaf: VVal) -> int:
     raise TypeError("not a scalar leaf")
 
 
-def _lex_rank(cols: list[np.ndarray], cards: list[int]
-              ) -> tuple[np.ndarray, np.ndarray]:
+def lex_rank(cols: list[np.ndarray], cards: list[int]
+             ) -> tuple[np.ndarray, np.ndarray]:
     """Dense lexicographic rank of every row of ``cols``, and one row
     index per rank.
 
@@ -646,55 +654,141 @@ def _lex_rank(cols: list[np.ndarray], cards: list[int]
     return rank, first
 
 
+class DistinctRows(Sequence[Value]):
+    """The distinct values of a term, canonically ordered, held as columns.
+
+    A record term keeps, per top-level item, that item's distinct values
+    (decoded once each, canonically ordered) and one int64 array of ids
+    into them, one id per row; a scalar term is one column whose rows are
+    the bare values (``names`` is None).  ``len`` costs nothing; indexing
+    and iteration build each row's ``TupleV`` from the shared item values,
+    so rows that repeat an item share that sub-value.  The sequence equals
+    any sequence of the same values in the same order.
+    """
+
+    __slots__ = ("names", "item_values", "item_ids", "_n")
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init__(self, names: Optional[tuple[Optional[str], ...]],
+                 item_values: list[list[Value]], item_ids: list[np.ndarray],
+                 n: int):
+        self.names = names
+        self.item_values = item_values
+        self.item_ids = item_ids
+        self._n = n
+
+    @classmethod
+    def of(cls, values: Sequence[Value]) -> "DistinctRows":
+        """Columns of values already decoded, distinct and canonically
+        ordered: the solver backends' results, and the empty result."""
+        if values and isinstance(values[0], TupleV):
+            names = tuple(n for n, _ in values[0].items)
+            cols: list[Sequence[Value]] = [
+                [q.items[k][1] for q in values]  # type: ignore[union-attr]
+                for k in range(len(names))]
+        else:
+            names, cols = None, [values]
+        item_values, item_ids = [], []
+        for col in cols:
+            vals = canonical_sorted(set(col))
+            index = {v: i for i, v in enumerate(vals)}
+            item_values.append(vals)
+            item_ids.append(np.array([index[v] for v in col], dtype=np.int64))
+        return cls(names, item_values, item_ids, len(values))
+
+    def item(self, k: int, row: int) -> Value:
+        """Item ``k`` of row ``row``."""
+        return self.item_values[k][self.item_ids[k][row]]
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return DistinctRows(self.names, self.item_values,
+                                [ids[i] for ids in self.item_ids],
+                                len(range(self._n)[i]))
+        i = range(self._n)[i]  # negative indices; IndexError past the end
+        row = [vals[ids[i]] for vals, ids in
+               zip(self.item_values, self.item_ids)]
+        if self.names is None:
+            return row[0]
+        return TupleV(tuple(zip(self.names, row)))
+
+    def __iter__(self) -> Iterator[Value]:
+        if not self.item_ids:  # a record without items
+            yield from [TupleV(())] * self._n
+            return
+        cols = [map(vals.__getitem__, ids.tolist())
+                for vals, ids in zip(self.item_values, self.item_ids)]
+        if self.names is None:
+            yield from cols[0]
+            return
+        names = self.names
+        for row in zip(*cols):
+            yield TupleV(tuple(zip(names, row)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return len(self) == len(other) and all(
+            a == b for a, b in zip(self, other))
+
+    def __repr__(self) -> str:
+        return f"DistinctRows({list(self)!r})"
+
+
 def distinct_rows(v: VVal, n_rows: int,
-                  limit: Optional[int] = None) -> list[Value]:
+                  limit: Optional[int] = None) -> DistinctRows:
     """Distinct values of ``v`` across the table rows, canonically ordered;
-    with a ``limit``, only the first ``limit`` of them are decoded.
+    with a ``limit``, only the first ``limit`` of them.
 
     Leaf codes form one integer column per leaf, and rows are ranked
-    lexicographically over those columns (``_lex_rank``); because every
+    lexicographically over those columns (``lex_rank``); because every
     leaf's numeric code is ordered the same way as the canonical Value
     order within its sort, rank order IS the canonical order.
 
     A record's top-level items repeat across rows (the same source node
     pairs with many destinations), so each item's columns are ranked on
-    their own over the distinct rows and every distinct item value decoded
-    once; the rows then share those sub-values instead of rebuilding them.
+    their own over the distinct rows: that rank is the item's id column,
+    and each distinct item value is decoded once.  No row is built here
+    (see ``DistinctRows``).
     """
     if n_rows == 0 or limit == 0:
-        return []
+        return DistinctRows.of(())
+    items = v.items if isinstance(v, VRec) else ((None, v),)
+    names = tuple(n for n, _ in items) if isinstance(v, VRec) else None
     leaves = vval_leaves(v)
     if not leaves:
-        return [_rebuild(v, [], [0])]
+        return DistinctRows(names, [[_rebuild(x, [], [0])] for _, x in items],
+                            [np.zeros(1, dtype=np.int64) for _ in items], 1)
     cols = [np.broadcast_to(np.asarray(leaf.arr, dtype=np.int64), (n_rows,))
             for leaf in leaves]
     cards = [_leaf_card(leaf) for leaf in leaves]
-    _, first = _lex_rank(cols, cards)
+    _, first = lex_rank(cols, cards)
     first = first[:limit]  # rank order is canonical order
     uniq = [col[first] for col in cols]
-    if not isinstance(v, VRec):
-        return [_leaf_value(v, c) for c in uniq[0].tolist()]
-    names = []
-    columns = []  # per item: its value in each distinct row
+    item_values: list[list[Value]] = []
+    item_ids: list[np.ndarray] = []
     start = 0
-    for name, item in v.items:
+    for _, item in items:
         width = len(vval_leaves(item))
-        names.append(name)
         if width == 0:
-            columns.append([_rebuild(item, [], [0])] * len(first))
+            item_values.append([_rebuild(item, [], [0])])
+            item_ids.append(np.zeros(len(first), dtype=np.int64))
             continue
         part = uniq[start:start + width]
-        rank, part_first = _lex_rank(part, cards[start:start + width])
+        rank, part_first = lex_rank(part, cards[start:start + width])
         start += width
         codes = np.column_stack([col[part_first] for col in part]).tolist()
-        decoded = [_rebuild(item, row, [0]) for row in codes]
-        columns.append([decoded[i] for i in rank.tolist()])
-    return [TupleV(tuple(zip(names, row))) for row in zip(*columns)]
+        item_values.append([_rebuild(item, row, [0]) for row in codes])
+        item_ids.append(rank)
+    return DistinctRows(names, item_values, item_ids, len(first))
 
 
 def exhaustive_values(var_sorts: dict[str, Sort], hyp: Expr, trm: Expr,
                       row_cap: int = DEFAULT_ROW_CAP,
-                      limit: Optional[int] = None) -> list[Value]:
+                      limit: Optional[int] = None) -> DistinctRows:
     """All distinct values of ``trm`` over environments satisfying ``hyp``,
     canonically ordered, or the first ``limit`` of them.  The reference
     backend behind compute-finite-values."""
@@ -702,5 +796,5 @@ def exhaustive_values(var_sorts: dict[str, Sort], hyp: Expr, trm: Expr,
     trm_s = scalarize(trm, var_sorts)
     table = build_table(var_sorts, hyp_s, [trm_s], row_cap)
     if table.n == 0:
-        return []
+        return DistinctRows.of(())
     return distinct_rows(eval_vec(trm_s, table), table.n, limit)

@@ -7,6 +7,7 @@ import json
 
 import pytest
 
+import _rowwise as rowwise
 import wfgraph.certify as certify
 from wfgraph.absgraph import (
     MAY_INC, NON_INC, STRICT_DEC, GraphError, TaggedGraph,
@@ -30,7 +31,7 @@ from wfgraph.certify import (
 from wfgraph.measure import Omap, omap_text, synthesize_omap
 from wfgraph.model import (
     BoolV, Const, Eq, TupleV, Var, eval_expr, value_from_json, value_text)
-from wfgraph.ordinals import ordinal_text
+from wfgraph.ordinals import OrdinalError, ordinal_text
 
 
 W = 2  # width override keeping concrete sweeps quick
@@ -454,3 +455,103 @@ def test_certify_state_invariant_custom(model):
 def test_certify_state_invariant_needs_step_map(model):
     with pytest.raises(GraphError):
         certify_state_invariant(model, "nlock")
+
+
+# -- the columnar checks against the row-by-row oracle: identical results,
+# witnesses included, on honest and on lying graphs and omaps
+
+ORACLE_CASES = [("exhaustive", (2, 2, 2)), ("exhaustive", (2, 2, 3)),
+                ("sat", (1, 1, 2))]
+
+
+@pytest.fixture(scope="module", params=[
+    (backend, params, name) for backend, params in ORACLE_CASES
+    for name in ("rank", "nlock")],
+    ids=lambda p: f"{p[2]}-{p[0]}-{','.join(map(str, p[1]))}")
+def oracle_sweep(request):
+    backend, params, name = request.param
+    m = bakery_model(*params)
+    tg = tag_graph(m, name, map_graph(m, name, backend), backend)
+    om = synthesize_omap(tg)
+    sweep = relation_cases(m, name, tg.nodes, backend)
+    return tg, om, sweep, rowwise.row_sweep(sweep)
+
+
+def test_closure_matches_rowwise_on_every_deleted_arc(oracle_sweep):
+    tg, _, sweep, rows = oracle_sweep
+    graphs = [tg] + [
+        TaggedGraph(tg.nodes, tuple(x for x in tg.arcs if x != a),
+                    tg.measures, tg.widths, tg.tags) for a in tg.arcs]
+    for g in graphs:
+        assert check_closure(g, sweep) == rowwise.check_closure(g, rows)
+
+
+def test_arc_tags_match_rowwise_on_every_retag(oracle_sweep):
+    tg, _, sweep, rows = oracle_sweep
+    assert check_arc_tags(tg, sweep) == rowwise.check_arc_tags(tg, rows)
+    failing = 0
+    for (i, j) in tg.arcs:
+        for name in tg.measures:
+            for tag in (STRICT_DEC, NON_INC, MAY_INC):
+                if tag == tg.tags[(i, j, name)]:
+                    continue
+                lied = _retag(tg, (i, j), name, tag)
+                got = check_arc_tags(lied, sweep)
+                assert got == rowwise.check_arc_tags(lied, rows)
+                failing += not all(c.passed for c in got)
+    assert failing > 0
+
+
+def _outcome(check, *args):
+    """A check's result, or the type and text of what it raised."""
+    try:
+        return check(*args)
+    except OrdinalError as e:
+        return type(e), str(e)
+
+
+def _omap_lies(om: Omap, per_kind: int = 6) -> list[Omap]:
+    """Up to ``per_kind`` omaps of each lie, at nodes spread over the omap:
+    adjacent descriptors swapped; the two measures of a descriptor
+    swapped; a node dropped; a rank entry made negative (a bnl that cannot
+    be built)."""
+    descs = list(om.descriptors)
+    lies: dict[str, list] = {"swap": [], "measures": [], "drop": [],
+                             "negative": []}
+    for k, (node, desc) in enumerate(descs):
+        if k + 1 < len(descs):
+            nxt = descs[k + 1]
+            lies["swap"].append(descs[:k] + [(node, nxt[1]), (nxt[0], desc)]
+                                + descs[k + 2:])
+        names = [e for e in desc if isinstance(e, str)]
+        if len(set(names)) == 2:
+            a, b = names
+            swapped = tuple({a: b, b: a}.get(e, e) if isinstance(e, str)
+                            else e for e in desc)
+            lies["measures"].append(descs[:k] + [(node, swapped)]
+                                    + descs[k + 1:])
+        lies["drop"].append(descs[:k] + descs[k + 1:])
+        first = next((i for i, e in enumerate(desc) if isinstance(e, int)),
+                     None)
+        if first is not None:
+            neg = desc[:first] + (-1,) + desc[first + 1:]
+            lies["negative"].append(descs[:k] + [(node, neg)] + descs[k + 1:])
+    picked = []
+    for kind in lies.values():
+        step = max(1, len(kind) // per_kind)
+        picked.extend(kind[::step])
+    return [Omap(tuple(d), om.measures, om.widths) for d in picked]
+
+
+def test_measure_decrease_matches_rowwise_on_omap_lies(oracle_sweep):
+    _, om, sweep, rows = oracle_sweep
+    assert check_measure_decrease(om, sweep) == \
+        rowwise.check_measure_decrease(om, rows)
+    kinds = set()
+    for lie in _omap_lies(om):
+        got = _outcome(check_measure_decrease, lie, sweep)
+        assert got == _outcome(rowwise.check_measure_decrease, lie, rows)
+        kinds.add(got[0] if isinstance(got, tuple) else
+                  got.passed or got.witness["reason"].split(":")[0])
+    assert {"bnl does not decrease", "destination outside the omap",
+            OrdinalError} <= kinds

@@ -117,6 +117,38 @@ def test_certify_requires_some_map(tmp_path, capsys):
     assert "pass --map" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def rank_omap_doc(tmp_path_factory):
+    om = tmp_path_factory.mktemp("omap") / "om.json"
+    assert cli_main(["synth", "--map", "rank", "--width", "2",
+                     "--out", str(om)]) == 0
+    return json.loads(om.read_text())
+
+
+def test_malformed_omap_is_a_one_line_error(rank_omap_doc, tmp_path,
+                                            capsys):
+    doc = rank_omap_doc
+    cases = {"not an object": [],
+             "no nodes": {"format": "wfgraph-omap-v1", "map": "rank"}}
+    for key in ("nodes", "descriptors", "measures", "widths"):
+        cases[f"no {key}"] = {k: v for k, v in doc.items() if k != key}
+        cases[f"{key} not a container"] = dict(doc, **{key: 7})
+    cases["node not a value"] = dict(doc, nodes=[{"n": 1}] + doc["nodes"][1:])
+    cases["descriptor not a list"] = dict(
+        doc, descriptors=["ab"] + doc["descriptors"][1:])
+    cases["measure not a name"] = dict(doc, measures=[1])
+    cases["width not a natural"] = dict(
+        doc, widths={k: str(w) for k, w in doc["widths"].items()})
+    om = tmp_path / "om.json"
+    for name, bad in cases.items():
+        om.write_text(json.dumps(bad))
+        assert cli_main(["certify", "--omap", str(om), "--width", "2"]) == 1, \
+            name
+        err = capsys.readouterr().err
+        assert err.startswith("wfgraph: error: "), (name, err)
+        assert err.count("\n") == 1 and "Traceback" not in err, (name, err)
+
+
 def test_certify_nlock_passes(tmp_path, capsys):
     om = tmp_path / "om.json"
     assert cli_main(["synth", "--map", "nlock", "--width", "2",

@@ -18,6 +18,7 @@ from wfgraph.ordinals import (
     bnl_bnd,
     bnl_le,
     bnl_lt,
+    bnl_ranks,
     bnl_to_ordinal,
     bnll_le,
     bnll_lt,
@@ -67,6 +68,18 @@ def test_bnl_rejects_non_naturals():
         bnl_lt((True,), (1,))
 
 
+def test_bnl_ranks_are_dense_and_agree_with_bnl_lt():
+    vals = all_bnls(2, 3)
+    vals = vals[::2] + vals + vals[1::3]  # repeats, out of order
+    ranks = bnl_ranks(vals)
+    assert sorted(set(ranks)) == list(range(len(set(vals))))
+    for (a, ra), (b, rb) in itertools.product(zip(vals, ranks), repeat=2):
+        assert (ra < rb) == bnl_lt(a, b), (a, b)
+    for bad in (-1, True):
+        with pytest.raises(OrdinalError):
+            bnl_ranks([(0, 1), (bad, 0)])
+
+
 def test_bnll_length_dominance():
     # shorter lists are smaller no matter what the entries say
     small = [(9, 9)]
@@ -94,6 +107,22 @@ def test_bnll_embedding_per_length(length):
     images = {tuple(a): bnll_to_ordinal(length, a, 2) for a in lists}
     for a, b in itertools.product(lists, repeat=2):
         assert bnll_lt(a, b) == o_lt(images[tuple(a)], images[tuple(b)])
+
+
+@pytest.mark.parametrize("bad", [-1, True])
+def test_bnll_validates_every_member(bad):
+    # the lists differ at member 0; a bad entry in any member still raises,
+    # on either side, and so it does when the lengths alone decide
+    a = [(0, 1), (2, 0), (1, 1)]
+    b = [(1, 1), (2, 0), (1, 1)]
+    for i in range(len(a)):
+        tainted = list(a)
+        tainted[i] = (bad, 0)
+        for x, y in ((tainted, b), (b, tainted)):
+            with pytest.raises(OrdinalError):
+                bnll_lt(x, y)
+    with pytest.raises(OrdinalError):
+        bnll_lt([(0, bad)], a)
 
 
 def test_bnll_inner_bound_mismatch():

@@ -18,11 +18,11 @@ from wfgraph.bakery import bakery_model
 from wfgraph.certify import relation_cases
 from wfgraph.model import (
     BOOL, AddMod, And, Const, Eq, Le, NatSort, NatV, Or, TupleE, Var,
-    sort_card, subst_vars)
+    canonical_sorted, sort_card, subst_vars)
 from wfgraph.veceval import (
-    Capacity, Table, VBool, VEnum, VNat, VRec, atom_sort, atoms_for,
-    build_table, distinct_rows, eval_vec, exhaustive_values, scalarize,
-    split_conjuncts)
+    Capacity, DistinctRows, Table, VBool, VEnum, VNat, VRec, atom_sort,
+    atoms_for, build_table, distinct_rows, eval_vec, exhaustive_values,
+    scalarize, split_conjuncts)
 
 # -- build_table ---------------------------------------------------------------
 
@@ -257,6 +257,55 @@ def test_distinct_rows_matches_per_row_rebuild(case):
     v, n_rows = case
     got = distinct_rows(v, n_rows)
     assert got == _reference_rows(v, n_rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_terms(), st.integers(1, 8))
+def test_distinct_rows_columns_follow_canonical_item_order(case, limit):
+    v, n_rows = case
+    ref = _reference_rows(v, n_rows)
+    got = distinct_rows(v, n_rows)
+    assert len(got) == len(ref)
+    assert list(got) == ref
+    assert [got[i] for i in range(-len(got), 0)] == ref
+    assert got[1:-1] == ref[1:-1]
+    assert distinct_rows(v, n_rows, limit) == ref[:limit]
+    # each item: its distinct values in canonical order, and per row the id
+    # of that row's value
+    items = [[q.items[k][1] for q in ref] if got.names is not None else ref
+             for k in range(len(got.item_ids))]
+    for col, vals, ids in zip(items, got.item_values, got.item_ids):
+        assert vals == canonical_sorted(set(col))
+        assert [vals[i] for i in ids.tolist()] == col
+    if ref:  # the solver backends' route to the same columns
+        built = DistinctRows.of(ref)
+        assert built == got and built.names == got.names
+        assert built.item_values == got.item_values
+        assert all(np.array_equal(a, b)
+                   for a, b in zip(built.item_ids, got.item_ids))
+
+
+def test_distinct_rows_decodes_each_item_value_once(monkeypatch):
+    node = VRec((("loc", VNat(np.array([0, 0, 1, 1, 1, 0]), 2)),
+                 ("ok", VBool(np.array([True] * 6)))))
+    pairs = VRec((("src", node), ("m", VNat(np.array([0, 1, 2, 2, 3, 0]), 2)),
+                  ("e", VEnum(np.int64(1), SYMS))))
+    ref = _reference_rows(pairs, 6)
+    decoded = []
+    leaf_value = veceval._leaf_value
+
+    def counting(leaf, code):
+        decoded.append(code)
+        return leaf_value(leaf, code)
+
+    monkeypatch.setattr(veceval, "_leaf_value", counting)
+    got = distinct_rows(pairs, 6)
+    # 2 distinct nodes of 2 leaves, 4 distinct m, 1 distinct e
+    assert len(decoded) == 2 * 2 + 4 + 1
+    decoded.clear()
+    assert len(got) == len(ref) == 4
+    assert got == ref and got[3] == ref[3]
+    assert decoded == []
 
 
 def test_distinct_rows_edge_cases():
