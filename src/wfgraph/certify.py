@@ -291,11 +291,11 @@ def check_measure_decrease(omap: Omap, sweep: Sweep) -> CheckResult:
     of a case, a (node, measure tuples) half-state, recurs across many
     cases, so the distinct halves of each side are found over the id
     columns, and each one's padded bnl and ordinal are built and validated
-    once.  Every case's bnls compare by their dense ranks
-    (``ordinals.bnl_ranks``), and ``o_lt`` compares every case's ordinals,
-    in order.  Only a failing case is decoded: the first in canonical
-    order, whose halves are rebuilt and compared directly, so a half that
-    cannot be built raises there, as it would case by case.
+    once.  Case by case, in canonical order, the bnls compare by their
+    dense ranks (``ordinals.bnl_ranks``) and ``o_lt`` compares the
+    ordinals.  Only the first failing case is decoded; a case whose half
+    cannot be built, or whose bnl bounds differ, has its halves rebuilt and
+    compared directly, so it raises there, as it would case by case.
     """
     descs = omap.as_dict()
     bound = omap.bnl_bound
@@ -346,33 +346,24 @@ def check_measure_decrease(omap: Omap, sweep: Sweep) -> CheckResult:
         (src, src_of), (dst, dst_of) = sides
         bnls = [h[0] for h in src + dst if h is not None]
         rank_of = dict(zip(bnls, bnl_ranks(bnls)))
-
-        def rank_len(side, of) -> tuple[np.ndarray, np.ndarray]:
-            """Per case: its half's bnl rank and length, -1 if unbuilt."""
-            rl = np.array([(rank_of[h[0]], len(h[0])) if h is not None
-                           else (-1, -1) for h in side], dtype=np.int64)
-            return rl[of, 0], rl[of, 1]
-
-        src_rank, src_len = rank_len(src, src_of)
-        dst_rank, dst_len = rank_len(dst, dst_of)
-        # the cases where bnl_lt fails, or it or a half would raise
-        bad = ((src_len < 0) | (dst_len < 0) | (src_len != dst_len)
-               | (dst_rank >= src_rank))
-        stop = int(np.argmax(bad)) if bad.any() else len(at)
-        src_ord = [h[1] if h else None for h in src]
-        dst_ord = [h[1] if h else None for h in dst]
-        for k, (a, b) in enumerate(zip(dst_of[:stop].tolist(),
-                                       src_of[:stop].tolist())):
-            if not o_lt(dst_ord[a], src_ord[b]):
+        # per distinct half: its bnl's rank and length, and its ordinal
+        src_h, dst_h = ([(rank_of[h[0]], len(h[0]), h[1]) if h else None
+                         for h in side] for side in (src, dst))
+        for k, (a, b) in enumerate(zip(src_of.tolist(), dst_of.tolist())):
+            x, y = src_h[a], dst_h[b]
+            if x is None or y is None or x[1] != y[1]:
+                # a half cannot be built, or the bounds differ: building
+                # and comparing the halves directly raises, as case by case
+                row = int(at[k])
+                bx, by = (half(side, [int(ids[row])
+                                      for ids in rows.item_ids[side::2]])[0]
+                          for side in (0, 1))
+                bnl_lt(by, bx)
+            if y[0] >= x[0]:
+                return failed(int(at[k]), "bnl does not decrease: "
+                              f"{dst[b][0]} !< {src[a][0]}")
+            if not o_lt(y[2], x[2]):
                 return failed(int(at[k]), "ordinal does not decrease")
-        if stop < len(at):
-            row = int(at[stop])
-            bx, by = (half(side, [int(ids[row])
-                                  for ids in rows.item_ids[side::2]])[0]
-                      for side in (0, 1))
-            if bnl_lt(by, bx):
-                raise CertificationError("bnl ranks disagree with bnl_lt")
-            return failed(row, f"bnl does not decrease: {by} !< {bx}")
     if outside is not None:
         return failed(outside, "destination outside the omap")
     return CheckResult("measure-decrease", True, SWEEP)

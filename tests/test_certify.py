@@ -514,10 +514,11 @@ def _omap_lies(om: Omap, per_kind: int = 6) -> list[Omap]:
     """Up to ``per_kind`` omaps of each lie, at nodes spread over the omap:
     adjacent descriptors swapped; the two measures of a descriptor
     swapped; a node dropped; a rank entry made negative (a bnl that cannot
-    be built)."""
+    be built); every node given one descriptor (bnls that tie)."""
     descs = list(om.descriptors)
     lies: dict[str, list] = {"swap": [], "measures": [], "drop": [],
-                             "negative": []}
+                             "negative": [],
+                             "flat": [[(node, (0,)) for node, _ in descs]]}
     for k, (node, desc) in enumerate(descs):
         if k + 1 < len(descs):
             nxt = descs[k + 1]

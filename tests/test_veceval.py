@@ -133,7 +133,7 @@ def test_nlock_sweep_tables_stay_within_chunk(monkeypatch):
     scope = map_graph(model, "nlock").nodes
     sizes = _extend_sizes(monkeypatch)
     sweep = relation_cases(model, "nlock", scope)
-    assert sweep and sizes
+    assert len(sweep.rows) and sweep.pairs and sizes
     assert max(sizes) <= veceval.CHUNK_ROWS
     assert max(sizes) > veceval.CHUNK_ROWS // 4
 
