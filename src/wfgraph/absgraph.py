@@ -1,21 +1,21 @@
 """Abstract reachable graphs over finite-state models, with order tags.
 
 A graph's nodes are the values an abstraction map's node expression takes;
-arcs record which nodes can follow which.  ``comp_map_reach`` builds the
-graph by worklist closure from the initial nodes, ``comp_map_rel`` builds
-it from an explicit binary relation over a declared domain, and
-``comp_map_order`` tags every arc, per component measure, with whether the
-measure strictly decreases, never increases, or may increase across the
-concrete pairs the arc abstracts.  Tagging asks one query per source
-node, covering all of its arcs and measures at once.
-``certify_state_invariant`` re-runs reachability with a claimed state
-predicate in the node and reports the reached nodes where it is false.
+arcs record which nodes can follow which.  Both come from the image of the
+map's concrete relation (``relation_parts``): one enumeration query for
+the distinct (node(x), node(y)) pairs of related states x, y.  A step map's
+graph keeps what that image reaches from the initial nodes (``reach_graph``);
+a blocking map's graph is the image over its declared domain
+(``rel_graph``).  ``tag_graph`` tags every arc, per component measure, with
+whether the measure strictly decreases, never increases, or may increase
+across the concrete pairs the arc abstracts, from one more image query
+that carries per-measure order flags.  ``certify_state_invariant`` re-runs
+reachability with a claimed state predicate in the node and reports the
+reached nodes where it is false.
 
-Reachability queries reference the current source node through the
-reserved variable ``@src``; this module substitutes the concrete node
-value before enumeration.  Every enumeration must be total: a cutoff
-means the abstraction has more behavior than the budget and raises
-NotTotal rather than returning a partial graph.
+Every enumeration must be total: a cutoff means the abstraction has more
+behavior than the budget and raises NotTotal rather than returning a
+partial graph.
 """
 
 from __future__ import annotations
@@ -32,12 +32,10 @@ from .model import (
     value_text, value_to_json)
 from .veceval import DEFAULT_ROW_CAP
 
-SRC_VAR = "@src"
-
 # Tag queries take no caller budget.  An exhaustive table never holds more
 # distinct values than veceval's row cap, and a SAT query returns at most
-# one value per (destination node, tag combination), so this bound only
-# guards totality.
+# one value per (source node, destination node, tag combination), so this
+# bound only guards totality.
 TAG_BUDGET = DEFAULT_ROW_CAP + 1
 
 STRICT_DEC = "strict-dec"
@@ -53,14 +51,12 @@ class GraphError(ValueError):
 class NotTotal(GraphError):
     """An enumeration hit its budget before exhausting the value set."""
 
-    def __init__(self, what: str, num: int, node: Optional[Value] = None):
-        at = f" at node {value_text(node)}" if node is not None else ""
+    def __init__(self, what: str, num: int):
         super().__init__(
-            f"{what} enumeration{at} exceeded the budget of {num} values; "
+            f"{what} enumeration exceeded the budget of {num} values; "
             f"the abstraction is too large or num is too small")
         self.what = what
         self.num = num
-        self.node = node
 
 
 @dataclass(frozen=True)
@@ -130,58 +126,6 @@ def _freeze(nodes: set[Value], arcs: set[tuple[Value, Value]]) -> Graph:
     return Graph(ordered, arc_ix)
 
 
-def comp_map_reach(var_sorts: dict[str, Sort], init_hyp: Expr,
-                   init_trm: Expr, step_hyp: Expr, step_trm: Expr,
-                   backend: str = "exhaustive", num: int = 4096) -> Graph:
-    """Worklist closure: nodes = init values plus everything step values
-    reach; ``step_hyp``/``step_trm`` see the current node as ``@src``."""
-    r = compute_finite_values(var_sorts, init_hyp, init_trm, num, backend)
-    if not r.is_total:
-        raise NotTotal("init", num)
-    nodes: set[Value] = set(r.values)
-    arcs: set[tuple[Value, Value]] = set()
-    work = list(r.values)
-    while work:
-        u = work.pop()
-        sub = {SRC_VAR: Const(u)}
-        hyp_u = subst_vars(step_hyp, sub)
-        trm_u = subst_vars(step_trm, sub)
-        ru = compute_finite_values(var_sorts, hyp_u, trm_u, num, backend)
-        if not ru.is_total:
-            raise NotTotal("step", num, u)
-        for v in ru.values:
-            arcs.add((u, v))
-            if v not in nodes:
-                nodes.add(v)
-                work.append(v)
-    return _freeze(nodes, arcs)
-
-
-def comp_map_rel(var_sorts: dict[str, Sort], dom_hyp: Expr, dom_trm: Expr,
-                 rel_hyp: Expr, src_trm: Expr, dst_trm: Expr,
-                 backend: str = "exhaustive", num: int = 4096) -> Graph:
-    """Graph of an explicit relation: nodes are the domain values, arcs
-    (u, v) exist when some concrete pair related by ``rel_hyp`` maps to
-    them."""
-    r = compute_finite_values(var_sorts, dom_hyp, dom_trm, num, backend)
-    if not r.is_total:
-        raise NotTotal("domain", num)
-    nodes: set[Value] = set(r.values)
-    arcs: set[tuple[Value, Value]] = set()
-    for u in r.values:
-        hyp_u = And((rel_hyp, Eq(src_trm, Const(u))))
-        ru = compute_finite_values(var_sorts, hyp_u, dst_trm, num, backend)
-        if not ru.is_total:
-            raise NotTotal("relation", num, u)
-        for v in ru.values:
-            if v not in nodes:
-                raise GraphError(
-                    f"relation leaves the declared domain: "
-                    f"{value_text(u)} -> {value_text(v)}")
-            arcs.add((u, v))
-    return _freeze(nodes, arcs)
-
-
 def _tuple_items(e: Expr, what: str) -> list[Expr]:
     if not isinstance(e, TupleE):
         raise GraphError(f"{what} must be a tuple expression")
@@ -212,53 +156,6 @@ def lex_le_expr(a: Expr, b: Expr) -> Expr:
     return out
 
 
-def comp_map_order(g: Graph, var_sorts: dict[str, Sort], rel_hyp: Expr,
-                   src_trm: Expr, dst_trm: Expr,
-                   ord_trms: dict[str, tuple[Expr, Expr]],
-                   measures: tuple[str, ...], widths: dict[str, int],
-                   backend: str = "exhaustive") -> TaggedGraph:
-    """Tag every arc of ``g`` with the ordering behavior of each measure.
-
-    For arc (u, v) and measure o with source/destination measure terms
-    (s, d): if no concrete pair on the arc has d >=lex s the measure
-    strictly decreases there; failing that, if none has d >lex s it is
-    non-increasing; otherwise it may increase.
-
-    One query per source node u enumerates the distinct (destination
-    node, s <=lex d, s <lex d per measure) combinations of pairs related
-    by ``rel_hyp`` whose source maps to u.  Destinations that are not
-    successors of u in ``g`` are ignored, and a successor with no
-    concrete pair reads strict-dec.
-    """
-    tags: dict[tuple[int, int, str], str] = {}
-    items: list[tuple[Optional[str], Expr]] = [("dst", dst_trm)]
-    for name in measures:
-        src_e, dst_e = ord_trms[name]
-        items.append((f"le-{name}", lex_le_expr(src_e, dst_e)))
-        items.append((f"lt-{name}", lex_lt_expr(src_e, dst_e)))
-    trm = TupleE(tuple(items))
-    for i in sorted({i for (i, _) in g.arcs}):
-        u = g.nodes[i]
-        hyp_u = And((rel_hyp, Eq(src_trm, Const(u))))
-        r = compute_finite_values(var_sorts, hyp_u, trm, TAG_BUDGET,
-                                  backend)
-        if not r.is_total:
-            raise NotTotal("tag", TAG_BUDGET, u)
-        held: dict[Value, set[str]] = {}  # dst -> flags true for it
-        for q in r.values:
-            (_, dst), *flags = q.items  # type: ignore[union-attr]
-            held.setdefault(dst, set()).update(
-                f for f, x in flags if x == BoolV(True))
-        for j in g.succ_indices(i):
-            got = held.get(g.nodes[j], set())
-            for name in measures:
-                tags[(i, j, name)] = (
-                    STRICT_DEC if f"le-{name}" not in got
-                    else NON_INC if f"lt-{name}" not in got
-                    else MAY_INC)
-    return TaggedGraph(g.nodes, g.arcs, tuple(measures), dict(widths), tags)
-
-
 # -- model-level construction ----------------------------------------------
 
 _SHARED_VAR = "@sh"
@@ -283,7 +180,7 @@ def _step_parts(model: Model, map_name: str):
     dom_y = subst_vars(mp.domain, {a: y})
     rel = And((not_done, dom_a, dom_y))
     var_sorts: dict[str, Sort] = {a: state, _SHARED_VAR: shared}
-    return mp, y, rel, var_sorts
+    return mp, rel, y, var_sorts
 
 
 def _role_args(model: Model, define_name: str, state_var: str,
@@ -292,6 +189,42 @@ def _role_args(model: Model, define_name: str, state_var: str,
     if len(d.params) == 1:
         return [Var(state_var)]
     return [Var(state_var), Var(extra_var)]
+
+
+def _image(parts, node: Expr, num: int, backend: str, what: str,
+           scope: Optional[tuple[Value, ...]] = None,
+           measures: tuple[str, ...] = ()
+           ) -> dict[tuple[Value, Value], set[str]]:
+    """The relation's abstract image, from one enumeration query.
+
+    Over the related pairs (x, y) of ``parts`` (as ``relation_parts``
+    returns them) whose source node lies in ``scope`` (default: all), maps
+    each abstract pair (node(x), node(y)) to the flags that held on some
+    concrete pair: ``le-<m>`` when measure m's source is <=lex its
+    destination, ``lt-<m>`` when it is <lex.  Keys come in canonical
+    (source, destination) order.
+    """
+    mp, rel, dst_state, var_sorts = parts
+    items: list[tuple[Optional[str], Expr]] = [
+        ("src", node), ("dst", subst_vars(node, {mp.var: dst_state}))]
+    for name in measures:
+        src_e = mp.measure_expr(name)
+        dst_e = subst_vars(src_e, {mp.var: dst_state})
+        items.append((f"le-{name}", lex_le_expr(src_e, dst_e)))
+        items.append((f"lt-{name}", lex_lt_expr(src_e, dst_e)))
+    hyp = rel
+    if scope is not None:
+        hyp = And((rel, Or(tuple(Eq(node, Const(u)) for u in scope))))
+    r = compute_finite_values(var_sorts, hyp, TupleE(tuple(items)), num,
+                              backend)
+    if not r.is_total:
+        raise NotTotal(what, num)
+    image: dict[tuple[Value, Value], set[str]] = {}
+    for q in r.values:
+        (_, u), (_, v), *flags = q.items  # type: ignore[union-attr]
+        image.setdefault((u, v), set()).update(
+            f for f, x in flags if x == BoolV(True))
+    return image
 
 
 def reach_graph(model: Model, map_name: str, backend: str = "exhaustive",
@@ -305,13 +238,29 @@ def reach_graph(model: Model, map_name: str, backend: str = "exhaustive",
 
 def _reach(model: Model, map_name: str, node: Expr, backend: str,
            num: int) -> Graph:
-    """``reach_graph`` with ``node`` as the step map's node expression."""
-    mp, y, rel, var_sorts = _step_parts(model, map_name)
+    """``reach_graph`` with ``node`` as the step map's node expression:
+    the init query's nodes, closed under the step relation's image."""
+    parts = _step_parts(model, map_name)
+    mp, _, _, var_sorts = parts
     init_trm = subst_vars(node, {mp.var: model.define(model.system.init).body})
-    step_hyp = And((Eq(node, Var(SRC_VAR)), rel))
-    step_trm = subst_vars(node, {mp.var: y})
-    return comp_map_reach(var_sorts, Const(BoolV(True)), init_trm,
-                          step_hyp, step_trm, backend, num)
+    r = compute_finite_values(var_sorts, Const(BoolV(True)), init_trm, num,
+                              backend)
+    if not r.is_total:
+        raise NotTotal("init", num)
+    succ: dict[Value, list[Value]] = {}
+    for u, v in _image(parts, node, num, backend, "step"):
+        succ.setdefault(u, []).append(v)
+    nodes: set[Value] = set(r.values)
+    arcs: set[tuple[Value, Value]] = set()
+    work = list(nodes)
+    while work:
+        u = work.pop()
+        for v in succ.get(u, ()):
+            arcs.add((u, v))
+            if v not in nodes:
+                nodes.add(v)
+                work.append(v)
+    return _freeze(nodes, arcs)
 
 
 def certify_state_invariant(model: Model, map_name: str,
@@ -343,14 +292,23 @@ def certify_state_invariant(model: Model, map_name: str,
 
 def rel_graph(model: Model, map_name: str, backend: str = "exhaustive",
               num: int = 4096) -> Graph:
-    """Graph of a blocking map: nodes are the map's domain, arcs follow
-    the system's blocking relation."""
+    """Graph of a blocking map: nodes are the map's domain values, arcs
+    the image of the system's blocking relation."""
     if model.map_decl(map_name).kind != "blok":
         raise GraphError(f"map '{map_name}' is not a blocking map")
-    mp, rel, dst_state, var_sorts = relation_parts(model, map_name)
-    dst_trm = subst_vars(mp.node, {mp.var: dst_state})
-    return comp_map_rel(var_sorts, mp.domain, mp.node, rel, mp.node,
-                        dst_trm, backend, num)
+    parts = relation_parts(model, map_name)
+    mp, _, _, var_sorts = parts
+    r = compute_finite_values(var_sorts, mp.domain, mp.node, num, backend)
+    if not r.is_total:
+        raise NotTotal("domain", num)
+    nodes: set[Value] = set(r.values)
+    image = _image(parts, mp.node, num, backend, "relation")
+    for u, v in image:
+        if v not in nodes:
+            raise GraphError(
+                f"relation leaves the declared domain: "
+                f"{value_text(u)} -> {value_text(v)}")
+    return _freeze(nodes, set(image))
 
 
 def map_graph(model: Model, map_name: str, backend: str = "exhaustive",
@@ -371,8 +329,7 @@ def relation_parts(model: Model, map_name: str):
     """
     mp = model.map_decl(map_name)
     if mp.kind == "step":
-        _, y, rel, var_sorts = _step_parts(model, map_name)
-        return mp, rel, y, var_sorts
+        return _step_parts(model, map_name)
     sysd = model.system
     if sysd is None:
         raise GraphError("model has no system declaration")
@@ -386,15 +343,33 @@ def relation_parts(model: Model, map_name: str):
 
 def tag_graph(model: Model, map_name: str, g: Graph,
               backend: str = "exhaustive") -> TaggedGraph:
-    """Order-tag an abstract graph using the map's component measures."""
-    mp, rel, dst_state, var_sorts = relation_parts(model, map_name)
-    node_dst = subst_vars(mp.node, {mp.var: dst_state})
-    ord_trms = {
-        name: (mp.measure_expr(name),
-               subst_vars(mp.measure_expr(name), {mp.var: dst_state}))
-        for name in mp.measure_names}
-    return comp_map_order(g, var_sorts, rel, mp.node, node_dst, ord_trms,
-                          mp.measure_names, mp.widths, backend)
+    """Tag every arc of ``g`` with the ordering behavior of each of the
+    map's component measures.
+
+    For arc (u, v) and measure o with source/destination measure terms
+    (s, d): if no concrete pair on the arc has d >=lex s the measure
+    strictly decreases there; failing that, if none has d >lex s it is
+    non-increasing; otherwise it may increase.  One image query, scoped
+    to the sources of ``g``'s arcs, carries every arc's flags; a graph
+    without arcs asks none.  Image pairs that are not arcs of ``g`` are
+    ignored, and an arc with no concrete pair reads strict-dec.
+    """
+    parts = relation_parts(model, map_name)
+    mp = parts[0]
+    tags: dict[tuple[int, int, str], str] = {}
+    sources = sorted({i for (i, _) in g.arcs})
+    if sources:
+        image = _image(parts, mp.node, TAG_BUDGET, backend, "tag",
+                       tuple(g.nodes[i] for i in sources), mp.measure_names)
+        for (i, j) in g.arcs:
+            got = image.get((g.nodes[i], g.nodes[j]), ())
+            for name in mp.measure_names:
+                tags[(i, j, name)] = (
+                    STRICT_DEC if f"le-{name}" not in got
+                    else NON_INC if f"lt-{name}" not in got
+                    else MAY_INC)
+    return TaggedGraph(g.nodes, g.arcs, tuple(mp.measure_names),
+                       dict(mp.widths), tags)
 
 
 # -- serialization ---------------------------------------------------------

@@ -92,7 +92,9 @@ def _add_common(p: argparse.ArgumentParser, *, map_required: bool = True):
                    help="abstraction map name")
     p.add_argument("--backend", choices=BACKENDS, default="exhaustive")
     p.add_argument("--num", type=int,
-                   help="value budget per enumeration query (default 4096; "
+                   help="value budget per enumeration query (default 4096, "
+                        "which for a graph bounds the distinct abstract "
+                        "(source, destination) pairs of the whole relation; "
                         "certification sweeps 65536, and large sweeps such "
                         "as nlock at --n 4 --runs 3 --width 4 need more)")
     _add_params(p)

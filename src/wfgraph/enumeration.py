@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from .bitblast import bitblast, _lit_val
 from .model import Expr, Sort, Value, canonical_sorted
 from .sat import make_solver
-from .veceval import DEFAULT_ROW_CAP, DistinctRows, exhaustive_values
+from .veceval import DistinctRows, exhaustive_values
 
 BACKENDS = ("exhaustive", "sat", "ipasir")
 
@@ -40,8 +40,7 @@ class EnumResult:
 
 
 def compute_finite_values(var_sorts: dict[str, Sort], hyp: Expr, trm: Expr,
-                          num: int, backend: str = "exhaustive",
-                          row_cap: int = DEFAULT_ROW_CAP) -> EnumResult:
+                          num: int, backend: str = "exhaustive") -> EnumResult:
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
     if num < 0:
@@ -49,7 +48,7 @@ def compute_finite_values(var_sorts: dict[str, Sort], hyp: Expr, trm: Expr,
 
     if backend == "exhaustive":
         # only the first num values are decoded: fewer means the set ran out
-        values = exhaustive_values(var_sorts, hyp, trm, row_cap, limit=num)
+        values = exhaustive_values(var_sorts, hyp, trm, limit=num)
         if len(values) < num:
             return EnumResult(values, True, len(values) + 1)
         return EnumResult(values, False, num)

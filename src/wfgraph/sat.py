@@ -286,7 +286,7 @@ def make_solver(num_vars: int, backend: str):
     if backend == "ipasir":
         path = ipasir_library()
         if not path:
-            raise RuntimeError(
+            raise ValueError(
                 "ipasir backend requested but WFG_IPASIR_LIB is not set")
         return IpasirSolver(num_vars, path)
     raise ValueError(f"unknown SAT backend {backend!r}")

@@ -787,14 +787,13 @@ def distinct_rows(v: VVal, n_rows: int,
 
 
 def exhaustive_values(var_sorts: dict[str, Sort], hyp: Expr, trm: Expr,
-                      row_cap: int = DEFAULT_ROW_CAP,
                       limit: Optional[int] = None) -> DistinctRows:
     """All distinct values of ``trm`` over environments satisfying ``hyp``,
     canonically ordered, or the first ``limit`` of them.  The reference
     backend behind compute-finite-values."""
     hyp_s = scalarize(hyp, var_sorts)
     trm_s = scalarize(trm, var_sorts)
-    table = build_table(var_sorts, hyp_s, [trm_s], row_cap)
+    table = build_table(var_sorts, hyp_s, [trm_s])
     if table.n == 0:
         return DistinctRows.of(())
     return distinct_rows(eval_vec(trm_s, table), table.n, limit)

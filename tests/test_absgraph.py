@@ -2,7 +2,8 @@
 
 The progress graph (rank) and the blocking graph (nlock) are pinned against
 frozen tables; a brute-force sweep with the native mirror double-checks the
-worklist construction on a small instance.
+reachability closure on a small instance, and the per-node loops that the
+relation sweeps replaced (``_pernode``) are the oracle for graphs and tags.
 """
 
 import itertools
@@ -10,6 +11,7 @@ from collections import Counter
 
 import pytest
 
+import _pernode as pernode
 import wfgraph.absgraph as absgraph
 from wfgraph.absgraph import (
     Graph,
@@ -20,6 +22,7 @@ from wfgraph.absgraph import (
     false_inv_nodes,
     graph_from_json,
     graph_to_dot,
+    graph_text,
     graph_to_json,
     lex_le_expr,
     lex_lt_expr,
@@ -223,8 +226,9 @@ def test_backends_agree_on_rank_graph():
         == tag_graph(m, "rank", gs, backend="sat")
 
 
-def test_exhaustive_tagging_asks_one_query_per_source_node(model,
-                                                            monkeypatch):
+def test_graph_and_tagging_each_sweep_once(model, monkeypatch):
+    # a graph is one init or domain query plus one relation sweep, and a
+    # tagging one sweep; a graph without arcs needs no tag query
     graphs = {name: map_graph(model, name) for name in ("rank", "nlock")}
     calls = []
 
@@ -233,12 +237,42 @@ def test_exhaustive_tagging_asks_one_query_per_source_node(model,
         return compute_finite_values(var_sorts, hyp, trm, num, backend)
 
     monkeypatch.setattr(absgraph, "compute_finite_values", counting)
-    for name, want in (("rank", 20), ("nlock", 6)):
+    for name, g in graphs.items():
         calls.clear()
-        g = graphs[name]
+        assert map_graph(model, name) == g
+        assert len(calls) == 2, name
+        calls.clear()
         tag_graph(model, name, g)
-        assert len({i for (i, _) in g.arcs}) == want
-        assert len(calls) == want, name
+        assert len(calls) == 1, name
+        calls.clear()
+        assert tag_graph(model, name, Graph(g.nodes, ())).tags == {}
+        assert calls == [], name
+
+
+# rank and nlock on these (backend, (n, r, w)) are built by the relation
+# sweeps and by the per-node loops they replaced (tests/_pernode.py)
+ORACLE_CASES = [("exhaustive", (2, 2, 2)), ("exhaustive", (2, 2, 3)),
+                ("sat", (1, 1, 2))]
+
+
+@pytest.mark.parametrize("name", ["rank", "nlock"])
+@pytest.mark.parametrize("backend,params", ORACLE_CASES, ids=[
+    f"{backend}-{','.join(map(str, params))}"
+    for backend, params in ORACLE_CASES])
+def test_sweeps_match_pernode_oracle(backend, params, name):
+    # the same graph text, and the same tagged-graph text on the honest
+    # graph, with its first arc deleted, and with one extra arc that no
+    # concrete pair takes
+    m = bakery_model(*params)
+    g = map_graph(m, name, backend)
+    assert graph_text(g) == graph_text(pernode.map_graph(m, name, backend))
+    arcs = set(g.arcs)
+    extra = next((i, j) for i in range(len(g.nodes))
+                 for j in range(len(g.nodes)) if (i, j) not in arcs)
+    for arc_set in (g.arcs, g.arcs[1:], tuple(sorted(arcs | {extra}))):
+        h = Graph(g.nodes, arc_set)
+        assert graph_text(tag_graph(m, name, h, backend)) \
+            == graph_text(pernode.tag_graph(m, name, h, backend))
 
 
 @pytest.mark.parametrize("name", ["rank", "nlock"])
@@ -285,7 +319,6 @@ def test_not_total_budgets(model):
     with pytest.raises(NotTotal) as e:
         map_graph(model, "rank", num=2)
     assert e.value.what == "step"
-    assert e.value.node is not None
     with pytest.raises(NotTotal) as e:
         map_graph(model, "nlock", num=10)
     assert e.value.what == "domain"

@@ -230,6 +230,17 @@ def test_tool_errors_exit_1(tmp_path, capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("argv", [["reach", "--map", "rank"], ["run"]],
+                         ids=["reach", "run"])
+def test_ipasir_without_library_is_a_tool_error(argv, monkeypatch, capsys):
+    monkeypatch.delenv("WFG_IPASIR_LIB", raising=False)
+    assert cli_main(argv + ["--backend", "ipasir", "--width", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("wfgraph: error: ipasir backend requested but "
+                   "WFG_IPASIR_LIB is not set\n")
+    assert "Traceback" not in err
+
+
 def test_capacity_is_a_tool_error(monkeypatch, tmp_path, capsys):
     # a sweep whose surviving rows pass the cap; raise that from the stage
     # rather than build it
