@@ -2,10 +2,12 @@
 
 Pass a seed to vary the interleaving:  python3 demos/04_simulation.py 7
 
-Every step the runner recomputes the whole-system measure (one rank bnl
-per process, read as an ordinal below w^w) and raises if it ever fails to
-strictly fall. Termination of this loop is therefore not an observation,
-it is enforced.
+The runner steps the processes with the model's own `next`, compiled once,
+and watches the whole-system measure: one rank bnl per process, read as an
+ordinal below w^w. A step moves one process, so only that process's bnl is
+re-measured, and the runner raises if the measure ever fails to strictly
+fall. Termination of this loop is therefore not an observation, it is
+enforced.
 """
 
 import sys

@@ -10,16 +10,12 @@ chain, checked against the synthesized measure at every hop.
 import random
 
 from wfgraph.absgraph import map_graph, tag_graph
-from wfgraph.bakery import (
-    Bakery,
-    bake_blok,
-    choose_ready,
-    pick_blok,
-)
+from wfgraph.bakery import Bakery, choose_ready
 from wfgraph.model import value_text
 from wfgraph.ordinals import ordinal_text
 
 bakery = Bakery(n=4, r=1, w=3)
+system = bakery.system
 
 g = map_graph(bakery.model, "nlock")
 tg = tag_graph(bakery.model, "nlock", g)
@@ -44,12 +40,12 @@ while not all(a.done for a in st.trs):
         if st.trs[s0].done:
             continue
         chain, k = [], s0
-        while bake_blok(st.trs[k], st.trs):
-            k = pick_blok(st.trs[k], st.trs)
+        while system.blocked(st.trs[k], st.trs):
+            k = system.pick_blok(st.trs[k], st.trs)
             chain.append(k)
         if len(chain) > deepest[0]:
             deepest = (len(chain), st, s0)
-    st = bakery.step(st, choose_ready(st.trs, st.sh, rng.choice,
+    st = bakery.step(st, choose_ready(st.trs, system, rng.choice,
                                       bakery.nlock_msr))
 
 depth, st, k = deepest
@@ -57,10 +53,10 @@ print(f"\ndeepest chain seen in a seeded run: {depth} hops")
 while True:
     a = st.trs[k]
     m = ordinal_text(bakery.nlock_msr(a))
-    if not bake_blok(a, st.trs):
+    if not system.blocked(a, st.trs):
         print(f"  ndx {a.ndx} at loc {a.loc} (pos {a.pos})  measure {m}"
               f"  -- unblocked, ready to step")
         break
     print(f"  ndx {a.ndx} at loc {a.loc} (pos {a.pos})  measure {m}"
           f"  waits on")
-    k = pick_blok(a, st.trs)
+    k = system.pick_blok(a, st.trs)

@@ -84,9 +84,6 @@ class Graph:
         except KeyError:
             raise GraphError(f"not a node: {value_text(v)}") from None
 
-    def nexts(self, u: Value) -> list[Value]:
-        return [self.nodes[j] for j in self.succ_indices(self.node_index(u))]
-
     def succ_indices(self, i: int) -> list[int]:
         return list(self._succ.get(i, ()))
 
@@ -96,15 +93,6 @@ class TaggedGraph(Graph):
     measures: tuple[str, ...] = ()
     widths: dict[str, int] = field(default_factory=dict)
     tags: dict[tuple[int, int, str], str] = field(default_factory=dict)
-
-
-def chk_ord_arc(g: TaggedGraph, u: Value, v: Value, measure: str) -> str:
-    key = (g.node_index(u), g.node_index(v), measure)
-    if key not in g.tags:
-        raise GraphError(
-            f"no tag for arc {value_text(u)} -> {value_text(v)} "
-            f"measure {measure!r}")
-    return g.tags[key]
 
 
 def false_inv_nodes(g: Graph) -> list[Value]:

@@ -1,21 +1,22 @@
-"""Executable Lamport bakery: a native mirror of the shipped model plus a
-monitored scheduler.
+"""Executable Lamport bakery: the shipped model's `system`, compiled, under
+a monitored scheduler.
 
-`models/bakery.wfm` is the source of truth; the dataclasses and transition
-functions here replay the same semantics on plain Python values, so a step
-itself evaluates no model expression.  The two routes are cross-checked
-against each other in the test suite, and every run is watched by the
-synthesized measures: the scheduler's blocking descent must strictly
-decrease the no-lock measure, and each global step must strictly decrease
-the fixed-length list-of-bnl rank measure.  The measures evaluate the map's
-expressions through closures compiled once per `Bakery`; a step moves one
-process, so the monitor re-measures only that process's rank entry.
+`models/bakery.wfm` is the one source of truth.  `Bakery` compiles the
+model's `system` declaration once (`next`, `shared-next`, `blok` and
+`done`) and steps model values with those closures: each process is a
+`TupleV` of the state sort, whose fields read as attributes (`a.pos_valid`).
+Every run is watched by the synthesized measures: the scheduler's blocking
+descent must strictly decrease the no-lock measure, and each global step
+must strictly decrease the fixed-length list-of-bnl rank measure.  The
+measures evaluate the map's expressions through closures compiled once per
+`Bakery`; a step moves one process, so the monitor re-measures only that
+process's rank entry.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from typing import Callable, Optional, Sequence
 
@@ -23,15 +24,7 @@ from .absgraph import map_graph, tag_graph
 from .certify import DescentError, abstraction_functions
 from .measure import Omap, synthesize_omap
 from .model import (
-    FALSE,
-    TRUE,
-    BoolSort,
-    Model,
-    NatV,
-    TupleV,
-    Value,
-    parse_model,
-)
+    Model, NatV, TupleV, compile_expr, default_value, parse_model)
 from .ordinals import (
     Bnl,
     Ordinal,
@@ -55,135 +48,78 @@ def bakery_model(n: int = 2, r: int = 2, w: int = 3) -> Model:
     return parse_model(bakery_text(), {"n": n, "r": r, "w": w})
 
 
-# -- native state ------------------------------------------------------------
+# -- the compiled system -----------------------------------------------------
 
 @dataclass(frozen=True)
-class BakeTr:
-    """One process: program counter plus the bakery bookkeeping fields."""
+class SystemState:
+    """Every process, each a value of the state sort, and the shared state."""
 
-    loc: int
-    choosing: bool
-    temp: int
-    pos: int
-    pos_valid: bool
-    loop: int
-    runs: int
-    done: bool
-    ndx: int
+    trs: tuple[TupleV, ...]
+    sh: TupleV
 
 
 @dataclass(frozen=True)
-class BakeSh:
-    """Shared state: the ticket high-water mark."""
+class System:
+    """A model's `system` declaration compiled to closures over model values:
+    the `init` process, the shared sort's default value, and `next`,
+    `shared-next`, `blok` and `done` as Python functions."""
 
-    max: int
+    init: TupleV
+    sh0: TupleV
+    next: Callable[[TupleV, TupleV], TupleV]
+    shared_next: Callable[[TupleV, TupleV], TupleV]
+    blok: Callable[[TupleV, TupleV], bool]
+    done: Callable[[TupleV], bool]
 
+    @classmethod
+    def compile(cls, model: Model) -> "System":
+        sy = model.system
+        if sy is None:
+            raise BakeryError(f"model '{model.name}' declares no system")
 
-@dataclass(frozen=True)
-class BakeSt:
-    trs: tuple[BakeTr, ...]
-    sh: BakeSh
+        def define(name: str):
+            d = model.define(name)
+            return compile_expr(d.body), [p for p, _ in d.params]
 
+        nxt, (a1, sh1) = define(sy.next)
+        shn, (sh2, a2) = define(sy.shared_next)
+        blok, (a3, b3) = define(sy.blok)
+        done, (a4,) = define(sy.done)
+        return cls(define(sy.init)[0]({}),
+                   default_value(model.record_sort(sy.shared_sort_name)),
+                   lambda a, sh: nxt({a1: a, sh1: sh}),
+                   lambda sh, a: shn({sh2: sh, a2: a}),
+                   lambda a, b: blok({a3: a, b3: b}).val,
+                   lambda a: done({a4: a}).val)
 
-def bake_init(n: int, r: int) -> BakeSt:
-    """Initial global state: n copies of the init process, indices 1..n."""
-    base = BakeTr(loc=0, choosing=False, temp=0, pos=0, pos_valid=False,
-                  loop=0, runs=r, done=False, ndx=1)
-    return BakeSt(tuple(replace(base, ndx=i + 1) for i in range(n)),
-                  BakeSh(0))
-
-
-# -- transition functions ----------------------------------------------------
-#
-# These follow the model's `next`, `shared-next`, `blok`, and `done` case by
-# case, including the saturating decrements and the ticket increment that
-# wraps modulo 2^w.
-
-def bake_tr_next(a: BakeTr, sh: BakeSh, n: int, w: int) -> BakeTr:
-    loc = a.loc
-    if loc == 0:
-        return replace(a, loc=1, choosing=True)
-    if loc == 1:
-        return replace(a, loc=2, temp=sh.max)
-    if loc == 2:
-        return replace(a, loc=3, pos=(a.temp + 1) % (1 << w), loop=n)
-    if loc == 3:
-        return replace(a, loc=4)
-    if loc == 4:
-        return replace(a, loc=5, loop=max(a.loop - 1, 0))
-    if loc == 5:
-        return replace(a, loc=6 if a.loop == 0 else 3,
-                       pos_valid=a.loop == 0)
-    if loc == 6:
-        return replace(a, loc=7)
-    if loc == 7:
-        return replace(a, loc=8, choosing=False, loop=n)
-    if loc in (8, 9, 10):
-        return replace(a, loc=loc + 1)
-    if loc == 11:
-        return replace(a, loc=12, loop=max(a.loop - 1, 0))
-    if loc == 12:
-        return replace(a, loc=13 if a.loop == 0 else 8)
-    if loc == 13:
-        return replace(a, loc=14, pos_valid=False)
-    if loc == 14:
-        return replace(a, loc=15, runs=max(a.runs - 1, 0))
-    if loc == 15:
-        return replace(a, loc=16 if a.runs == 0 else 0)
-    return replace(a, loc=17, done=True)
-
-
-def bake_sh_next(sh: BakeSh, a: BakeTr) -> BakeSh:
-    if a.loc == 6 and not sh.max > a.temp:
-        return BakeSh(a.pos)
-    return sh
-
-
-def bake_tr_blok(a: BakeTr, b: BakeTr) -> bool:
-    """True when a is waiting on b."""
-    if a.loop != b.ndx:
+    def blocked(self, a: TupleV, trs: Sequence[TupleV]) -> bool:
+        """True when a is waiting on any process in the list, its own
+        entry included."""
+        blok = self.blok
+        for b in trs:
+            if blok(a, b):
+                return True
         return False
-    if a.loc == 3:
-        return a.pos == 0 and b.pos_valid
-    if a.loc == 8:
-        return b.pos != 0 and b.choosing
-    if a.loc == 9:
-        return b.pos_valid and b.pos < a.pos
-    if a.loc == 10:
-        return b.pos_valid and b.pos == a.pos and b.ndx < a.ndx
-    return False
 
+    def find_undone(self, trs: Sequence[TupleV]) -> Optional[int]:
+        """Smallest index of a not-done process, or None when all finished."""
+        for i, a in enumerate(trs):
+            if not self.done(a):
+                return i
+        return None
 
-def bake_done(a: BakeTr) -> bool:
-    return a.done
-
-
-def bake_blok(a: BakeTr, trs: Sequence[BakeTr]) -> bool:
-    """True when a is waiting on any process in the list (a's own entry is
-    harmless: every blok case fails against the process itself)."""
-    return any(bake_tr_blok(a, b) for b in trs)
+    def pick_blok(self, a: TupleV, trs: Sequence[TupleV]) -> int:
+        """Smallest index of a process a is waiting on."""
+        for i, b in enumerate(trs):
+            if self.blok(a, b):
+                return i
+        raise BakeryError("pick_blok called on an unblocked process")
 
 
 # -- scheduling --------------------------------------------------------------
 
-def find_undone(trs: Sequence[BakeTr]) -> Optional[int]:
-    """Smallest index of a not-done process, or None when all finished."""
-    for i, a in enumerate(trs):
-        if not a.done:
-            return i
-    return None
-
-
-def pick_blok(a: BakeTr, trs: Sequence[BakeTr]) -> int:
-    """Smallest index of a process a is waiting on."""
-    for i, b in enumerate(trs):
-        if bake_tr_blok(a, b):
-            return i
-    raise BakeryError("pick_blok called on an unblocked process")
-
-
-def find_unblok(n: int, trs: Sequence[BakeTr], sh: BakeSh,
-                msr: Optional[Callable[[BakeTr], Ordinal]] = None) -> int:
+def find_unblok(n: int, trs: Sequence[TupleV], system: System,
+                msr: Optional[Callable[[TupleV], Ordinal]] = None) -> int:
     """Follow the chain of smallest blockers from index n until a process
     that is free to move.
 
@@ -192,12 +128,12 @@ def find_unblok(n: int, trs: Sequence[BakeTr], sh: BakeSh,
     The result is neither done nor blocked (done processes cannot block, so
     the chain never reaches one).
     """
-    if trs[n].done:
+    if system.done(trs[n]):
         raise BakeryError(f"find_unblok started at done index {n}")
-    seen = {n}
+    start, seen = n, {n}
     m = msr(trs[n]) if msr is not None else None
-    while bake_blok(trs[n], trs):
-        k = pick_blok(trs[n], trs)
+    while system.blocked(trs[n], trs):
+        k = system.pick_blok(trs[n], trs)
         if msr is not None:
             mk = msr(trs[k])
             if not o_lt(mk, m):
@@ -209,37 +145,36 @@ def find_unblok(n: int, trs: Sequence[BakeTr], sh: BakeSh,
             raise BakeryError(f"blocking cycle through index {k}")
         seen.add(k)
         n = k
-    if trs[n].done:
+    if n != start and system.done(trs[n]):
         raise BakeryError(f"find_unblok reached done index {n}")
     return n
 
 
-def choose_ready(trs: Sequence[BakeTr], sh: BakeSh,
+def choose_ready(trs: Sequence[TupleV], system: System,
                  oracle: Optional[Callable[[Sequence[int]], int]] = None,
-                 msr: Optional[Callable[[BakeTr], Ordinal]] = None) -> int:
+                 msr: Optional[Callable[[TupleV], Ordinal]] = None) -> int:
     """Index of a not-done, not-blocked process.
 
     The blocker chain from the first undone process witnesses that a valid
     choice exists; without an oracle that witness is returned, otherwise the
     oracle picks among all valid indices.
     """
-    start = find_undone(trs)
+    start = system.find_undone(trs)
     if start is None:
         raise BakeryError("choose_ready called with every process done")
-    witness = find_unblok(start, trs, sh, msr)
+    witness = find_unblok(start, trs, system, msr)
     if oracle is None:
         return witness
-    valid = [i for i, a in enumerate(trs)
-             if not a.done and not bake_blok(a, trs)]
-    assert witness in valid
-    return oracle(valid)
+    # the witness is ready by find_unblok's postcondition; test the others
+    return oracle([i for i, a in enumerate(trs) if i == witness or
+                   not system.done(a) and not system.blocked(a, trs)])
 
 
 # -- measured runs -----------------------------------------------------------
 
 @dataclass(frozen=True)
 class RunResult:
-    final: BakeSt
+    final: SystemState
     trace: tuple[str, ...]
     measures: tuple[Ordinal, ...]
 
@@ -249,8 +184,8 @@ class RunResult:
 
 
 class Bakery:
-    """A bakery instance at fixed parameters, with the rank and no-lock
-    measures synthesized once up front.
+    """A bakery instance at fixed parameters: the model's system compiled
+    once, and the rank and no-lock measures synthesized once up front.
 
     >>> b = Bakery(n=2, r=1)
     >>> res = b.run(seed=7)
@@ -264,13 +199,7 @@ class Bakery:
             raise BakeryError("parameters must be positive")
         self.n, self.r, self.w = n, r, w
         self.model = bakery_model(n, r, w)
-        # per field of the model's proc sort: its name, the BakeTr
-        # attribute, and its width with a cache of the NatV leaves built so
-        # far (None for a boolean field); process values share these leaves
-        self._fields = tuple(
-            (name, name.replace("-", "_"),
-             None if isinstance(fs, BoolSort) else (fs.width, {}))
-            for name, fs in self.model.record_sort("proc").fields)
+        self.system = System.compile(self.model)
         self.rank_omap = self._synth("rank", backend)
         self._rank_e, self._rank_o = abstraction_functions(self.model, "rank")
         self.nlock_omap = self._synth("nlock", backend)
@@ -281,48 +210,35 @@ class Bakery:
         g = map_graph(self.model, map_name, backend)
         return synthesize_omap(tag_graph(self.model, map_name, g, backend))
 
-    def init(self) -> BakeSt:
-        return bake_init(self.n, self.r)
+    def init(self) -> SystemState:
+        """n copies of the model's `init` process, with indices 1..n, and
+        the shared state at its sort's default value."""
+        width = self.system.init.get("ndx").width
+        return SystemState(
+            tuple(TupleV(tuple((k, NatV(i + 1, width) if k == "ndx" else v)
+                               for k, v in self.system.init.items))
+                  for i in range(self.n)),
+            self.system.sh0)
 
-    def tr_value(self, a: BakeTr) -> Value:
-        """The process as a model value, for the abstraction functions.
+    def nlock_msr(self, a: TupleV) -> Ordinal:
+        return self.nlock_omap.msr(a, self._nlock_e, self._nlock_o)
 
-        Leaves are shared: a NatV is built (and range-checked) the first
-        time its field takes that raw value, and reused after."""
-        items = []
-        for name, attr, nat in self._fields:
-            v = getattr(a, attr)
-            if nat is None:
-                leaf = TRUE if v else FALSE
-            else:
-                width, leaves = nat
-                leaf = leaves.get(v)
-                if leaf is None:
-                    leaf = leaves[v] = NatV(v, width)
-            items.append((name, leaf))
-        return TupleV(tuple(items))
-
-    def nlock_msr(self, a: BakeTr) -> Ordinal:
-        return self.nlock_omap.msr(self.tr_value(a),
-                                   self._nlock_e, self._nlock_o)
-
-    def rank_bnll(self, st: BakeSt) -> list[Bnl]:
+    def rank_bnll(self, st: SystemState) -> list[Bnl]:
         """Per-process rank measure values, in process order."""
-        return [self.rank_omap.mk_bnl(self.tr_value(a),
-                                      self._rank_e, self._rank_o)
+        return [self.rank_omap.mk_bnl(a, self._rank_e, self._rank_o)
                 for a in st.trs]
 
-    def run_measure(self, st: BakeSt) -> Ordinal:
+    def run_measure(self, st: SystemState) -> Ordinal:
         return bnll_to_ordinal(self.n, self.rank_bnll(st),
                                self.rank_omap.bnl_bound)
 
-    def step(self, st: BakeSt, i: int) -> BakeSt:
+    def step(self, st: SystemState, i: int) -> SystemState:
         a = st.trs[i]
         trs = list(st.trs)
-        trs[i] = bake_tr_next(a, st.sh, self.n, self.w)
-        return BakeSt(tuple(trs), bake_sh_next(st.sh, a))
+        trs[i] = self.system.next(a, st.sh)
+        return SystemState(tuple(trs), self.system.shared_next(st.sh, a))
 
-    def run(self, st: Optional[BakeSt] = None,
+    def run(self, st: Optional[SystemState] = None,
             oracle: Optional[Callable[[Sequence[int]], int]] = None,
             seed: Optional[int] = None,
             max_steps: int = 100_000) -> RunResult:
@@ -342,16 +258,16 @@ class Bakery:
         bound = self.rank_omap.bnl_bound
         measures = [bnll_to_ordinal(self.n, bn, bound)]
         trace: list[str] = []
-        while not all(a.done for a in st.trs):
+        while self.system.find_undone(st.trs) is not None:
             if len(trace) >= max_steps:
                 raise BakeryError(f"run exceeded {max_steps} steps")
-            i = choose_ready(st.trs, st.sh, oracle, self.nlock_msr)
+            i = choose_ready(st.trs, self.system, oracle, self.nlock_msr)
             before = st.trs[i]
             st2 = self.step(st, i)
             # only process i moved, and each entry is a function of its
             # own process alone: re-measure that one entry
             bn2 = list(bn)
-            bn2[i] = self.rank_omap.mk_bnl(self.tr_value(st2.trs[i]),
+            bn2[i] = self.rank_omap.mk_bnl(st2.trs[i],
                                            self._rank_e, self._rank_o)
             if not bnll_lt(bn2, bn):
                 raise DescentError(
@@ -359,9 +275,11 @@ class Bakery:
                     f"{bn} -> {bn2}")
             m = bnll_to_ordinal(self.n, bn2, bound)
             measures.append(m)
+            # fields are read with get: on CPython 3.11 an attribute-view
+            # read first fails a normal lookup, which costs ~2 us
             trace.append(
-                f"step {len(trace) + 1} ndx {before.ndx} "
-                f"loc {before.loc} -> {st2.trs[i].loc} "
+                f"step {len(trace) + 1} ndx {before.get('ndx').val} "
+                f"loc {before.get('loc').val} -> {st2.trs[i].get('loc').val} "
                 f"measure {ordinal_text(m)}")
             st, bn = st2, bn2
         return RunResult(st, tuple(trace), tuple(measures))

@@ -24,12 +24,10 @@ construction; only a witness case is decoded:
                      once per distinct half-state
 
 A Certificate records input hashes and one verdict per check; it passes
-only if every check does.  ``iterate_descent`` is the dynamic companion:
-it walks a concrete descent asserting the measure falls each step.  From
-``absgraph`` this module takes only the graph data types, the tag names
-and ``relation_parts`` (the relation itself), never graph construction;
-state-invariant proofs, which do rebuild a reachable graph, live there
-(``absgraph.certify_state_invariant``).
+only if every check does.  From ``absgraph`` this module takes only the
+graph data types, the tag names and ``relation_parts`` (the relation
+itself), never graph construction; state-invariant proofs, which do
+rebuild a reachable graph, live there (``absgraph.certify_state_invariant``).
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ import hashlib
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -375,9 +373,16 @@ def certify_relation(model: Model, map_name: str, tg: TaggedGraph,
                      num: int = 65536) -> Certificate:
     """Run the five checks.  The relation is enumerated once, from the
     graph's and the omap's nodes; the closure, tag and measure-decrease
-    checks all read those cases."""
+    checks all read those cases.  An omap for other measures than the
+    map declares is refused with ``CertificationError``."""
     from .absgraph import graph_text
     from .measure import omap_text
+    mp = model.map_decl(map_name)
+    if omap.measures != mp.measure_names or omap.widths != mp.widths:
+        raise CertificationError(
+            f"omap measures {list(omap.measures)} with widths "
+            f"{dict(omap.widths)} differ from map '{map_name}', which "
+            f"declares {list(mp.measure_names)} with widths {mp.widths}")
     scope = tuple(dict.fromkeys(omap.nodes + tg.nodes))
     sweep = relation_cases(model, map_name, scope, backend, num)
     checks = [check_closure(tg, sweep)]
@@ -414,28 +419,3 @@ def certificate_to_json(c: Certificate) -> dict:
 
 def certificate_text(c: Certificate) -> str:
     return json.dumps(certificate_to_json(c), indent=2) + "\n"
-
-
-def iterate_descent(x0: Value, chooser: Callable[[Value], Optional[Value]],
-                    omap: Omap, map_e: Callable, map_o: Callable,
-                    max_steps: int = 1_000_000
-                    ) -> list[tuple[Value, Ordinal]]:
-    """Follow chooser-selected successors, asserting the measure strictly
-    falls at every step; returns the list of (state, measure) visited
-    after x0.  Termination within max_steps is guaranteed by descent."""
-    x = x0
-    m = omap.msr(x, map_e, map_o)
-    trace: list[tuple[Value, Ordinal]] = []
-    for _ in range(max_steps):
-        y = chooser(x)
-        if y is None:
-            return trace
-        my = omap.msr(y, map_e, map_o)
-        if not o_lt(my, m):
-            raise DescentError(
-                f"measure failed to decrease at step {len(trace)}: "
-                f"{value_text(x)} -> {value_text(y)}")
-        trace.append((y, my))
-        x, m = y, my
-    raise DescentError(f"no normal form within {max_steps} steps")
-

@@ -192,6 +192,18 @@ class TupleV:
                 return ival
         raise EvalError(f"unknown field '{name}'")
 
+    def __getattr__(self, name: str):
+        """Read-only attribute view of the named fields: ``v.pos_valid``
+        reads field ``pos-valid``.  A boolean or natural field comes back as
+        a Python ``bool`` or ``int``, any other field as its value."""
+        if name == "items" or name.startswith("__"):
+            raise AttributeError(name)
+        fname = name.replace("_", "-")
+        for iname, ival in self.items:
+            if iname == fname:
+                return ival.val if isinstance(ival, (BoolV, NatV)) else ival
+        raise AttributeError(f"no field '{fname}'")
+
 
 Value = Union[BoolV, NatV, EnumV, TupleV]
 
@@ -468,13 +480,21 @@ def compile_expr(e: Expr) -> Compiled:
         value = e.value
         return lambda env: value
     if isinstance(e, Field):
+        # the evaluator's hottest closure: a record variable is read from env
+        # directly and its items are scanned here, with no closure or method
+        # call in between (the attribute view makes TupleV lookups dearer)
         rec, fname = compile_expr(e.rec), e.name
+        var = e.rec.name if isinstance(e.rec, Var) else None
 
         def field(env: Env) -> Value:
-            r = rec(env)
+            r = env.get(var) if var is not None else rec(env)
             if not isinstance(r, TupleV):
+                rec(env)  # an unbound variable raises its own error
                 raise EvalError("field access on non-record value")
-            return r.get(fname)
+            for iname, ival in r.items:
+                if iname == fname:
+                    return ival
+            raise EvalError(f"unknown field '{fname}'")
         return field
     if isinstance(e, Update):
         rec = compile_expr(e.rec)

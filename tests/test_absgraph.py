@@ -1,9 +1,10 @@
 """Abstract graph construction and order tagging on the bundled model.
 
 The progress graph (rank) and the blocking graph (nlock) are pinned against
-frozen tables; a brute-force sweep with the native mirror double-checks the
-reachability closure on a small instance, and the per-node loops that the
-relation sweeps replaced (``_pernode``) are the oracle for graphs and tags.
+frozen tables; a brute-force sweep with the native mirror
+(``_native_bakery``) double-checks the reachability closure on a small
+instance, and the per-node loops that the relation sweeps replaced
+(``_pernode``) are the oracle for graphs and tags.
 """
 
 import itertools
@@ -12,13 +13,13 @@ from collections import Counter
 import pytest
 
 import _pernode as pernode
+from _native_bakery import BakeSh, BakeTr, bake_init, bake_tr_next
 import wfgraph.absgraph as absgraph
 from wfgraph.absgraph import (
     Graph,
     GraphError,
     NotTotal,
     TaggedGraph,
-    chk_ord_arc,
     false_inv_nodes,
     graph_from_json,
     graph_to_dot,
@@ -31,7 +32,7 @@ from wfgraph.absgraph import (
     rel_graph,
     tag_graph,
 )
-from wfgraph.bakery import BakeSh, BakeTr, bake_init, bake_tr_next, bakery_model
+from wfgraph.bakery import bakery_model
 from wfgraph.enumeration import compute_finite_values
 from wfgraph.model import (
     BoolV,
@@ -351,17 +352,6 @@ def test_lex_expr_edges():
         lex_lt_expr(Var("x"), Var("y"))  # not tuple expressions
 
 
-def test_chk_ord_arc(rank_tg):
-    u, v = rank_tg.nodes[0], rank_tg.nodes[1]
-    assert chk_ord_arc(rank_tg, u, v, "runs") == "non-inc"
-    assert chk_ord_arc(rank_tg, rank_tg.nodes[4], rank_tg.nodes[5],
-                       "loop") == "strict-dec"
-    with pytest.raises(GraphError):
-        chk_ord_arc(rank_tg, v, u, "runs")  # no such arc
-    with pytest.raises(GraphError):
-        chk_ord_arc(rank_tg, u, v, "fuel")  # no such measure
-
-
 def test_false_inv_nodes(rank_tg):
     assert false_inv_nodes(rank_tg) == []
     bad = TupleV((("loc", NatV(3, 5)), ("inv", BoolV(False))))
@@ -374,7 +364,6 @@ def test_graph_helpers(rank_tg):
     first = rank_tg.nodes[0]
     assert rank_tg.node_index(first) == 0
     assert rank_tg.succ_indices(0) == [1]
-    assert rank_tg.nexts(first) == [rank_tg.nodes[1]]
     with pytest.raises(GraphError):
         rank_tg.node_index(BoolV(True))
 

@@ -1,9 +1,11 @@
-"""The native bakery mirror against the model, and the monitored scheduler.
+"""The monitored scheduler on the model's compiled system, against the
+native mirror.
 
-The mirror functions are checked value-for-value against the model's own
-defines on random states; the scheduler's liveness argument (the blocker
-chain always ends at a runnable process) is swept exhaustively over every
-reachable interleaving of a small instance.
+The native mirror (``_native_bakery``) is checked value-for-value against
+the model's own defines on random states, and whole monitored runs are
+checked step for step against a replay on it; the scheduler's liveness
+argument (the blocker chain always ends at a runnable process) is swept
+exhaustively over every reachable interleaving of a small instance.
 """
 
 import itertools
@@ -13,25 +15,24 @@ from dataclasses import replace
 
 import pytest
 
-from wfgraph.bakery import (
-    Bakery,
-    BakeryError,
+import _native_bakery as native
+from _native_bakery import (
     BakeSh,
-    BakeSt,
     BakeTr,
-    bake_blok,
     bake_done,
-    bake_init,
     bake_sh_next,
     bake_tr_blok,
     bake_tr_next,
+)
+from wfgraph.bakery import (
+    Bakery,
+    BakeryError,
+    System,
     bakery_model,
     choose_ready,
     find_unblok,
-    find_undone,
-    pick_blok,
 )
-from wfgraph.certify import DescentError
+from wfgraph.certify import CertificationError, DescentError
 from wfgraph.enumeration import compute_finite_values
 from wfgraph.measure import Omap
 from wfgraph.model import (
@@ -52,11 +53,17 @@ from wfgraph.ordinals import (
 
 
 N, R, W = 2, 2, 3
+MODEL = bakery_model(N, R, W)
 
 
 @pytest.fixture(scope="module")
 def model():
-    return bakery_model(N, R, W)
+    return MODEL
+
+
+@pytest.fixture(scope="module")
+def system():
+    return System.compile(MODEL)
 
 
 @pytest.fixture(scope="module")
@@ -68,14 +75,6 @@ def _widths(model):
     proc = model.record_sort("proc")
     return {name: (None if isinstance(s, BoolSort) else s.width)
             for name, s in proc.fields}
-
-
-def _tr_value(model, a: BakeTr) -> TupleV:
-    items = []
-    for name, width in _widths(model).items():
-        v = getattr(a, name.replace("-", "_"))
-        items.append((name, BoolV(v) if width is None else NatV(v, width)))
-    return TupleV(tuple(items))
 
 
 def _tr_from_value(v: TupleV) -> BakeTr:
@@ -95,7 +94,7 @@ def _rand_tr(rng, model) -> BakeTr:
     return BakeTr(**kw)
 
 
-def test_native_matches_model_on_random_states(model):
+def test_native_matches_model_on_random_states(model, system):
     nxt = model.define("next")
     shn = model.define("shared-next")
     blok = model.define("blok")
@@ -105,7 +104,7 @@ def test_native_matches_model_on_random_states(model):
         a = _rand_tr(rng, model)
         b = _rand_tr(rng, model)
         sh = BakeSh(rng.randrange(1 << W))
-        av, bv, shv = (_tr_value(model, a), _tr_value(model, b),
+        av, bv, shv = (native.tr_value(model, a), native.tr_value(model, b),
                        _sh_value(sh, W))
         got = eval_expr(nxt.apply(Const(av), Const(shv)), {})
         assert _tr_from_value(got) == bake_tr_next(a, sh, N, W), (a, sh)
@@ -114,6 +113,11 @@ def test_native_matches_model_on_random_states(model):
         got_blok = eval_expr(blok.apply(Const(av), Const(bv)), {})
         assert got_blok == BoolV(bake_tr_blok(a, b)), (a, b)
         assert eval_expr(done.apply(Const(av)), {}) == BoolV(bake_done(a))
+        # the closures the monitor steps with compute the same
+        assert system.next(av, shv) == got
+        assert system.shared_next(shv, av) == got_sh
+        assert system.blok(av, bv) == bake_tr_blok(a, b)
+        assert system.done(av) == bake_done(a)
 
 
 def test_done_cannot_block_native_sweep():
@@ -147,41 +151,39 @@ def test_done_cannot_block_model_route(model):
     assert r.values == () and r.is_total
 
 
-def test_self_block_impossible_with_consistent_flags():
+def test_self_block_impossible_with_consistent_flags(system):
     for loc, loop, pos, ndx in itertools.product(
             range(32), range(4), range(8), range(4)):
-        a = BakeTr(loc=loc, choosing=1 <= loc <= 7, temp=0, pos=pos,
-                   pos_valid=6 <= loc <= 13, loop=loop, runs=0,
-                   done=False, ndx=ndx)
-        assert not bake_tr_blok(a, a), a
+        a = _proc(loc=loc, choosing=1 <= loc <= 7, pos=pos,
+                  pos_valid=6 <= loc <= 13, loop=loop, ndx=ndx)
+        assert not system.blok(a, a), a
 
 
 def test_find_unblok_post_over_all_interleavings():
     # every reachable configuration of a 2-process, 2-round, width-2
     # instance, under every scheduler choice: the blocker chain from any
     # undone process ends at one that is undone and unblocked
-    n, r, w = 2, 2, 2
-    start = bake_init(n, r)
+    b = Bakery(2, 2, 2)
+    system = b.system
+    start = b.init()
     seen = {start}
     q = deque([start])
     checked = 0
     while q:
         st = q.popleft()
         for i, a in enumerate(st.trs):
-            if a.done or bake_blok(a, st.trs):
+            if system.done(a) or system.blocked(a, st.trs):
                 continue
-            trs = list(st.trs)
-            trs[i] = bake_tr_next(a, st.sh, n, w)
-            st2 = BakeSt(tuple(trs), bake_sh_next(st.sh, a))
+            st2 = b.step(st, i)
             if st2 not in seen:
                 seen.add(st2)
                 q.append(st2)
         for i, a in enumerate(st.trs):
-            if a.done:
+            if system.done(a):
                 continue
-            k = find_unblok(i, st.trs, st.sh)
-            assert not st.trs[k].done
-            assert not bake_blok(st.trs[k], st.trs)
+            k = find_unblok(i, st.trs, system)
+            assert not system.done(st.trs[k])
+            assert not system.blocked(st.trs[k], st.trs)
             checked += 1
     assert len(seen) == 6167
     assert checked == 11960
@@ -191,49 +193,50 @@ def test_find_unblok_post_over_all_interleavings():
 
 def _proc(loc=0, choosing=False, temp=0, pos=0, pos_valid=False, loop=0,
           runs=0, done=False, ndx=1):
-    return BakeTr(loc, choosing, temp, pos, pos_valid, loop, runs, done, ndx)
+    return native.tr_value(MODEL, BakeTr(loc, choosing, temp, pos, pos_valid,
+                                         loop, runs, done, ndx))
 
 
-def test_find_undone():
-    assert find_undone([_proc(done=True), _proc(), _proc()]) == 1
-    assert find_undone([_proc(done=True), _proc(done=True)]) is None
+def test_find_undone(system):
+    assert system.find_undone([_proc(done=True), _proc(), _proc()]) == 1
+    assert system.find_undone([_proc(done=True), _proc(done=True)]) is None
 
 
-def test_pick_blok():
+def test_pick_blok(system):
     waiter = _proc(loc=9, pos=5, loop=2)
     other = _proc(pos=3, pos_valid=True, ndx=2)
     free = _proc(ndx=3)
-    assert bake_tr_blok(waiter, other)
-    assert pick_blok(waiter, [free, other]) == 1
+    assert system.blok(waiter, other)
+    assert system.pick_blok(waiter, [free, other]) == 1
     with pytest.raises(BakeryError):
-        pick_blok(waiter, [free])
+        system.pick_blok(waiter, [free])
 
 
-def test_find_unblok_chain_and_errors():
+def test_find_unblok_chain_and_errors(system):
     waiter = _proc(loc=9, pos=5, loop=2, ndx=1)
     other = _proc(pos=3, pos_valid=True, ndx=2)
     trs = [waiter, other]
-    assert find_unblok(0, trs, BakeSh(0)) == 1
-    assert find_unblok(1, trs, BakeSh(0)) == 1
+    assert find_unblok(0, trs, system) == 1
+    assert find_unblok(1, trs, system) == 1
     with pytest.raises(BakeryError):
-        find_unblok(0, [_proc(done=True)], BakeSh(0))
+        find_unblok(0, [_proc(done=True)], system)
 
     # two raw states at loc 8 waiting on each other: only the unmeasured
     # walk can be asked about them, and it reports the cycle
     p = _proc(loc=8, choosing=True, pos=1, loop=2, ndx=1)
     q = _proc(loc=8, choosing=True, pos=1, loop=1, ndx=2)
     with pytest.raises(BakeryError, match="blocking cycle"):
-        find_unblok(0, [p, q], BakeSh(0))
+        find_unblok(0, [p, q], system)
 
     # a constant measure must make the very first hop fail the descent
     with pytest.raises(DescentError):
-        find_unblok(0, trs, BakeSh(0), msr=lambda a: Ordinal())
+        find_unblok(0, trs, system, msr=lambda a: Ordinal())
 
 
-def test_choose_ready():
+def test_choose_ready(system):
     waiter = _proc(loc=9, pos=5, loop=2, ndx=1)
     other = _proc(pos=3, pos_valid=True, ndx=2)
-    assert choose_ready([waiter, other], BakeSh(0)) == 1
+    assert choose_ready([waiter, other], system) == 1
 
     picks = []
 
@@ -241,10 +244,10 @@ def test_choose_ready():
         picks.append(list(valid))
         return valid[-1]
 
-    assert choose_ready([waiter, other], BakeSh(0), oracle) == 1
+    assert choose_ready([waiter, other], system, oracle) == 1
     assert picks == [[1]]
     with pytest.raises(BakeryError):
-        choose_ready([_proc(done=True)], BakeSh(0))
+        choose_ready([_proc(done=True)], system)
 
 
 # -- measured runs -----------------------------------------------------------
@@ -285,7 +288,7 @@ def test_step_only_moves_one_rank_position(bakery):
     rng = random.Random(8)
     for _ in range(60):
         valid = [i for i, a in enumerate(st.trs)
-                 if not a.done and not bake_blok(a, st.trs)]
+                 if not a.done and not bakery.system.blocked(a, st.trs)]
         if not valid:
             break
         i = rng.choice(valid)
@@ -306,7 +309,7 @@ def _fully_remeasured_run(b: Bakery, seed: int):
     bn = b.rank_bnll(st)
     measures = [bnll_to_ordinal(b.n, bn, b.rank_omap.bnl_bound)]
     while not all(a.done for a in st.trs):
-        st = b.step(st, choose_ready(st.trs, st.sh, oracle, b.nlock_msr))
+        st = b.step(st, choose_ready(st.trs, b.system, oracle, b.nlock_msr))
         bn2 = b.rank_bnll(st)
         assert bnll_lt(bn2, bn)
         measures.append(bnll_to_ordinal(b.n, bn2, b.rank_omap.bnl_bound))
@@ -327,6 +330,27 @@ def test_incremental_monitor_matches_full_remeasure(params, seeds):
         assert list(res.measures) == measures
 
 
+@pytest.mark.parametrize("params, seeds", [
+    ((2, 2, 3), range(20)),
+    ((3, 1, 2), range(5)),
+    ((2, 1, 2), range(5)),
+    ((1, 1, 1), range(2)),  # the smallest widths
+    ((3, 1, 1), range(2)),
+], ids=["2,2,3", "3,1,2", "2,1,2", "1,1,1", "3,1,1"])
+def test_run_matches_native_oracle(params, seeds):
+    # the run on the compiled system against its replay on the native
+    # mirror, seeded and witness-scheduled (None): the same schedule,
+    # trace, measures and final state
+    b = Bakery(*params)
+    seeds = (*seeds, None)
+    for seed in seeds:
+        res = b.run(seed=seed)
+        final, trace, measures = native.native_run(b, seed)
+        assert res.trace == trace, seed
+        assert res.measures == measures, seed
+        assert native.from_state(res.final) == final, seed
+
+
 def test_monitor_catches_tampered_measure(bakery):
     # swapping two descriptors makes the first step look like an increase;
     # the run monitor must refuse rather than keep going
@@ -339,6 +363,7 @@ def test_monitor_catches_tampered_measure(bakery):
     tampered.rank_omap = Omap(tuple(descs), om.measures, om.widths)
     with pytest.raises(DescentError):
         tampered.run()
+    assert issubclass(DescentError, CertificationError)
     # the original instance is untouched
     assert bakery.run().steps == 98
 
@@ -361,10 +386,10 @@ def test_nlock_measure_falls_along_blocker_chain(bakery):
     # pick a mid-run state with a real waiter and check the measured walk
     st = bakery.init()
     for _ in range(40):
-        i = choose_ready(st.trs, st.sh, None, bakery.nlock_msr)
+        i = choose_ready(st.trs, bakery.system, None, bakery.nlock_msr)
         st = bakery.step(st, i)
     # the measured variant of the chain must agree with the unmeasured one
     for i, a in enumerate(st.trs):
         if not a.done:
-            assert find_unblok(i, st.trs, st.sh, bakery.nlock_msr) \
-                == find_unblok(i, st.trs, st.sh)
+            assert find_unblok(i, st.trs, bakery.system, bakery.nlock_msr) \
+                == find_unblok(i, st.trs, bakery.system)

@@ -15,8 +15,6 @@ from wfgraph.absgraph import (
 from wfgraph.bakery import bakery_model, bakery_text
 from wfgraph.certify import (
     Certificate,
-    CertificationError,
-    DescentError,
     abstraction_functions,
     certificate_text,
     certificate_to_json,
@@ -25,13 +23,12 @@ from wfgraph.certify import (
     check_closure,
     check_measure_decrease,
     check_omap_valid,
-    iterate_descent,
     relation_cases,
 )
 from wfgraph.measure import Omap, omap_text, synthesize_omap
 from wfgraph.model import (
     BoolV, Const, Eq, TupleV, Var, eval_expr, value_from_json, value_text)
-from wfgraph.ordinals import OrdinalError, ordinal_text
+from wfgraph.ordinals import OrdinalError
 
 
 W = 2  # width override keeping concrete sweeps quick
@@ -386,52 +383,6 @@ def test_abstraction_functions_compile_each_expression_once(
                 x.val for _, x in eval_expr(mp.measure_expr(name),
                                             {mp.var: x0}).items)
     assert len(compiled) == 1 + len(mp.measures)
-
-
-def _model_stepper(model):
-    """Concrete next-state walker at a pinned shared state, halting on
-    done; exercises descent without the scheduler machinery."""
-    sysd = model.system
-    nxt = model.define(sysd.next)
-    done = model.define(sysd.done)
-    sh0 = eval_expr(Const(model_default_shared(model)), {})
-
-    def chooser(x):
-        if eval_expr(done.apply(Const(x)), {}) == BoolV(True):
-            return None
-        return eval_expr(nxt.apply(Const(x), Const(sh0)), {})
-
-    return chooser
-
-
-def model_default_shared(model):
-    from wfgraph.model import default_value
-    return default_value(model.record_sort(model.system.shared_sort_name))
-
-
-def test_iterate_descent_happy(model, rank_parts):
-    _, om = rank_parts
-    map_e, map_o = abstraction_functions(model, "rank")
-    x0 = eval_expr(model.define("init").body, {})
-    trace = iterate_descent(x0, _model_stepper(model), om, map_e, map_o)
-    assert trace, "no steps taken"
-    texts = [ordinal_text(m) for _, m in trace]
-    assert len(set(texts)) == len(texts)
-    final, _ = trace[-1]
-    assert eval_expr(model.define("done").apply(Const(final)), {}) \
-        == BoolV(True)
-
-
-def test_iterate_descent_rejects_non_decrease(model, rank_parts):
-    _, om = rank_parts
-    map_e, map_o = abstraction_functions(model, "rank")
-    x0 = eval_expr(model.define("init").body, {})
-    with pytest.raises(DescentError):
-        iterate_descent(x0, lambda x: x, om, map_e, map_o)
-    with pytest.raises(DescentError):
-        iterate_descent(x0, _model_stepper(model), om, map_e, map_o,
-                        max_steps=0)
-    assert issubclass(DescentError, CertificationError)
 
 
 def test_certify_state_invariant_declared(model):

@@ -149,6 +149,26 @@ def test_malformed_omap_is_a_one_line_error(rank_omap_doc, tmp_path,
         assert err.count("\n") == 1 and "Traceback" not in err, (name, err)
 
 
+@pytest.mark.parametrize("edit", ["rename", "widths"])
+def test_omap_for_other_measures_is_refused(edit, rank_omap_doc, tmp_path,
+                                            capsys):
+    # an omap whose measures or widths are not the map's own is refused
+    # before any check runs, with both declarations named
+    doc = json.loads(json.dumps(rank_omap_doc))
+    if edit == "rename":
+        doc = json.loads(json.dumps(doc).replace('"loop"', '"fuel"'))
+        assert doc["measures"] == ["runs", "fuel"]
+    else:
+        doc["widths"] = {"runs": 2, "loop": 1}
+    om = tmp_path / "om.json"
+    om.write_text(json.dumps(doc))
+    assert cli_main(["certify", "--omap", str(om), "--width", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("wfgraph: error: omap measures ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert str(doc["measures"]) in err and "['runs', 'loop']" in err
+
+
 def test_certify_nlock_passes(tmp_path, capsys):
     om = tmp_path / "om.json"
     assert cli_main(["synth", "--map", "nlock", "--width", "2",

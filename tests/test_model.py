@@ -1,5 +1,7 @@
 """Model language: parsing, sorts, evaluation, and value plumbing."""
 
+import copy
+import pickle
 import random
 
 import numpy as np
@@ -150,6 +152,24 @@ def test_value_json_roundtrip(bakery):
     for v in (BoolV(True), NatV(6, 3), EnumV("b", ("a", "b")), init,
               default_value(proc)):
         assert value_from_json(value_to_json(v)) == v
+
+
+def test_tuple_attribute_view():
+    e = EnumV("b", ("a", "b"))
+    inner = TupleV((("x", NatV(1, 2)),))
+    v = TupleV((("pos-valid", BoolV(True)), ("loop", NatV(3, 2)),
+                ("tag", e), ("rec", inner)))
+    assert v.pos_valid is True
+    assert v.loop == 3 and type(v.loop) is int
+    assert v.tag == e and v.rec == inner and v.rec.x == 1
+    for name in ("nope", "posvalid", "_", "__loop__", "__setstate__"):
+        with pytest.raises(AttributeError):
+            getattr(v, name)
+    assert not hasattr(v, "__deepcopy__")
+    with pytest.raises(AttributeError):  # a view, not a setter
+        v.loop = 2
+    for twin in (copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+        assert twin == v and twin.pos_valid is True and twin.rec.x == 1
 
 
 def test_canonical_sorted_is_total_and_stable():
