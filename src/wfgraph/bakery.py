@@ -131,10 +131,12 @@ def find_unblok(n: int, trs: Sequence[TupleV], system: System,
     if system.done(trs[n]):
         raise BakeryError(f"find_unblok started at done index {n}")
     start, seen = n, {n}
-    m = msr(trs[n]) if msr is not None else None
+    m = None  # the start's measure, taken at the first hop
     while system.blocked(trs[n], trs):
         k = system.pick_blok(trs[n], trs)
         if msr is not None:
+            if m is None:
+                m = msr(trs[n])
             mk = msr(trs[k])
             if not o_lt(mk, m):
                 raise DescentError(

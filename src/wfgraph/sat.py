@@ -12,12 +12,23 @@ same clauses always give the same sequence of models; the enumeration layer
 relies on that for reproducible value orders and solve counts.  Bitblasting
 numbers the inputs first, so decisions fall on inputs.
 
-Model enumeration adds a blocking clause after each satisfying assignment.
-``add_clause`` first cancels the search to decision level 0, then adds the
-clause; learned clauses stay, since the clause set only grows.  At level 0
-false literals are dropped, satisfied clauses and tautologies skipped, and
-units assigned for good, so a level-0 conflict or an empty clause leaves the
-solver unsatisfiable from then on.
+Model enumeration adds a blocking clause after each satisfying assignment,
+and the search keeps its trail across it.  ``add_clause`` first drops the
+literals false at level 0 and skips a clause that is satisfied at level 0 or
+a tautology.  When the current assignment falsifies what is left, as it
+does a blocking clause:
+
+- one literal left: cancel to level 0 and assign it for good;
+- one literal at the clause's highest level: cancel to its second-highest
+  level, watch the clause and assert that literal, as for a learned clause;
+- otherwise: cancel to one below the highest level, where the clause's
+  literals of that level are unassigned, and watch two of them.
+
+Any other clause added above level 0 cancels the search to level 0 first;
+``solve`` then continues from wherever the trail stands.  Learned clauses
+stay, since the clause set only grows.  Units at level 0 are assigned for
+good, so a level-0 conflict or an empty clause leaves the solver
+unsatisfiable from then on.
 
 The class keeps the name ``DpllSolver``: the benchmark's tracer
 (``perfbench/tracer.py``) wraps ``DpllSolver.solve`` and
@@ -91,20 +102,32 @@ class DpllSolver:
             raise ValueError(f"literal {bad} out of range")
         if not self._ok:
             return
-        if self._lim:
-            self._cancel_until(0)
-        val = self._val
+        val, level = self._val, self._level
         clause: list[int] = []
         for l in lits:
             code = l << 1 if l > 0 else -l << 1 | 1
             x = val[code]
-            if x == 0:
-                if code not in clause:
-                    if code ^ 1 in clause:
-                        return  # tautology
-                    clause.append(code)
-            elif x == 1:
-                return  # satisfied at level 0
+            if x and not level[code >> 1]:
+                if x == 1:
+                    return  # satisfied at level 0
+                continue  # false at level 0, for good
+            if code not in clause:
+                if code ^ 1 in clause:
+                    return  # tautology
+                clause.append(code)
+        if self._lim:
+            if len(clause) > 1 and all(val[c] == -1 for c in clause):
+                # falsified, as a blocking clause is: order its literals by
+                # level, highest first, and jump back only below the highest
+                clause.sort(key=lambda c: level[c >> 1], reverse=True)
+                top, second = level[clause[0] >> 1], level[clause[1] >> 1]
+                self._cancel_until(second if top > second else top - 1)
+                self._watches[clause[0] ^ 1].append(clause)
+                self._watches[clause[1] ^ 1].append(clause)
+                if top > second:
+                    self._assign(clause[0], clause)
+                return
+            self._cancel_until(0)
         if not clause:
             self._ok = False
         elif len(clause) == 1:
@@ -125,19 +148,15 @@ class DpllSolver:
             p = trail[qhead]
             qhead += 1
             false_lit = p ^ 1
-            ws = watches[p]
-            i = j = 0
-            end = len(ws)
-            while i < end:
-                c = ws[i]
-                i += 1
+            ws = iter(watches[p])
+            watches[p] = keep = []
+            for c in ws:
                 if c[0] == false_lit:
                     c[0] = c[1]
                     c[1] = false_lit
                 first = c[0]
                 if val[first] == 1:
-                    ws[j] = c
-                    j += 1
+                    keep.append(c)
                     continue
                 for k in range(2, len(c)):
                     lk = c[k]
@@ -147,10 +166,9 @@ class DpllSolver:
                         watches[lk ^ 1].append(c)
                         break
                 else:
-                    ws[j] = c
-                    j += 1
+                    keep.append(c)
                     if val[first] == -1:
-                        del ws[j:i]
+                        keep.extend(ws)
                         return c
                     val[first] = 1
                     val[first ^ 1] = -1
@@ -158,7 +176,6 @@ class DpllSolver:
                     level[v] = dl
                     reason[v] = c
                     trail.append(first)
-            del ws[j:]
         self._qhead = qhead
         return None
 
@@ -203,8 +220,7 @@ class DpllSolver:
     def solve(self) -> bool:
         if not self._ok:
             return False
-        self._cancel_until(0)
-        val, n = self._val, self.num_vars
+        val = self._val
         while True:
             confl = self._propagate()
             if confl is not None:
@@ -220,14 +236,14 @@ class DpllSolver:
                 else:
                     self._assign(learnt[0], None)
                 continue
-            v = self._next
-            while v <= n and val[2 * v]:
-                v += 1
-            self._next = v
-            if v > n:
-                self.model = [False] + [val[2 * u] == 1
-                                        for u in range(1, n + 1)]
+            # both codes of an unassigned variable read 0, those of an
+            # assigned one read 1 and -1
+            try:
+                v = val.index(0, 2 * self._next) >> 1
+            except ValueError:
+                self.model = [x == 1 for x in val[::2]]
                 return True
+            self._next = v
             self._lim.append(len(self._trail))
             self._assign(2 * v + 1, None)  # try False first
 

@@ -232,6 +232,11 @@ def test_find_unblok_chain_and_errors(system):
     with pytest.raises(DescentError):
         find_unblok(0, trs, system, msr=lambda a: Ordinal())
 
+    # the measure is taken only along a hop: a free start is not measured
+    measured = []
+    assert find_unblok(1, trs, system, msr=measured.append) == 1
+    assert measured == []
+
 
 def test_choose_ready(system):
     waiter = _proc(loc=9, pos=5, loop=2, ndx=1)

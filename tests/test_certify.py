@@ -251,8 +251,9 @@ def test_certify_relation_sweeps_once(backend, monkeypatch):
 
 
 @pytest.mark.parametrize("name, params",
-                         [("rank", (2, 2, 3)), ("nlock", (1, 1, 2))],
-                         ids=["rank-2,2,3", "nlock-1,1,2"])
+                         [("rank", (2, 2, 3)), ("nlock", (1, 1, 2)),
+                          ("nlock", (2, 1, 2))],
+                         ids=["rank-2,2,3", "nlock-1,1,2", "nlock-2,1,2"])
 def test_backends_agree_on_the_whole_pipeline(name, params):
     m = bakery_model(*params)
     got = {}

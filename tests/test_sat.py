@@ -8,6 +8,7 @@ backjumping to finish quickly.
 
 import itertools
 import random
+from typing import NamedTuple
 
 import pytest
 
@@ -39,16 +40,67 @@ def _solver(num_vars, clauses) -> DpllSolver:
     return s
 
 
-def _enumerate(solver: DpllSolver, outputs):
+def _attached(solver: DpllSolver) -> dict:
+    """The clauses in the solver's watch lists, by identity, as DIMACS
+    literals.  Each must be watched through its first two literals."""
+    clauses = {id(c): c for ws in solver._watches for c in ws}
+    watched = {(id(c), code) for code, ws in enumerate(solver._watches)
+               for c in ws}
+    for k, c in clauses.items():
+        assert (k, c[0] ^ 1) in watched and (k, c[1] ^ 1) in watched
+    return {k: [-(x >> 1) if x & 1 else x >> 1 for x in c]
+            for k, c in clauses.items()}
+
+
+class Enumeration(NamedTuple):
+    patterns: list
+    models: list
+    solves: int
+    kept: int  # blocking clauses after which the trail stayed above level 0
+
+
+def _enumerate(solver: DpllSolver, outputs, restart=False) -> Enumeration:
     """The loop ``compute_finite_values`` runs: after each model, block its
-    output pattern.  Returns the patterns and the full models in order."""
-    patterns, models = [], []
+    output pattern.  With ``restart`` the search goes back to the root
+    before each blocking clause: the reference for trail keeping.
+
+    Checked on the way: a blocking clause whose two highest distinct
+    literal levels are above 0 leaves the solver above level 0, and every
+    attached clause stays watched through its first two literals."""
+    patterns, models, solves, kept = [], [], 1, 0
     while solver.solve():
         model = solver.model
         models.append(model)
         patterns.append(tuple(model[v] for v in outputs))
+        levels = sorted({solver._level[v] for v in outputs}, reverse=True)
+        if restart:
+            solver._cancel_until(0)
         solver.add_clause([-v if model[v] else v for v in outputs])
-    return patterns, models
+        solves += 1
+        if not restart and len(levels) > 1 and levels[1] > 0:
+            assert solver._lim, (levels, outputs)
+            kept += 1
+        _attached(solver)
+    return Enumeration(patterns, models, solves, kept)
+
+
+def test_trail_keeping_enumeration_matches_both_references():
+    # the truth table, and a search that restarts from the root per value
+    rng = random.Random(8)
+    kept = 0
+    for num_vars, clauses in _cases(9, 300):
+        outputs = sorted(rng.sample(range(1, num_vars + 1),
+                                    rng.randint(1, num_vars)))
+        want = {tuple(m[v] for v in outputs)
+                for m in _models(num_vars, clauses)}
+        got = _enumerate(_solver(num_vars, clauses), outputs)
+        ref = _enumerate(_solver(num_vars, clauses), outputs, restart=True)
+        assert len(got.patterns) == len(set(got.patterns))
+        assert set(got.patterns) == set(ref.patterns) == want, (clauses,
+                                                                outputs)
+        assert got.solves == ref.solves == len(want) + 1
+        kept += got.kept
+    assert kept >= 1000
 
 
 def _cases(seed: int, count: int):
@@ -80,7 +132,8 @@ def test_blocking_enumeration_returns_the_projected_set():
                                     rng.randint(1, num_vars)))
         want = {tuple(m[v] for v in outputs)
                 for m in _models(num_vars, clauses)}
-        patterns, models = _enumerate(_solver(num_vars, clauses), outputs)
+        patterns, models, _, _ = _enumerate(_solver(num_vars, clauses),
+                                            outputs)
         assert len(patterns) == len(set(patterns))
         assert set(patterns) == want, (clauses, outputs)
         assert all(_holds(m, c) for m in models for c in clauses)
@@ -103,17 +156,6 @@ def test_clauses_added_between_solves_match_truth_table():
                 assert all(_holds(s.model, c) for c in clauses)
             else:
                 break
-
-
-def _attached(solver: DpllSolver) -> dict:
-    """The clauses in the solver's watch lists, by identity, as DIMACS
-    literals.  Each must be watched through its first two literals."""
-    clauses = {id(c): c for ws in solver._watches for c in ws}
-    for c in clauses.values():
-        for w in c[:2]:
-            assert any(x is c for x in solver._watches[w ^ 1])
-    return {k: [-(x >> 1) if x & 1 else x >> 1 for x in c]
-            for k, c in clauses.items()}
 
 
 def test_learned_clauses_are_attached_and_implied():
@@ -159,8 +201,8 @@ def test_pigeonhole_placements_enumerate_once_each():
     # 4 pigeons, 4 holes: 4! placements, each with every pigeon in exactly
     # one hole
     num_vars, clauses = _pigeonhole(4, 4)
-    patterns, _ = _enumerate(_solver(num_vars, clauses),
-                             list(range(1, num_vars + 1)))
+    patterns = _enumerate(_solver(num_vars, clauses),
+                          list(range(1, num_vars + 1))).patterns
     assert len(patterns) == len(set(patterns)) == 24
     assert all(sum(p) == 4 for p in patterns)
 
@@ -226,7 +268,7 @@ def test_clauses_after_unsat_keep_it_unsat():
 def test_same_clauses_give_the_same_model_sequence():
     for num_vars, clauses in _cases(5, 40):
         outputs = list(range(1, num_vars + 1))
-        runs = [_enumerate(_solver(num_vars, clauses), outputs)[1]
+        runs = [_enumerate(_solver(num_vars, clauses), outputs).models
                 for _ in range(2)]
         assert runs[0] == runs[1]
     # decisions take the lowest unassigned variable, False first
