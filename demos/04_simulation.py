@@ -18,10 +18,9 @@ from wfgraph.ordinals import o_lt, ordinal_text
 seed = int(sys.argv[1]) if len(sys.argv) > 1 else 2026
 
 bakery = Bakery(n=2, r=2, w=3)
-print(f"n=2 processes, r=2 rounds each, tickets {bakery.w} bits wide")
-print(f"initial measure: {ordinal_text(bakery.run_measure(bakery.init()))}")
-
 result = bakery.run(seed=seed)
+print(f"n=2 processes, r=2 rounds each, tickets {bakery.w} bits wide")
+print(f"initial measure: {ordinal_text(result.measures[0])}")
 print(f"\nseed {seed}: all processes done after {result.steps} steps")
 
 print("\nfirst steps of the trace:")

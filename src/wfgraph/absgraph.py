@@ -2,16 +2,14 @@
 
 A graph's nodes are the values an abstraction map's node expression takes;
 arcs record which nodes can follow which.  Both come from the image of the
-map's concrete relation (``relation_parts``): one enumeration query for
-the distinct (node(x), node(y)) pairs of related states x, y.  A step map's
-graph keeps what that image reaches from the initial nodes (``reach_graph``);
-a blocking map's graph is the image over its declared domain
-(``rel_graph``).  ``tag_graph`` tags every arc, per component measure, with
-whether the measure strictly decreases, never increases, or may increase
-across the concrete pairs the arc abstracts, from one more image query
-that carries per-measure order flags.  ``certify_state_invariant`` re-runs
-reachability with a claimed state predicate in the node and reports the
-reached nodes where it is false.
+map's concrete relation (``system.relation_parts``): one enumeration query
+for the distinct (node(x), node(y)) pairs of related states x, y.
+``map_graph`` keeps what that image reaches from the map's seed nodes: the
+initial node of a step map, every domain node of a blocking map.
+``tag_graph`` tags every arc, per component measure, with whether the
+measure strictly decreases, never increases, or may increase across the
+concrete pairs the arc abstracts, from one more image query that carries
+per-measure order flags.
 
 Every enumeration must be total: a cutoff means the abstraction has more
 behavior than the budget and raises NotTotal rather than returning a
@@ -27,9 +25,9 @@ from typing import Optional
 
 from .enumeration import compute_finite_values
 from .model import (
-    And, BoolV, Const, Eq, Expr, Le, Lt, Model, Not, Or, Sort, TupleE,
-    TupleV, Value, Var, canonical_sorted, subst_vars, value_from_json,
-    value_text, value_to_json)
+    And, BoolV, Const, Eq, Expr, Le, Lt, Model, Or, TupleE, Value,
+    canonical_sorted, subst_vars, value_from_json, value_text, value_to_json)
+from .system import relation_parts
 from .veceval import DEFAULT_ROW_CAP
 
 # Tag queries take no caller budget.  An exhaustive table never holds more
@@ -95,18 +93,6 @@ class TaggedGraph(Graph):
     tags: dict[tuple[int, int, str], str] = field(default_factory=dict)
 
 
-def false_inv_nodes(g: Graph) -> list[Value]:
-    """Reached nodes whose :inv field is false; a non-empty result means
-    the claimed state invariant is not inductive on the abstraction."""
-    out = []
-    for n in g.nodes:
-        if isinstance(n, TupleV):
-            for name, v in n.items:
-                if name == "inv" and v == BoolV(False):
-                    out.append(n)
-    return out
-
-
 def _freeze(nodes: set[Value], arcs: set[tuple[Value, Value]]) -> Graph:
     ordered = tuple(canonical_sorted(list(nodes)))
     index = {v: i for i, v in enumerate(ordered)}
@@ -146,40 +132,7 @@ def lex_le_expr(a: Expr, b: Expr) -> Expr:
 
 # -- model-level construction ----------------------------------------------
 
-_SHARED_VAR = "@sh"
-_OTHER_VAR = "@oth"
-
-
-def _step_parts(model: Model, map_name: str):
-    mp = model.map_decl(map_name)
-    if mp.kind != "step":
-        raise GraphError(f"map '{map_name}' is not a step map")
-    sysd = model.system
-    if sysd is None:
-        raise GraphError("model has no system declaration")
-    a = mp.var
-    state = mp.state_sort
-    shared = model.record_sort(sysd.shared_sort_name)
-    y = model.define(sysd.next).apply(
-        *_role_args(model, sysd.next, a, _SHARED_VAR))
-    not_done = Not(model.define(sysd.done).apply(
-        *_role_args(model, sysd.done, a, _SHARED_VAR)))
-    dom_a = mp.domain
-    dom_y = subst_vars(mp.domain, {a: y})
-    rel = And((not_done, dom_a, dom_y))
-    var_sorts: dict[str, Sort] = {a: state, _SHARED_VAR: shared}
-    return mp, rel, y, var_sorts
-
-
-def _role_args(model: Model, define_name: str, state_var: str,
-               extra_var: str) -> list[Expr]:
-    d = model.define(define_name)
-    if len(d.params) == 1:
-        return [Var(state_var)]
-    return [Var(state_var), Var(extra_var)]
-
-
-def _image(parts, node: Expr, num: int, backend: str, what: str,
+def _image(parts, num: int, backend: str, what: str,
            scope: Optional[tuple[Value, ...]] = None,
            measures: tuple[str, ...] = ()
            ) -> dict[tuple[Value, Value], set[str]]:
@@ -193,6 +146,7 @@ def _image(parts, node: Expr, num: int, backend: str, what: str,
     (source, destination) order.
     """
     mp, rel, dst_state, var_sorts = parts
+    node = mp.node
     items: list[tuple[Optional[str], Expr]] = [
         ("src", node), ("dst", subst_vars(node, {mp.var: dst_state}))]
     for name in measures:
@@ -215,28 +169,31 @@ def _image(parts, node: Expr, num: int, backend: str, what: str,
     return image
 
 
-def reach_graph(model: Model, map_name: str, backend: str = "exhaustive",
-                num: int = 4096) -> Graph:
-    """Reachable abstract graph of a step map: initial node from the
-    system's init function, arcs from its step relation (undone states
-    inside the map domain)."""
-    return _reach(model, map_name, model.map_decl(map_name).node, backend,
-                  num)
+def map_graph(model: Model, map_name: str, backend: str = "exhaustive",
+              num: int = 4096) -> Graph:
+    """Abstract graph of a map: its seed nodes, closed under the image of
+    its relation.
 
-
-def _reach(model: Model, map_name: str, node: Expr, backend: str,
-           num: int) -> Graph:
-    """``reach_graph`` with ``node`` as the step map's node expression:
-    the init query's nodes, closed under the step relation's image."""
-    parts = _step_parts(model, map_name)
+    A step map is seeded with the node of the system's init state, a
+    blocking map with every node of its declared domain.  One query finds
+    the seeds, one more the relation's image (``_image``); the graph keeps
+    the image pairs the seeds reach.  A blocking map's relation already
+    keeps both ends in its domain, so its graph is the whole image.
+    """
+    parts = relation_parts(model, map_name)
     mp, _, _, var_sorts = parts
-    init_trm = subst_vars(node, {mp.var: model.define(model.system.init).body})
-    r = compute_finite_values(var_sorts, Const(BoolV(True)), init_trm, num,
-                              backend)
+    if mp.kind == "step":
+        init = model.define(model.system.init).body  # type: ignore[union-attr]
+        seeds, sweep = "init", "step"
+        hyp, trm = Const(BoolV(True)), subst_vars(mp.node, {mp.var: init})
+    else:
+        seeds, sweep = "domain", "relation"
+        hyp, trm = mp.domain, mp.node
+    r = compute_finite_values(var_sorts, hyp, trm, num, backend)
     if not r.is_total:
-        raise NotTotal("init", num)
+        raise NotTotal(seeds, num)
     succ: dict[Value, list[Value]] = {}
-    for u, v in _image(parts, node, num, backend, "step"):
+    for u, v in _image(parts, num, backend, sweep):
         succ.setdefault(u, []).append(v)
     nodes: set[Value] = set(r.values)
     arcs: set[tuple[Value, Value]] = set()
@@ -249,84 +206,6 @@ def _reach(model: Model, map_name: str, node: Expr, backend: str,
                 nodes.add(v)
                 work.append(v)
     return _freeze(nodes, arcs)
-
-
-def certify_state_invariant(model: Model, map_name: str,
-                            inv: Optional[Expr] = None,
-                            backend: str = "exhaustive", num: int = 4096
-                            ) -> tuple[bool, Graph, list[Value]]:
-    """Prove a state predicate holds on every reachable abstract node by
-    re-running reachability with the predicate as the node's inv field.
-    Defaults to the map's own declared inv entry."""
-    mp = model.map_decl(map_name)
-    if mp.kind != "step":
-        raise GraphError("state invariants certify against a step map")
-    items = []
-    replaced = False
-    for name, e in mp.node.items:
-        if name == "inv":
-            items.append((name, inv if inv is not None else e))
-            replaced = True
-        else:
-            items.append((name, e))
-    if not replaced:
-        if inv is None:
-            raise GraphError(f"map '{map_name}' declares no inv field")
-        items.append(("inv", inv))
-    g = _reach(model, map_name, TupleE(tuple(items)), backend, num)
-    offenders = false_inv_nodes(g)
-    return (not offenders, g, offenders)
-
-
-def rel_graph(model: Model, map_name: str, backend: str = "exhaustive",
-              num: int = 4096) -> Graph:
-    """Graph of a blocking map: nodes are the map's domain values, arcs
-    the image of the system's blocking relation."""
-    if model.map_decl(map_name).kind != "blok":
-        raise GraphError(f"map '{map_name}' is not a blocking map")
-    parts = relation_parts(model, map_name)
-    mp, _, _, var_sorts = parts
-    r = compute_finite_values(var_sorts, mp.domain, mp.node, num, backend)
-    if not r.is_total:
-        raise NotTotal("domain", num)
-    nodes: set[Value] = set(r.values)
-    image = _image(parts, mp.node, num, backend, "relation")
-    for u, v in image:
-        if v not in nodes:
-            raise GraphError(
-                f"relation leaves the declared domain: "
-                f"{value_text(u)} -> {value_text(v)}")
-    return _freeze(nodes, set(image))
-
-
-def map_graph(model: Model, map_name: str, backend: str = "exhaustive",
-              num: int = 4096) -> Graph:
-    mp = model.map_decl(map_name)
-    if mp.kind == "step":
-        return reach_graph(model, map_name, backend, num)
-    return rel_graph(model, map_name, backend, num)
-
-
-def relation_parts(model: Model, map_name: str):
-    """The concrete relation a map abstracts over.
-
-    Returns (map decl, relation hypothesis, destination-state expression,
-    query variable sorts).  The source state is the map's own variable;
-    for a step map the destination is the next-state expression, for a
-    blocking map it is a second free state variable.
-    """
-    mp = model.map_decl(map_name)
-    if mp.kind == "step":
-        return _step_parts(model, map_name)
-    sysd = model.system
-    if sysd is None:
-        raise GraphError("model has no system declaration")
-    a = mp.var
-    blok = model.define(sysd.blok).apply(Var(a), Var(_OTHER_VAR))
-    dom_b = subst_vars(mp.domain, {a: Var(_OTHER_VAR)})
-    rel = And((blok, mp.domain, dom_b))
-    var_sorts: dict[str, Sort] = {a: mp.state_sort, _OTHER_VAR: mp.state_sort}
-    return mp, rel, Var(_OTHER_VAR), var_sorts
 
 
 def tag_graph(model: Model, map_name: str, g: Graph,
@@ -347,7 +226,7 @@ def tag_graph(model: Model, map_name: str, g: Graph,
     tags: dict[tuple[int, int, str], str] = {}
     sources = sorted({i for (i, _) in g.arcs})
     if sources:
-        image = _image(parts, mp.node, TAG_BUDGET, backend, "tag",
+        image = _image(parts, TAG_BUDGET, backend, "tag",
                        tuple(g.nodes[i] for i in sources), mp.measure_names)
         for (i, j) in g.arcs:
             got = image.get((g.nodes[i], g.nodes[j]), ())

@@ -1,16 +1,17 @@
 """Executable Lamport bakery: the shipped model's `system`, compiled, under
 a monitored scheduler.
 
-`models/bakery.wfm` is the one source of truth.  `Bakery` compiles the
-model's `system` declaration once (`next`, `shared-next`, `blok` and
-`done`) and steps model values with those closures: each process is a
-`TupleV` of the state sort, whose fields read as attributes (`a.pos_valid`).
-Every run is watched by the synthesized measures: the scheduler's blocking
-descent must strictly decrease the no-lock measure, and each global step
-must strictly decrease the fixed-length list-of-bnl rank measure.  The
-measures evaluate the map's expressions through closures compiled once per
-`Bakery`; a step moves one process, so the monitor re-measures only that
-process's rank entry.
+`models/bakery.wfm` is the one source of truth.  `Bakery` holds the
+model's `system` declaration compiled once (`system.System`: `next`,
+`shared-next`, `blok` and `done` as closures) and steps model values with
+it: each process is a `TupleV` of the state sort, whose fields read as
+attributes (`a.pos_valid`).  Every run is watched by the synthesized
+measures: the scheduler's blocking descent must strictly decrease the
+no-lock measure, and each global step must strictly decrease the
+fixed-length list-of-bnl rank measure.  The measures evaluate the map's
+expressions through closures compiled once per `Bakery`
+(`system.abstraction_functions`); a step moves one process, so the monitor
+re-measures only that process's rank entry.
 """
 
 from __future__ import annotations
@@ -21,10 +22,9 @@ from importlib import resources
 from typing import Callable, Optional, Sequence
 
 from .absgraph import map_graph, tag_graph
-from .certify import DescentError, abstraction_functions
+from .certify import DescentError
 from .measure import Omap, synthesize_omap
-from .model import (
-    Model, NatV, TupleV, compile_expr, default_value, parse_model)
+from .model import Model, NatV, TupleV, parse_model
 from .ordinals import (
     Bnl,
     Ordinal,
@@ -33,10 +33,8 @@ from .ordinals import (
     o_lt,
     ordinal_text,
 )
-
-
-class BakeryError(Exception):
-    """A scheduler precondition or postcondition failed."""
+from .system import (
+    BakeryError, System, SystemState, abstraction_functions)
 
 
 def bakery_text() -> str:
@@ -46,74 +44,6 @@ def bakery_text() -> str:
 
 def bakery_model(n: int = 2, r: int = 2, w: int = 3) -> Model:
     return parse_model(bakery_text(), {"n": n, "r": r, "w": w})
-
-
-# -- the compiled system -----------------------------------------------------
-
-@dataclass(frozen=True)
-class SystemState:
-    """Every process, each a value of the state sort, and the shared state."""
-
-    trs: tuple[TupleV, ...]
-    sh: TupleV
-
-
-@dataclass(frozen=True)
-class System:
-    """A model's `system` declaration compiled to closures over model values:
-    the `init` process, the shared sort's default value, and `next`,
-    `shared-next`, `blok` and `done` as Python functions."""
-
-    init: TupleV
-    sh0: TupleV
-    next: Callable[[TupleV, TupleV], TupleV]
-    shared_next: Callable[[TupleV, TupleV], TupleV]
-    blok: Callable[[TupleV, TupleV], bool]
-    done: Callable[[TupleV], bool]
-
-    @classmethod
-    def compile(cls, model: Model) -> "System":
-        sy = model.system
-        if sy is None:
-            raise BakeryError(f"model '{model.name}' declares no system")
-
-        def define(name: str):
-            d = model.define(name)
-            return compile_expr(d.body), [p for p, _ in d.params]
-
-        nxt, (a1, sh1) = define(sy.next)
-        shn, (sh2, a2) = define(sy.shared_next)
-        blok, (a3, b3) = define(sy.blok)
-        done, (a4,) = define(sy.done)
-        return cls(define(sy.init)[0]({}),
-                   default_value(model.record_sort(sy.shared_sort_name)),
-                   lambda a, sh: nxt({a1: a, sh1: sh}),
-                   lambda sh, a: shn({sh2: sh, a2: a}),
-                   lambda a, b: blok({a3: a, b3: b}).val,
-                   lambda a: done({a4: a}).val)
-
-    def blocked(self, a: TupleV, trs: Sequence[TupleV]) -> bool:
-        """True when a is waiting on any process in the list, its own
-        entry included."""
-        blok = self.blok
-        for b in trs:
-            if blok(a, b):
-                return True
-        return False
-
-    def find_undone(self, trs: Sequence[TupleV]) -> Optional[int]:
-        """Smallest index of a not-done process, or None when all finished."""
-        for i, a in enumerate(trs):
-            if not self.done(a):
-                return i
-        return None
-
-    def pick_blok(self, a: TupleV, trs: Sequence[TupleV]) -> int:
-        """Smallest index of a process a is waiting on."""
-        for i, b in enumerate(trs):
-            if self.blok(a, b):
-                return i
-        raise BakeryError("pick_blok called on an unblocked process")
 
 
 # -- scheduling --------------------------------------------------------------
@@ -229,10 +159,6 @@ class Bakery:
         """Per-process rank measure values, in process order."""
         return [self.rank_omap.mk_bnl(a, self._rank_e, self._rank_o)
                 for a in st.trs]
-
-    def run_measure(self, st: SystemState) -> Ordinal:
-        return bnll_to_ordinal(self.n, self.rank_bnll(st),
-                               self.rank_omap.bnl_bound)
 
     def step(self, st: SystemState, i: int) -> SystemState:
         a = st.trs[i]

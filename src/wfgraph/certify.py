@@ -24,10 +24,11 @@ construction; only a witness case is decoded:
                      once per distinct half-state
 
 A Certificate records input hashes and one verdict per check; it passes
-only if every check does.  From ``absgraph`` this module takes only the
-graph data types, the tag names and ``relation_parts`` (the relation
-itself), never graph construction; state-invariant proofs, which do
-rebuild a reachable graph, live there (``absgraph.certify_state_invariant``).
+only if every check does.  The relation itself comes from
+``system.relation_parts``, which says what the model's `system`
+declaration means; from ``absgraph`` this module takes only the graph data
+types, the tag names, ``NotTotal`` and ``graph_text`` (for the graph's
+hash), never graph construction.
 """
 
 from __future__ import annotations
@@ -40,19 +41,19 @@ from typing import Optional
 
 import numpy as np
 
-from .absgraph import (
-    NON_INC, STRICT_DEC, Graph, NotTotal, TaggedGraph, relation_parts)
+from .absgraph import NON_INC, STRICT_DEC, Graph, NotTotal, TaggedGraph
 from .enumeration import compute_finite_values
 from .measure import Omap
 from .model import (
-    And, Const, Eq, Expr, Model, Or, TupleE, TupleV, Value, compile_expr,
-    subst_vars, value_text, value_to_json)
+    And, Const, Eq, Expr, Model, Or, TupleE, TupleV, Value, subst_vars,
+    value_text, value_to_json)
 # not called here; the benchmark tracer counts one-shot evaluations at
 # ``wfgraph.certify:eval_expr`` and resolves that name by import
 from .model import eval_expr  # noqa: F401
 from .ordinals import (
     Ordinal, OrdinalError, bnl_lt, bnl_ranks, bnl_to_ordinal,
     expand_descriptor, o_lt)
+from .system import relation_parts
 from .veceval import DistinctRows, lex_rank
 
 
@@ -94,26 +95,6 @@ def _sha256(text: str) -> str:
 def _nats(t: Value) -> tuple[int, ...]:
     assert isinstance(t, TupleV)
     return tuple(x.val for _, x in t.items)  # type: ignore[union-attr]
-
-
-def abstraction_functions(model: Model, map_name: str):
-    """Concrete evaluators (map_e, map_o) for a map declaration.  The node
-    expression and every measure expression are compiled here, once; the
-    evaluators only call the closures."""
-    mp = model.map_decl(map_name)
-    var = mp.var
-    node = compile_expr(mp.node)
-    measures = {name: compile_expr(e) for name, e in mp.measures}
-
-    def map_e(x: Value) -> Value:
-        return node({var: x})
-
-    def map_o(x: Value, name: str) -> tuple[int, ...]:
-        if name not in measures:
-            mp.measure_expr(name)  # raises the unknown-measure SortError
-        return _nats(measures[name]({var: x}))
-
-    return map_e, map_o
 
 
 SWEEP = "concrete-sweep"

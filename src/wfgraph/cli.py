@@ -20,7 +20,7 @@ from .absgraph import (
     map_graph,
     tag_graph,
 )
-from .bakery import Bakery, BakeryError, bakery_text
+from .bakery import Bakery, bakery_text
 from .bitblast import BlastError, bitblast, dimacs
 from .certify import (
     CertificationError,
@@ -40,6 +40,7 @@ from .measure import (
 )
 from .model import Model, ModelError, parse_model
 from .ordinals import OrdinalError
+from .system import BakeryError, relation_parts
 from .veceval import Capacity
 
 _TOOL_ERRORS = (ModelError, GraphError, NotTotal, BlastError, OrdinalError,
@@ -117,7 +118,6 @@ def _cmd_check(args) -> int:
     if args.dump_cnf:
         if args.map is None:
             raise ModelError("--dump-cnf needs --map to pick a relation")
-        from .absgraph import relation_parts
         mp, rel, _, var_sorts = relation_parts(model, args.map)
         circuit = bitblast(mp.node, rel, var_sorts)
         _emit(dimacs(circuit, (circuit.hyp_lit,)), args.dump_cnf)

@@ -55,10 +55,11 @@ class Omap:
     widths: dict[str, int]
 
     def descriptor(self, node: Value) -> Descriptor:
-        for n, d in self.descriptors:
-            if n == node:
-                return d
-        raise SynthesisError(f"node not in omap: {value_text(node)}")
+        try:
+            return self._by_node[node]
+        except KeyError:
+            raise SynthesisError(
+                f"node not in omap: {value_text(node)}") from None
 
     @property
     def nodes(self) -> tuple[Value, ...]:
@@ -312,12 +313,16 @@ def omap_from_json(doc) -> Omap:
                             ("widths", dict, "an object")):
         if not isinstance(doc.get(key), kind):
             raise SynthesisError(f"omap {key!r} is missing or not {what}")
-    nodes = []
+    nodes, seen = [], set()
     for n in doc["nodes"]:
         try:
-            nodes.append(value_from_json(n))
+            node = value_from_json(n)
         except (KeyError, IndexError, TypeError, ValueError):
             raise SynthesisError(f"bad omap node {n!r}") from None
+        if node in seen:
+            raise SynthesisError(f"omap lists node {value_text(node)} twice")
+        seen.add(node)
+        nodes.append(node)
     descs = []
     for d in doc["descriptors"]:
         if not isinstance(d, list):

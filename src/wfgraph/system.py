@@ -1,0 +1,153 @@
+"""What a model's `system` declaration means, said once.
+
+A model's `system` names the definitions that make up its concurrent
+system: the `init` process, the `next` and `shared-next` steps, the `blok`
+(waits-on) predicate and `done`.  Everything that reads them reads them
+here:
+
+  relation_parts         a map's concrete relation, as a symbolic
+                         hypothesis over free state variables; the graph
+                         builder (``absgraph``) and the certifier
+                         (``certify``) both enumerate it
+  System, SystemState    the same definitions compiled to closures over
+                         model values, for monitored runs (``bakery``)
+  abstraction_functions  a map's node and measure expressions, compiled
+
+This module imports from ``model`` only, so the relation that the
+certifier checks shares no code with graph construction.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
+
+from .model import (
+    And, Expr, MapDecl, Model, ModelError, Not, Sort, SystemDecl, TupleV,
+    Value, Var, compile_expr, default_value, subst_vars)
+
+
+class BakeryError(Exception):
+    """A scheduler precondition or postcondition failed."""
+
+
+_SHARED_VAR = "@sh"
+_OTHER_VAR = "@oth"
+
+
+def _system_decl(model: Model) -> SystemDecl:
+    if model.system is None:
+        raise ModelError(f"model '{model.name}' declares no system")
+    return model.system
+
+
+def relation_parts(model: Model, map_name: str
+                   ) -> tuple[MapDecl, Expr, Expr, dict[str, Sort]]:
+    """The concrete relation a map abstracts over.
+
+    Returns (map decl, relation hypothesis, destination-state expression,
+    query variable sorts).  The source state is the map's own variable x.
+    For a step map the destination is ``next(x, sh)`` over a free shared
+    state sh, from an x that is not done; for a blocking map it is a
+    second free state y with ``blok(x, y)``.  The hypothesis also requires
+    both ends to satisfy the map's domain, so a pair that leaves the
+    domain is not in the relation.
+    """
+    mp = model.map_decl(map_name)
+    sysd = _system_decl(model)
+    x = Var(mp.var)
+    if mp.kind == "step":
+        dst: Expr = model.define(sysd.next).apply(x, Var(_SHARED_VAR))
+        moves: Expr = Not(model.define(sysd.done).apply(x))
+        free = {_SHARED_VAR: model.record_sort(sysd.shared_sort_name)}
+    else:
+        dst = Var(_OTHER_VAR)
+        moves = model.define(sysd.blok).apply(x, dst)
+        free = {_OTHER_VAR: mp.state_sort}
+    rel = And((moves, mp.domain, subst_vars(mp.domain, {mp.var: dst})))
+    return mp, rel, dst, {mp.var: mp.state_sort, **free}
+
+
+def abstraction_functions(model: Model, map_name: str):
+    """Concrete evaluators (map_e, map_o) for a map declaration.  The node
+    expression and every measure expression are compiled here, once; the
+    evaluators only call the closures."""
+    mp = model.map_decl(map_name)
+    var = mp.var
+    node = compile_expr(mp.node)
+    measures = {name: compile_expr(e) for name, e in mp.measures}
+
+    def map_e(x: Value) -> Value:
+        return node({var: x})
+
+    def map_o(x: Value, name: str) -> tuple[int, ...]:
+        if name not in measures:
+            mp.measure_expr(name)  # raises the unknown-measure SortError
+        t = measures[name]({var: x})
+        return tuple(v.val for _, v in t.items)  # type: ignore[union-attr]
+
+    return map_e, map_o
+
+
+@dataclass(frozen=True)
+class SystemState:
+    """Every process, each a value of the state sort, and the shared state."""
+
+    trs: tuple[TupleV, ...]
+    sh: TupleV
+
+
+@dataclass(frozen=True)
+class System:
+    """A model's `system` declaration compiled to closures over model values:
+    the `init` process, the shared sort's default value, and `next`,
+    `shared-next`, `blok` and `done` as Python functions."""
+
+    init: TupleV
+    sh0: TupleV
+    next: Callable[[TupleV, TupleV], TupleV]
+    shared_next: Callable[[TupleV, TupleV], TupleV]
+    blok: Callable[[TupleV, TupleV], bool]
+    done: Callable[[TupleV], bool]
+
+    @classmethod
+    def compile(cls, model: Model) -> "System":
+        sy = _system_decl(model)
+
+        def define(name: str):
+            d = model.define(name)
+            return compile_expr(d.body), [p for p, _ in d.params]
+
+        nxt, (a1, sh1) = define(sy.next)
+        shn, (sh2, a2) = define(sy.shared_next)
+        blok, (a3, b3) = define(sy.blok)
+        done, (a4,) = define(sy.done)
+        return cls(define(sy.init)[0]({}),
+                   default_value(model.record_sort(sy.shared_sort_name)),
+                   lambda a, sh: nxt({a1: a, sh1: sh}),
+                   lambda sh, a: shn({sh2: sh, a2: a}),
+                   lambda a, b: blok({a3: a, b3: b}).val,
+                   lambda a: done({a4: a}).val)
+
+    def blocked(self, a: TupleV, trs: Sequence[TupleV]) -> bool:
+        """True when a is waiting on any process in the list, its own
+        entry included."""
+        blok = self.blok
+        for b in trs:
+            if blok(a, b):
+                return True
+        return False
+
+    def find_undone(self, trs: Sequence[TupleV]) -> Optional[int]:
+        """Smallest index of a not-done process, or None when all finished."""
+        for i, a in enumerate(trs):
+            if not self.done(a):
+                return i
+        return None
+
+    def pick_blok(self, a: TupleV, trs: Sequence[TupleV]) -> int:
+        """Smallest index of a process a is waiting on."""
+        for i, b in enumerate(trs):
+            if self.blok(a, b):
+                return i
+        raise BakeryError("pick_blok called on an unblocked process")

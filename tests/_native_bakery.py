@@ -15,11 +15,12 @@ import random
 from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
-from wfgraph.bakery import Bakery, BakeryError, SystemState
+from wfgraph.bakery import Bakery
 from wfgraph.certify import DescentError
 from wfgraph.model import FALSE, TRUE, BoolSort, Model, NatV, TupleV
 from wfgraph.ordinals import (
     Ordinal, bnll_lt, bnll_to_ordinal, o_lt, ordinal_text)
+from wfgraph.system import BakeryError, SystemState
 
 
 # -- native state ------------------------------------------------------------

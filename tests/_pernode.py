@@ -14,11 +14,12 @@ from typing import Optional
 
 from wfgraph.absgraph import (
     MAY_INC, NON_INC, STRICT_DEC, Graph, GraphError, NotTotal, TaggedGraph,
-    TAG_BUDGET, lex_le_expr, lex_lt_expr, relation_parts)
+    TAG_BUDGET, lex_le_expr, lex_lt_expr)
 from wfgraph.enumeration import compute_finite_values
 from wfgraph.model import (
     And, BoolV, Const, Eq, Expr, Model, TupleE, Value, Var,
     canonical_sorted, subst_vars, value_text)
+from wfgraph.system import relation_parts
 
 SRC_VAR = "@src"
 

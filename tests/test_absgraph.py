@@ -20,7 +20,6 @@ from wfgraph.absgraph import (
     GraphError,
     NotTotal,
     TaggedGraph,
-    false_inv_nodes,
     graph_from_json,
     graph_to_dot,
     graph_text,
@@ -28,20 +27,22 @@ from wfgraph.absgraph import (
     lex_le_expr,
     lex_lt_expr,
     map_graph,
-    reach_graph,
-    rel_graph,
     tag_graph,
 )
-from wfgraph.bakery import bakery_model
+from wfgraph.bakery import bakery_model, bakery_text
 from wfgraph.enumeration import compute_finite_values
 from wfgraph.model import (
+    And,
     BoolV,
     NatSort,
     NatV,
+    Not,
     TupleE,
     TupleV,
     Var,
     eval_expr,
+    parse_model,
+    subst_vars,
     value_text,
 )
 
@@ -325,6 +326,34 @@ def test_not_total_budgets(model):
     assert e.value.what == "domain"
 
 
+def test_blocking_graph_stays_in_its_domain():
+    # narrow nlock's domain to states that are not choosing: five source
+    # nodes then have a blocker outside the domain, and the relation keeps
+    # only pairs with both ends inside it, so the graph's nodes are exactly
+    # the domain query's and no arc leaves them
+    text = bakery_text()
+    narrowed = text.replace(
+        "(domain (phase-flags-ok a))",
+        "(domain (and (phase-flags-ok a) (not a.choosing)))")
+    assert narrowed != text
+    m = parse_model(narrowed, {"n": 2, "r": 2, "w": 3})
+    mp = m.map_decl("nlock")
+    state = {mp.var: mp.state_sort}
+    domain = compute_finite_values(state, mp.domain, mp.node, 4096,
+                                   "exhaustive")
+    assert domain.is_total
+    blok = m.define(m.system.blok).apply(Var(mp.var), Var("b"))
+    leaving = compute_finite_values(
+        {**state, "b": mp.state_sort},
+        And((blok, mp.domain, Not(subst_vars(mp.domain, {mp.var: Var("b")})))),
+        mp.node, 4096, "exhaustive")
+    assert leaving.is_total and len(leaving.values) == 5
+    g = map_graph(m, "nlock")
+    assert set(g.nodes) == set(domain.values)
+    assert {g.nodes[j] for (_, j) in g.arcs} <= set(domain.values)
+    assert set(leaving.values) <= set(g.nodes)
+
+
 def _pair(x, y):
     return TupleE(((None, x), (None, y)))
 
@@ -352,27 +381,12 @@ def test_lex_expr_edges():
         lex_lt_expr(Var("x"), Var("y"))  # not tuple expressions
 
 
-def test_false_inv_nodes(rank_tg):
-    assert false_inv_nodes(rank_tg) == []
-    bad = TupleV((("loc", NatV(3, 5)), ("inv", BoolV(False))))
-    ok = TupleV((("loc", NatV(4, 5)), ("inv", BoolV(True))))
-    g = Graph((bad, ok), ((0, 1),))
-    assert false_inv_nodes(g) == [bad]
-
-
 def test_graph_helpers(rank_tg):
     first = rank_tg.nodes[0]
     assert rank_tg.node_index(first) == 0
     assert rank_tg.succ_indices(0) == [1]
     with pytest.raises(GraphError):
         rank_tg.node_index(BoolV(True))
-
-
-def test_map_kind_dispatch(model):
-    with pytest.raises(GraphError):
-        reach_graph(model, "nlock")
-    with pytest.raises(GraphError):
-        rel_graph(model, "rank")
 
 
 def test_graph_to_dot(rank_tg):

@@ -26,8 +26,6 @@ from _native_bakery import (
 )
 from wfgraph.bakery import (
     Bakery,
-    BakeryError,
-    System,
     bakery_model,
     choose_ready,
     find_unblok,
@@ -50,6 +48,7 @@ from wfgraph.model import (
 )
 from wfgraph.ordinals import (
     Ordinal, bnll_lt, bnll_to_ordinal, o_lt, ordinal_text)
+from wfgraph.system import BakeryError, System
 
 
 N, R, W = 2, 2, 3

@@ -2,20 +2,22 @@
 honest artifacts (both maps must pass) and tampered ones (each check must
 catch its own class of lie)."""
 
+import ast
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
 import _rowwise as rowwise
 import wfgraph.certify as certify
+import wfgraph.system as system
 from wfgraph.absgraph import (
-    MAY_INC, NON_INC, STRICT_DEC, GraphError, TaggedGraph,
-    certify_state_invariant, graph_text, map_graph, tag_graph)
+    MAY_INC, NON_INC, STRICT_DEC, TaggedGraph, graph_text, map_graph,
+    tag_graph)
 from wfgraph.bakery import bakery_model, bakery_text
 from wfgraph.certify import (
     Certificate,
-    abstraction_functions,
     certificate_text,
     certificate_to_json,
     certify_relation,
@@ -26,9 +28,9 @@ from wfgraph.certify import (
     relation_cases,
 )
 from wfgraph.measure import Omap, omap_text, synthesize_omap
-from wfgraph.model import (
-    BoolV, Const, Eq, TupleV, Var, eval_expr, value_from_json, value_text)
+from wfgraph.model import TupleV, eval_expr, value_from_json, value_text
 from wfgraph.ordinals import OrdinalError
+from wfgraph.system import abstraction_functions
 
 
 W = 2  # width override keeping concrete sweeps quick
@@ -366,13 +368,13 @@ def test_abstraction_functions(model, rank_parts):
 def test_abstraction_functions_compile_each_expression_once(
         model, monkeypatch):
     compiled = []
-    compile_expr = certify.compile_expr
+    compile_expr = system.compile_expr
 
     def counting(e):
         compiled.append(e)
         return compile_expr(e)
 
-    monkeypatch.setattr(certify, "compile_expr", counting)
+    monkeypatch.setattr(system, "compile_expr", counting)
     mp = model.map_decl("rank")
     map_e, map_o = abstraction_functions(model, "rank")
     assert compiled == [mp.node] + [e for _, e in mp.measures]
@@ -386,27 +388,39 @@ def test_abstraction_functions_compile_each_expression_once(
     assert len(compiled) == 1 + len(mp.measures)
 
 
-def test_certify_state_invariant_declared(model):
-    ok, g, offenders = certify_state_invariant(model, "rank")
-    assert ok and offenders == []
-    assert len(g.nodes) == 21
+def _imports(module: str) -> dict[str, set[str]]:
+    """Every import in a ``wfgraph`` module's source, nested ones included:
+    each module named (``.x`` for a relative one) with the names taken
+    from it."""
+    tree = ast.parse((Path(certify.__file__).parent / f"{module}.py")
+                     .read_text())
+    found: dict[str, set[str]] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            key = "." * node.level + (node.module or "")
+            found.setdefault(key, set()).update(a.name for a in node.names)
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                found.setdefault(a.name, set())
+    return found
 
 
-def test_certify_state_invariant_custom(model):
-    mp = model.map_decl("rank")
-    flags = model.define("phase-flags-ok").apply(Var(mp.var))
-    ok, g, offenders = certify_state_invariant(model, "rank", inv=flags)
-    assert ok and offenders == []
-
-    from wfgraph.model import Field
-    lying = Eq(Field(Var(mp.var), "choosing"), Const(BoolV(True)))
-    ok, _, offenders = certify_state_invariant(model, "rank", inv=lying)
-    assert not ok and offenders
-
-
-def test_certify_state_invariant_needs_step_map(model):
-    with pytest.raises(GraphError):
-        certify_state_invariant(model, "nlock")
+def test_trust_boundary_imports():
+    # the certifier takes from the graph builder only data types, tag names,
+    # the budget error and the graph's serialization (hashed into the
+    # certificate), never graph construction
+    found = _imports("certify")
+    assert found[".absgraph"] == {"Graph", "TaggedGraph", "NotTotal",
+                                  "STRICT_DEC", "NON_INC", "graph_text"}
+    assert found[".system"] == {"relation_parts"}
+    # the benchmark tracer resolves ``wfgraph.certify:eval_expr``
+    assert "eval_expr" in found[".model"]
+    # the system layer, which says what the relation is, stands on the
+    # model alone
+    assert {m for m in _imports("system")
+            if m.startswith((".", "wfgraph"))} == {".model"}
+    # the monitor takes only its error type from the certifier
+    assert _imports("bakery")[".certify"] == {"DescentError"}
 
 
 # -- the columnar checks against the row-by-row oracle: identical results,

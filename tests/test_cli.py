@@ -137,6 +137,10 @@ def test_malformed_omap_is_a_one_line_error(rank_omap_doc, tmp_path,
     cases["descriptor not a list"] = dict(
         doc, descriptors=["ab"] + doc["descriptors"][1:])
     cases["measure not a name"] = dict(doc, measures=[1])
+    # every reader of an omap takes one descriptor per node
+    cases["node listed twice"] = dict(
+        doc, nodes=doc["nodes"] + doc["nodes"][:1],
+        descriptors=[[0]] + doc["descriptors"][1:] + doc["descriptors"][:1])
     cases["width not a natural"] = dict(
         doc, widths={k: str(w) for k, w in doc["widths"].items()})
     om = tmp_path / "om.json"
@@ -248,6 +252,19 @@ def test_tool_errors_exit_1(tmp_path, capsys):
     assert cli_main(["synth", "--map", "rank", "--num", "0"]) == 1
     err = capsys.readouterr().err
     assert "error" in err
+
+
+def test_model_without_system_is_a_tool_error(tmp_path, capsys):
+    # a map's relation is defined by the system declaration, so a graph and
+    # a relation dump both need one
+    f = tmp_path / "nosys.wfm"
+    f.write_text("(model nosys\n  (sort proc (x (nat 2)))\n"
+                 "  (map m ((a proc)) (kind step) (node (:x a.x))\n"
+                 "    (measure x (tuple a.x))))\n")
+    for argv in (["reach"], ["check", "--dump-cnf", str(tmp_path / "m.cnf")]):
+        assert cli_main([*argv, "--map", "m", "--model", str(f)]) == 1
+        assert capsys.readouterr().err == \
+            "wfgraph: error: model 'nosys' declares no system\n"
 
 
 @pytest.mark.parametrize("argv", [["reach", "--map", "rank"], ["run"]],

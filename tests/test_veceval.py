@@ -13,12 +13,13 @@ from hypothesis import strategies as st
 
 import wfgraph.veceval as veceval
 from _gen import rand_expr, rand_sort, rand_var_sorts
-from wfgraph.absgraph import map_graph, relation_parts
+from wfgraph.absgraph import map_graph
 from wfgraph.bakery import bakery_model
 from wfgraph.certify import relation_cases
 from wfgraph.model import (
     BOOL, AddMod, And, Const, Eq, Le, NatSort, NatV, Or, TupleE, Var,
     canonical_sorted, sort_card, subst_vars)
+from wfgraph.system import relation_parts
 from wfgraph.veceval import (
     Capacity, DistinctRows, Table, VBool, VEnum, VNat, VRec, atom_sort,
     atoms_for, build_table, distinct_rows, eval_vec, exhaustive_values,
