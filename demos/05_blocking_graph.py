@@ -39,10 +39,11 @@ while not all(a.done for a in st.trs):
     for s0 in range(bakery.n):
         if st.trs[s0].done:
             continue
-        chain, k = [], s0
-        while system.blocked(st.trs[k], st.trs):
-            k = system.pick_blok(st.trs[k], st.trs)
+        chain = []
+        k = system.blocker(st.trs[s0], st.trs)
+        while k is not None:
             chain.append(k)
+            k = system.blocker(st.trs[k], st.trs)
         if len(chain) > deepest[0]:
             deepest = (len(chain), st, s0)
     st = bakery.step(st, choose_ready(st.trs, system, rng.choice,
@@ -53,10 +54,10 @@ print(f"\ndeepest chain seen in a seeded run: {depth} hops")
 while True:
     a = st.trs[k]
     m = ordinal_text(bakery.nlock_msr(a))
-    if not system.blocked(a, st.trs):
+    k = system.blocker(a, st.trs)
+    if k is None:
         print(f"  ndx {a.ndx} at loc {a.loc} (pos {a.pos})  measure {m}"
               f"  -- unblocked, ready to step")
         break
     print(f"  ndx {a.ndx} at loc {a.loc} (pos {a.pos})  measure {m}"
           f"  waits on")
-    k = system.pick_blok(a, st.trs)

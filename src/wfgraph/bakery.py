@@ -62,8 +62,7 @@ def find_unblok(n: int, trs: Sequence[TupleV], system: System,
         raise BakeryError(f"find_unblok started at done index {n}")
     start, seen = n, {n}
     m = None  # the start's measure, taken at the first hop
-    while system.blocked(trs[n], trs):
-        k = system.pick_blok(trs[n], trs)
+    while (k := system.blocker(trs[n], trs)) is not None:
         if msr is not None:
             if m is None:
                 m = msr(trs[n])
@@ -99,7 +98,7 @@ def choose_ready(trs: Sequence[TupleV], system: System,
         return witness
     # the witness is ready by find_unblok's postcondition; test the others
     return oracle([i for i, a in enumerate(trs) if i == witness or
-                   not system.done(a) and not system.blocked(a, trs)])
+                   not system.done(a) and system.blocker(a, trs) is None])
 
 
 # -- measured runs -----------------------------------------------------------

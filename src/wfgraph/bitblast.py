@@ -2,9 +2,12 @@
 
 Encoding: booleans are one literal; naturals are little-endian literal
 vectors, one per bit; enums are binary codes over the minimal bit count with
-clauses excluding out-of-range codes; records concatenate their fields in
-declaration order.  Variable 1 is reserved as the constant TRUE (asserted by
-a unit clause), so constant bits need no special cases downstream.
+clauses excluding out-of-range codes; record inputs and tuple outputs
+concatenate their fields in declaration order.  Both expressions are
+scalarized first (``veceval.scalarize``), so every gate works on scalars:
+a record read is a field of an input, and only tuples are record-sorted.
+Variable 1 is reserved as the constant TRUE (asserted by a unit clause), so
+constant bits need no special cases downstream.
 
 Variable numbering is deterministic: inputs in declaration order (fields in
 sort order, bits LSB-first), then internal gate variables in creation order.
@@ -19,7 +22,7 @@ from typing import Optional, Sequence, Union
 from .model import (
     AddMod, And, BoolSort, BoolV, CaseNat, Const, EnumSort, EnumV, Eq, Expr,
     Field, Ite, Le, Lt, NatSort, NatV, Not, Or, Sort, SubSat, TupleE,
-    TupleSort, TupleV, Value, Var, infer_sort, sort_bits)
+    TupleV, Value, Var, infer_sort, sort_bits)
 from .veceval import scalarize
 
 TRUE = 1
@@ -195,9 +198,8 @@ def _encode_const(v: Value) -> BitVal:
         return BBool(TRUE if v.val else -TRUE)
     if isinstance(v, NatV):
         return BNat(_const_bits(v.val, v.width))
-    if isinstance(v, EnumV):
-        return BEnum(_const_bits(v.index, sort_bits(EnumSort(v.syms))), v.syms)
-    return BRec(tuple((n, _encode_const(x)) for n, x in v.items))
+    assert isinstance(v, EnumV), "record constants are scalarized away"
+    return BEnum(_const_bits(v.index, sort_bits(EnumSort(v.syms))), v.syms)
 
 
 def _ite_val(bld: _Builder, c: int, t: BitVal, e: BitVal) -> BitVal:
@@ -207,12 +209,9 @@ def _ite_val(bld: _Builder, c: int, t: BitVal, e: BitVal) -> BitVal:
     if isinstance(t, BNat):
         assert isinstance(e, BNat) and t.width == e.width
         return BNat([bld.g_ite(c, x, y) for x, y in zip(t.bits, e.bits)])
-    if isinstance(t, BEnum):
-        assert isinstance(e, BEnum) and t.syms == e.syms
-        return BEnum([bld.g_ite(c, x, y) for x, y in zip(t.bits, e.bits)], t.syms)
-    assert isinstance(t, BRec) and isinstance(e, BRec)
-    return BRec(tuple((n, _ite_val(bld, c, x, y))
-                      for (n, x), (_, y) in zip(t.items, e.items)))
+    assert isinstance(t, BEnum) and isinstance(e, BEnum) and t.syms == e.syms, \
+        "record branches are scalarized away"
+    return BEnum([bld.g_ite(c, x, y) for x, y in zip(t.bits, e.bits)], t.syms)
 
 
 def _eq_val(bld: _Builder, a: BitVal, b: BitVal) -> int:
@@ -223,6 +222,10 @@ class _Encoder:
     def __init__(self, bld: _Builder, env: dict[str, BitVal]):
         self.bld = bld
         self.env = env
+        # scalarize hands one condition (or scrutinee) node to every
+        # per-field branch of a record branch: encode each node once.  Keys
+        # are ids, valid because the encoded trees outlive the encoder.
+        self.encoded: dict[int, BitVal] = {}
 
     def bool_lit(self, e: Expr) -> int:
         v = self.encode(e)
@@ -235,6 +238,12 @@ class _Encoder:
         return v.bits
 
     def encode(self, e: Expr) -> BitVal:
+        v = self.encoded.get(id(e))
+        if v is None:
+            v = self.encoded[id(e)] = self._encode(e)
+        return v
+
+    def _encode(self, e: Expr) -> BitVal:
         bld = self.bld
         if isinstance(e, Var):
             return self.env[e.name]

@@ -709,12 +709,6 @@ class Model:
     maps: tuple[tuple[str, MapDecl], ...]
     system: Optional[SystemDecl]
 
-    def param(self, name: str) -> int:
-        for n, v in self.params:
-            if n == name:
-                return v
-        raise ModelError(f"unknown parameter '{name}'")
-
     def record_sort(self, name: str) -> TupleSort:
         for n, s in self.record_sorts:
             if n == name:

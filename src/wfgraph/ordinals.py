@@ -10,8 +10,7 @@ termination measures: o_lt has no infinite descending chains.
 Measure construction: an omap assigns each abstract node a descriptor
 mixing naturals (component ranks) and measure names.  ``mk_bnl`` expands
 the descriptor of a concrete state's node, substituting the state's
-measure tuples for names, and right-pads with zeros to the common bound;
-``msr`` is its ordinal image.
+measure tuples for names, and right-pads with zeros to the common bound.
 """
 
 from __future__ import annotations
@@ -207,10 +206,3 @@ def mk_bnl(x, descriptors: Mapping[object, Descriptor],
                 f"declared {widths[name]}")
     expanded = expand_descriptor(descriptors[node], values)
     return tuple(expanded) + (0,) * (bound - len(expanded))
-
-
-def msr(x, descriptors: Mapping[object, Descriptor],
-        widths: Mapping[str, int], bound: int,
-        map_e: Callable[[object], object],
-        map_o: Callable[[object, str], Sequence[int]]) -> Ordinal:
-    return bnl_to_ordinal(mk_bnl(x, descriptors, widths, bound, map_e, map_o))

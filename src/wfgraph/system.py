@@ -129,14 +129,14 @@ class System:
                    lambda a, b: blok({a3: a, b3: b}).val,
                    lambda a: done({a4: a}).val)
 
-    def blocked(self, a: TupleV, trs: Sequence[TupleV]) -> bool:
-        """True when a is waiting on any process in the list, its own
-        entry included."""
+    def blocker(self, a: TupleV, trs: Sequence[TupleV]) -> Optional[int]:
+        """Smallest index of a process a is waiting on, its own entry
+        included, or None when a is not blocked."""
         blok = self.blok
-        for b in trs:
+        for i, b in enumerate(trs):
             if blok(a, b):
-                return True
-        return False
+                return i
+        return None
 
     def find_undone(self, trs: Sequence[TupleV]) -> Optional[int]:
         """Smallest index of a not-done process, or None when all finished."""
@@ -144,10 +144,3 @@ class System:
             if not self.done(a):
                 return i
         return None
-
-    def pick_blok(self, a: TupleV, trs: Sequence[TupleV]) -> int:
-        """Smallest index of a process a is waiting on."""
-        for i, b in enumerate(trs):
-            if self.blok(a, b):
-                return i
-        raise BakeryError("pick_blok called on an unblocked process")

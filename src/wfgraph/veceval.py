@@ -2,11 +2,17 @@
 
 The exhaustive enumeration backend materializes one numpy column per scalar
 "atom" (a scalar-sorted variable, or one field of a record variable) and
-evaluates expressions over whole columns at once.  Three things keep the
-tables small:
+evaluates expressions over whole columns at once.
 
-* demand analysis: only fields an expression can actually read become
-  columns.  Everything else stays out of the cross product entirely.
+Both enumeration backends evaluate scalarized expressions only
+(``scalarize``): every record read is a ``Field(Var, f)`` leaf, naming its
+atom, and only ``TupleE`` containers are record-sorted.  Records are taken
+apart there and nowhere else.
+
+Three things keep the tables small:
+
+* only the atoms an expression reads become columns.  Everything else
+  stays out of the cross product entirely.
 * staged filtering: the hypothesis is split into conjuncts, and each conjunct
   is applied as soon as the atoms it needs are present, starting with the
   conjunct whose missing atoms span the smallest domain.  Each conjunct's
@@ -35,7 +41,7 @@ witnesses.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -44,7 +50,7 @@ from .model import (
     AddMod, And, BoolSort, BoolV, CaseNat, Const, EnumSort, EnumV, Eq,
     Expr, Field, Ite, Le, Lt, NatSort, NatV, Not, Or, Sort, SubSat, TupleE,
     TupleSort, TupleV, Update, Value, Var, canonical_sorted, expr_children,
-    infer_sort, sort_card)
+    sort_card)
 
 
 class Capacity(Exception):
@@ -68,10 +74,13 @@ CHUNK_ROWS = 1 << 16
 #
 # Vector evaluation is eager, so a record-typed intermediate would force every
 # field of its base record into the table whether the query reads it or not.
-# Scalarizing first eliminates record intermediates altogether: field access
-# is pushed through updates, branches, and tuples until it lands on a
-# variable, and record equality is expanded fieldwise.  Afterwards the only
-# record-typed nodes left are `Field(Var, f)` leaves and `TupleE` containers.
+# Scalarizing first takes every record apart: a field read is pushed through
+# updates, branches, and tuples until it lands on a variable, and every other
+# record-sorted node (a variable or constant read whole, an update, a branch)
+# becomes a ``TupleE`` of its per-item projections, so record equality is
+# fieldwise and branches are per item.  Afterwards every record read is a
+# ``Field(Var, f)`` leaf and only ``TupleE`` containers are record-sorted,
+# so both backends evaluate scalar atoms only.
 
 
 def field_of(e: Expr, name: str) -> Expr:
@@ -103,49 +112,56 @@ def field_of(e: Expr, name: str) -> Expr:
 
 
 def scalarize(e: Expr, var_sorts: dict[str, Sort]) -> Expr:
-    """Rewrite ``e`` so no record-typed intermediate remains (see above).
-    Semantics are preserved exactly; only the tree shape changes."""
-
-    def record_fields(x: Expr) -> Optional[tuple[tuple[str, Sort], ...]]:
-        s = infer_sort(x, var_sorts)
-        if isinstance(s, TupleSort):
-            return s.fields
-        return None
-
-    def expand(x: Expr) -> Expr:
-        """A record-sorted expression as an explicit named TupleE."""
-        fields = record_fields(x)
-        assert fields is not None
-        if isinstance(x, TupleE):
-            return TupleE(tuple((n, walk(item)) for n, item in x.items))
-        return TupleE(tuple((n, walk(field_of(x, n))) for n, _ in fields))
+    """Rewrite ``e`` so that every record read is a ``Field(Var, f)`` leaf
+    and only ``TupleE`` nodes are record-sorted (see above).  Semantics are
+    preserved exactly; only the tree shape changes."""
 
     def walk(x: Expr) -> Expr:
-        if isinstance(x, (Var, Const)):
+        if isinstance(x, Var):
+            s = var_sorts[x.name]
+            if isinstance(s, TupleSort):
+                return TupleE(tuple((n, Field(x, n)) for n, _ in s.fields))
+            return x
+        if isinstance(x, Const):
+            if isinstance(x.value, TupleV):
+                return TupleE(tuple((n, Const(v)) for n, v in x.value.items))
             return x
         if isinstance(x, Field):
-            return walk(field_of(x.rec, x.name)) if not isinstance(x.rec, Var) else x
-        if isinstance(x, Eq):
-            fields = record_fields(x.a)
-            if fields is not None:
-                return And(tuple(Eq(walk(field_of(x.a, n)), walk(field_of(x.b, n)))
-                                 for n, _ in fields))
-            return Eq(walk(x.a), walk(x.b))
-        if isinstance(x, (Update, Ite, CaseNat)) and record_fields(x) is not None:
-            if isinstance(x, Ite):
-                return Ite(walk(x.cond), expand(x.then), expand(x.alt))
-            if isinstance(x, CaseNat):
-                return CaseNat(walk(x.scrut),
-                               tuple((k, expand(b)) for k, b in x.arms),
-                               expand(x.default))
-            return expand(x)
+            return x if isinstance(x.rec, Var) else walk(field_of(x.rec, x.name))
+        if isinstance(x, Update):
+            news = {n: walk(v) for n, v in x.updates}
+            rec = walk(x.rec)
+            assert isinstance(rec, TupleE)
+            return TupleE(tuple((n, news.get(n, v)) for n, v in rec.items))
         if isinstance(x, TupleE):
             return TupleE(tuple((n, walk(item)) for n, item in x.items))
+        if isinstance(x, Eq):
+            a, b = walk(x.a), walk(x.b)
+            if isinstance(a, TupleE):
+                assert isinstance(b, TupleE)
+                return And(tuple(Eq(p, q) for (_, p), (_, q)
+                                 in zip(a.items, b.items)))
+            return Eq(a, b)
         if isinstance(x, Ite):
-            return Ite(walk(x.cond), walk(x.then), walk(x.alt))
+            c, t, f = walk(x.cond), walk(x.then), walk(x.alt)
+            if isinstance(t, TupleE):
+                assert isinstance(f, TupleE)
+                return TupleE(tuple((n, Ite(c, p, q)) for (n, p), (_, q)
+                                    in zip(t.items, f.items)))
+            return Ite(c, t, f)
         if isinstance(x, CaseNat):
-            return CaseNat(walk(x.scrut), tuple((k, walk(b)) for k, b in x.arms),
-                           walk(x.default))
+            scrut = walk(x.scrut)
+            keys = [k for k, _ in x.arms]
+            bodies = [walk(b) for _, b in x.arms] + [walk(x.default)]
+
+            def case(bs: list[Expr]) -> CaseNat:
+                return CaseNat(scrut, tuple(zip(keys, bs[:-1])), bs[-1])
+
+            if isinstance(bodies[-1], TupleE):
+                return TupleE(tuple(
+                    (n, case([b.items[i][1] for b in bodies]))
+                    for i, (n, _) in enumerate(bodies[-1].items)))
+            return case(bodies)
         if isinstance(x, (Lt, Le, AddMod, SubSat)):
             return type(x)(walk(x.a), walk(x.b))
         if isinstance(x, Not):
@@ -154,103 +170,34 @@ def scalarize(e: Expr, var_sorts: dict[str, Sort]) -> Expr:
             return type(x)(tuple(walk(a) for a in x.args))
         raise TypeError(f"not an expression: {x!r}")
 
-    out = walk(e)
-    if record_fields(out) is not None and not isinstance(out, TupleE):
-        out = expand(out)
-    return out
+    return walk(e)
 
 
 # ---------------------------------------------------------------------------
-# demand analysis
+# atoms
 
-ALL = "all"  # demand sentinel: the whole value is needed
-
-Demand = Union[str, frozenset]  # ALL or a set of field names
 AtomKey = tuple[str, Optional[str]]  # (variable, field); field None for scalars
 
 
-def _merge_demand(out: dict[str, Demand], var: str, d: Demand):
-    cur = out.get(var)
-    if cur == ALL:
-        return
-    if d == ALL:
-        out[var] = ALL
-    else:
-        out[var] = (cur or frozenset()) | d
-
-
-def demanded_reads(e: Expr, demand: Demand, out: Optional[dict[str, Demand]] = None
-                   ) -> dict[str, Demand]:
-    """Which (variable, field) slots can influence the ``demand``ed part of
-    ``e``.  Unlike a plain free-variable walk, a record update only pulls in
-    the base-record fields that survive into the demanded projection."""
-    if out is None:
-        out = {}
-    if isinstance(e, Var):
-        _merge_demand(out, e.name, demand)
-        return out
-    if isinstance(e, Const):
-        return out
-    if isinstance(e, Field):
-        demanded_reads(e.rec, frozenset((e.name,)), out)
-        return out
-    if isinstance(e, Update):
-        if demand == ALL:
-            demanded_reads(e.rec, ALL, out)
-            for _, x in e.updates:
-                demanded_reads(x, ALL, out)
-        else:
-            updated = {n: x for n, x in e.updates}
-            passthru = frozenset(f for f in demand if f not in updated)
-            if passthru:
-                demanded_reads(e.rec, passthru, out)
-            for f in demand:
-                if f in updated:
-                    demanded_reads(updated[f], ALL, out)
-        return out
-    if isinstance(e, Ite):
-        demanded_reads(e.cond, ALL, out)
-        demanded_reads(e.then, demand, out)
-        demanded_reads(e.alt, demand, out)
-        return out
-    if isinstance(e, CaseNat):
-        demanded_reads(e.scrut, ALL, out)
-        for _, body in e.arms:
-            demanded_reads(body, demand, out)
-        demanded_reads(e.default, demand, out)
-        return out
-    if isinstance(e, TupleE):
-        if demand == ALL:
-            for _, x in e.items:
-                demanded_reads(x, ALL, out)
-        else:
-            for n, x in e.items:
-                if n in demand:
-                    demanded_reads(x, ALL, out)
-        return out
-    # scalar operators consume their operands whole
-    for c in expr_children(e):
-        demanded_reads(c, ALL, out)
-    return out
-
-
 def atoms_for(exprs: list[Expr], var_sorts: dict[str, Sort]) -> list[AtomKey]:
-    """The atom columns needed to evaluate all of ``exprs``, in deterministic
-    order (variable declaration order, then field declaration order)."""
-    demand: dict[str, Demand] = {}
-    for e in exprs:
-        demanded_reads(e, ALL, demand)
+    """The atoms that scalarized ``exprs`` read (their ``Field(Var, f)``
+    leaves and scalar variables), in deterministic order: variable
+    declaration order, then field declaration order."""
+    read: set[AtomKey] = set()
+    stack = list(exprs)
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Field):
+            assert isinstance(x.rec, Var), "expression is not scalarized"
+            read.add((x.rec.name, x.name))
+        elif isinstance(x, Var):
+            read.add((x.name, None))
+        else:
+            stack.extend(expr_children(x))
     keys: list[AtomKey] = []
     for var, sort in var_sorts.items():
-        if var not in demand:
-            continue
-        d = demand[var]
-        if isinstance(sort, TupleSort):
-            for fname, _ in sort.fields:
-                if d == ALL or fname in d:
-                    keys.append((var, fname))
-        else:
-            keys.append((var, None))
+        fields = sort.fields if isinstance(sort, TupleSort) else ((None, sort),)
+        keys.extend((var, f) for f, _ in fields if (var, f) in read)
     return keys
 
 
@@ -296,50 +243,25 @@ class VEnum:
 
 @dataclass
 class VRec:
+    """What a ``TupleE`` evaluates to; its items are scalar or ``VRec``."""
     items: tuple[tuple[Optional[str], "VVal"], ...]
-
-    def get(self, name: str) -> "VVal":
-        for n, v in self.items:
-            if n == name:
-                return v
-        raise KeyError(name)
 
 
 VVal = Union[VBool, VNat, VEnum, VRec]
+Scalar = Union[VBool, VNat, VEnum]
 
 
-def _vconst(v: Value) -> VVal:
+def _vconst(v: Value) -> Scalar:
     if isinstance(v, BoolV):
         return VBool(np.bool_(v.val))
     if isinstance(v, NatV):
         return VNat(np.int64(v.val), v.width)
-    if isinstance(v, EnumV):
-        return VEnum(np.int64(v.index), v.syms)
-    return VRec(tuple((n, _vconst(x)) for n, x in v.items))
+    assert isinstance(v, EnumV), "record constants are scalarized away"
+    return VEnum(np.int64(v.index), v.syms)
 
 
-def _veq(a: VVal, b: VVal) -> np.ndarray:
-    if isinstance(a, VRec):
-        assert isinstance(b, VRec) and len(a.items) == len(b.items)
-        acc = np.bool_(True)
-        for (n1, x), (n2, y) in zip(a.items, b.items):
-            assert n1 == n2
-            acc = acc & _veq(x, y)
-        return acc
-    return a.arr == b.arr
-
-
-def _vwhere(mask: np.ndarray, a: VVal, b: VVal) -> VVal:
-    if isinstance(a, VBool):
-        return VBool(np.where(mask, a.arr, b.arr))
-    if isinstance(a, VNat):
-        assert isinstance(b, VNat) and a.width == b.width
-        return VNat(np.where(mask, a.arr, b.arr), a.width)
-    if isinstance(a, VEnum):
-        return VEnum(np.where(mask, a.arr, b.arr), a.syms)
-    assert isinstance(a, VRec) and isinstance(b, VRec)
-    return VRec(tuple((n, _vwhere(mask, x, y))
-                      for (n, x), (_, y) in zip(a.items, b.items)))
+def _vwhere(mask: np.ndarray, a: Scalar, b: Scalar) -> Scalar:
+    return replace(a, arr=np.where(mask, a.arr, b.arr))
 
 
 class Table:
@@ -381,15 +303,12 @@ class Table:
             self.cols[k] = self.cols[k][mask]
         self.n = int(mask.sum())
 
-    def var_vval(self, name: str) -> VVal:
-        s = self.var_sorts[name]
-        if isinstance(s, TupleSort):
-            return VRec(tuple((f, self._col_vval((name, f), fs))
-                              for f, fs in s.fields if (name, f) in self.cols))
-        return self._col_vval((name, None), s)
-
-    def _col_vval(self, key: AtomKey, s: Sort) -> VVal:
+    def var_vval(self, name: str, field: Optional[str] = None) -> Scalar:
+        """The column of atom ``(name, field)``; ``field`` is None for a
+        scalar variable."""
+        key = (name, field)
         arr = self.cols[key]
+        s = atom_sort(key, self.var_sorts)
         if isinstance(s, BoolSort):
             return VBool(arr.astype(bool) if arr.dtype != np.bool_ else arr)
         if isinstance(s, NatSort):
@@ -406,20 +325,14 @@ def eval_vec(e: Expr, table: Table) -> VVal:
     if isinstance(e, Const):
         return _vconst(e.value)
     if isinstance(e, Field):
-        rec = eval_vec(e.rec, table)
-        assert isinstance(rec, VRec)
-        return rec.get(e.name)
-    if isinstance(e, Update):
-        rec = eval_vec(e.rec, table)
-        assert isinstance(rec, VRec)
-        news = {n: eval_vec(x, table) for n, x in e.updates}
-        return VRec(tuple((n, news.get(n, v)) for n, v in rec.items))
+        assert isinstance(e.rec, Var), "expression is not scalarized"
+        return table.var_vval(e.rec.name, e.name)
     if isinstance(e, Ite):
         c = eval_vec(e.cond, table)
         assert isinstance(c, VBool)
         return _vwhere(c.arr, eval_vec(e.then, table), eval_vec(e.alt, table))
     if isinstance(e, Eq):
-        return VBool(_veq(eval_vec(e.a, table), eval_vec(e.b, table)))
+        return VBool(eval_vec(e.a, table).arr == eval_vec(e.b, table).arr)
     if isinstance(e, Lt):
         a, b = eval_vec(e.a, table), eval_vec(e.b, table)
         assert isinstance(a, VNat) and isinstance(b, VNat)
@@ -464,32 +377,16 @@ def eval_vec(e: Expr, table: Table) -> VVal:
 
 
 def split_conjuncts(e: Expr) -> list[Expr]:
-    """Flatten nested conjunctions and record-vs-constant equalities into a
-    list of small conjuncts for staged filtering."""
+    """Flatten nested conjunctions into a list of small conjuncts for
+    staged filtering."""
     out: list[Expr] = []
 
     def walk(x: Expr):
         if isinstance(x, And):
             for c in x.args:
                 walk(c)
-            return
-        if isinstance(x, Const) and x.value == BoolV(True):
-            return
-        if isinstance(x, Eq):
-            a, b = x.a, x.b
-            if isinstance(b, TupleE) and isinstance(a, Const):
-                a, b = b, a
-            if isinstance(a, TupleE) and isinstance(b, Const) \
-                    and isinstance(b.value, TupleV) \
-                    and len(a.items) == len(b.value.items):
-                for (n1, item), (n2, val) in zip(a.items, b.value.items):
-                    if n1 != n2:
-                        break
-                else:
-                    for (_, item), (_, val) in zip(a.items, b.value.items):
-                        walk(Eq(item, Const(val)))
-                    return
-        out.append(x)
+        elif not (isinstance(x, Const) and x.value == BoolV(True)):
+            out.append(x)
 
     walk(e)
     return out
@@ -502,7 +399,7 @@ def build_table(var_sorts: dict[str, Sort], hyp: Expr, trm_exprs: list[Expr],
     Raises Capacity when that table would exceed ``row_cap`` rows.
 
     Callers pass already-scalarized expressions (see ``scalarize``)."""
-    # demand analysis once per conjunct: (conjunct, its atoms, their cards)
+    # atoms found once per conjunct: (conjunct, its atoms, their cards)
     pending = []
     for c in split_conjuncts(hyp):
         keys = atoms_for([c], var_sorts)

@@ -171,7 +171,7 @@ def test_find_unblok_post_over_all_interleavings():
     while q:
         st = q.popleft()
         for i, a in enumerate(st.trs):
-            if system.done(a) or system.blocked(a, st.trs):
+            if system.done(a) or system.blocker(a, st.trs) is not None:
                 continue
             st2 = b.step(st, i)
             if st2 not in seen:
@@ -182,7 +182,7 @@ def test_find_unblok_post_over_all_interleavings():
                 continue
             k = find_unblok(i, st.trs, system)
             assert not system.done(st.trs[k])
-            assert not system.blocked(st.trs[k], st.trs)
+            assert system.blocker(st.trs[k], st.trs) is None
             checked += 1
     assert len(seen) == 6167
     assert checked == 11960
@@ -201,14 +201,13 @@ def test_find_undone(system):
     assert system.find_undone([_proc(done=True), _proc(done=True)]) is None
 
 
-def test_pick_blok(system):
+def test_blocker(system):
     waiter = _proc(loc=9, pos=5, loop=2)
     other = _proc(pos=3, pos_valid=True, ndx=2)
     free = _proc(ndx=3)
     assert system.blok(waiter, other)
-    assert system.pick_blok(waiter, [free, other]) == 1
-    with pytest.raises(BakeryError):
-        system.pick_blok(waiter, [free])
+    assert system.blocker(waiter, [free, other]) == 1
+    assert system.blocker(waiter, [free]) is None
 
 
 def test_find_unblok_chain_and_errors(system):
@@ -292,7 +291,7 @@ def test_step_only_moves_one_rank_position(bakery):
     rng = random.Random(8)
     for _ in range(60):
         valid = [i for i, a in enumerate(st.trs)
-                 if not a.done and not bakery.system.blocked(a, st.trs)]
+                 if not a.done and bakery.system.blocker(a, st.trs) is None]
         if not valid:
             break
         i = rng.choice(valid)

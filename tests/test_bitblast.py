@@ -23,10 +23,14 @@ from wfgraph.model import (
     EnumSort,
     EnumV,
     Eq,
+    Field,
+    Ite,
     Lt,
     NatSort,
     NatV,
     SubSat,
+    TupleE,
+    TupleSort,
     Var,
     eval_expr,
     sort_card,
@@ -170,6 +174,21 @@ def test_records_are_scalarized():
     node = c.decode_output(model)
     a = c.decode_input(mp.var, model)
     assert node == eval_expr(mp.node, {mp.var: a})
+
+
+def test_record_branch_encodes_its_condition_once():
+    # scalarize splits a record branch into one branch per field, all on
+    # the same condition node: its gates are built once, not per field
+    rec = TupleSort((("a", NatSort(2)), ("b", BOOL), ("c", NatSort(2))))
+    vs = {"p": rec, "q": rec, "n": NatSort(2)}
+    p, q = Var("p"), Var("q")
+    cond = Lt(AddMod(Var("n"), Field(p, "a")), Field(q, "a"))
+    top = Const(BoolV(True))
+    shared = bitblast(TupleE((("r", Ite(cond, p, q)),)), top, vs)
+    # the same gates once more, with the branches on a fresh input
+    apart = bitblast(TupleE((("c", cond), ("r", Ite(Var("g"), p, q)))), top,
+                     dict(vs, g=BOOL))
+    assert shared.num_vars == apart.num_vars - 1
 
 
 def _solve_forced_any(circuit):

@@ -1,6 +1,7 @@
 """Value enumeration: the exhaustive and SAT routes must be observationally
 identical, including totality verdicts and solve-call counts."""
 
+import itertools
 import os
 import random
 
@@ -12,15 +13,28 @@ from wfgraph.enumeration import BACKENDS, EnumResult, compute_finite_values
 from wfgraph.model import (
     BOOL,
     And,
+    BoolSort,
     BoolV,
+    CaseNat,
     Const,
+    EnumSort,
+    EnumV,
     Eq,
+    Field,
+    Ite,
     Lt,
     NatSort,
     NatV,
     Not,
     TupleE,
+    TupleSort,
+    TupleV,
+    Update,
     Var,
+    canonical_sorted,
+    compile_expr,
+    expr_children,
+    infer_sort,
     sort_card,
 )
 
@@ -105,6 +119,69 @@ def test_over_budget_exhaustive_query_decodes_at_most_num(monkeypatch, trm):
         res = compute_finite_values(vs, top, trm, num)
         assert res == EnumResult(full.values[:num], False, num)
         assert len(decoded) <= num * leaves
+
+
+def _sort_values(s):
+    if isinstance(s, BoolSort):
+        return [BoolV(False), BoolV(True)]
+    if isinstance(s, NatSort):
+        return [NatV(k, s.width) for k in range(1 << s.width)]
+    if isinstance(s, EnumSort):
+        return [EnumV(x, s.syms) for x in s.syms]
+    return [TupleV(tuple(zip([n for n, _ in s.fields], vs))) for vs in
+            itertools.product(*(_sort_values(fs) for _, fs in s.fields))]
+
+
+def test_whole_record_query():
+    """Records read whole (a branch, a case, an update, a constant and a
+    variable) and compared in the hypothesis, one through a branch: both
+    backends return what evaluating every environment returns, and the
+    scalarized query reads records only through ``Field(Var, f)`` leaves."""
+    rec = TupleSort((("a", NatSort(2)), ("b", BOOL),
+                     ("c", EnumSort(("x", "y", "z")))))
+    vs = {"p": rec, "q": rec, "f": BOOL, "n": NatSort(2)}
+    p, q, f, n = (Var(v) for v in vs)
+    k = TupleV((("a", NatV(1, 2)), ("b", BoolV(True)),
+                ("c", EnumV("y", ("x", "y", "z")))))
+    trm = TupleE((
+        ("ite", Ite(f, p, q)),
+        ("case", CaseNat(n, ((0, q), (2, Update(p, (("a", n),)))), p)),
+        ("upd", Update(q, (("b", Not(f)),))),
+        ("const", Const(k)),
+        ("var", p)))
+    hyp = And((Eq(Ite(f, p, Update(q, (("a", n),))), Const(k)),
+               Not(Eq(p, q))))
+
+    run = compile_expr(trm)
+    holds = compile_expr(hyp)
+    envs = (dict(zip(vs, xs)) for xs in
+            itertools.product(*(_sort_values(s) for s in vs.values())))
+    want = canonical_sorted({run(env) for env in envs if holds(env).val})
+    assert len(want) > 20
+    res = _compare(vs, hyp, trm, _domain(vs) + 1)
+    assert res.is_total
+    assert list(res.values) == want
+
+    for e in (hyp, trm):
+        out = veceval.scalarize(e, vs)
+        stack = [out]
+        while stack:
+            x = stack.pop()
+            if isinstance(x, Field):
+                assert isinstance(x.rec, Var)
+                continue
+            assert isinstance(x, TupleE) or \
+                not isinstance(infer_sort(x, vs), TupleSort), x
+            stack.extend(expr_children(x))
+
+
+def test_unnamed_tuple_equality_compares_every_item():
+    # tuple items have no names, so they are compared by position
+    vs = {"x": NatSort(2), "y": NatSort(2)}
+    pair = TupleE(((None, Var("x")), (None, Var("y"))))
+    want = TupleE(((None, Const(NatV(1, 2))), (None, Const(NatV(2, 2)))))
+    res = _compare(vs, Eq(pair, want), pair, 17)
+    assert list(res.values) == [TupleV(((None, NatV(1, 2)), (None, NatV(2, 2))))]
 
 
 def test_zero_budget():

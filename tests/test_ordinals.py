@@ -27,7 +27,6 @@ from wfgraph.ordinals import (
     expand_descriptor,
     is_ordinal,
     mk_bnl,
-    msr,
     o_le,
     o_lt,
     ordinal_text,
@@ -237,7 +236,6 @@ def test_mk_bnl_pads_to_common_bound():
     args = (TOY_DESCRIPTORS, TOY_WIDTHS, bound, map_e, map_o)
     assert mk_bnl(("A", (5, 7)), *args) == (2, 5, 7)
     assert mk_bnl(("B", (0, 0)), *args) == (1, 0, 0)
-    assert msr(("B", (0, 0)), *args) == Ordinal(((2, 1),))
 
 
 def test_mk_bnl_rejects_bad_states():
