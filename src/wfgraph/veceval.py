@@ -78,7 +78,8 @@ CHUNK_ROWS = 1 << 16
 # updates, branches, and tuples until it lands on a variable, and every other
 # record-sorted node (a variable or constant read whole, an update, a branch)
 # becomes a ``TupleE`` of its per-item projections, so record equality is
-# fieldwise and branches are per item.  Afterwards every record read is a
+# fieldwise and branches are per item, down to the scalar items of tuples
+# that hold records or tuples.  Afterwards every record read is a
 # ``Field(Var, f)`` leaf and only ``TupleE`` containers are record-sorted,
 # so both backends evaluate scalar atoms only.
 
@@ -107,8 +108,36 @@ def field_of(e: Expr, name: str) -> Expr:
                 return x
         raise KeyError(name)
     if isinstance(e, Field):
-        raise TypeError("nested record sorts are not supported")
+        if isinstance(e.rec, Var):
+            raise TypeError("nested record sorts are not supported")
+        return field_of(field_of(e.rec, e.name), name)
     raise TypeError(f"no field projection on {type(e).__name__}")
+
+
+def _const_expr(v: Value) -> Expr:
+    """A constant with every record in it expanded into a ``TupleE``."""
+    if isinstance(v, TupleV):
+        return TupleE(tuple((n, _const_expr(x)) for n, x in v.items))
+    return Const(v)
+
+
+def _leaves(x: Expr) -> Iterator[Expr]:
+    """The scalar items of a scalarized expression, depth first."""
+    if isinstance(x, TupleE):
+        for _, item in x.items:
+            yield from _leaves(item)
+    else:
+        yield x
+
+
+def _itemwise(parts: list[Expr], build) -> Expr:
+    """``build`` applied to the scalar items of same-shaped scalarized
+    ``parts``, position by position, keeping their ``TupleE`` nesting."""
+    if isinstance(parts[0], TupleE):
+        return TupleE(tuple(
+            (n, _itemwise([p.items[i][1] for p in parts], build))
+            for i, (n, _) in enumerate(parts[0].items)))
+    return build(parts)
 
 
 def scalarize(e: Expr, var_sorts: dict[str, Sort]) -> Expr:
@@ -123,9 +152,7 @@ def scalarize(e: Expr, var_sorts: dict[str, Sort]) -> Expr:
                 return TupleE(tuple((n, Field(x, n)) for n, _ in s.fields))
             return x
         if isinstance(x, Const):
-            if isinstance(x.value, TupleV):
-                return TupleE(tuple((n, Const(v)) for n, v in x.value.items))
-            return x
+            return _const_expr(x.value) if isinstance(x.value, TupleV) else x
         if isinstance(x, Field):
             return x if isinstance(x.rec, Var) else walk(field_of(x.rec, x.name))
         if isinstance(x, Update):
@@ -138,30 +165,19 @@ def scalarize(e: Expr, var_sorts: dict[str, Sort]) -> Expr:
         if isinstance(x, Eq):
             a, b = walk(x.a), walk(x.b)
             if isinstance(a, TupleE):
-                assert isinstance(b, TupleE)
-                return And(tuple(Eq(p, q) for (_, p), (_, q)
-                                 in zip(a.items, b.items)))
+                return And(tuple(Eq(p, q) for p, q
+                                 in zip(_leaves(a), _leaves(b), strict=True)))
             return Eq(a, b)
         if isinstance(x, Ite):
-            c, t, f = walk(x.cond), walk(x.then), walk(x.alt)
-            if isinstance(t, TupleE):
-                assert isinstance(f, TupleE)
-                return TupleE(tuple((n, Ite(c, p, q)) for (n, p), (_, q)
-                                    in zip(t.items, f.items)))
-            return Ite(c, t, f)
+            c = walk(x.cond)
+            return _itemwise([walk(x.then), walk(x.alt)],
+                             lambda ps: Ite(c, *ps))
         if isinstance(x, CaseNat):
             scrut = walk(x.scrut)
             keys = [k for k, _ in x.arms]
             bodies = [walk(b) for _, b in x.arms] + [walk(x.default)]
-
-            def case(bs: list[Expr]) -> CaseNat:
-                return CaseNat(scrut, tuple(zip(keys, bs[:-1])), bs[-1])
-
-            if isinstance(bodies[-1], TupleE):
-                return TupleE(tuple(
-                    (n, case([b.items[i][1] for b in bodies]))
-                    for i, (n, _) in enumerate(bodies[-1].items)))
-            return case(bodies)
+            return _itemwise(bodies, lambda bs: CaseNat(
+                scrut, tuple(zip(keys, bs[:-1])), bs[-1]))
         if isinstance(x, (Lt, Le, AddMod, SubSat)):
             return type(x)(walk(x.a), walk(x.b))
         if isinstance(x, Not):

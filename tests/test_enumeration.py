@@ -134,9 +134,10 @@ def _sort_values(s):
 
 def test_whole_record_query():
     """Records read whole (a branch, a case, an update, a constant and a
-    variable) and compared in the hypothesis, one through a branch: both
-    backends return what evaluating every environment returns, and the
-    scalarized query reads records only through ``Field(Var, f)`` leaves."""
+    variable), also inside tuples, and compared in the hypothesis, one
+    through a branch and one inside a tuple: both backends return what
+    evaluating every environment returns, and the scalarized query reads
+    records only through ``Field(Var, f)`` leaves."""
     rec = TupleSort((("a", NatSort(2)), ("b", BOOL),
                      ("c", EnumSort(("x", "y", "z")))))
     vs = {"p": rec, "q": rec, "f": BOOL, "n": NatSort(2)}
@@ -148,9 +149,19 @@ def test_whole_record_query():
         ("case", CaseNat(n, ((0, q), (2, Update(p, (("a", n),)))), p)),
         ("upd", Update(q, (("b", Not(f)),))),
         ("const", Const(k)),
-        ("var", p)))
+        ("var", p),
+        ("nest", Ite(f, TupleE(((None, p), (None, n))),
+                     TupleE(((None, q), (None, Const(NatV(3, 2))))))),
+        ("ncase", CaseNat(n, ((1, TupleE(((None, q), (None, f)))),),
+                          Const(TupleV(((None, k), (None, BoolV(False))))))),
+        ("deep", Field(Field(Ite(f, TupleE((("r", p),)), TupleE((("r", q),))),
+                             "r"), "a"))))
     hyp = And((Eq(Ite(f, p, Update(q, (("a", n),))), Const(k)),
-               Not(Eq(p, q))))
+               Not(Eq(p, q)),
+               Not(Eq(TupleE(((None, q), (None, n))),
+                      Const(TupleV(((None, k), (None, NatV(0, 2))))))),
+               Not(Eq(TupleE(((None, p), (None, q))),
+                      TupleE(((None, q), (None, p)))))))
 
     run = compile_expr(trm)
     holds = compile_expr(hyp)
