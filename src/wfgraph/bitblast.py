@@ -12,6 +12,11 @@ constant bits need no special cases downstream.
 Variable numbering is deterministic: inputs in declaration order (fields in
 sort order, bits LSB-first), then internal gate variables in creation order.
 Identical inputs therefore produce bit-identical clause lists.
+
+Results are not decoded here: ``Circuit.output_columns`` turns the output
+bits of the models a solver found into one integer code column per scalar
+leaf, the codes ``veceval`` evaluates to, and ``veceval.distinct_rows``
+decodes and orders them as it does the exhaustive backend's columns.
 """
 
 from __future__ import annotations
@@ -21,9 +26,13 @@ from typing import Optional, Sequence, Union
 
 from .model import (
     AddMod, And, BoolSort, BoolV, CaseNat, Const, EnumSort, EnumV, Eq, Expr,
-    Field, Ite, Le, Lt, NatSort, NatV, Not, Or, Sort, SubSat, TupleE,
-    TupleV, Value, Var, infer_sort, sort_bits)
-from .veceval import scalarize
+    Field, Ite, Le, Lt, NatSort, NatV, Not, Or, Sort, SubSat, TupleE, Value,
+    Var, sort_bits)
+from .veceval import VBool, VEnum, VNat, VRec, VVal, scalarize
+
+# numpy after wfgraph.model: compiling model from source with numpy already
+# loaded raises the process's peak RSS
+import numpy as np
 
 TRUE = 1
 
@@ -307,58 +316,53 @@ class Circuit:
 
     ``clauses`` hold the encoding constraints only; satisfying the instance
     additionally requires asserting ``hyp_lit`` (the enumerator adds it as a
-    unit clause).  ``outputs`` are the trm bits in canonical order.
+    unit clause).  ``output`` is the encoded trm; ``outputs`` are its bits
+    in canonical order.
     """
 
-    var_sorts: dict[str, Sort]
-    trm_sort: Sort
     num_vars: int
     clauses: list[list[int]]
     inputs: dict[str, list[int]]
-    outputs: list[int]
+    output: BitVal
     hyp_lit: int
 
-    def decode_output(self, model: Sequence[bool]) -> Value:
-        value, rest = _decode_sort(self.trm_sort, self.outputs, model)
-        assert not rest
-        return value
+    @property
+    def outputs(self) -> list[int]:
+        return bitval_lits(self.output)
 
-    def decode_input(self, name: str, model: Sequence[bool]) -> Value:
-        value, rest = _decode_sort(self.var_sorts[name], self.inputs[name], model)
-        assert not rest
-        return value
+    def output_columns(self, rows: Sequence[Sequence[bool]]) -> VVal:
+        """The trm values of ``rows``, each the truth values of ``outputs``
+        in one model, as one integer code column per scalar leaf: the input
+        of ``veceval.distinct_rows``."""
+        bits = np.array(rows, dtype=np.int64).reshape(
+            len(rows), len(self.outputs))
+        start = 0
 
+        def codes(width: int) -> np.ndarray:
+            nonlocal start
+            part = bits[:, start:start + width]
+            start += width
+            return part @ (1 << np.arange(width, dtype=np.int64))
 
-def _lit_val(model: Sequence[bool], lit: int) -> bool:
-    v = model[abs(lit)]
-    return v if lit > 0 else not v
+        def leaf(v: BitVal) -> VVal:
+            if isinstance(v, BBool):
+                return VBool(codes(1).astype(bool))
+            if isinstance(v, BNat):
+                return VNat(codes(v.width), v.width)
+            if isinstance(v, BEnum):
+                col = codes(len(v.bits))
+                bad = col[col >= len(v.syms)]
+                if bad.size:
+                    raise BlastError(
+                        f"enum code {bad[0]} out of range: encoding bug")
+                return VEnum(col, v.syms)
+            return VRec(tuple((n, leaf(x)) for n, x in v.items))
 
-
-def _decode_sort(s: Sort, lits: list[int], model: Sequence[bool]
-                 ) -> tuple[Value, list[int]]:
-    if isinstance(s, BoolSort):
-        return BoolV(_lit_val(model, lits[0])), lits[1:]
-    if isinstance(s, NatSort):
-        bits, rest = lits[:s.width], lits[s.width:]
-        return NatV(sum(_lit_val(model, b) << i for i, b in enumerate(bits)),
-                    s.width), rest
-    if isinstance(s, EnumSort):
-        nbits = sort_bits(s)
-        bits, rest = lits[:nbits], lits[nbits:]
-        code = sum(_lit_val(model, b) << i for i, b in enumerate(bits))
-        if code >= len(s.syms):
-            raise BlastError(f"enum code {code} out of range: encoding bug")
-        return EnumV(s.syms[code], s.syms), rest
-    items = []
-    for n, fs in s.fields:
-        v, lits = _decode_sort(fs, lits, model)
-        items.append((n, v))
-    return TupleV(tuple(items)), lits
+        return leaf(self.output)
 
 
 def bitblast(trm: Expr, hyp: Expr, var_sorts: dict[str, Sort]) -> Circuit:
     """Translate ``trm`` under ``hyp`` to a Circuit (see module docstring)."""
-    trm_sort = infer_sort(trm, var_sorts)
     trm = scalarize(trm, var_sorts)
     hyp = scalarize(hyp, var_sorts)
     bld = _Builder()
@@ -370,10 +374,9 @@ def bitblast(trm: Expr, hyp: Expr, var_sorts: dict[str, Sort]) -> Circuit:
     enc = _Encoder(bld, env)
     hyp_val = enc.encode(hyp)
     assert isinstance(hyp_val, BBool)
-    outputs = bitval_lits(enc.encode(trm))
-    return Circuit(var_sorts=dict(var_sorts), trm_sort=trm_sort,
-                   num_vars=bld.num_vars, clauses=bld.clauses,
-                   inputs=inputs, outputs=outputs, hyp_lit=hyp_val.lit)
+    output = enc.encode(trm)
+    return Circuit(num_vars=bld.num_vars, clauses=bld.clauses, inputs=inputs,
+                   output=output, hyp_lit=hyp_val.lit)
 
 
 def dimacs(circuit: Circuit, extra_units: tuple[int, ...] = ()) -> str:

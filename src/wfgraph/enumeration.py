@@ -14,20 +14,24 @@ Backends:
               blocking each found output pattern
   ipasir      same loop through an external IPASIR shared library
 
-Every backend returns its values as one ``veceval.DistinctRows``: per
-top-level item, its distinct values and an integer id column.  The
-exhaustive backend builds it from its table without building any row; the
-solver backends wrap the values they decoded.
+Evaluation is independent per backend: numpy columns on one side, CNF and
+a CDCL solver on the other.  Decoding and canonical order are shared: every
+backend hands one integer code column per scalar leaf of ``trm`` to
+``veceval.distinct_rows``, which returns one ``veceval.DistinctRows`` (per
+top-level item, its distinct values and an integer id column).  The
+exhaustive backend's columns are its table's; the solver backends' are the
+output bits of each model found, which also make its blocking clause
+(``Circuit.output_columns``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitblast import bitblast, _lit_val
-from .model import Expr, Sort, Value, canonical_sorted
+from .bitblast import bitblast
+from .model import Expr, Sort
 from .sat import make_solver
-from .veceval import DistinctRows, exhaustive_values
+from .veceval import DistinctRows, distinct_rows, exhaustive_values
 
 BACKENDS = ("exhaustive", "sat", "ipasir")
 
@@ -54,25 +58,27 @@ def compute_finite_values(var_sorts: dict[str, Sort], hyp: Expr, trm: Expr,
         return EnumResult(values, False, num)
 
     circuit = bitblast(trm, hyp, var_sorts)
+    outputs = circuit.outputs
     solver = make_solver(circuit.num_vars, backend)
     try:
         for clause in circuit.clauses:
             solver.add_clause(clause)
         solver.add_clause([circuit.hyp_lit])
-        found: list[Value] = []
+        rows: list[list[bool]] = []
         calls = 0
         is_total = False
-        while len(found) < num:
+        while len(rows) < num:
             calls += 1
             if not solver.solve():
                 is_total = True
                 break
             model = solver.model
-            found.append(circuit.decode_output(model))
+            bits = [model[l] if l > 0 else not model[-l] for l in outputs]
+            rows.append(bits)
             solver.add_clause(
-                [-l if _lit_val(model, l) else l for l in circuit.outputs])
-        return EnumResult(DistinctRows.of(canonical_sorted(found)), is_total,
-                          calls)
+                [-l if b else l for l, b in zip(outputs, bits)])
+        values = distinct_rows(circuit.output_columns(rows), len(rows))
+        return EnumResult(values, is_total, calls)
     finally:
         close = getattr(solver, "close", None)
         if close:

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 from .absgraph import MAY_INC, STRICT_DEC, Graph, GraphError, TaggedGraph
 from .model import Value, value_from_json, value_text, value_to_json
@@ -323,29 +323,27 @@ def omap_from_json(doc) -> Omap:
             raise SynthesisError(f"omap lists node {value_text(node)} twice")
         seen.add(node)
         nodes.append(node)
+    measures = doc["measures"]
+    if not all(isinstance(m, str) for m in measures):
+        raise SynthesisError("omap measures must be names")
     descs = []
     for d in doc["descriptors"]:
         if not isinstance(d, list):
             raise SynthesisError(f"bad descriptor {d!r}")
-        entries: list[Union[int, str]] = []
         for e in d:
-            if isinstance(e, str):
-                entries.append(e)
-            elif isinstance(e, int) and not isinstance(e, bool):
-                entries.append(e)
-            else:
+            if not isinstance(e, (int, str)) or isinstance(e, bool):
                 raise SynthesisError(f"bad descriptor entry {e!r}")
-        descs.append(tuple(entries))
+            if isinstance(e, str) and e not in measures:
+                raise SynthesisError(
+                    f"descriptor entry {e!r} is not a measure of the omap")
+        descs.append(tuple(d))
     if len(nodes) != len(descs):
         raise SynthesisError("node/descriptor count mismatch")
-    if not all(isinstance(m, str) for m in doc["measures"]):
-        raise SynthesisError("omap measures must be names")
     widths = doc["widths"]
     if not all(isinstance(w, int) and not isinstance(w, bool) and w >= 0
                for w in widths.values()):
         raise SynthesisError("omap widths must be naturals")
-    return Omap(tuple(zip(nodes, descs)), tuple(doc["measures"]),
-                dict(widths))
+    return Omap(tuple(zip(nodes, descs)), tuple(measures), dict(widths))
 
 
 def omap_text(m: Omap) -> str:

@@ -208,16 +208,6 @@ class TupleV:
 Value = Union[BoolV, NatV, EnumV, TupleV]
 
 
-def value_sort(v: Value) -> Sort:
-    if isinstance(v, BoolV):
-        return BOOL
-    if isinstance(v, NatV):
-        return NatSort(v.width)
-    if isinstance(v, EnumV):
-        return EnumSort(v.syms)
-    return TupleSort(tuple((n, value_sort(x)) for n, x in v.items))
-
-
 def value_key(v: Value):
     """Total canonical order key: by kind, then content, recursively."""
     if isinstance(v, BoolV):
@@ -405,15 +395,6 @@ def expr_children(e: Expr) -> tuple[Expr, ...]:
     if isinstance(e, CaseNat):
         return (e.scrut,) + tuple(x for _, x in e.arms) + (e.default,)
     raise TypeError(f"not an expression: {e!r}")
-
-
-def free_vars(e: Expr) -> frozenset[str]:
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    out: frozenset[str] = frozenset()
-    for c in expr_children(e):
-        out |= free_vars(c)
-    return out
 
 
 def subst_vars(e: Expr, mapping: dict[str, Expr]) -> Expr:
@@ -609,35 +590,6 @@ def eval_expr(e: Expr, env: Env) -> Value:
     caller that evaluates the same expression many times compiles it once
     with ``compile_expr`` and calls the closure instead."""
     return compile_expr(e)(env)
-
-
-def infer_sort(e: Expr, env: dict[str, Sort]) -> Sort:
-    """Sort of an already-elaborated expression (total and deterministic)."""
-    if isinstance(e, Var):
-        try:
-            return env[e.name]
-        except KeyError:
-            raise SortError(f"unbound variable '{e.name}'") from None
-    if isinstance(e, Const):
-        return value_sort(e.value)
-    if isinstance(e, Field):
-        rs = infer_sort(e.rec, env)
-        if not isinstance(rs, TupleSort):
-            raise SortError("field access on non-record")
-        return rs.field_sort(e.name)
-    if isinstance(e, Update):
-        return infer_sort(e.rec, env)
-    if isinstance(e, Ite):
-        return infer_sort(e.then, env)
-    if isinstance(e, (Eq, Lt, Le, Not, And, Or)):
-        return BOOL
-    if isinstance(e, (AddMod, SubSat)):
-        return infer_sort(e.a, env)
-    if isinstance(e, TupleE):
-        return TupleSort(tuple((n, infer_sort(x, env)) for n, x in e.items))
-    if isinstance(e, CaseNat):
-        return infer_sort(e.default, env)
-    raise TypeError(f"not an expression: {e!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -41,10 +41,6 @@ def bnl_lt(a: Sequence[int], b: Sequence[int]) -> bool:
     return tuple(a) < tuple(b)
 
 
-def bnl_le(a: Sequence[int], b: Sequence[int]) -> bool:
-    return not bnl_lt(b, a)
-
-
 def bnl_ranks(bnls: Sequence[Sequence[int]]) -> list[int]:
     """Dense rank of each bnl in bnl order: equal bnls share a rank, and
     for two bnls of one length, ``bnl_lt(a, b)`` exactly when a's rank is
@@ -69,10 +65,6 @@ def bnll_lt(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
     if len(a) != len(b):
         return len(a) < len(b)
     return [tuple(x) for x in a] < [tuple(y) for y in b]
-
-
-def bnll_le(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
-    return not bnll_lt(b, a)
 
 
 @dataclass(frozen=True)
@@ -111,10 +103,6 @@ def o_lt(a: Ordinal, b: Ordinal) -> bool:
         if ca != cb:
             return ca < cb
     return len(a.terms) < len(b.terms)
-
-
-def o_le(a: Ordinal, b: Ordinal) -> bool:
-    return not o_lt(b, a)
 
 
 def ordinal_text(a: Ordinal) -> str:

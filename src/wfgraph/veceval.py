@@ -30,12 +30,12 @@ Three things keep the tables small:
 Unconstrained atoms never enter the table, which is sound because a
 satisfying row extends to full environments by fixing them arbitrarily.
 
-Results stay columnar too: ``distinct_rows`` ranks the surviving rows and
-returns a ``DistinctRows``, which holds each top-level item's distinct
-values, decoded once, and one integer id column per item.  A row's value is
-built only when a caller reads that row, so a consumer that works on the
-ids (the certifier's sweep) decodes nothing but the items and its
-witnesses.
+Results stay columnar too: ``distinct_rows`` ranks the surviving rows (or
+the SAT backend's models, as code columns) and returns a ``DistinctRows``,
+which holds each top-level item's distinct values, decoded once, and one
+integer id column per item.  A row's value is built only when a caller
+reads that row, so a consumer that works on the ids (the certifier's sweep)
+decodes nothing but the items and its witnesses.
 """
 
 from __future__ import annotations
@@ -49,8 +49,7 @@ import numpy as np
 from .model import (
     AddMod, And, BoolSort, BoolV, CaseNat, Const, EnumSort, EnumV, Eq,
     Expr, Field, Ite, Le, Lt, NatSort, NatV, Not, Or, Sort, SubSat, TupleE,
-    TupleSort, TupleV, Update, Value, Var, canonical_sorted, expr_children,
-    sort_card)
+    TupleSort, TupleV, Update, Value, Var, expr_children, sort_card)
 
 
 class Capacity(Exception):
@@ -591,23 +590,9 @@ class DistinctRows(Sequence[Value]):
         self._n = n
 
     @classmethod
-    def of(cls, values: Sequence[Value]) -> "DistinctRows":
-        """Columns of values already decoded, distinct and canonically
-        ordered: the solver backends' results, and the empty result."""
-        if values and isinstance(values[0], TupleV):
-            names = tuple(n for n, _ in values[0].items)
-            cols: list[Sequence[Value]] = [
-                [q.items[k][1] for q in values]  # type: ignore[union-attr]
-                for k in range(len(names))]
-        else:
-            names, cols = None, [values]
-        item_values, item_ids = [], []
-        for col in cols:
-            vals = canonical_sorted(set(col))
-            index = {v: i for i, v in enumerate(vals)}
-            item_values.append(vals)
-            item_ids.append(np.array([index[v] for v in col], dtype=np.int64))
-        return cls(names, item_values, item_ids, len(values))
+    def empty(cls) -> "DistinctRows":
+        """The result with no values."""
+        return cls(None, [[]], [np.zeros(0, dtype=np.int64)], 0)
 
     def item(self, k: int, row: int) -> Value:
         """Item ``k`` of row ``row``."""
@@ -653,8 +638,10 @@ class DistinctRows(Sequence[Value]):
 
 def distinct_rows(v: VVal, n_rows: int,
                   limit: Optional[int] = None) -> DistinctRows:
-    """Distinct values of ``v`` across the table rows, canonically ordered;
-    with a ``limit``, only the first ``limit`` of them.
+    """Distinct values of ``v`` across its ``n_rows`` rows, canonically
+    ordered; with a ``limit``, only the first ``limit`` of them.  The rows
+    are a table's, or the models a solver found (``Circuit.output_columns``):
+    this is the one decoder of enumeration results.
 
     Leaf codes form one integer column per leaf, and rows are ranked
     lexicographically over those columns (``lex_rank``); because every
@@ -668,7 +655,7 @@ def distinct_rows(v: VVal, n_rows: int,
     (see ``DistinctRows``).
     """
     if n_rows == 0 or limit == 0:
-        return DistinctRows.of(())
+        return DistinctRows.empty()
     items = v.items if isinstance(v, VRec) else ((None, v),)
     names = tuple(n for n, _ in items) if isinstance(v, VRec) else None
     leaves = vval_leaves(v)
@@ -708,5 +695,5 @@ def exhaustive_values(var_sorts: dict[str, Sort], hyp: Expr, trm: Expr,
     trm_s = scalarize(trm, var_sorts)
     table = build_table(var_sorts, hyp_s, [trm_s])
     if table.n == 0:
-        return DistinctRows.of(())
+        return DistinctRows.empty()
     return distinct_rows(eval_vec(trm_s, table), table.n, limit)

@@ -2,8 +2,9 @@
 
 The main test drives randomly generated scalar expressions through the
 encoder and checks, assignment by assignment, that the CNF is satisfiable
-exactly when the hypothesis evaluates true and that the decoded output
-equals direct evaluation.
+exactly when the hypothesis evaluates true and that the output, decoded the
+way the enumerator decodes it (``Circuit.output_columns`` then
+``veceval.distinct_rows``), equals direct evaluation.
 """
 
 import itertools
@@ -31,15 +32,24 @@ from wfgraph.model import (
     SubSat,
     TupleE,
     TupleSort,
+    TupleV,
     Var,
     eval_expr,
+    sort_bits,
     sort_card,
 )
 from wfgraph.sat import DpllSolver
+from wfgraph.veceval import distinct_rows
 
 
 def _unit_lits(sort, lits, value):
     """Unit literals forcing an input's bits to a concrete value."""
+    if isinstance(sort, TupleSort):
+        out, start = [], 0
+        for (_, s), (_, v) in zip(sort.fields, value.items):
+            out += _unit_lits(s, lits[start:start + sort_bits(s)], v)
+            start += sort_bits(s)
+        return out
     if isinstance(sort, BoolSort):
         return [lits[0] if value.val else -lits[0]]
     if isinstance(sort, NatSort):
@@ -72,15 +82,22 @@ def _all_values(s):
     return [EnumV(sym, s.syms) for sym in s.syms]
 
 
-def _solve_forced(circuit, env):
+def _solve_forced(circuit, var_sorts, env):
     solver = DpllSolver(circuit.num_vars)
     for cl in circuit.clauses:
         solver.add_clause(cl)
     solver.add_clause([circuit.hyp_lit])
     for name, lits in circuit.inputs.items():
-        for unit in _unit_lits(circuit.var_sorts[name], lits, env[name]):
+        for unit in _unit_lits(var_sorts[name], lits, env[name]):
             solver.add_clause([unit])
     return solver.model if solver.solve() else None
+
+
+def _decode(circuit, model):
+    """The trm value in ``model``, decoded as the enumerator decodes it."""
+    bits = [model[l] if l > 0 else not model[-l] for l in circuit.outputs]
+    (value,) = distinct_rows(circuit.output_columns([bits]), 1)
+    return value
 
 
 def test_random_exprs_match_evaluator():
@@ -92,13 +109,11 @@ def test_random_exprs_match_evaluator():
         hyp = rand_expr(rng, var_sorts, BOOL, 3)
         circuit = bitblast(trm, hyp, var_sorts)
         for env in _assignments(var_sorts, rng):
-            model = _solve_forced(circuit, env)
+            model = _solve_forced(circuit, var_sorts, env)
             want_sat = eval_expr(hyp, env).val
             assert (model is not None) == want_sat
             if model is not None:
-                assert circuit.decode_output(model) == eval_expr(trm, env)
-                for name in var_sorts:
-                    assert circuit.decode_input(name, model) == env[name]
+                assert _decode(circuit, model) == eval_expr(trm, env)
                 checked += 1
     assert checked > 1000
 
@@ -146,9 +161,9 @@ def test_arith_gates(a, b):
     ]
     for trm, want in cases:
         c = bitblast(trm, Const(BoolV(True)), vs)
-        model = _solve_forced(c, env)
+        model = _solve_forced(c, vs, env)
         assert model is not None
-        assert c.decode_output(model) == want
+        assert _decode(c, model) == want
 
 
 def test_unsat_hypothesis():
@@ -168,12 +183,13 @@ def test_records_are_scalarized():
     mp = m.map_decl("rank")
     proc = m.record_sort("proc")
     c = bitblast(mp.node, Const(BoolV(True)), {mp.var: proc})
-    assert c.trm_sort == mp.node_sort
-    model = _solve_forced_any(c)
-    assert model is not None
-    node = c.decode_output(model)
-    a = c.decode_input(mp.var, model)
-    assert node == eval_expr(mp.node, {mp.var: a})
+    assert [n for n, _ in c.output.items] == [n for n, _ in mp.node_sort.fields]
+    rng = random.Random(3)
+    for _ in range(20):
+        a = TupleV(tuple((n, rand_value(rng, s)) for n, s in proc.fields))
+        model = _solve_forced(c, {mp.var: proc}, {mp.var: a})
+        assert model is not None
+        assert _decode(c, model) == eval_expr(mp.node, {mp.var: a})
 
 
 def test_record_branch_encodes_its_condition_once():
@@ -191,23 +207,12 @@ def test_record_branch_encodes_its_condition_once():
     assert shared.num_vars == apart.num_vars - 1
 
 
-def _solve_forced_any(circuit):
-    solver = DpllSolver(circuit.num_vars)
-    for cl in circuit.clauses:
-        solver.add_clause(cl)
-    solver.add_clause([circuit.hyp_lit])
-    return solver.model if solver.solve() else None
-
-
 def test_decode_rejects_out_of_range_enum():
     s = EnumSort(("a", "b", "c"))
     c = bitblast(Var("x"), Const(BoolV(True)), {"x": s})
-    fake = [False] * (c.num_vars + 1)
-    fake[TRUE] = True
-    for lit in c.inputs["x"]:
-        fake[abs(lit)] = lit > 0
-    with pytest.raises(BlastError):
-        c.decode_output(fake)
+    # rows of output bits, LSB first: codes 2 and 3; 3 names no symbol
+    with pytest.raises(BlastError, match="enum code 3 out of range"):
+        c.output_columns([[False, True], [True, True]])
 
 
 def test_dimacs_shape():

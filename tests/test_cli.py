@@ -137,6 +137,8 @@ def test_malformed_omap_is_a_one_line_error(rank_omap_doc, tmp_path,
     cases["descriptor not a list"] = dict(
         doc, descriptors=["ab"] + doc["descriptors"][1:])
     cases["measure not a name"] = dict(doc, measures=[1])
+    cases["descriptor names no measure of the omap"] = dict(
+        doc, descriptors=[["zzz"] + d for d in doc["descriptors"]])
     # every reader of an omap takes one descriptor per node
     cases["node listed twice"] = dict(
         doc, nodes=doc["nodes"] + doc["nodes"][:1],

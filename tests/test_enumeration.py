@@ -34,7 +34,6 @@ from wfgraph.model import (
     canonical_sorted,
     compile_expr,
     expr_children,
-    infer_sort,
     sort_card,
 )
 
@@ -174,16 +173,37 @@ def test_whole_record_query():
     assert list(res.values) == want
 
     for e in (hyp, trm):
-        out = veceval.scalarize(e, vs)
-        stack = [out]
-        while stack:
-            x = stack.pop()
-            if isinstance(x, Field):
-                assert isinstance(x.rec, Var)
-                continue
-            assert isinstance(x, TupleE) or \
-                not isinstance(infer_sort(x, vs), TupleSort), x
-            stack.extend(expr_children(x))
+        assert _record_nodes(veceval.scalarize(e, vs), vs) == []
+    # the walk sees every kind of record node the raw query holds
+    kinds = {type(x).__name__ for e in (hyp, trm)
+             for x in _record_nodes(e, vs)}
+    assert kinds == {"Var", "Const", "Update", "Ite", "CaseNat", "Eq",
+                     "Field"}
+
+
+def _record_nodes(e, var_sorts):
+    """The nodes of ``e`` that take records apart or build them, other than
+    a ``TupleE`` or a ``Field(Var, f)`` leaf: what ``scalarize`` leaves none
+    of.  A record ``Ite`` or ``CaseNat`` shows as one with a tuple branch,
+    or as a record node among its branches."""
+    out, stack = [], [e]
+    while stack:
+        x = stack.pop()
+        if isinstance(x, Field) and isinstance(x.rec, Var):
+            continue
+        branches = (
+            (x.then, x.alt) if isinstance(x, Ite)
+            else tuple(b for _, b in x.arms) + (x.default,)
+            if isinstance(x, CaseNat)
+            else (x.a, x.b) if isinstance(x, Eq) else ())
+        if (isinstance(x, (Field, Update))
+                or (isinstance(x, Var)
+                    and isinstance(var_sorts[x.name], TupleSort))
+                or (isinstance(x, Const) and isinstance(x.value, TupleV))
+                or any(isinstance(b, TupleE) for b in branches)):
+            out.append(x)
+        stack.extend(expr_children(x))
+    return out
 
 
 def test_unnamed_tuple_equality_compares_every_item():
@@ -193,6 +213,18 @@ def test_unnamed_tuple_equality_compares_every_item():
     want = TupleE(((None, Const(NatV(1, 2))), (None, Const(NatV(2, 2)))))
     res = _compare(vs, Eq(pair, want), pair, 17)
     assert list(res.values) == [TupleV(((None, NatV(1, 2)), (None, NatV(2, 2))))]
+
+
+def test_term_without_output_bits():
+    # a term with no bits has one value, or none under an unsatisfiable
+    # hypothesis
+    vs = {"x": NatSort(2)}
+    unit = TupleE(())
+    res = _compare(vs, Const(BoolV(True)), unit, 5)
+    assert list(res.values) == [TupleV(())] and res.is_total
+    never = Lt(Var("x"), Const(NatV(0, 2)))
+    res = _compare(vs, never, unit, 5)
+    assert list(res.values) == [] and res.is_total
 
 
 def test_zero_budget():

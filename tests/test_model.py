@@ -30,8 +30,6 @@ from wfgraph.model import (
     compile_expr,
     default_value,
     eval_expr,
-    free_vars,
-    infer_sort,
     parse_model,
     pretty_print,
     sort_card,
@@ -270,12 +268,6 @@ def test_compiled_matches_vectorized_on_random_scalar_expressions(seed):
 
 # -- static helpers ----------------------------------------------------------
 
-def test_infer_sort_on_map_node(bakery):
-    mp = bakery.map_decl("rank")
-    proc = bakery.record_sort("proc")
-    assert infer_sort(mp.node, {mp.var: proc}) == mp.node_sort
-
-
 def test_parse_rejects_mixed_eq():
     bad = """(model m
       (sort s (f bool) (g (nat 2)))
@@ -284,11 +276,9 @@ def test_parse_rejects_mixed_eq():
         parse_model(bad)
 
 
-def test_free_vars_and_subst(bakery):
+def test_subst_closes_a_map_node(bakery):
     mp = bakery.map_decl("rank")
-    assert free_vars(mp.node) == {mp.var}
     closed = subst_vars(mp.node, {mp.var: bakery.define("init").body})
-    assert free_vars(closed) == set()
     assert eval_expr(closed, {}).get("loc") == NatV(0, 5)
 
 

@@ -16,18 +16,15 @@ from wfgraph.ordinals import (
     Ordinal,
     OrdinalError,
     bnl_bnd,
-    bnl_le,
     bnl_lt,
     bnl_ranks,
     bnl_to_ordinal,
-    bnll_le,
     bnll_lt,
     bnll_to_ordinal,
     descriptor_length,
     expand_descriptor,
     is_ordinal,
     mk_bnl,
-    o_le,
     o_lt,
     ordinal_text,
 )
@@ -40,7 +37,6 @@ def all_bnls(bound: int, limit: int):
 def test_bnl_order_is_tuple_order():
     for a, b in itertools.product(all_bnls(2, 3), repeat=2):
         assert bnl_lt(a, b) == (a < b)
-        assert bnl_le(a, b) == (a <= b)
 
 
 @pytest.mark.parametrize("bound", [1, 2, 3])
@@ -96,7 +92,6 @@ def test_bnll_order_exhaustive():
     for a, b in itertools.product(lists, repeat=2):
         want = (len(a), tuple(a)) < (len(b), tuple(b))
         assert bnll_lt(a, b) == want, (a, b)
-        assert bnll_le(a, b) == (not bnll_lt(b, a))
 
 
 @pytest.mark.parametrize("length", [0, 1, 2])
@@ -189,7 +184,6 @@ bnl_strategy = st.lists(st.integers(0, 5), min_size=0, max_size=5)
 def test_o_lt_irreflexive(a):
     x = bnl_to_ordinal(a)
     assert not o_lt(x, x)
-    assert o_le(x, x)
 
 
 @given(bnl_strategy, bnl_strategy)
