@@ -35,9 +35,9 @@ for node, desc in bakery.nlock_omap.descriptors:
 rng = random.Random(1)
 st = bakery.init()
 deepest = (0, st, 0)
-while not all(a.done for a in st.trs):
+while not all(system.done(a) for a in st.trs):
     for s0 in range(bakery.n):
-        if st.trs[s0].done:
+        if system.done(st.trs[s0]):
             continue
         chain = []
         k = system.blocker(st.trs[s0], st.trs)
@@ -53,11 +53,12 @@ depth, st, k = deepest
 print(f"\ndeepest chain seen in a seeded run: {depth} hops")
 while True:
     a = st.trs[k]
+    ndx, loc, pos = (a.get(f).val for f in ("ndx", "loc", "pos"))
     m = ordinal_text(bakery.nlock_msr(a))
     k = system.blocker(a, st.trs)
     if k is None:
-        print(f"  ndx {a.ndx} at loc {a.loc} (pos {a.pos})  measure {m}"
+        print(f"  ndx {ndx} at loc {loc} (pos {pos})  measure {m}"
               f"  -- unblocked, ready to step")
         break
-    print(f"  ndx {a.ndx} at loc {a.loc} (pos {a.pos})  measure {m}"
+    print(f"  ndx {ndx} at loc {loc} (pos {pos})  measure {m}"
           f"  waits on")

@@ -4,8 +4,8 @@ a monitored scheduler.
 `models/bakery.wfm` is the one source of truth.  `Bakery` holds the
 model's `system` declaration compiled once (`system.System`: `next`,
 `shared-next`, `blok` and `done` as closures) and steps model values with
-it: each process is a `TupleV` of the state sort, whose fields read as
-attributes (`a.pos_valid`).  Every run is watched by the synthesized
+it: each process is a `TupleV` of the state sort, whose fields are read
+with `get` (`a.get("pos-valid")`).  Every run is watched by the synthesized
 measures: the scheduler's blocking descent must strictly decrease the
 no-lock measure, and each global step must strictly decrease the
 fixed-length list-of-bnl rank measure.  The measures evaluate the map's
@@ -120,7 +120,7 @@ class Bakery:
 
     >>> b = Bakery(n=2, r=1)
     >>> res = b.run(seed=7)
-    >>> all(tr.done for tr in res.final.trs)
+    >>> all(b.system.done(tr) for tr in res.final.trs)
     True
     """
 

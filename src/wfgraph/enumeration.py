@@ -12,14 +12,13 @@ Backends:
   exhaustive  vectorized sweep over the variable domains (numpy)
   sat         bit-blast to CNF, enumerate models with the built-in solver,
               blocking each found output pattern
-  ipasir      same loop through an external IPASIR shared library
 
 Evaluation is independent per backend: numpy columns on one side, CNF and
 a CDCL solver on the other.  Decoding and canonical order are shared: every
 backend hands one integer code column per scalar leaf of ``trm`` to
 ``veceval.distinct_rows``, which returns one ``veceval.DistinctRows`` (per
 top-level item, its distinct values and an integer id column).  The
-exhaustive backend's columns are its table's; the solver backends' are the
+exhaustive backend's columns are its table's; the SAT backend's are the
 output bits of each model found, which also make its blocking clause
 (``Circuit.output_columns``).
 """
@@ -30,10 +29,10 @@ from dataclasses import dataclass
 
 from .bitblast import bitblast
 from .model import Expr, Sort
-from .sat import make_solver
+from .sat import DpllSolver
 from .veceval import DistinctRows, distinct_rows, exhaustive_values
 
-BACKENDS = ("exhaustive", "sat", "ipasir")
+BACKENDS = ("exhaustive", "sat")
 
 
 @dataclass(frozen=True)
@@ -59,27 +58,21 @@ def compute_finite_values(var_sorts: dict[str, Sort], hyp: Expr, trm: Expr,
 
     circuit = bitblast(trm, hyp, var_sorts)
     outputs = circuit.outputs
-    solver = make_solver(circuit.num_vars, backend)
-    try:
-        for clause in circuit.clauses:
-            solver.add_clause(clause)
-        solver.add_clause([circuit.hyp_lit])
-        rows: list[list[bool]] = []
-        calls = 0
-        is_total = False
-        while len(rows) < num:
-            calls += 1
-            if not solver.solve():
-                is_total = True
-                break
-            model = solver.model
-            bits = [model[l] if l > 0 else not model[-l] for l in outputs]
-            rows.append(bits)
-            solver.add_clause(
-                [-l if b else l for l, b in zip(outputs, bits)])
-        values = distinct_rows(circuit.output_columns(rows), len(rows))
-        return EnumResult(values, is_total, calls)
-    finally:
-        close = getattr(solver, "close", None)
-        if close:
-            close()
+    solver = DpllSolver(circuit.num_vars)
+    for clause in circuit.clauses:
+        solver.add_clause(clause)
+    solver.add_clause([circuit.hyp_lit])
+    rows: list[list[bool]] = []
+    calls = 0
+    is_total = False
+    while len(rows) < num:
+        calls += 1
+        if not solver.solve():
+            is_total = True
+            break
+        model = solver.model
+        bits = [model[l] if l > 0 else not model[-l] for l in outputs]
+        rows.append(bits)
+        solver.add_clause([-l if b else l for l, b in zip(outputs, bits)])
+    values = distinct_rows(circuit.output_columns(rows), len(rows))
+    return EnumResult(values, is_total, calls)

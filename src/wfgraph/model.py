@@ -193,9 +193,9 @@ class TupleV:
         raise EvalError(f"unknown field '{name}'")
 
     def __getattr__(self, name: str):
-        """Read-only attribute view of the named fields: ``v.pos_valid``
-        reads field ``pos-valid``.  A boolean or natural field comes back as
-        a Python ``bool`` or ``int``, any other field as its value."""
+        """Read-only attribute view of the named fields (``v.pos_valid`` reads
+        ``pos-valid``; a bool or nat field comes back as ``bool``/``int``).
+        The library reads with ``get``; ``perfbench/run.py`` reads ``done``."""
         if name == "items" or name.startswith("__"):
             raise AttributeError(name)
         fname = name.replace("_", "-")

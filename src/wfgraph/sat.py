@@ -1,4 +1,4 @@
-"""SAT backends: a built-in CDCL solver and an optional IPASIR bridge.
+"""The SAT backend's solver: a built-in, incremental CDCL solver.
 
 The built-in solver is conflict-driven clause learning in the style of GRASP
 (Marques-Silva & Sakallah 1999) with MiniSat's two-watched-literal
@@ -33,15 +33,10 @@ unsatisfiable from then on.
 The class keeps the name ``DpllSolver``: the benchmark's tracer
 (``perfbench/tracer.py``) wraps ``DpllSolver.solve`` and
 ``DpllSolver.add_clause`` by name for its ``sat.*`` spans.
-
-Set the WFG_IPASIR_LIB environment variable to the path of a shared library
-exporting the IPASIR API to enable the ``ipasir`` backend.
 """
 
 from __future__ import annotations
 
-import ctypes
-import os
 from typing import Optional
 
 
@@ -246,63 +241,3 @@ class DpllSolver:
             self._next = v
             self._lim.append(len(self._trail))
             self._assign(2 * v + 1, None)  # try False first
-
-
-class IpasirSolver:
-    """ctypes bridge to an IPASIR shared library (one solver per instance)."""
-
-    def __init__(self, num_vars: int, lib_path: str):
-        self.num_vars = num_vars
-        self._lib = ctypes.CDLL(lib_path)
-        self._lib.ipasir_init.restype = ctypes.c_void_p
-        self._lib.ipasir_add.argtypes = [ctypes.c_void_p, ctypes.c_int]
-        self._lib.ipasir_solve.argtypes = [ctypes.c_void_p]
-        self._lib.ipasir_solve.restype = ctypes.c_int
-        self._lib.ipasir_val.argtypes = [ctypes.c_void_p, ctypes.c_int]
-        self._lib.ipasir_val.restype = ctypes.c_int
-        self._lib.ipasir_release.argtypes = [ctypes.c_void_p]
-        self._ptr = self._lib.ipasir_init()
-        self.model: list[bool] = []
-
-    def add_clause(self, lits: list[int]):
-        for l in lits:
-            self._lib.ipasir_add(self._ptr, l)
-        self._lib.ipasir_add(self._ptr, 0)
-
-    def solve(self) -> bool:
-        r = self._lib.ipasir_solve(self._ptr)
-        if r == 10:
-            self.model = [False]
-            for v in range(1, self.num_vars + 1):
-                self.model.append(self._lib.ipasir_val(self._ptr, v) > 0)
-            return True
-        if r == 20:
-            return False
-        raise RuntimeError(f"ipasir_solve returned {r}")
-
-    def close(self):
-        if self._ptr is not None:
-            self._lib.ipasir_release(self._ptr)
-            self._ptr = None
-
-    def __del__(self):
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
-def ipasir_library() -> Optional[str]:
-    return os.environ.get("WFG_IPASIR_LIB") or None
-
-
-def make_solver(num_vars: int, backend: str):
-    if backend == "sat":
-        return DpllSolver(num_vars)
-    if backend == "ipasir":
-        path = ipasir_library()
-        if not path:
-            raise ValueError(
-                "ipasir backend requested but WFG_IPASIR_LIB is not set")
-        return IpasirSolver(num_vars, path)
-    raise ValueError(f"unknown SAT backend {backend!r}")

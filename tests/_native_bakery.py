@@ -204,7 +204,7 @@ def from_state(st: SystemState) -> BakeSt:
     return BakeSt(
         tuple(BakeTr(**{name.replace("-", "_"): v.val for name, v in a.items})
               for a in st.trs),
-        BakeSh(st.sh.max))
+        BakeSh(st.sh.get("max").val))
 
 
 def native_run(b: Bakery, seed: Optional[int] = None, max_steps: int = 100_000

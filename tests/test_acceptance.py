@@ -213,7 +213,7 @@ def test_hundred_seeded_runs_terminate():
         # fails to fall or a blocker chain stops descending, so a clean
         # return is the monitor verdict
         res = b.run(seed=seed)
-        assert all(tr.done for tr in res.final.trs)
+        assert all(b.system.done(tr) for tr in res.final.trs)
         assert len(res.measures) == res.steps + 1
         for m1, m2 in zip(res.measures, res.measures[1:]):
             assert o_lt(m2, m1)

@@ -260,7 +260,7 @@ def test_witness_run_is_deterministic(bakery):
     again = bakery.run()
     assert res.trace == again.trace
     assert res.steps == 98
-    assert all(a.done for a in res.final.trs)
+    assert all(bakery.system.done(a) for a in res.final.trs)
     assert res.trace[0].startswith("step 1 ndx 1 loc 0 -> 1 measure ")
     assert ordinal_text(res.measures[0]) == \
         "w^11*4 + w^10*2 + w^9*11 + w^5*4 + w^4*2 + w^3*11"
@@ -291,7 +291,8 @@ def test_step_only_moves_one_rank_position(bakery):
     rng = random.Random(8)
     for _ in range(60):
         valid = [i for i, a in enumerate(st.trs)
-                 if not a.done and bakery.system.blocker(a, st.trs) is None]
+                 if not bakery.system.done(a)
+                 and bakery.system.blocker(a, st.trs) is None]
         if not valid:
             break
         i = rng.choice(valid)
@@ -311,7 +312,7 @@ def _fully_remeasured_run(b: Bakery, seed: int):
     st = b.init()
     bn = b.rank_bnll(st)
     measures = [bnll_to_ordinal(b.n, bn, b.rank_omap.bnl_bound)]
-    while not all(a.done for a in st.trs):
+    while not all(b.system.done(a) for a in st.trs):
         st = b.step(st, choose_ready(st.trs, b.system, oracle, b.nlock_msr))
         bn2 = b.rank_bnll(st)
         assert bnll_lt(bn2, bn)
@@ -393,6 +394,6 @@ def test_nlock_measure_falls_along_blocker_chain(bakery):
         st = bakery.step(st, i)
     # the measured variant of the chain must agree with the unmeasured one
     for i, a in enumerate(st.trs):
-        if not a.done:
+        if not bakery.system.done(a):
             assert find_unblok(i, st.trs, bakery.system, bakery.nlock_msr) \
                 == find_unblok(i, st.trs, bakery.system)

@@ -226,6 +226,11 @@ def test_run_trace(tmp_path, capsys):
     assert cli_main(["run", "--width", "2", "--runs", "1", "--seed", "3",
                      "--out", str(out2)]) == 0
     assert out.read_bytes() == out2.read_bytes()
+    # the sat backend synthesizes the same measures, so the same trace
+    out3 = tmp_path / "trace3.txt"
+    assert cli_main(["run", "--width", "2", "--runs", "1", "--seed", "3",
+                     "--backend", "sat", "--out", str(out3)]) == 0
+    assert out3.read_bytes() == out.read_bytes()
     capsys.readouterr()
 
 
@@ -239,10 +244,16 @@ def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as e:
         cli_main(["reach"])  # --map is required
     assert e.value.code == 1
-    with pytest.raises(SystemExit) as e:
-        cli_main(["reach", "--map", "rank", "--backend", "quantum"])
-    assert e.value.code == 1
     capsys.readouterr()
+    for backend in ("quantum", "ipasir"):
+        with pytest.raises(SystemExit) as e:
+            cli_main(["reach", "--map", "rank", "--backend", backend])
+        assert e.value.code == 1
+        err = capsys.readouterr().err
+        assert [l for l in err.splitlines() if "error" in l] == [
+            f"wfgraph reach: error: argument --backend: invalid choice: "
+            f"'{backend}' (choose from 'exhaustive', 'sat')"]
+        assert "Traceback" not in err
 
 
 def test_tool_errors_exit_1(tmp_path, capsys):
@@ -267,17 +278,6 @@ def test_model_without_system_is_a_tool_error(tmp_path, capsys):
         assert cli_main([*argv, "--map", "m", "--model", str(f)]) == 1
         assert capsys.readouterr().err == \
             "wfgraph: error: model 'nosys' declares no system\n"
-
-
-@pytest.mark.parametrize("argv", [["reach", "--map", "rank"], ["run"]],
-                         ids=["reach", "run"])
-def test_ipasir_without_library_is_a_tool_error(argv, monkeypatch, capsys):
-    monkeypatch.delenv("WFG_IPASIR_LIB", raising=False)
-    assert cli_main(argv + ["--backend", "ipasir", "--width", "2"]) == 1
-    err = capsys.readouterr().err
-    assert err == ("wfgraph: error: ipasir backend requested but "
-                   "WFG_IPASIR_LIB is not set\n")
-    assert "Traceback" not in err
 
 
 def test_capacity_is_a_tool_error(monkeypatch, tmp_path, capsys):
