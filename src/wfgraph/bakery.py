@@ -12,6 +12,18 @@ fixed-length list-of-bnl rank measure.  The measures evaluate the map's
 expressions through closures compiled once per `Bakery`
 (`system.abstraction_functions`); a step moves one process, so the monitor
 re-measures only that process's rank entry.
+
+Each `Bakery` keeps the steps its runs have checked as a graph
+(`_StepGraph`).  A node is a distinct system state, with its rank measure,
+whether it is done and, once a run needs them, its witness (whose blocker
+chain the no-lock measure was checked along) and its ready indices; an
+arc is a step along which the rank measure fell, with its successor and
+trace text.  Process values are interned, and each distinct one has its
+rank entry measured once.  A run walks the graph and computes and checks
+only what no run has reached before, so every step it takes was checked
+once under the current measures.  The graph is keyed on the compiled
+system, both omaps and their evaluators, and is rebuilt empty when any of
+them has been rebound.
 """
 
 from __future__ import annotations
@@ -81,6 +93,15 @@ def find_unblok(n: int, trs: Sequence[TupleV], system: System,
     return n
 
 
+def _ready_indices(trs: Sequence[TupleV], system: System,
+                   witness: int) -> list[int]:
+    """The valid choices: `witness`, which find_unblok returned, and every
+    other index that is neither done nor blocked."""
+    # the witness is ready by find_unblok's postcondition; test the others
+    return [i for i, a in enumerate(trs) if i == witness or
+            not system.done(a) and system.blocker(a, trs) is None]
+
+
 def choose_ready(trs: Sequence[TupleV], system: System,
                  oracle: Optional[Callable[[Sequence[int]], int]] = None,
                  msr: Optional[Callable[[TupleV], Ordinal]] = None) -> int:
@@ -96,9 +117,124 @@ def choose_ready(trs: Sequence[TupleV], system: System,
     witness = find_unblok(start, trs, system, msr)
     if oracle is None:
         return witness
-    # the witness is ready by find_unblok's postcondition; test the others
-    return oracle([i for i, a in enumerate(trs) if i == witness or
-                   not system.done(a) and system.blocker(a, trs) is None])
+    return oracle(_ready_indices(trs, system, witness))
+
+
+# -- the checked step graph --------------------------------------------------
+
+class _StepGraph:
+    """The steps a `Bakery`'s runs have taken and checked.
+
+    Every process and shared value is interned: stored once and numbered,
+    and a process value's rank entry is measured once.  A node is a
+    distinct `SystemState`, numbered the first time a run reaches it and
+    keyed on the numbers of its values.  It keeps its rank bnll and that
+    bnll's ordinal, whether it is done and, computed the first time a run
+    asks, its witness (`choose_ready` with the no-lock measure, which
+    checks the descent along the blocker chain) and its ready indices.  An
+    arc (node, i) keeps the successor's number and the trace text after
+    ``step N``; it is stored only after the rank measure fell along it, so
+    a failing step raises every time it is taken.
+
+    The graph holds for the objects in `basis` only.  It keeps no reference
+    to its `Bakery`: the methods that compute take it as an argument.
+    """
+
+    def __init__(self, basis: tuple):
+        self.basis = basis
+        self.value_ids: dict[TupleV, int] = {}
+        self.values: list[TupleV] = []
+        self.rank: dict[int, Bnl] = {}  # value number -> its rank entry
+        self.ids: dict[tuple[int, ...], int] = {}
+        self.keys: list[tuple[int, ...]] = []
+        self.states: list[SystemState] = []
+        self.bnll: list[list[Bnl]] = []
+        self.ordinal: list[Ordinal] = []
+        self.done: list[bool] = []
+        self.witness: list[Optional[int]] = []
+        self.ready: list[Optional[list[int]]] = []
+        self.arcs: list[dict[int, tuple[int, str]]] = []
+
+    def _intern(self, x: TupleV) -> int:
+        k = self.value_ids.setdefault(x, len(self.values))
+        if k == len(self.values):
+            self.values.append(x)
+        return k
+
+    def node(self, b: "Bakery", st: SystemState) -> int:
+        """Number of st, measured and added the first time it is seen."""
+        key = (*map(self._intern, st.trs), self._intern(st.sh))
+        v = self.ids.get(key)
+        return self._add(b, key, b.rank_bnll(st)) if v is None else v
+
+    def _add(self, b: "Bakery", key: tuple[int, ...], bn: list[Bnl]) -> int:
+        m = bnll_to_ordinal(b.n, bn, b.rank_omap.bnl_bound)
+        vals = self.values
+        st = SystemState(tuple(map(vals.__getitem__, key[:-1])),
+                         vals[key[-1]])
+        v = self.ids[key] = len(self.keys)
+        self.keys.append(key)
+        self.states.append(st)
+        self.bnll.append(bn)
+        self.ordinal.append(m)
+        self.done.append(b.system.find_undone(st.trs) is None)
+        self.witness.append(None)
+        self.ready.append(None)
+        self.arcs.append({})
+        return v
+
+    def choose(self, b: "Bakery", v: int,
+               oracle: Optional[Callable[[Sequence[int]], int]]) -> int:
+        """The process to step at node v: its witness without an oracle,
+        else the oracle's pick from a fresh list of its ready indices."""
+        w = self.witness[v]
+        if w is None:
+            w = self.witness[v] = choose_ready(
+                self.states[v].trs, b.system, None, b.nlock_msr)
+        if oracle is None:
+            return w
+        ready = self.ready[v]
+        if ready is None:
+            ready = self.ready[v] = _ready_indices(
+                self.states[v].trs, b.system, w)
+        return oracle(list(ready))
+
+    def step(self, b: "Bakery", v: int, i: int, k: int) -> tuple[int, str]:
+        """Arc (v, i), stepped and checked the first time it is taken as
+        step k + 1 of a run: (successor, trace text after ``step N``)."""
+        arc = self.arcs[v].get(i)
+        if arc is not None:
+            return arc
+        st, bn = self.states[v], self.bnll[v]
+        if not 0 <= i < len(st.trs):  # i also numbers the successor's key
+            raise BakeryError(f"step {k + 1} chose index {i}, not a process")
+        st2 = b.step(st, i)
+        nums = list(self.keys[v])
+        nums[i] = self._intern(st2.trs[i])
+        nums[-1] = self._intern(st2.sh)
+        key = tuple(nums)
+        u = self.ids.get(key)
+        if u is None:
+            # only process i moved, and each entry is a function of its
+            # own process alone: measure that one entry, once per value
+            bn2 = list(bn)
+            bn2[i] = self.rank.get(key[i])
+            if bn2[i] is None:
+                bn2[i] = self.rank[key[i]] = b.rank_omap.mk_bnl(
+                    st2.trs[i], b._rank_e, b._rank_o)
+        else:
+            bn2 = self.bnll[u]
+        if not bnll_lt(bn2, bn):
+            raise DescentError(
+                f"rank measure failed to fall at step {k}: {bn} -> {bn2}")
+        if u is None:
+            u = self._add(b, key, bn2)
+        before, after = st.trs[i], self.states[u].trs[i]
+        arc = self.arcs[v][i] = (
+            u, f" ndx {before.get('ndx').val} loc {before.get('loc').val} "
+               f"-> {after.get('loc').val} "
+               f"measure {ordinal_text(self.ordinal[u])}")
+        return arc
 
 
 # -- measured runs -----------------------------------------------------------
@@ -136,6 +272,7 @@ class Bakery:
         self.nlock_omap = self._synth("nlock", backend)
         self._nlock_e, self._nlock_o = abstraction_functions(
             self.model, "nlock")
+        self._graph = _StepGraph(self._graph_basis())
 
     def _synth(self, map_name: str, backend: str) -> Omap:
         g = map_graph(self.model, map_name, backend)
@@ -172,41 +309,44 @@ class Bakery:
         """Step chosen processes until all are done.
 
         Without an oracle the deterministic blocker-chain witness is
-        scheduled; `seed` installs a seeded random oracle instead.  A
-        monitor raises DescentError if the list-of-bnl rank measure ever
-        fails to strictly fall, so the loop provably cannot run forever.
+        scheduled; `seed` installs a seeded random oracle instead, and an
+        oracle always gets a fresh list of the ready indices.  A monitor
+        raises DescentError if the list-of-bnl rank measure ever fails to
+        strictly fall, so the loop provably cannot run forever.
+
+        The run walks this instance's graph of checked steps: a state and
+        a step are computed and checked the first time any run reaches
+        them, and read back after that.  The graph is keyed on `system`,
+        `rank_omap`, `nlock_omap` and the measures' compiled evaluators,
+        and rebuilt empty when any of them has been rebound, so every step
+        taken was checked once under the current measures.  Runs on one
+        instance must not overlap: the graph has no lock.
         """
         if st is None:
             st = self.init()
         if oracle is None and seed is not None:
             rng = random.Random(seed)
             oracle = rng.choice
-        bn = self.rank_bnll(st)
-        bound = self.rank_omap.bnl_bound
-        measures = [bnll_to_ordinal(self.n, bn, bound)]
+        g = self._step_graph()
+        v = g.node(self, st)
+        measures = [g.ordinal[v]]
         trace: list[str] = []
-        while self.system.find_undone(st.trs) is not None:
+        while not g.done[v]:
             if len(trace) >= max_steps:
                 raise BakeryError(f"run exceeded {max_steps} steps")
-            i = choose_ready(st.trs, self.system, oracle, self.nlock_msr)
-            before = st.trs[i]
-            st2 = self.step(st, i)
-            # only process i moved, and each entry is a function of its
-            # own process alone: re-measure that one entry
-            bn2 = list(bn)
-            bn2[i] = self.rank_omap.mk_bnl(st2.trs[i],
-                                           self._rank_e, self._rank_o)
-            if not bnll_lt(bn2, bn):
-                raise DescentError(
-                    f"rank measure failed to fall at step {len(trace)}: "
-                    f"{bn} -> {bn2}")
-            m = bnll_to_ordinal(self.n, bn2, bound)
-            measures.append(m)
-            # fields are read with get: on CPython 3.11 an attribute-view
-            # read first fails a normal lookup, which costs ~2 us
-            trace.append(
-                f"step {len(trace) + 1} ndx {before.get('ndx').val} "
-                f"loc {before.get('loc').val} -> {st2.trs[i].get('loc').val} "
-                f"measure {ordinal_text(m)}")
-            st, bn = st2, bn2
-        return RunResult(st, tuple(trace), tuple(measures))
+            v, text = g.step(self, v, g.choose(self, v, oracle), len(trace))
+            measures.append(g.ordinal[v])
+            trace.append(f"step {len(trace) + 1}{text}")
+        return RunResult(g.states[v], tuple(trace), tuple(measures))
+
+    def _step_graph(self) -> _StepGraph:
+        """The graph of checked steps, rebuilt empty if anything it was
+        built from has been rebound since."""
+        basis = self._graph_basis()
+        if any(x is not y for x, y in zip(basis, self._graph.basis)):
+            self._graph = _StepGraph(basis)
+        return self._graph
+
+    def _graph_basis(self) -> tuple:
+        return (self.system, self.rank_omap, self.nlock_omap,
+                self._rank_e, self._rank_o, self._nlock_e, self._nlock_o)

@@ -8,8 +8,10 @@ argument (the blocker chain always ends at a runnable process) is swept
 exhaustively over every reachable interleaving of a small instance.
 """
 
+import gc
 import itertools
 import random
+import weakref
 from collections import deque
 from dataclasses import replace
 
@@ -344,37 +346,137 @@ def test_incremental_monitor_matches_full_remeasure(params, seeds):
 def test_run_matches_native_oracle(params, seeds):
     # the run on the compiled system against its replay on the native
     # mirror, seeded and witness-scheduled (None): the same schedule,
-    # trace, measures and final state
+    # trace, measures and final state.  The second pass on the same
+    # instance walks the steps the first one stored.
     b = Bakery(*params)
     seeds = (*seeds, None)
-    for seed in seeds:
-        res = b.run(seed=seed)
-        final, trace, measures = native.native_run(b, seed)
-        assert res.trace == trace, seed
-        assert res.measures == measures, seed
-        assert native.from_state(res.final) == final, seed
+    want = {seed: native.native_run(b, seed) for seed in seeds}
+    for pass_ in ("cold", "warm"):
+        for seed in seeds:
+            res = b.run(seed=seed)
+            final, trace, measures = want[seed]
+            assert res.trace == trace, (pass_, seed)
+            assert res.measures == measures, (pass_, seed)
+            assert native.from_state(res.final) == final, (pass_, seed)
+
+
+def _rebound(b: Bakery, **attrs) -> Bakery:
+    """A copy of b's instance state with some attributes rebound."""
+    t = Bakery.__new__(Bakery)
+    t.__dict__.update(b.__dict__)
+    t.__dict__.update(attrs)
+    return t
+
+
+def _assert_fails_alike(b: Bakery, match: str, seed=None):
+    """A run of b raises DescentError, and a second run fails at the same
+    step with the same message: a failing step is never stored."""
+    seen = []
+    for _ in range(2):
+        rng, picks = random.Random(seed), []
+
+        def oracle(valid):
+            picks.append(list(valid))
+            return rng.choice(valid)
+
+        with pytest.raises(DescentError, match=match) as e:
+            b.run(oracle=None if seed is None else oracle)
+        seen.append((str(e.value), picks))
+    assert seen[0] == seen[1]
 
 
 def test_monitor_catches_tampered_measure(bakery):
-    # swapping two descriptors makes the first step look like an increase;
-    # the run monitor must refuse rather than keep going
+    # the copies below start from a warm instance's state: every step they
+    # take was stored under the honest measures, and must be checked again
+    bakery.run()
+    bakery.run(seed=3)
+
+    # swapping two rank descriptors makes the first step look like an
+    # increase; the run monitor must refuse rather than keep going
     om = bakery.rank_omap
     descs = list(om.descriptors)
     descs[0], descs[1] = ((descs[0][0], descs[1][1]),
                           (descs[1][0], descs[0][1]))
-    tampered = Bakery.__new__(Bakery)
-    tampered.__dict__.update(bakery.__dict__)
-    tampered.rank_omap = Omap(tuple(descs), om.measures, om.widths)
-    with pytest.raises(DescentError):
-        tampered.run()
+    tampered = _rebound(
+        bakery, rank_omap=Omap(tuple(descs), om.measures, om.widths))
+    # a failing step is never stored, so it fails every time it is taken
+    _assert_fails_alike(tampered, "rank measure failed to fall at step")
     assert issubclass(DescentError, CertificationError)
+
+    # one no-lock descriptor for every node: the measure is constant, so
+    # the first hop along a blocker chain cannot fall
+    om = bakery.nlock_omap
+    same = om.descriptors[0][1]
+    tampered = _rebound(bakery, nlock_omap=Omap(
+        tuple((node, same) for node, _ in om.descriptors),
+        om.measures, om.widths))
+    _assert_fails_alike(tampered, "no-lock measure failed to fall", seed=3)
+
     # the original instance is untouched
     assert bakery.run().steps == 98
+    assert bakery.run(seed=3).steps == 98
+
+
+def test_replayed_run_steps_and_measures_nothing(monkeypatch):
+    b = Bakery(2, 1, 2)
+    calls = []
+    step, mk_bnl = Bakery.step, Omap.mk_bnl
+    monkeypatch.setattr(Bakery, "step", lambda self, st, i: (
+        calls.append("step"), step(self, st, i))[1])
+    monkeypatch.setattr(Omap, "mk_bnl", lambda self, *args: (
+        calls.append("mk_bnl"), mk_bnl(self, *args))[1])
+    first = b.run(seed=4)
+    assert {"step", "mk_bnl"} <= set(calls)
+    calls.clear()
+    assert b.run(seed=4) == first
+    assert calls == []
+
+
+def test_warm_run_from_mid_state_matches_fresh(bakery):
+    st = bakery.init()
+    for _ in range(30):
+        st = bakery.step(st, choose_ready(st.trs, bakery.system))
+    bakery.run()  # stores the witness path, which passes through st
+    for seed in (None, 11):
+        assert bakery.run(st=st, seed=seed) == \
+            Bakery(N, R, W).run(st=st, seed=seed)
+
+
+def test_oracle_may_edit_its_argument(bakery):
+    def last(valid):
+        i = valid.pop()
+        valid.clear()
+        return i
+
+    first = bakery.run(oracle=last)
+    assert bakery.run(oracle=last).trace == first.trace
+    assert first.trace == bakery.run(oracle=lambda valid: valid[-1]).trace
+
+
+def test_bakery_is_freed_without_the_cycle_collector():
+    # the step graph keeps no reference back to its Bakery, so dropping the
+    # last reference frees the instance at once
+    gc.disable()
+    try:
+        b = Bakery(2, 1, 2)
+        b.run(seed=0)
+        b.run(seed=1)
+        ref = weakref.ref(b)
+        del b
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_run_max_steps_guard(bakery):
     with pytest.raises(BakeryError):
         bakery.run(max_steps=3)
+
+
+@pytest.mark.parametrize("pick", [-1, 2])
+def test_oracle_must_pick_a_process_index(bakery, pick):
+    with pytest.raises(BakeryError, match="not a process"):
+        bakery.run(oracle=lambda valid: pick)
 
 
 def test_parameter_validation():
