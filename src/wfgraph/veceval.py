@@ -9,7 +9,7 @@ Both enumeration backends evaluate scalarized expressions only
 atom, and only ``TupleE`` containers are record-sorted.  Records are taken
 apart there and nowhere else.
 
-Three things keep the tables small:
+Four things keep the tables small:
 
 * only the atoms an expression reads become columns.  Everything else
   stays out of the cross product entirely.
@@ -18,6 +18,13 @@ Three things keep the tables small:
   conjunct whose missing atoms span the smallest domain.  Each conjunct's
   atoms are found once, before staging; every step only re-measures the
   spans of the atoms still missing.
+* pruning before crossing: before a conjunct's missing atoms are crossed,
+  the rows on which it is already false, whatever those atoms take, are
+  dropped.  The conjunct is read three-valued, with the missing atoms
+  unknown (``_may``): a ``case`` whose scrutinee is present and whose arm
+  is ``false`` rules its rows out on the spot.  A dropped row would have
+  failed the conjunct on every extension, and crossing repeats the rows
+  that stay in order, so the table comes out the same row for row.
 * chunked staging: when crossing the next conjunct's missing atoms would
   take the table past ``CHUNK_ROWS`` rows, the rows are split into
   contiguous blocks, each block runs the remaining conjuncts on its own,
@@ -25,7 +32,8 @@ Three things keep the tables small:
   so the result is the unchunked table row for row, while no intermediate
   holds more than ``max(CHUNK_ROWS, largest atom domain)`` rows.  The row
   cap bounds the surviving rows, and the one crossing that cannot be split:
-  a single atom whose domain passes both ``CHUNK_ROWS`` and the cap.
+  a single atom whose domain passes both ``CHUNK_ROWS`` and the cap, unless
+  pruning has already dropped the one row it would be crossed with.
 
 Unconstrained atoms never enter the table, which is sound because a
 satisfying row extends to full environments by fixing them arbitrarily.
@@ -42,6 +50,7 @@ from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
+from functools import reduce
 from typing import Optional, Union
 
 import numpy as np
@@ -288,9 +297,16 @@ class Table:
         self.cols: dict[AtomKey, np.ndarray] = {}
 
     def extend(self, keys: list[AtomKey]):
-        """Cross the table with the full domains of the given missing atoms."""
+        """Cross the table with the full domains of the given missing atoms.
+        An empty table gets empty columns; no domain is built."""
         keys = [k for k in keys if k not in self.cols]
         if not keys:
+            return
+        if not self.n:
+            for k in keys:
+                s = atom_sort(k, self.var_sorts)
+                self.cols[k] = np.zeros(
+                    0, bool if isinstance(s, BoolSort) else np.int64)
             return
         domains = [_atom_domain(atom_sort(k, self.var_sorts)) for k in keys]
         factor = 1
@@ -407,6 +423,58 @@ def split_conjuncts(e: Expr) -> list[Expr]:
     return out
 
 
+def _present(e: Expr, cols: dict[AtomKey, np.ndarray]) -> bool:
+    """Whether every atom that scalarized ``e`` reads is one of ``cols``."""
+    if isinstance(e, Field):
+        return (e.rec.name, e.name) in cols
+    if isinstance(e, Var):
+        return (e.name, None) in cols
+    return all(_present(x, cols) for x in expr_children(e))
+
+
+_UNKNOWN = (np.bool_(True), np.bool_(True))
+
+
+def _may(e: Expr, table: Table) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of ``table``, whether boolean ``e`` may be true and whether it
+    may be false, whatever values the atoms absent from ``table`` take.
+
+    Three-valued evaluation: a subtree that reads only present atoms is
+    evaluated exactly, ``And``, ``Or`` and ``Not`` combine the two masks,
+    ``Ite`` weighs its branches by its condition's masks and ``CaseNat``
+    picks an arm per row when its scrutinee is present (any arm when it is
+    not); anything else that reads an absent atom may be either."""
+    if _present(e, table.cols):
+        v = eval_vec(e, table)
+        assert isinstance(v, VBool)
+        return v.arr, ~np.asarray(v.arr)
+    if isinstance(e, Not):
+        t, f = _may(e.a, table)
+        return f, t
+    if isinstance(e, (And, Or)):
+        ts, fs = zip(*(_may(x, table) for x in e.args))
+        if isinstance(e, And):
+            return reduce(np.logical_and, ts), reduce(np.logical_or, fs)
+        return reduce(np.logical_or, ts), reduce(np.logical_and, fs)
+    if isinstance(e, Ite):
+        (ct, cf), (tt, tf), (at, af) = (
+            _may(x, table) for x in (e.cond, e.then, e.alt))
+        return (ct & tt) | (cf & at), (ct & tf) | (cf & af)
+    if isinstance(e, CaseNat):
+        arms = [_may(b, table) for _, b in e.arms]
+        t, f = _may(e.default, table)
+        if not _present(e.scrut, table.cols):
+            for at, af in arms:
+                t, f = t | at, f | af
+            return t, f
+        scrut = eval_vec(e.scrut, table).arr
+        for (key, _), (at, af) in zip(reversed(e.arms), reversed(arms)):
+            hit = scrut == key
+            t, f = np.where(hit, at, t), np.where(hit, af, f)
+        return t, f
+    return _UNKNOWN
+
+
 def build_table(var_sorts: dict[str, Sort], hyp: Expr, trm_exprs: list[Expr],
                 row_cap: int = DEFAULT_ROW_CAP) -> Table:
     """Table of exactly the environments (projected to read atoms) that
@@ -436,11 +504,15 @@ def _stage(table: Table, pending: list[_Conjunct],
 
     A conjunct's missing atoms are crossed in the longest leading run whose
     span fits ``CHUNK_ROWS`` (at least one atom); the conjunct stays
-    ``current`` until all of them are in.  When that run would take a table
-    of several rows past ``CHUNK_ROWS``, the rows go through in contiguous
-    blocks instead (``_in_blocks``).  A single atom wider than both
-    ``CHUNK_ROWS`` and ``row_cap`` raises Capacity before its domain is
-    built."""
+    ``current`` until all of them are in.  Before each run, and before the
+    chunking decision, the rows on which the conjunct is already false
+    whatever the missing atoms take are dropped (``_may``); once nothing is
+    missing, that drop is the conjunct's filter.  When the run would take a
+    table of several rows past ``CHUNK_ROWS``, the rows go through in
+    contiguous blocks instead (``_in_blocks``).  A single atom wider than
+    both ``CHUNK_ROWS`` and ``row_cap`` raises Capacity before its domain is
+    built, unless the conjunct has already ruled that row out: then the
+    table comes back empty."""
     while pending or current is not None:
         if current is None:
             def missing_span(i: int) -> int:
@@ -453,9 +525,15 @@ def _stage(table: Table, pending: list[_Conjunct],
 
             current = pending.pop(min(range(len(pending)), key=missing_span))
         conj, keys, cards = current
+        missing = [(k, c) for k, c in zip(keys, cards) if k not in table.cols]
+        if table.n:
+            # with nothing missing this is the conjunct's own filter
+            table.filter(_may(conj, table)[0])
+        if not missing:
+            current = None
+            continue
         run: list[AtomKey] = []
         span = 1
-        missing = [(k, c) for k, c in zip(keys, cards) if k not in table.cols]
         for k, card in missing:
             if run and span * card > CHUNK_ROWS:
                 break
@@ -468,12 +546,6 @@ def _stage(table: Table, pending: list[_Conjunct],
         if table.n * span > max(CHUNK_ROWS, row_cap):
             raise Capacity(table.n * span, row_cap)
         table.extend(run)
-        if len(run) == len(missing):
-            current = None
-            if table.n:
-                mask = eval_vec(conj, table)
-                assert isinstance(mask, VBool)
-                table.filter(np.broadcast_to(mask.arr, (table.n,)))
     span = 1
     for k in trm_keys:
         if k not in table.cols:

@@ -75,16 +75,19 @@ def _leaf(rng: random.Random, var_sorts: dict[str, Sort], s: Sort):
 
 
 def rand_expr(rng: random.Random, var_sorts: dict[str, Sort], s: Sort,
-              depth: int):
-    """A random well-sorted expression of sort ``s``."""
+              depth: int, bool_case: bool = False):
+    """A random well-sorted expression of sort ``s``.  With ``bool_case``,
+    a ``case`` may also stand where a boolean is expected (a guard split
+    on a counter, like the bakery's ``blok``); without it the stream of
+    expressions is the one the fixed-seed tests were written against."""
     if depth <= 0 or rng.random() < 0.2:
         return _leaf(rng, var_sorts, s)
 
     def sub(t: Sort, d: int = depth - 1):
-        return rand_expr(rng, var_sorts, t, d)
+        return rand_expr(rng, var_sorts, t, d, bool_case)
 
     if isinstance(s, BoolSort):
-        pick = rng.randrange(7)
+        pick = rng.randrange(8 if bool_case else 7)
         if pick == 0:
             return Not(sub(BOOL))
         if pick == 1:
@@ -97,6 +100,8 @@ def rand_expr(rng: random.Random, var_sorts: dict[str, Sort], s: Sort,
         if pick in (4, 5):
             t = NatSort(rng.randint(1, 3))
             return (Lt if pick == 4 else Le)(sub(t), sub(t))
+        if pick == 7:
+            return _case(rng, var_sorts, s, depth, bool_case)
         return Ite(sub(BOOL), sub(BOOL), sub(BOOL))
 
     if isinstance(s, NatSort):
@@ -108,20 +113,23 @@ def rand_expr(rng: random.Random, var_sorts: dict[str, Sort], s: Sort,
         if pick == 2:
             return Ite(sub(BOOL), sub(s), sub(s))
         if pick == 3:
-            return _case(rng, var_sorts, s, depth)
+            return _case(rng, var_sorts, s, depth, bool_case)
         return _leaf(rng, var_sorts, s)
 
     pick = rng.randrange(3)
     if pick == 0:
         return Ite(sub(BOOL), sub(s), sub(s))
     if pick == 1:
-        return _case(rng, var_sorts, s, depth)
+        return _case(rng, var_sorts, s, depth, bool_case)
     return _leaf(rng, var_sorts, s)
 
 
 def _case(rng: random.Random, var_sorts: dict[str, Sort], s: Sort,
-          depth: int) -> CaseNat:
-    scrut = rand_expr(rng, var_sorts, NatSort(rng.randint(1, 2)), depth - 1)
+          depth: int, bool_case: bool) -> CaseNat:
+    def sub(t: Sort):
+        return rand_expr(rng, var_sorts, t, depth - 1, bool_case)
+
+    scrut = sub(NatSort(rng.randint(1, 2)))
     keys = sorted(rng.sample(range(4), rng.randint(1, 3)))
-    arms = tuple((k, rand_expr(rng, var_sorts, s, depth - 1)) for k in keys)
-    return CaseNat(scrut, arms, rand_expr(rng, var_sorts, s, depth - 1))
+    arms = tuple((k, sub(s)) for k in keys)
+    return CaseNat(scrut, arms, sub(s))

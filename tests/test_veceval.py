@@ -1,7 +1,8 @@
 """The exhaustive backend's table builder and row decoder against plain
 reference versions: demand analysis runs once per conjunct, the staged
 tables come out column for column as the per-step analysis built them,
-chunked staging returns the unchunked table row for row, and the
+chunked staging returns the unchunked table row for row, so does staging
+that drops the rows a conjunct already rules out (a sound drop), and the
 dense-rank decoder returns exactly the per-row rebuild."""
 
 import random
@@ -17,11 +18,11 @@ from wfgraph.absgraph import map_graph
 from wfgraph.bakery import bakery_model
 from wfgraph.certify import relation_cases
 from wfgraph.model import (
-    BOOL, AddMod, And, Const, Eq, Le, NatSort, NatV, Or, TupleE, Var,
-    canonical_sorted, sort_card, subst_vars)
+    BOOL, AddMod, And, BoolV, CaseNat, Const, Eq, Le, NatSort, NatV, Or,
+    TupleE, Var, canonical_sorted, sort_card, subst_vars)
 from wfgraph.system import relation_parts
 from wfgraph.veceval import (
-    Capacity, Table, VBool, VEnum, VNat, VRec, atom_sort,
+    Capacity, Table, VBool, VEnum, VNat, VRec, _may, atom_sort,
     atoms_for, build_table, distinct_rows, eval_vec, exhaustive_values,
     scalarize, split_conjuncts)
 
@@ -129,7 +130,8 @@ def test_chunked_staging_matches_unchunked(seed, chunk):
 
 
 def test_nlock_sweep_tables_stay_within_chunk(monkeypatch):
-    # unchunked, this sweep crosses 65,536 rows with a 64-value span
+    # unchunked, this sweep crosses 2,048 rows with a 64-value span and
+    # then 65,536 rows with a 2-value span: 131,072 rows each
     model = bakery_model(2, 3, 4)
     scope = map_graph(model, "nlock").nodes
     sizes = _extend_sizes(monkeypatch)
@@ -137,6 +139,98 @@ def test_nlock_sweep_tables_stay_within_chunk(monkeypatch):
     assert len(sweep.rows) and sweep.pairs and sizes
     assert max(sizes) <= veceval.CHUNK_ROWS
     assert max(sizes) > veceval.CHUNK_ROWS // 4
+
+
+# -- three-valued pruning ------------------------------------------------------
+
+
+def _unpruned(e, table):
+    """``_may`` with every absent atom read as "may hold everywhere": the
+    conjunct filters only once all its atoms are present."""
+    if veceval._present(e, table.cols):
+        return _may(e, table)
+    return veceval._UNKNOWN
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((4, 16, UNCHUNKED)))
+def test_pruned_staging_matches_unpruned(seed, chunk):
+    rng = random.Random(seed)
+    var_sorts = rand_var_sorts(rng, max_vars=5, max_width=3)
+    conjuncts = [rand_expr(rng, var_sorts, BOOL, 3, bool_case=True)
+                 for _ in range(rng.randint(1, 4))]
+    hyp = scalarize(And(tuple(conjuncts)), var_sorts)
+    trm = scalarize(rand_expr(rng, var_sorts, rand_sort(rng), 2), var_sorts)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(veceval, "_may", _unpruned)
+        ref = _build(UNCHUNKED, var_sorts, hyp, [trm])
+    _assert_same_table(_build(chunk, var_sorts, hyp, [trm]), ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_may_is_sound_on_partial_tables(seed):
+    # a row of a partial table may be true (false) whenever one of its
+    # extensions over the absent atoms is true (false)
+    rng = random.Random(seed)
+    var_sorts = rand_var_sorts(rng, max_vars=4, max_width=2)
+    e = rand_expr(rng, var_sorts, BOOL, 4, bool_case=True)
+    keys = atoms_for([e], var_sorts)
+    absent = [k for k in keys if rng.random() < 0.5]
+    table = Table(var_sorts)
+    table.extend([k for k in keys if k not in absent])
+    table.filter(np.array([rng.random() < 0.7 for _ in range(table.n)]))
+    may_true, may_false = (np.broadcast_to(m, (table.n,))
+                           for m in _may(e, table))
+    rows = table.n
+    table.extend(absent)  # each row repeated once per extension, in order
+    if not rows:
+        return
+    got = np.broadcast_to(eval_vec(e, table).arr, (table.n,))
+    got = got.reshape(rows, table.n // rows)
+    assert not (got.any(axis=1) & ~may_true).any()
+    assert not ((~got).any(axis=1) & ~may_false).any()
+    if not absent:
+        assert np.array_equal(may_true, got[:, 0])
+        assert np.array_equal(may_false, ~got[:, 0])
+
+
+def test_nlock_graph_sweep_prunes_before_crossing(monkeypatch):
+    # without pruning, blok's case on a.loc crosses every row with
+    # a.pos x a.ndx x @oth.pos before its nil default drops it: 4,256,912
+    # rows crossed in all
+    sizes = _extend_sizes(monkeypatch)
+    graph = map_graph(bakery_model(2, 3, 4), "nlock")
+    assert graph.nodes and sizes
+    assert sum(sizes) <= 250_000
+
+
+def test_row_ruled_out_before_a_too_wide_atom_is_not_crossed(monkeypatch):
+    wide = {"x": NatSort(40), "y": NatSort(4)}
+    x, y = Var("x"), Var("y")
+    domain = veceval._atom_domain
+
+    def small_only(s):
+        assert sort_card(s) <= 16, "a 2^40-value domain was built"
+        return domain(s)
+
+    monkeypatch.setattr(veceval, "_atom_domain", small_only)
+
+    def hyp(at):  # y = at, and x = 3 when y = 1
+        return And((Eq(y, Const(NatV(at, 4))),
+                    CaseNat(y, ((1, Eq(x, Const(NatV(3, 40)))),),
+                            Const(BoolV(False)))))
+
+    # y = 0 rules the one row out before x is crossed: an empty table
+    table = build_table(wide, hyp(0), [x])
+    assert table.n == 0 and list(table.cols) == [("y", None), ("x", None)]
+    # y = 1 keeps it, and x is too wide to cross
+    with pytest.raises(Capacity):
+        build_table(wide, hyp(1), [])
+    # a table emptied by an earlier conjunct crosses no domain either
+    empty = And((Eq(y, Const(NatV(0, 4))), Eq(y, Const(NatV(1, 4))),
+                 Eq(x, Const(NatV(3, 40)))))
+    assert build_table(wide, empty, []).n == 0
 
 
 @pytest.mark.parametrize("chunk", [16, 64])
