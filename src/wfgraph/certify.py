@@ -355,7 +355,8 @@ def certify_relation(model: Model, map_name: str, tg: TaggedGraph,
     """Run the five checks.  The relation is enumerated once, from the
     graph's and the omap's nodes; the closure, tag and measure-decrease
     checks all read those cases.  An omap for other measures than the
-    map declares is refused with ``CertificationError``."""
+    map declares, or with a negative descriptor entry (which no bnl is
+    built from), is refused with ``CertificationError``."""
     from .absgraph import graph_text
     from .measure import omap_text
     mp = model.map_decl(map_name)
@@ -364,6 +365,11 @@ def certify_relation(model: Model, map_name: str, tg: TaggedGraph,
             f"omap measures {list(omap.measures)} with widths "
             f"{dict(omap.widths)} differ from map '{map_name}', which "
             f"declares {list(mp.measure_names)} with widths {mp.widths}")
+    for node, desc in omap.descriptors:
+        if any(isinstance(e, int) and e < 0 for e in desc):
+            raise CertificationError(
+                f"omap descriptor {list(desc)} of {value_text(node)} "
+                "has a negative entry")
     scope = tuple(dict.fromkeys(omap.nodes + tg.nodes))
     sweep = relation_cases(model, map_name, scope, backend, num)
     checks = [check_closure(tg, sweep)]

@@ -13,27 +13,27 @@ Four things keep the tables small:
 
 * only the atoms an expression reads become columns.  Everything else
   stays out of the cross product entirely.
-* staged filtering: the hypothesis is split into conjuncts, and each conjunct
-  is applied as soon as the atoms it needs are present, starting with the
-  conjunct whose missing atoms span the smallest domain.  Each conjunct's
-  atoms are found once, before staging; every step only re-measures the
-  spans of the atoms still missing.
-* pruning before crossing: before a conjunct's missing atoms are crossed,
-  the rows on which it is already false, whatever those atoms take, are
-  dropped.  The conjunct is read three-valued, with the missing atoms
-  unknown (``_may``): a ``case`` whose scrutinee is present and whose arm
-  is ``false`` rules its rows out on the spot.  A dropped row would have
-  failed the conjunct on every extension, and crossing repeats the rows
-  that stay in order, so the table comes out the same row for row.
-* chunked staging: when crossing the next conjunct's missing atoms would
-  take the table past ``CHUNK_ROWS`` rows, the rows are split into
-  contiguous blocks, each block runs the remaining conjuncts on its own,
-  and the survivors are concatenated.  Crossing repeats old rows in order,
-  so the result is the unchunked table row for row, while no intermediate
-  holds more than ``max(CHUNK_ROWS, largest atom domain)`` rows.  The row
-  cap bounds the surviving rows, and the one crossing that cannot be split:
-  a single atom whose domain passes both ``CHUNK_ROWS`` and the cap, unless
-  pruning has already dropped the one row it would be crossed with.
+* one staging plan per query (``_plan``), fixed from the atoms alone: the
+  hypothesis is split into conjuncts, the conjunct whose missing atoms span
+  the smallest domain goes next, its missing atoms are crossed in leading
+  runs that fit ``CHUNK_ROWS``, and the term's atoms come last.  Each
+  conjunct's atoms are found once, and no step of the order reads a row.
+* pruning before crossing: before each run, the rows on which the conjunct
+  is already false, whatever its missing atoms take, are dropped.  The
+  conjunct is read three-valued, with the missing atoms unknown (``_may``):
+  a ``case`` whose scrutinee is present and whose arm is ``false`` rules
+  its rows out on the spot.  After the last run the drop is the conjunct's
+  own filter.  A dropped row would have failed the conjunct on every
+  extension, and crossing repeats the rows that stay in order, so the
+  table comes out the same row for row.
+* row blocks: when a crossing would take a table of several rows past
+  ``CHUNK_ROWS``, the rows run the rest of the plan in contiguous blocks
+  that start at that crossing, and the survivors are concatenated.  The
+  result is the unblocked table row for row, while no intermediate holds
+  more than ``max(CHUNK_ROWS, largest atom domain)`` rows.  The row cap
+  bounds the surviving rows, the term's crossing, and the one crossing that
+  cannot be split: a single atom whose domain passes both ``CHUNK_ROWS``
+  and the cap, unless the row it would be crossed with is already gone.
 
 Unconstrained atoms never enter the table, which is sound because a
 satisfying row extends to full environments by fixing them arbitrarily.
@@ -51,6 +51,7 @@ from __future__ import annotations
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, replace
 from functools import reduce
+from math import prod
 from typing import Optional, Union
 
 import numpy as np
@@ -481,100 +482,88 @@ def build_table(var_sorts: dict[str, Sort], hyp: Expr, trm_exprs: list[Expr],
     satisfy ``hyp``, extended to cover the atoms of ``trm_exprs``.
     Raises Capacity when that table would exceed ``row_cap`` rows.
 
-    Callers pass already-scalarized expressions (see ``scalarize``)."""
-    # atoms found once per conjunct: (conjunct, its atoms, their cards)
-    pending = []
-    for c in split_conjuncts(hyp):
-        keys = atoms_for([c], var_sorts)
-        pending.append((c, keys, [sort_card(atom_sort(k, var_sorts))
-                                  for k in keys]))
-    trm_keys = atoms_for(trm_exprs, var_sorts)
-    return _stage(Table(var_sorts), pending, None, trm_keys, row_cap)
+    The staging order is planned once per query from the atoms alone
+    (``_plan``) and then run over the rows (``_run``), where a row block
+    starts at the crossing that needs it.  Callers pass already-scalarized
+    expressions (see ``scalarize``)."""
+    return _run(Table(var_sorts), _plan(var_sorts, hyp, trm_exprs), row_cap)
 
 
-_Conjunct = tuple[Expr, list[AtomKey], list[int]]
+# a step crosses its atoms (``span`` values in all), then drops the rows its
+# conjunct rules out; the last step crosses the term's atoms and drops none
+_Step = tuple[list[AtomKey], int, Optional[Expr]]
 
 
-def _stage(table: Table, pending: list[_Conjunct],
-           current: Optional[_Conjunct], trm_keys: list[AtomKey],
-           row_cap: int) -> Table:
-    """Apply ``current`` (if any) and then every ``pending`` conjunct to
-    ``table``, smallest missing span first, and extend the survivors over
-    ``trm_keys``.
+def _plan(var_sorts: dict[str, Sort], hyp: Expr,
+          trm_exprs: list[Expr]) -> list[_Step]:
+    """The staging steps of a query, smallest missing span first.  Each
+    conjunct gets a step that crosses nothing (its prune on the rows so
+    far), then one step per leading run of its missing atoms that fits
+    ``CHUNK_ROWS`` (at least one atom each)."""
+    def card(k: AtomKey) -> int:
+        return sort_card(atom_sort(k, var_sorts))
 
-    A conjunct's missing atoms are crossed in the longest leading run whose
-    span fits ``CHUNK_ROWS`` (at least one atom); the conjunct stays
-    ``current`` until all of them are in.  Before each run, and before the
-    chunking decision, the rows on which the conjunct is already false
-    whatever the missing atoms take are dropped (``_may``); once nothing is
-    missing, that drop is the conjunct's filter.  When the run would take a
-    table of several rows past ``CHUNK_ROWS``, the rows go through in
-    contiguous blocks instead (``_in_blocks``).  A single atom wider than
-    both ``CHUNK_ROWS`` and ``row_cap`` raises Capacity before its domain is
-    built, unless the conjunct has already ruled that row out: then the
-    table comes back empty."""
-    while pending or current is not None:
-        if current is None:
-            def missing_span(i: int) -> int:
-                _, keys, cards = pending[i]
-                span = 1
-                for k, card in zip(keys, cards):
-                    if k not in table.cols:
-                        span *= card
-                return span
+    present: set[AtomKey] = set()
 
-            current = pending.pop(min(range(len(pending)), key=missing_span))
-        conj, keys, cards = current
-        missing = [(k, c) for k, c in zip(keys, cards) if k not in table.cols]
-        if table.n:
-            # with nothing missing this is the conjunct's own filter
+    def missing_span(i: int) -> int:
+        return prod(card(k) for k in pending[i][1] if k not in present)
+
+    # atoms found once per conjunct
+    pending = [(c, atoms_for([c], var_sorts)) for c in split_conjuncts(hyp)]
+    plan: list[_Step] = []
+    while pending:
+        conj, keys = pending.pop(min(range(len(pending)), key=missing_span))
+        plan.append(([], 1, conj))
+        for k in keys:
+            if k in present:
+                continue
+            run, span, _ = plan[-1]
+            if run and span * card(k) <= CHUNK_ROWS:
+                plan[-1] = (run + [k], span * card(k), conj)
+            else:
+                plan.append(([k], card(k), conj))
+        present.update(keys)
+    trm_keys = [k for k in atoms_for(trm_exprs, var_sorts) if k not in present]
+    plan.append((trm_keys, prod(map(card, trm_keys)), None))
+    return plan
+
+
+def _run(table: Table, plan: list[_Step], row_cap: int) -> Table:
+    """Run ``plan``'s steps on ``table``.  A crossing that would take a
+    table of several rows past ``CHUNK_ROWS`` sends the rows through
+    ``plan[i:]`` in contiguous blocks instead.  Capacity is raised before
+    any domain is built: for surviving rows, or the term's crossing, past
+    ``row_cap``, and for one atom too wide for both limits."""
+    for i, (keys, span, conj) in enumerate(plan):
+        rows = table.n * span
+        if conj is None:
+            if rows > row_cap:
+                raise Capacity(rows, row_cap)
+        elif keys and table.n > 1 and rows > CHUNK_ROWS:
+            size = max(1, CHUNK_ROWS // span)
+            parts: list[Table] = []
+            total = 0
+            for lo in range(0, table.n, size):
+                block = Table(table.var_sorts)
+                block.n = min(size, table.n - lo)
+                block.cols = {k: col[lo:lo + size]
+                              for k, col in table.cols.items()}
+                parts.append(_run(block, plan[i:], row_cap))
+                total += parts[-1].n
+                if total > row_cap:
+                    raise Capacity(total, row_cap)
+            table.cols = {k: np.concatenate([p.cols[k] for p in parts])
+                          for k in parts[0].cols}
+            table.n = total
+            return table
+        elif rows > max(CHUNK_ROWS, row_cap):
+            # a run this wide is one atom crossing one row: it cannot be split
+            raise Capacity(rows, row_cap)
+        if keys:
+            table.extend(keys)
+        if conj is not None and table.n:
+            # with nothing left to cross this is the conjunct's own filter
             table.filter(_may(conj, table)[0])
-        if not missing:
-            current = None
-            continue
-        run: list[AtomKey] = []
-        span = 1
-        for k, card in missing:
-            if run and span * card > CHUNK_ROWS:
-                break
-            run.append(k)
-            span *= card
-        if table.n > 1 and table.n * span > CHUNK_ROWS:
-            return _in_blocks(table, max(1, CHUNK_ROWS // span), pending,
-                              current, trm_keys, row_cap)
-        # a run this wide is one atom crossing one row: it cannot be split
-        if table.n * span > max(CHUNK_ROWS, row_cap):
-            raise Capacity(table.n * span, row_cap)
-        table.extend(run)
-    span = 1
-    for k in trm_keys:
-        if k not in table.cols:
-            span *= sort_card(atom_sort(k, table.var_sorts))
-    if table.n * span > row_cap:
-        raise Capacity(table.n * span, row_cap)
-    table.extend(trm_keys)
-    return table
-
-
-def _in_blocks(table: Table, size: int, pending: list[_Conjunct],
-               current: Optional[_Conjunct], trm_keys: list[AtomKey],
-               row_cap: int) -> Table:
-    """``_stage`` run on each contiguous block of ``size`` rows of
-    ``table``, the results concatenated in block order into ``table``."""
-    parts: list[Table] = []
-    total = 0
-    for lo in range(0, table.n, size):
-        block = Table(table.var_sorts)
-        block.n = min(size, table.n - lo)
-        block.cols = {k: col[lo:lo + size] for k, col in table.cols.items()}
-        part = _stage(block, list(pending), current, trm_keys, row_cap)
-        total += part.n
-        if total > row_cap:
-            raise Capacity(total, row_cap)
-        parts.append(part)
-    table.cols = {k: np.concatenate([p.cols[k] for p in parts])
-                  for k in parts[0].cols}
-    table.n = total
     return table
 
 

@@ -183,6 +183,26 @@ def test_certify_nlock_passes(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_negative_descriptor_entry_is_refused(tmp_path, capsys):
+    # the node touches no arc, so no case of the sweep builds its bnl: only
+    # the refusal before any check sees the negative entry
+    inst = ["--map", "nlock", "--n", "2", "--runs", "2", "--width", "3"]
+    om, g = tmp_path / "om.json", tmp_path / "g.json"
+    assert cli_main(["synth", *inst, "--out", str(om)]) == 0
+    assert cli_main(["reach", *inst, "--out", str(g)]) == 0
+    doc, graph = json.loads(om.read_text()), json.loads(g.read_text())
+    touched = {i for arc in graph["arcs"] for i in arc}
+    untouched = [node for i, node in enumerate(graph["nodes"])
+                 if i not in touched]
+    assert len(untouched) == 42
+    doc["descriptors"][doc["nodes"].index(untouched[0])] = [-1, 0]
+    om.write_text(json.dumps(doc))
+    assert cli_main(["certify", *inst, "--omap", str(om)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("wfgraph: error: omap descriptor [-1, 0] of ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def _mutant(tmp_path, name, old, new):
     text = bakery_text()
     assert old in text, "transform target drifted"

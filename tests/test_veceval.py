@@ -1,9 +1,10 @@
 """The exhaustive backend's table builder and row decoder against plain
 reference versions: demand analysis runs once per conjunct, the staged
 tables come out column for column as the per-step analysis built them,
-chunked staging returns the unchunked table row for row, so does staging
-that drops the rows a conjunct already rules out (a sound drop), and the
-dense-rank decoder returns exactly the per-row rebuild."""
+chunked staging returns the unchunked table row for row with each row
+block starting at its crossing, so does staging that drops the rows a
+conjunct already rules out (a sound drop), and the dense-rank decoder
+returns exactly the per-row rebuild."""
 
 import random
 
@@ -14,11 +15,11 @@ from hypothesis import strategies as st
 
 import wfgraph.veceval as veceval
 from _gen import rand_expr, rand_sort, rand_var_sorts
-from wfgraph.absgraph import map_graph
+from wfgraph.absgraph import graph_text, map_graph, tag_graph
 from wfgraph.bakery import bakery_model
 from wfgraph.certify import relation_cases
 from wfgraph.model import (
-    BOOL, AddMod, And, BoolV, CaseNat, Const, Eq, Le, NatSort, NatV, Or,
+    BOOL, AddMod, And, BoolV, CaseNat, Const, Eq, Le, Lt, NatSort, NatV, Or,
     TupleE, Var, canonical_sorted, sort_card, subst_vars)
 from wfgraph.system import relation_parts
 from wfgraph.veceval import (
@@ -139,6 +140,65 @@ def test_nlock_sweep_tables_stay_within_chunk(monkeypatch):
     assert len(sweep.rows) and sweep.pairs and sizes
     assert max(sizes) <= veceval.CHUNK_ROWS
     assert max(sizes) > veceval.CHUNK_ROWS // 4
+
+
+def _nlock_pipeline(chunk):
+    """nlock (2,2,3)'s graph text, tags, sweep rows and pair ranges, built
+    with ``CHUNK_ROWS = chunk``, and how deep its row blocks nested."""
+    depth = [0, 0]  # current, deepest
+    run = veceval._run
+
+    def nesting(table, plan, row_cap):
+        depth[0] += 1
+        depth[1] = max(depth)
+        try:
+            return run(table, plan, row_cap)
+        finally:
+            depth[0] -= 1
+
+    model = bakery_model(2, 2, 3)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(veceval, "CHUNK_ROWS", chunk)
+        mp.setattr(veceval, "_run", nesting)
+        graph = map_graph(model, "nlock")
+        tagged = tag_graph(model, "nlock", graph)
+        sweep = relation_cases(model, "nlock", tagged.nodes)
+    return (graph_text(graph), tagged.tags, list(sweep.rows),
+            sweep.pairs), depth[1] - 1
+
+
+@pytest.mark.parametrize("chunk, nested", [(1024, 2), (256, 3),
+                                           (UNCHUNKED, 0)])
+def test_nlock_pipeline_through_nested_blocks(chunk, nested):
+    # the default CHUNK_ROWS makes no blocks on this instance
+    ref, none = _nlock_pipeline(veceval.CHUNK_ROWS)
+    assert none == 0 and ref[0] and ref[1] and ref[2] and ref[3]
+    got, depth = _nlock_pipeline(chunk)
+    assert depth == nested
+    assert got == ref
+
+
+def test_blocks_start_at_their_crossing(monkeypatch):
+    # x and y span 64 values: x crosses the 1-row table, then y would take
+    # its 8 rows past 16, so y crosses 4 blocks of 2 rows; none of them is
+    # pruned again before that crossing
+    var_sorts = {"x": NatSort(3), "y": NatSort(3)}
+    x, y = Var("x"), Var("y")
+    conj = Or((Lt(x, y), Eq(AddMod(x, y), Const(NatV(3, 3)))))
+    ref = _build(UNCHUNKED, var_sorts, conj, [])
+    rows = []
+    may = veceval._may
+
+    def recording(e, table):
+        if e is conj:
+            rows.append(table.n)
+        return may(e, table)
+
+    monkeypatch.setattr(veceval, "_may", recording)
+    got = _build(16, var_sorts, conj, [])
+    assert rows == [1, 8, 16, 16, 16, 16]
+    assert got.n == 32
+    _assert_same_table(got, ref)
 
 
 # -- three-valued pruning ------------------------------------------------------
