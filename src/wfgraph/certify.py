@@ -20,11 +20,15 @@ construction; only a witness case is decoded:
   omap-valid         the descriptor mapping decreases lexicographically
                      across every arc, by symbolic entry scan (no query)
   measure-decrease   across every case the synthesized bnl and its
-                     ordinal strictly drop; bnls and ordinals are built
-                     once per distinct half-state
+                     ordinal strictly drop; a bnl is built once per
+                     distinct half-state, and each distinct (source bnl,
+                     destination bnl) pair is compared once
 
-A Certificate records input hashes and one verdict per check; it passes
-only if every check does.  The relation itself comes from
+Before the sweep, an omap no bnl can be built from is refused: other
+measures or widths than the map's, a node that is not a value of the
+map's node sort, or a descriptor entry that is neither a natural nor a
+measure name.  A Certificate records input hashes and one verdict per
+check; it passes only if every check does.  The relation itself comes from
 ``system.relation_parts``, which says what the model's `system`
 declaration means; from ``absgraph`` this module takes only the graph data
 types, the tag names, ``NotTotal`` and ``graph_text`` (for the graph's
@@ -35,7 +39,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,14 +48,12 @@ from .absgraph import NON_INC, STRICT_DEC, Graph, NotTotal, TaggedGraph
 from .enumeration import compute_finite_values
 from .measure import Omap
 from .model import (
-    And, Const, Eq, Expr, Model, Or, TupleE, TupleV, Value, subst_vars,
-    value_text, value_to_json)
+    And, Const, Eq, Expr, Model, Or, TupleE, TupleV, Value, has_sort,
+    sort_text, subst_vars, value_text, value_to_json)
 # not called here; the benchmark tracer counts one-shot evaluations at
 # ``wfgraph.certify:eval_expr`` and resolves that name by import
 from .model import eval_expr  # noqa: F401
-from .ordinals import (
-    Ordinal, OrdinalError, bnl_lt, bnl_ranks, bnl_to_ordinal,
-    expand_descriptor, o_lt)
+from .ordinals import bnl_ranks, bnl_to_ordinal, expand_descriptor, o_lt
 from .system import relation_parts
 from .veceval import DistinctRows, lex_rank
 
@@ -266,15 +267,18 @@ def check_measure_decrease(omap: Omap, sweep: Sweep) -> CheckResult:
     """Strict decrease of the synthesized measure across every case whose
     source the omap covers.
 
-    This route shares no ordering code with graph construction.  Each side
-    of a case, a (node, measure tuples) half-state, recurs across many
-    cases, so the distinct halves of each side are found over the id
-    columns, and each one's padded bnl and ordinal are built and validated
-    once.  Case by case, in canonical order, the bnls compare by their
-    dense ranks (``ordinals.bnl_ranks``) and ``o_lt`` compares the
-    ordinals.  Only the first failing case is decoded; a case whose half
-    cannot be built, or whose bnl bounds differ, has its halves rebuilt and
-    compared directly, so it raises there, as it would case by case.
+    This route shares no ordering code with graph construction.  A case's
+    verdict depends only on its two padded bnls, and each side of a case,
+    a (node, measure tuples) half-state, recurs across many cases.  So the
+    distinct halves of each side are found over the id columns and each
+    one's bnl is built once; the bnls get dense ranks
+    (``ordinals.bnl_ranks``), and each distinct (source rank, destination
+    rank) pair is compared once: by rank, then by ``o_lt`` on ordinals
+    built once per distinct bnl.  The pairs' verdicts are scattered back
+    over the cases, and the first failing case in canonical order is the
+    witness, the only case decoded.  ``certify_relation`` refuses omaps
+    whose bnls cannot be built; called directly on one, this raises
+    ``OrdinalError``.
     """
     descs = omap.as_dict()
     bound = omap.bnl_bound
@@ -297,52 +301,38 @@ def check_measure_decrease(omap: Omap, sweep: Sweep) -> CheckResult:
     if at.size:
         names = rows.names
         assert names is not None
-
-        def half(side: int, key: Sequence[int]
-                 ) -> tuple[tuple[int, ...], Ordinal]:
-            """Padded bnl and ordinal of a source (``side`` 0) or
-            destination (1) half-state, given its node and measure ids."""
-            ks = range(side, len(names), 2)
-            values = {names[k][4:]: _nats(rows.item_values[k][i])
-                      for k, i in zip(ks[1:], key[1:])}
-            e = expand_descriptor(descs[rows.item_values[side][key[0]]],
-                                  values)
-            bnl = tuple(e) + (0,) * (bound - len(e))
-            return bnl, bnl_to_ordinal(bnl)
-
-        sides = []  # per side: each distinct half (None if it raised), and
-        for side in (0, 1):  # the half of every checked case
+        bnls: list[tuple[int, ...]] = []  # each distinct half's, both sides
+        of = []  # per side, each checked case's half as an index into bnls
+        for side in (0, 1):
             cols = [ids[at] for ids in rows.item_ids[side::2]]
-            of, first = lex_rank(cols, [len(v) for v in
-                                        rows.item_values[side::2]])
-            halves: list[Optional[tuple[tuple[int, ...], Ordinal]]] = []
-            for key in np.column_stack([c[first] for c in cols]).tolist():
-                try:
-                    halves.append(half(side, key))
-                except OrdinalError:  # raised again if a case reaches it
-                    halves.append(None)
-            sides.append((halves, of))
-        (src, src_of), (dst, dst_of) = sides
-        bnls = [h[0] for h in src + dst if h is not None]
-        rank_of = dict(zip(bnls, bnl_ranks(bnls)))
-        # per distinct half: its bnl's rank and length, and its ordinal
-        src_h, dst_h = ([(rank_of[h[0]], len(h[0]), h[1]) if h else None
-                         for h in side] for side in (src, dst))
-        for k, (a, b) in enumerate(zip(src_of.tolist(), dst_of.tolist())):
-            x, y = src_h[a], dst_h[b]
-            if x is None or y is None or x[1] != y[1]:
-                # a half cannot be built, or the bounds differ: building
-                # and comparing the halves directly raises, as case by case
-                row = int(at[k])
-                bx, by = (half(side, [int(ids[row])
-                                      for ids in rows.item_ids[side::2]])[0]
-                          for side in (0, 1))
-                bnl_lt(by, bx)
-            if y[0] >= x[0]:
-                return failed(int(at[k]), "bnl does not decrease: "
-                              f"{dst[b][0]} !< {src[a][0]}")
-            if not o_lt(y[2], x[2]):
-                return failed(int(at[k]), "ordinal does not decrease")
+            half_of, first = lex_rank(cols, [len(v) for v in
+                                             rows.item_values[side::2]])
+            of.append(half_of + len(bnls))
+            for node, *key in np.column_stack(
+                    [c[first] for c in cols]).tolist():
+                values = {names[k][4:]: _nats(rows.item_values[k][i])
+                          for k, i in zip(range(side + 2, len(names), 2),
+                                          key)}
+                e = expand_descriptor(descs[rows.item_values[side][node]],
+                                      values)
+                bnls.append(tuple(e) + (0,) * (bound - len(e)))
+        rank = np.array(bnl_ranks(bnls), dtype=np.int64)
+        by_rank = dict(zip(rank.tolist(), bnls))
+        ords = {r: bnl_to_ordinal(b) for r, b in by_rank.items()}
+        n = len(by_rank)
+        pairs, pair_of = np.unique(rank[of[0]] * n + rank[of[1]],
+                                   return_inverse=True)
+        reasons = {}  # each failing pair's, by its index in pairs
+        for p, (x, y) in enumerate(zip((pairs // n).tolist(),
+                                       (pairs % n).tolist())):
+            if y >= x:
+                reasons[p] = (f"bnl does not decrease: {by_rank[y]} !< "
+                              f"{by_rank[x]}")
+            elif not o_lt(ords[y], ords[x]):
+                reasons[p] = "ordinal does not decrease"
+        if reasons:
+            k = int(np.argmax(np.isin(pair_of, list(reasons))))
+            return failed(int(at[k]), reasons[int(pair_of[k])])
     if outside is not None:
         return failed(outside, "destination outside the omap")
     return CheckResult("measure-decrease", True, SWEEP)
@@ -354,9 +344,8 @@ def certify_relation(model: Model, map_name: str, tg: TaggedGraph,
                      num: int = 65536) -> Certificate:
     """Run the five checks.  The relation is enumerated once, from the
     graph's and the omap's nodes; the closure, tag and measure-decrease
-    checks all read those cases.  An omap for other measures than the
-    map declares, or with a negative descriptor entry (which no bnl is
-    built from), is refused with ``CertificationError``."""
+    checks all read those cases.  An omap no bnl can be built from (see
+    the module docstring) is refused first, with ``CertificationError``."""
     from .absgraph import graph_text
     from .measure import omap_text
     mp = model.map_decl(map_name)
@@ -366,10 +355,17 @@ def certify_relation(model: Model, map_name: str, tg: TaggedGraph,
             f"{dict(omap.widths)} differ from map '{map_name}', which "
             f"declares {list(mp.measure_names)} with widths {mp.widths}")
     for node, desc in omap.descriptors:
-        if any(isinstance(e, int) and e < 0 for e in desc):
+        if not has_sort(node, mp.node_sort):
             raise CertificationError(
-                f"omap descriptor {list(desc)} of {value_text(node)} "
-                "has a negative entry")
+                f"omap node {json.dumps(value_to_json(node))} is not a "
+                f"node of map '{map_name}', of sort "
+                f"{sort_text(mp.node_sort)}")
+        for e in desc:
+            if not (e in mp.measure_names if isinstance(e, str) else
+                    isinstance(e, int) and not isinstance(e, bool) and e >= 0):
+                raise CertificationError(
+                    f"omap descriptor {list(desc)} of {value_text(node)} "
+                    f"has entry {e!r}, neither a natural nor a measure name")
     scope = tuple(dict.fromkeys(omap.nodes + tg.nodes))
     sweep = relation_cases(model, map_name, scope, backend, num)
     checks = [check_closure(tg, sweep)]

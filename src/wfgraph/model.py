@@ -275,6 +275,20 @@ def default_value(s: Sort) -> Value:
     return TupleV(tuple((n, default_value(fs)) for n, fs in s.fields))
 
 
+def has_sort(v: Value, s: Sort) -> bool:
+    """Whether ``v`` is a value of sort ``s``: same kind, nat width, enum
+    symbols, and field names in order, recursively."""
+    if isinstance(s, BoolSort):
+        return isinstance(v, BoolV)
+    if isinstance(s, NatSort):
+        return isinstance(v, NatV) and v.width == s.width
+    if isinstance(s, EnumSort):
+        return isinstance(v, EnumV) and v.syms == s.syms
+    return (isinstance(v, TupleV) and len(v.items) == len(s.fields)
+            and all(n == fn and has_sort(x, fs)
+                    for (n, x), (fn, fs) in zip(v.items, s.fields)))
+
+
 # ---------------------------------------------------------------------------
 # expressions
 

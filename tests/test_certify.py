@@ -5,6 +5,7 @@ catch its own class of lie)."""
 import ast
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -194,17 +195,21 @@ def test_perturbed_nlock_descriptor_pins_sweep_witness(nlock_223):
                   "(24, 2, 1, 0, 0)"}
 
 
-def test_sweep_compares_every_case(nlock_223, monkeypatch):
-    # bnls and ordinals are shared between cases, comparisons are not
+def test_sweep_compares_each_bnl_pair_once(nlock_223, monkeypatch):
+    # a case's verdict depends only on its two padded bnls: each distinct
+    # (source bnl, destination bnl) pair is compared once, and each
+    # distinct bnl's ordinal is built once
     m, om = nlock_223
-    cases, lt_calls, ord_calls = [], [], []
-    real_cfv, real_lt = certify.compute_finite_values, certify.o_lt
-    real_ord = certify.bnl_to_ordinal
+    sweep = relation_cases(m, "nlock", om.nodes)
 
-    def cfv(*args):
-        r = real_cfv(*args)
-        cases.append(len(r.values))
-        return r
+    def bnl(q, side):
+        return om.mk_bnl(q, lambda q: q.get(side), lambda q, name: [
+            x.val for _, x in q.get(f"{side}-{name}").items])
+
+    pairs = {(bnl(q, "src"), bnl(q, "dst")) for q in sweep.rows}
+    assert len(sweep.rows) == 11264 and len(pairs) == 500
+    lt_calls, ord_calls = [], []
+    real_lt, real_ord = certify.o_lt, certify.bnl_to_ordinal
 
     def lt(a, b):
         lt_calls.append(1)
@@ -214,14 +219,11 @@ def test_sweep_compares_every_case(nlock_223, monkeypatch):
         ord_calls.append(1)
         return real_ord(a)
 
-    monkeypatch.setattr(certify, "compute_finite_values", cfv)
     monkeypatch.setattr(certify, "o_lt", lt)
     monkeypatch.setattr(certify, "bnl_to_ordinal", to_ord)
-    assert check_measure_decrease(
-        om, relation_cases(m, "nlock", om.nodes)).passed
-    assert len(cases) == 1 and cases[0] > 1000
-    assert len(lt_calls) == cases[0]
-    assert len(ord_calls) < cases[0] // 4
+    assert check_measure_decrease(om, sweep).passed
+    assert len(lt_calls) == len(pairs)
+    assert len(ord_calls) <= len({b for pair in pairs for b in pair})
 
 
 def test_closure_passes_standalone(model, rank_parts):
@@ -250,6 +252,20 @@ def test_certify_relation_sweeps_once(backend, monkeypatch):
         assert len(calls) == 1
         assert {c.method for c in cert.checks} == {"concrete-sweep",
                                                    "symbolic-scan"}
+
+
+@pytest.mark.parametrize("entry", [True, 1.5, "fuel"])
+def test_unusable_descriptor_entry_is_refused(entry, model, rank_parts,
+                                              monkeypatch):
+    # a bnl is built only from naturals and the map's own measures: an omap
+    # built in Python with any other entry is refused before the sweep
+    tg, om = rank_parts
+    (node, desc), *rest = om.descriptors
+    bad = Omap(((node, (entry,) + desc[1:]), *rest), om.measures, om.widths)
+    monkeypatch.setattr(certify, "compute_finite_values", None)
+    with pytest.raises(certify.CertificationError,
+                       match=re.escape(f"has entry {entry!r}, neither")):
+        certify_relation(model, "rank", tg, bad, bakery_text())
 
 
 @pytest.mark.parametrize("name, params",

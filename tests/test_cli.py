@@ -145,14 +145,28 @@ def test_malformed_omap_is_a_one_line_error(rank_omap_doc, tmp_path,
         descriptors=[[0]] + doc["descriptors"][1:] + doc["descriptors"][:1])
     cases["width not a natural"] = dict(
         doc, widths={k: str(w) for k, w in doc["widths"].items()})
+    # a node that is a value, but not of the map's node sort
+    loc, done, *rest = doc["nodes"][0]["t"]
+    assert (loc, done) == (["loc", {"n": 0, "w": 5}], ["done", {"b": False}])
+    off_sort = {"node width changed": {"t": [["loc", {"n": 0, "w": 9}],
+                                             done, *rest]},
+                "node field renamed": {"t": [loc, ["dome", done[1]], *rest]},
+                "node field dropped": {"t": [loc, *rest]},
+                "node a scalar": {"n": 0, "w": 5}}
+    for name, node in off_sort.items():
+        cases[name] = dict(doc, nodes=[node] + doc["nodes"][1:])
     om = tmp_path / "om.json"
-    for name, bad in cases.items():
-        om.write_text(json.dumps(bad))
-        assert cli_main(["certify", "--omap", str(om), "--width", "2"]) == 1, \
-            name
-        err = capsys.readouterr().err
-        assert err.startswith("wfgraph: error: "), (name, err)
-        assert err.count("\n") == 1 and "Traceback" not in err, (name, err)
+    for backend in ("exhaustive", "sat"):
+        for name, bad in cases.items():
+            om.write_text(json.dumps(bad))
+            assert cli_main(["certify", "--omap", str(om), "--width", "2",
+                             "--backend", backend]) == 1, (backend, name)
+            err = capsys.readouterr().err
+            assert err.startswith("wfgraph: error: "), (backend, name, err)
+            assert err.count("\n") == 1 and "Traceback" not in err, \
+                (backend, name, err)
+            if name in off_sort:
+                assert "is not a node of map 'rank'" in err, (backend, name)
 
 
 @pytest.mark.parametrize("edit", ["rename", "widths"])

@@ -1,6 +1,7 @@
 """Model language: parsing, sorts, evaluation, and value plumbing."""
 
 import copy
+import itertools
 import pickle
 import random
 
@@ -24,6 +25,7 @@ from wfgraph.model import (
     NatSort,
     NatV,
     ParseError,
+    TupleSort,
     TupleV,
     Var,
     canonical_sorted,
@@ -33,11 +35,13 @@ from wfgraph.model import (
     parse_model,
     pretty_print,
     sort_card,
+    sort_text,
     subst_vars,
     value_from_json,
     value_text,
     value_to_json,
 )
+from wfgraph.enumeration import BACKENDS, compute_finite_values
 from wfgraph.sexpr import SExprError, parse_sexprs, pretty, to_text
 from wfgraph.veceval import Table, _leaf_value, eval_vec
 
@@ -300,3 +304,47 @@ def test_pretty_print_roundtrip(bakery):
     again = parse_model(text)
     assert again == bakery
     assert pretty_print(again) == text
+
+
+LAMPS = """(model lamps
+  (params (w 2))
+  (sort lamp (color (enum red green blue)) (n (nat w)) (on bool))
+  (define next ((a lamp)) lamp
+    (update a :color (case a.n (0 red) (1 green) (t a.color))
+              :on (= a.color blue)))
+  (define pick ((a lamp)) bool
+    (or (= (if a.on 0 a.n) 3)
+        (= (if a.on a.color red) green)
+        (= (case a.n (0 1) (1 a.n) (t 2)) 1))))
+"""
+
+
+def test_enum_model_elaborates_evaluates_and_prints():
+    # an enum field parsed from text; `if` and `case` in positions with no
+    # expected sort, where a bare literal takes its sort from a sibling
+    m = parse_model(LAMPS)
+    lamp = m.record_sort("lamp")
+    assert sort_text(lamp) == \
+        "(tuple (color (enum red green blue)) (n (nat 2)) (on bool))"
+    assert sort_text(TupleSort(((None, lamp.field_sort("color")),
+                                (None, BOOL)))) == \
+        "(tuple (enum red green blue) bool)"
+    text = pretty_print(m)
+    assert "(enum red green blue)" in text and "(0 red)" in text
+    assert parse_model(text) == m and pretty_print(parse_model(text)) == text
+    # compiled closures and both backends agree on the image of `next`
+    # over the states `pick` admits
+    hyp, trm = m.define("pick").body, m.define("next").body
+    pick, step = compile_expr(hyp), compile_expr(trm)
+    states = [TupleV((("color", EnumV(c, ("red", "green", "blue"))),
+                      ("n", NatV(n, 2)), ("on", BoolV(on))))
+              for c, n, on in itertools.product(("red", "green", "blue"),
+                                                range(4), (False, True))]
+    want = canonical_sorted({step({"a": x}) for x in states
+                             if pick({"a": x}).val})
+    assert 0 < len(want) < len(states)
+    for backend in BACKENDS:
+        r = compute_finite_values({"a": lamp}, hyp, trm, 100, backend)
+        assert r.is_total and list(r.values) == want, backend
+    assert [value_text(x) for x in want[:2]] == [
+        "((:color red) (:n 0) (:on nil))", "((:color red) (:n 0) (:on t))"]
