@@ -250,18 +250,28 @@ def value_to_json(v: Value):
     return {"t": [[name, value_to_json(item)] for name, item in v.items]}
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def value_from_json(obj) -> Value:
-    if not isinstance(obj, dict):
-        raise ModelError("bad value json")
-    if "b" in obj:
-        return BoolV(bool(obj["b"]))
-    if "n" in obj:
-        return NatV(int(obj["n"]), int(obj["w"]))
-    if "e" in obj:
-        return EnumV(str(obj["e"]), tuple(str(s) for s in obj["of"]))
-    if "t" in obj:
-        return TupleV(tuple((item[0], value_from_json(item[1])) for item in obj["t"]))
-    raise ModelError("bad value json")
+    """The value that ``value_to_json`` wrote as ``obj``.  Entries are
+    read as they are, never coerced: anything else raises ModelError."""
+    if isinstance(obj, dict):
+        if isinstance(obj.get("b"), bool):
+            return BoolV(obj["b"])
+        if _is_int(obj.get("n")) and _is_int(obj.get("w")):
+            return NatV(obj["n"], obj["w"])
+        of = obj.get("of")
+        if isinstance(obj.get("e"), str) and isinstance(of, list) \
+                and all(isinstance(s, str) for s in of):
+            return EnumV(obj["e"], tuple(of))
+        items = obj.get("t")
+        if isinstance(items, list) and all(
+                isinstance(i, list) and len(i) == 2
+                and (i[0] is None or isinstance(i[0], str)) for i in items):
+            return TupleV(tuple((n, value_from_json(x)) for n, x in items))
+    raise ModelError(f"bad value json {obj!r}")
 
 
 def default_value(s: Sort) -> Value:
@@ -738,6 +748,20 @@ class _Elab:
                             nc.pos) from None
 
     # -- helpers -------------------------------------------------------
+    def _enum_symbol(self, name: str, env: dict[str, Sort]) -> bool:
+        """Whether ``name`` is a symbol of an enum sort that a declared
+        sort, a definition or a bound name carries."""
+        sorts = [*self.sorts.values(), *env.values()]
+        for d in self.defines.values():
+            sorts += [d.result, *(s for _, s in d.params)]
+        while sorts:
+            s = sorts.pop()
+            if isinstance(s, EnumSort) and name in s.syms:
+                return True
+            if isinstance(s, TupleSort):
+                sorts.extend(fs for _, fs in s.fields)
+        return False
+
     def _elab_pair(self, sa: SExpr, sb: SExpr, env) -> tuple[Expr, Expr, Sort]:
         """Elaborate two operands that must share a sort; a literal on either
         side takes its width from the other."""
@@ -790,6 +814,8 @@ class _Elab:
                 return self._nat_literal(self.params[name], expected, sx.pos())
             if isinstance(expected, EnumSort) and name in expected.syms:
                 return Const(EnumV(name, expected.syms)), expected
+            if expected is None and self._enum_symbol(name, env):
+                raise _NeedsContext(sx.pos())  # like a natural literal
             raise SortError(f"unbound name '{name}'", sx.pos())
 
         items = sx.items

@@ -9,7 +9,7 @@ Both enumeration backends evaluate scalarized expressions only
 atom, and only ``TupleE`` containers are record-sorted.  Records are taken
 apart there and nowhere else.
 
-Four things keep the tables small:
+Six things keep the tables small and the work on them short:
 
 * only the atoms an expression reads become columns.  Everything else
   stays out of the cross product entirely.
@@ -34,6 +34,15 @@ Four things keep the tables small:
   bounds the surviving rows, the term's crossing, and the one crossing that
   cannot be split: a single atom whose domain passes both ``CHUNK_ROWS``
   and the cap, unless the row it would be crossed with is already gone.
+* packed keys: a row's leaf codes pack into one mixed-radix int64 key
+  (``_pack``), so ranking rows (``lex_rank``) is one sort, plus one more
+  only each time the key would pass int64.
+* one lookup per scope test: ``scalarize`` keeps shared subtrees shared,
+  so ``Or(Eq(node, Const(u)) for u in scope)`` compares one list of leaf
+  nodes with each ``u``'s constants.  ``_may`` evaluates each present leaf
+  once and looks the rows' packed leaves up among the scope's
+  (``_scope_may``), with the generic three-valued result, and every
+  subtree's atoms are found once per query (``_atoms``).
 
 Unconstrained atoms never enter the table, which is sound because a
 satisfying row extends to full environments by fixing them arbitrarily.
@@ -48,7 +57,7 @@ decodes nothing but the items and its witnesses.
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, replace
 from functools import reduce
 from math import prod
@@ -152,9 +161,21 @@ def _itemwise(parts: list[Expr], build) -> Expr:
 def scalarize(e: Expr, var_sorts: dict[str, Sort]) -> Expr:
     """Rewrite ``e`` so that every record read is a ``Field(Var, f)`` leaf
     and only ``TupleE`` nodes are record-sorted (see above).  Semantics are
-    preserved exactly; only the tree shape changes."""
+    preserved exactly; only the tree shape changes.
+
+    A subtree that ``e`` shares is rewritten once and stays shared, so each
+    ``Eq(node, Const(u))`` of a scope test compares the same leaf nodes.
+    The memo is keyed by node id and holds its nodes: ``field_of`` makes
+    temporaries, and a freed one's id could come back as another node's."""
+    memo: dict[int, tuple[Expr, Expr]] = {}
 
     def walk(x: Expr) -> Expr:
+        hit = memo.get(id(x))
+        if hit is None:
+            hit = memo[id(x)] = (x, rewrite(x))
+        return hit[1]
+
+    def rewrite(x: Expr) -> Expr:
         if isinstance(x, Var):
             s = var_sorts[x.name]
             if isinstance(s, TupleSort):
@@ -195,7 +216,12 @@ def scalarize(e: Expr, var_sorts: dict[str, Sort]) -> Expr:
             return type(x)(tuple(walk(a) for a in x.args))
         raise TypeError(f"not an expression: {x!r}")
 
-    return walk(e)
+    try:
+        return walk(e)
+    finally:
+        # walk and rewrite refer to each other: without this, the memo
+        # would live on in their cycle until the next garbage collection
+        memo.clear()
 
 
 # ---------------------------------------------------------------------------
@@ -204,26 +230,47 @@ def scalarize(e: Expr, var_sorts: dict[str, Sort]) -> Expr:
 AtomKey = tuple[str, Optional[str]]  # (variable, field); field None for scalars
 
 
-def atoms_for(exprs: list[Expr], var_sorts: dict[str, Sort]) -> list[AtomKey]:
+def atoms_for(exprs: list[Expr], var_sorts: dict[str, Sort],
+              memo: Optional[dict] = None) -> list[AtomKey]:
     """The atoms that scalarized ``exprs`` read (their ``Field(Var, f)``
     leaves and scalar variables), in deterministic order: variable
-    declaration order, then field declaration order."""
-    read: set[AtomKey] = set()
-    stack = list(exprs)
-    while stack:
-        x = stack.pop()
-        if isinstance(x, Field):
-            assert isinstance(x.rec, Var), "expression is not scalarized"
-            read.add((x.rec.name, x.name))
-        elif isinstance(x, Var):
-            read.add((x.name, None))
-        else:
-            stack.extend(expr_children(x))
+    declaration order, then field declaration order.  ``memo`` (a query's
+    ``Table.atoms``) keeps each subtree's atoms from one call to the next
+    (see ``_atoms``)."""
+    memo = {} if memo is None else memo
+    read = frozenset().union(*(_atoms(x, memo) for x in exprs))
     keys: list[AtomKey] = []
     for var, sort in var_sorts.items():
         fields = sort.fields if isinstance(sort, TupleSort) else ((None, sort),)
         keys.extend((var, f) for f, _ in fields if (var, f) in read)
     return keys
+
+
+_NO_ATOMS: frozenset[AtomKey] = frozenset()
+
+
+def _atoms(e: Expr, memo: dict[int, tuple[Expr, frozenset[AtomKey]]]
+           ) -> frozenset[AtomKey]:
+    """The atoms that scalarized ``e`` reads, each subtree's found once:
+    ``memo`` keeps them by node id, with the node, so that the id cannot
+    pass to another node while the entry lives."""
+    if isinstance(e, Const):
+        return _NO_ATOMS
+    hit = memo.get(id(e))
+    if hit is None:
+        if isinstance(e, Field):
+            assert isinstance(e.rec, Var), "expression is not scalarized"
+            got = frozenset(((e.rec.name, e.name),))
+        elif isinstance(e, Var):
+            got = frozenset(((e.name, None),))
+        else:
+            got = _NO_ATOMS
+            for x in expr_children(e):
+                more = _atoms(x, memo)
+                if not more <= got:  # a child's set is shared when it can be
+                    got = more if not got else got | more
+        hit = memo[id(e)] = (e, got)
+    return hit[1]
 
 
 def atom_sort(key: AtomKey, var_sorts: dict[str, Sort]) -> Sort:
@@ -296,6 +343,12 @@ class Table:
         self.var_sorts = var_sorts
         self.n = 1
         self.cols: dict[AtomKey, np.ndarray] = {}
+        # found once per query, by node id, each entry holding its node:
+        # each subtree's atoms (``_atoms``) and what each ``Or`` is as a
+        # scope test (``_scope_test``); the plan and the query's row blocks
+        # share them
+        self.atoms: dict[int, tuple[Expr, frozenset[AtomKey]]] = {}
+        self.scopes: dict[int, tuple[Expr, Optional[_Scope]]] = {}
 
     def extend(self, keys: list[AtomKey]):
         """Cross the table with the full domains of the given missing atoms.
@@ -331,9 +384,13 @@ class Table:
                 for k in self.cols:
                     self.cols[k] = self.cols[k][:0]
             return
-        for k in self.cols:
-            self.cols[k] = self.cols[k][mask]
-        self.n = int(mask.sum())
+        # one pass over the mask: indexing each column by it would be one
+        # pass per column, several times slower on wide tables
+        keep = np.flatnonzero(mask)
+        if len(keep) < self.n:
+            for k in self.cols:
+                self.cols[k] = self.cols[k][keep]
+            self.n = len(keep)
 
     def var_vval(self, name: str, field: Optional[str] = None) -> Scalar:
         """The column of atom ``(name, field)``; ``field`` is None for a
@@ -424,16 +481,66 @@ def split_conjuncts(e: Expr) -> list[Expr]:
     return out
 
 
-def _present(e: Expr, cols: dict[AtomKey, np.ndarray]) -> bool:
-    """Whether every atom that scalarized ``e`` reads is one of ``cols``."""
-    if isinstance(e, Field):
-        return (e.rec.name, e.name) in cols
-    if isinstance(e, Var):
-        return (e.name, None) in cols
-    return all(_present(x, cols) for x in expr_children(e))
+def _present(e: Expr, table: Table) -> bool:
+    """Whether every atom that scalarized ``e`` reads is a column of
+    ``table``."""
+    return table.cols.keys() >= _atoms(e, table.atoms)
 
 
 _UNKNOWN = (np.bool_(True), np.bool_(True))
+
+
+# a scope test's leaves, and per disjunct one row of their constants' codes
+_Scope = tuple[tuple[Expr, ...], np.ndarray]
+
+
+def _scope_test(e: Or) -> Optional[_Scope]:
+    """``e``'s leaves and constants when it tests a node against a scope:
+    every disjunct is ``And(Eq(leaf_j, Const c_j))`` over the same leaf
+    nodes in the same order, as ``scalarize`` makes
+    ``Or(Eq(node, Const(u)) for u in scope)`` of a map's (tuple) node."""
+    leaves: Optional[tuple[Expr, ...]] = None
+    consts = []
+    for d in e.args:
+        if not isinstance(d, And):
+            return None
+        eqs = d.args
+        if not all(isinstance(q, Eq) and isinstance(q.b, Const) for q in eqs):
+            return None
+        if leaves is None:
+            leaves = tuple(q.a for q in eqs)
+        elif len(eqs) != len(leaves) or any(
+                q.a is not x for q, x in zip(eqs, leaves)):
+            return None
+        consts.append([_vconst(q.b.value).arr for q in eqs])
+    if leaves is None:
+        return None
+    return leaves, np.array(consts, dtype=np.int64)
+
+
+def _scope_may(leaves: tuple[Expr, ...], codes: np.ndarray, table: Table
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """``_may`` of a scope test (``_scope_test``) by one lookup.  A row may
+    be in scope when its present leaves, packed as ``lex_rank`` packs
+    them, equal some disjunct's constants projected onto those leaves; it
+    may be out of scope when that misses, or when a leaf is absent."""
+    present = [j for j, x in enumerate(leaves) if _present(x, table)]
+
+    def columns():  # each present leaf's rows, then the scope's codes
+        for j in present:
+            v = eval_vec(leaves[j], table)
+            yield np.concatenate((np.broadcast_to(
+                np.asarray(v.arr, dtype=np.int64), (table.n,)),
+                codes[:, j])), _leaf_card(v)
+
+    if present:
+        key = _pack(columns())
+        rows, want = key[:table.n], np.sort(key[table.n:])
+        at = np.minimum(np.searchsorted(want, rows), len(want) - 1)
+        t = want[at] == rows
+    else:
+        t = np.bool_(True)
+    return t, (~t if len(present) == len(leaves) else np.bool_(True))
 
 
 def _may(e: Expr, table: Table) -> tuple[np.ndarray, np.ndarray]:
@@ -444,8 +551,15 @@ def _may(e: Expr, table: Table) -> tuple[np.ndarray, np.ndarray]:
     evaluated exactly, ``And``, ``Or`` and ``Not`` combine the two masks,
     ``Ite`` weighs its branches by its condition's masks and ``CaseNat``
     picks an arm per row when its scrutinee is present (any arm when it is
-    not); anything else that reads an absent atom may be either."""
-    if _present(e, table.cols):
+    not); anything else that reads an absent atom may be either.  A scope
+    test is one lookup (``_scope_may``) with the same result."""
+    if isinstance(e, Or):
+        hit = table.scopes.get(id(e))
+        if hit is None:
+            hit = table.scopes[id(e)] = (e, _scope_test(e))
+        if hit[1] is not None:
+            return _scope_may(*hit[1], table)
+    if _present(e, table):
         v = eval_vec(e, table)
         assert isinstance(v, VBool)
         return v.arr, ~np.asarray(v.arr)
@@ -464,7 +578,7 @@ def _may(e: Expr, table: Table) -> tuple[np.ndarray, np.ndarray]:
     if isinstance(e, CaseNat):
         arms = [_may(b, table) for _, b in e.arms]
         t, f = _may(e.default, table)
-        if not _present(e.scrut, table.cols):
+        if not _present(e.scrut, table):
             for at, af in arms:
                 t, f = t | at, f | af
             return t, f
@@ -486,7 +600,8 @@ def build_table(var_sorts: dict[str, Sort], hyp: Expr, trm_exprs: list[Expr],
     (``_plan``) and then run over the rows (``_run``), where a row block
     starts at the crossing that needs it.  Callers pass already-scalarized
     expressions (see ``scalarize``)."""
-    return _run(Table(var_sorts), _plan(var_sorts, hyp, trm_exprs), row_cap)
+    table = Table(var_sorts)
+    return _run(table, _plan(var_sorts, hyp, trm_exprs, table.atoms), row_cap)
 
 
 # a step crosses its atoms (``span`` values in all), then drops the rows its
@@ -494,12 +609,13 @@ def build_table(var_sorts: dict[str, Sort], hyp: Expr, trm_exprs: list[Expr],
 _Step = tuple[list[AtomKey], int, Optional[Expr]]
 
 
-def _plan(var_sorts: dict[str, Sort], hyp: Expr,
-          trm_exprs: list[Expr]) -> list[_Step]:
+def _plan(var_sorts: dict[str, Sort], hyp: Expr, trm_exprs: list[Expr],
+          memo: dict) -> list[_Step]:
     """The staging steps of a query, smallest missing span first.  Each
     conjunct gets a step that crosses nothing (its prune on the rows so
     far), then one step per leading run of its missing atoms that fits
-    ``CHUNK_ROWS`` (at least one atom each)."""
+    ``CHUNK_ROWS`` (at least one atom each).  ``memo`` is the query's
+    atom memo (``Table.atoms``)."""
     def card(k: AtomKey) -> int:
         return sort_card(atom_sort(k, var_sorts))
 
@@ -509,7 +625,8 @@ def _plan(var_sorts: dict[str, Sort], hyp: Expr,
         return prod(card(k) for k in pending[i][1] if k not in present)
 
     # atoms found once per conjunct
-    pending = [(c, atoms_for([c], var_sorts)) for c in split_conjuncts(hyp)]
+    pending = [(c, atoms_for([c], var_sorts, memo))
+               for c in split_conjuncts(hyp)]
     plan: list[_Step] = []
     while pending:
         conj, keys = pending.pop(min(range(len(pending)), key=missing_span))
@@ -523,7 +640,8 @@ def _plan(var_sorts: dict[str, Sort], hyp: Expr,
             else:
                 plan.append(([k], card(k), conj))
         present.update(keys)
-    trm_keys = [k for k in atoms_for(trm_exprs, var_sorts) if k not in present]
+    trm_keys = [k for k in atoms_for(trm_exprs, var_sorts, memo)
+                if k not in present]
     plan.append((trm_keys, prod(map(card, trm_keys)), None))
     return plan
 
@@ -545,6 +663,7 @@ def _run(table: Table, plan: list[_Step], row_cap: int) -> Table:
             total = 0
             for lo in range(0, table.n, size):
                 block = Table(table.var_sorts)
+                block.atoms, block.scopes = table.atoms, table.scopes
                 block.n = min(size, table.n - lo)
                 block.cols = {k: col[lo:lo + size]
                               for k, col in table.cols.items()}
@@ -609,19 +728,40 @@ def _leaf_card(leaf: VVal) -> int:
     raise TypeError("not a scalar leaf")
 
 
+# packed keys stay int64: a key's bound may reach 2^63 (max + 1)
+_KEY_BOUND = 1 << 63
+
+
+def _pack(columns: Iterable[tuple[np.ndarray, int]]) -> np.ndarray:
+    """One int64 key per row of the (column, cardinality) pairs, at least
+    one, ordered as the rows are lexicographically: mixed radix,
+    ``key * card + col`` column by column.  When the next column would take
+    the keys' bound past ``_KEY_BOUND``, the keys so far are re-densified
+    first by a 1-D unique; a dense key stays below the row count, so any
+    number of columns fits while rows x card does.  Columns are read one
+    at a time, so a generator keeps only one of them alive."""
+    key, bound = np.int64(0), 1
+    for col, card in columns:
+        if bound * card > _KEY_BOUND:
+            uniq, key = np.unique(key, return_inverse=True)
+            bound = len(uniq)
+        key = key * card + col
+        bound *= card
+    return key
+
+
 def lex_rank(cols: list[np.ndarray], cards: list[int]
              ) -> tuple[np.ndarray, np.ndarray]:
     """Dense lexicographic rank of every row of ``cols``, and one row
     index per rank.
 
-    Built one column at a time: the rank so far, scaled by the next
-    column's cardinality, plus that column, re-densified by a 1-D unique.
-    The rank never exceeds the row count, so the combined key stays below
-    rows x card whatever the row's total cardinality.
+    The columns are packed into one int64 key per row (``_pack``) and
+    ranked by one unique: one sort, where ranking column by column took
+    one per column.  Packing sorts once more each time the key would pass
+    int64.  Column ``j`` holds codes in ``[0, cards[j])``.
     """
-    rank = np.zeros(len(cols[0]), dtype=np.int64)
-    for col, card in zip(cols, cards):
-        _, rank = np.unique(rank * card + col, return_inverse=True)
+    # return_inverse also keeps np.unique from importing numpy.ma
+    _, rank = np.unique(_pack(zip(cols, cards)), return_inverse=True)
     first = np.empty(int(rank.max()) + 1, dtype=np.int64)
     first[rank] = np.arange(len(rank))  # rows of equal rank are equal
     return rank, first

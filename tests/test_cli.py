@@ -155,6 +155,15 @@ def test_malformed_omap_is_a_one_line_error(rank_omap_doc, tmp_path,
                 "node a scalar": {"n": 0, "w": 5}}
     for name, node in off_sort.items():
         cases[name] = dict(doc, nodes=[node] + doc["nodes"][1:])
+    # entries of another JSON type are refused, not coerced into some node
+    coerced = {"nat a float": ["loc", {"n": 1.9, "w": 5}],
+               "bool a string": ["done", {"b": "no"}],
+               "nat strings": ["loc", {"n": "3", "w": "5"}],
+               "nat a bool": ["loc", {"n": True, "w": 5}]}
+    for name, entry in coerced.items():
+        items = [entry if item[0] == entry[0] else item
+                 for item in doc["nodes"][0]["t"]]
+        cases[name] = dict(doc, nodes=[{"t": items}] + doc["nodes"][1:])
     om = tmp_path / "om.json"
     for backend in ("exhaustive", "sat"):
         for name, bad in cases.items():
@@ -167,6 +176,8 @@ def test_malformed_omap_is_a_one_line_error(rank_omap_doc, tmp_path,
                 (backend, name, err)
             if name in off_sort:
                 assert "is not a node of map 'rank'" in err, (backend, name)
+            if name in coerced:
+                assert "bad omap node" in err, (backend, name)
 
 
 @pytest.mark.parametrize("edit", ["rename", "widths"])

@@ -156,6 +156,15 @@ def test_value_json_roundtrip(bakery):
         assert value_from_json(value_to_json(v)) == v
 
 
+@pytest.mark.parametrize("obj", [
+    {"n": 1.9, "w": 5}, {"b": "no"}, {"n": "3", "w": "5"}, {"n": True, "w": 3},
+    {"n": 3}, {"e": 1, "of": ["a", "b"]}, {"t": [["x"]]}, {"t": 7}, [], 7])
+def test_value_from_json_refuses_what_it_would_coerce(obj):
+    with pytest.raises(ModelError) as err:
+        value_from_json(obj)
+    assert "\n" not in str(err.value)
+
+
 def test_tuple_attribute_view():
     e = EnumV("b", ("a", "b"))
     inner = TupleV((("x", NatV(1, 2)),))
@@ -348,3 +357,42 @@ def test_enum_model_elaborates_evaluates_and_prints():
         assert r.is_total and list(r.values) == want, backend
     assert [value_text(x) for x in want[:2]] == [
         "((:color red) (:n 0) (:on nil))", "((:color red) (:n 0) (:on t))"]
+
+
+def test_enum_literal_takes_its_sort_from_a_sibling():
+    # an enum literal where no sort is expected waits for a sibling's sort,
+    # as a natural literal does: each left form reads as its mirror image
+    forms = {"eq": ("(= blue a.color)", "(= a.color blue)"),
+             "if": ("(= (if a.on red a.color) green)",
+                    "(= (if (not a.on) a.color red) green)"),
+             "case": ("(= (case a.n (0 red) (t a.color)) green)",
+                      "(= (case a.n (1 a.color) (2 a.color) (3 a.color) "
+                      "(t red)) green)")}
+    defs = "".join(f"\n  (define {k}-{side} ((a lamp)) bool {f})"
+                   for k, pair in forms.items()
+                   for side, f in zip(("left", "right"), pair))
+    m = parse_model("(model lamps (params (w 2))\n"
+                    "  (sort lamp (color (enum red green blue)) (n (nat w))"
+                    f" (on bool)){defs})")
+    lamp = m.record_sort("lamp")
+    colors = ("red", "green", "blue")
+    states = [TupleV((("color", EnumV(c, colors)), ("n", NatV(n, 2)),
+                      ("on", BoolV(on))))
+              for c, n, on in itertools.product(colors, range(4),
+                                                (False, True))]
+    assert m.define("eq-left").body == Eq(Const(EnumV("blue", colors)),
+                                          Field(Var("a"), "color"))
+    for k in forms:
+        left, right = m.define(f"{k}-left").body, m.define(f"{k}-right").body
+        want = [x for x in states if eval_expr(right, {"a": x}).val]
+        assert 0 < len(want) < len(states), k
+        assert [x for x in states if eval_expr(left, {"a": x}).val] == want
+        for backend in BACKENDS:
+            r = compute_finite_values({"a": lamp}, left, Var("a"), 100,
+                                      backend)
+            assert r.is_total and list(r.values) == canonical_sorted(want), \
+                (k, backend)
+    # a literal with no sort anywhere is still refused
+    with pytest.raises(ModelError, match="cannot infer a sort"):
+        parse_model("(model m (sort s (c (enum x y)))"
+                    " (define f ((a s)) bool (= x y)))")

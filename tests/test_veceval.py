@@ -3,29 +3,38 @@ reference versions: demand analysis runs once per conjunct, the staged
 tables come out column for column as the per-step analysis built them,
 chunked staging returns the unchunked table row for row with each row
 block starting at its crossing, so does staging that drops the rows a
-conjunct already rules out (a sound drop), and the dense-rank decoder
-returns exactly the per-row rebuild."""
+conjunct already rules out (a sound drop), a scope test's lookup gives
+the generic three-valued masks, packed-key ranking gives the
+column-by-column ranks, and the dense-rank decoder returns exactly the
+per-row rebuild."""
 
+import dataclasses
+import os
 import random
+import subprocess
+import sys
+from math import prod
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import wfgraph
 import wfgraph.veceval as veceval
-from _gen import rand_expr, rand_sort, rand_var_sorts
+from _gen import rand_expr, rand_sort, rand_value, rand_var_sorts
 from wfgraph.absgraph import graph_text, map_graph, tag_graph
 from wfgraph.bakery import bakery_model
 from wfgraph.certify import relation_cases
 from wfgraph.model import (
     BOOL, AddMod, And, BoolV, CaseNat, Const, Eq, Le, Lt, NatSort, NatV, Or,
-    TupleE, Var, canonical_sorted, sort_card, subst_vars)
+    TupleE, TupleV, Var, canonical_sorted, sort_card, subst_vars)
 from wfgraph.system import relation_parts
 from wfgraph.veceval import (
     Capacity, Table, VBool, VEnum, VNat, VRec, _may, atom_sort,
     atoms_for, build_table, distinct_rows, eval_vec, exhaustive_values,
-    scalarize, split_conjuncts)
+    lex_rank, scalarize, split_conjuncts)
 
 # -- build_table ---------------------------------------------------------------
 
@@ -65,9 +74,9 @@ def test_build_table_runs_demand_analysis_once_per_conjunct(monkeypatch):
     ref = _reference_table(var_sorts, hyp, [trm])
     calls = []
 
-    def counting(exprs, vs):
+    def counting(exprs, vs, memo=None):
         calls.append(len(exprs))
-        return atoms_for(exprs, vs)
+        return atoms_for(exprs, vs, memo)
 
     monkeypatch.setattr(veceval, "atoms_for", counting)
     got = build_table(var_sorts, hyp, [trm])
@@ -207,7 +216,7 @@ def test_blocks_start_at_their_crossing(monkeypatch):
 def _unpruned(e, table):
     """``_may`` with every absent atom read as "may hold everywhere": the
     conjunct filters only once all its atoms are present."""
-    if veceval._present(e, table.cols):
+    if veceval._present(e, table):
         return _may(e, table)
     return veceval._UNKNOWN
 
@@ -227,14 +236,40 @@ def test_pruned_staging_matches_unpruned(seed, chunk):
     _assert_same_table(_build(chunk, var_sorts, hyp, [trm]), ref)
 
 
+def _rand_scope(rng, var_sorts):
+    """``Or(Eq(node, Const(u)) for u in scope)``, scalarized as the
+    backends see it: a node of random leaves (atoms, constants, compound
+    ones like nlock's ``:inv``) against 0-4 values."""
+    sorts = [rand_sort(rng, 2) for _ in range(rng.randint(1, 3))]
+    leaves = [rand_expr(rng, var_sorts, s, rng.choice((0, 2))) for s in sorts]
+    node = TupleE(tuple((f"f{i}", x) for i, x in enumerate(leaves)))
+    scope = [TupleV(tuple((f"f{i}", rand_value(rng, s))
+                          for i, s in enumerate(sorts)))
+             for _ in range(rng.choice((0, 1, 1, 2, 4)))]
+    return scalarize(Or(tuple(Eq(node, Const(u)) for u in scope)), var_sorts)
+
+
+def _generic_may(e, table):
+    """``_may`` with no scope lookup, on a table with ``table``'s rows."""
+    ref = Table(table.var_sorts)
+    ref.n, ref.cols = table.n, table.cols
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(veceval, "_scope_test", lambda e: None)
+        return _may(e, ref)
+
+
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_may_is_sound_on_partial_tables(seed):
     # a row of a partial table may be true (false) whenever one of its
-    # extensions over the absent atoms is true (false)
+    # extensions over the absent atoms is true (false); a scope test's
+    # lookup gives exactly the generic masks
     rng = random.Random(seed)
     var_sorts = rand_var_sorts(rng, max_vars=4, max_width=2)
-    e = rand_expr(rng, var_sorts, BOOL, 4, bool_case=True)
+    if rng.random() < 0.5:
+        e = rand_expr(rng, var_sorts, BOOL, 4, bool_case=True)
+    else:
+        e = _rand_scope(rng, var_sorts)
     keys = atoms_for([e], var_sorts)
     absent = [k for k in keys if rng.random() < 0.5]
     table = Table(var_sorts)
@@ -242,6 +277,8 @@ def test_may_is_sound_on_partial_tables(seed):
     table.filter(np.array([rng.random() < 0.7 for _ in range(table.n)]))
     may_true, may_false = (np.broadcast_to(m, (table.n,))
                            for m in _may(e, table))
+    for got, ref in zip((may_true, may_false), _generic_may(e, table)):
+        assert np.array_equal(got, np.broadcast_to(ref, (table.n,)))
     rows = table.n
     table.extend(absent)  # each row repeated once per extension, in order
     if not rows:
@@ -485,3 +522,163 @@ def test_distinct_rows_past_64_bits_of_cardinality():
     assert 1 < len(got) <= n_rows
     nested = VRec((("a", VRec(rec.items[:5])), ("b", VRec(rec.items[5:]))))
     assert distinct_rows(nested, n_rows) == _reference_rows(nested, n_rows)
+
+
+# -- packed keys ---------------------------------------------------------------
+
+
+def _lex_rank_oracle(cols, cards):
+    """Ranking one column at a time: the rank so far, scaled by the next
+    column's cardinality, plus that column, re-densified by a 1-D unique."""
+    rank = np.zeros(len(cols[0]), dtype=np.int64)
+    for col, card in zip(cols, cards):
+        _, rank = np.unique(rank * card + col, return_inverse=True)
+    first = np.empty(int(rank.max()) + 1, dtype=np.int64)
+    first[rank] = np.arange(len(rank))
+    return rank, first
+
+
+@st.composite
+def _columns(draw):
+    n_rows = draw(st.integers(1, 40))
+    # rows x card stays within int64, as both rankings need
+    cards = draw(st.lists(st.sampled_from((1, 2, 3, 16, 2**20, 2**40, 2**56)),
+                          min_size=1, max_size=6))
+    # a few codes per column, so that rows repeat
+    cols = [np.array(draw(st.lists(
+        st.sampled_from(sorted({0, 1 % card, card // 2, card - 1})),
+        min_size=n_rows, max_size=n_rows)), dtype=np.int64) for card in cards]
+    return cols, cards
+
+
+def _assert_oracle_ranks(cols, cards):
+    rank, first = lex_rank(cols, cards)
+    want_rank, want_first = _lex_rank_oracle(cols, cards)
+    assert rank.dtype == want_rank.dtype == np.int64
+    assert np.array_equal(rank, want_rank)
+    assert np.array_equal(first, want_first)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_columns())
+def test_lex_rank_matches_column_by_column_ranking(case):
+    _assert_oracle_ranks(*case)
+
+
+def test_lex_rank_sorts_once_unless_the_key_would_pass_int64(monkeypatch):
+    sorts = []
+    unique = np.unique
+
+    def counting(x, *args, **kw):
+        sorts.append(len(x))
+        return unique(x, *args, **kw)
+
+    monkeypatch.setattr(veceval.np, "unique", counting)
+    rng = np.random.default_rng(3)
+    small = [rng.integers(0, 16, 50) for _ in range(15)]  # 2^60 codes
+    _assert_oracle_ranks(small, [16] * 15)
+    assert len(sorts) == 1 + 15  # the oracle's sorts follow the packed one
+    sorts.clear()
+    # 2^40 x 2^40 x 2^40 passes int64 twice: two re-densifies, one final
+    wide = [rng.integers(0, 3, 50) << 38 for _ in range(3)]
+    assert prod([2**40] * 3) > 2**63
+    _assert_oracle_ranks(wide, [2**40] * 3)
+    assert len(sorts) == 3 + 3
+    # one row, one column, all rows equal
+    for cols, cards in (([np.array([5])], [8]),
+                        ([np.array([2, 0, 2, 1])], [3]),
+                        ([np.full(6, 4), np.full(6, 1)], [2**40, 2**40])):
+        _assert_oracle_ranks(cols, cards)
+
+
+def test_distinct_rows_packed_edge_cases():
+    one_row = VRec((("a", VNat(np.array([3]), 2)),
+                    ("b", VBool(np.array([True])))))
+    one_col = VNat(np.array([2, 0, 2, 1]), 2)
+    same = VRec((("a", VNat(np.full(5, 3), 2)),
+                 ("e", VEnum(np.full(5, 1), SYMS))))
+    width0 = VRec((("x", VRec(())), ("a", VNat(np.array([1, 0, 1]), 2)),
+                   ("y", VRec((("z", VRec(())),)))))
+    for v, n_rows in ((one_row, 1), (one_col, 4), (same, 5), (width0, 3)):
+        got = distinct_rows(v, n_rows)
+        assert got == _reference_rows(v, n_rows)
+    assert len(distinct_rows(same, 5)) == 1
+
+
+# -- scope tests ---------------------------------------------------------------
+
+
+def _unshared(x):
+    """A copy of expression ``x`` in which no node appears twice."""
+    if isinstance(x, tuple):
+        return tuple(_unshared(i) for i in x)
+    if dataclasses.is_dataclass(x):
+        return type(x)(*(_unshared(getattr(x, f.name))
+                         for f in dataclasses.fields(x)))
+    return x
+
+
+@pytest.mark.parametrize("map_name", ["rank", "nlock"])
+def test_scalarize_keeps_shared_subtrees_shared(map_name):
+    # scalarize memoizes by node id; the memo holds its nodes, so a freed
+    # field_of temporary's id cannot come back as another node's
+    model = bakery_model(2, 2, 3)
+    mp, rel, dst, var_sorts = relation_parts(model, map_name)
+    node_y = subst_vars(mp.node, {mp.var: dst})
+    scope = map_graph(model, map_name).nodes
+    e = And((Eq(mp.node, node_y), rel,
+             Or(tuple(Eq(mp.node, Const(u)) for u in scope))))
+    shared, copied = scalarize(e, var_sorts), scalarize(_unshared(e), var_sorts)
+    assert shared == copied
+    # only the shared node makes a scope test of the last conjunct
+    assert veceval._scope_test(split_conjuncts(shared)[-1]) is not None
+    assert veceval._scope_test(split_conjuncts(copied)[-1]) is None
+
+
+def _filter_sizes(lookup: bool):
+    """Row counts after every filter of nlock (2,2,3)'s certify sweep and
+    rank (2,3,4)'s tag query, with or without the scope lookup."""
+    sizes: list[int] = []
+    filt = Table.filter
+
+    def recording(self, mask):
+        filt(self, mask)
+        sizes.append(self.n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Table, "filter", recording)
+        if not lookup:
+            mp.setattr(veceval, "_scope_test", lambda e: None)
+        model = bakery_model(2, 2, 3)
+        sweep = relation_cases(model, "nlock", map_graph(model, "nlock").nodes)
+        model = bakery_model(2, 3, 4)
+        tagged = tag_graph(model, "rank", map_graph(model, "rank"))
+    return sizes, list(sweep.rows), sweep.pairs, tagged.tags
+
+
+def test_scope_lookup_keeps_every_table():
+    got, ref = _filter_sizes(True), _filter_sizes(False)
+    assert got[0] and got[1] and got[3]
+    assert got == ref
+
+
+def test_exhaustive_pipeline_never_imports_numpy_ma():
+    # np.unique without return_inverse imports numpy.ma on its first call
+    # (numpy 2.x), close to a megabyte of resident memory for nothing
+    code = """if True:
+        import sys
+        from wfgraph import absgraph, certify, measure
+        from wfgraph.bakery import bakery_model, bakery_text
+        m = bakery_model(2, 2, 3)
+        g = absgraph.map_graph(m, "rank")
+        tg = absgraph.tag_graph(m, "rank", g)
+        om = measure.synthesize_omap(tg)
+        cert = certify.certify_relation(m, "rank", tg, om, bakery_text())
+        print(len(g.nodes), cert.passed, "numpy.ma" in sys.modules)
+    """
+    src = str(Path(wfgraph.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path)).stdout
+    assert out.split() == ["21", "True", "False"]
