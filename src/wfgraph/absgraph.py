@@ -11,8 +11,8 @@ measure strictly decreases, never increases, or may increase across the
 concrete pairs the arc abstracts, from one more image query that carries
 per-measure order flags.
 
-Every enumeration must be total: a cutoff means the abstraction has more
-behavior than the budget and raises NotTotal rather than returning a
+Every enumeration must be total: a query that reaches
+``enumeration.VALUE_BOUND`` values raises NotTotal rather than returning a
 partial graph.
 """
 
@@ -23,18 +23,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
+from . import enumeration
 from .enumeration import compute_finite_values
 from .model import (
     And, BoolV, Const, Eq, Expr, Le, Lt, Model, Or, TupleE, Value,
     canonical_sorted, subst_vars, value_from_json, value_text, value_to_json)
 from .system import relation_parts
-from .veceval import DEFAULT_ROW_CAP
-
-# Tag queries take no caller budget.  An exhaustive table never holds more
-# distinct values than veceval's row cap, and a SAT query returns at most
-# one value per (source node, destination node, tag combination), so this
-# bound only guards totality.
-TAG_BUDGET = DEFAULT_ROW_CAP + 1
 
 STRICT_DEC = "strict-dec"
 NON_INC = "non-inc"
@@ -47,12 +41,11 @@ class GraphError(ValueError):
 
 
 class NotTotal(GraphError):
-    """An enumeration hit its budget before exhausting the value set."""
+    """An enumeration hit its bound before exhausting the value set."""
 
     def __init__(self, what: str, num: int):
-        super().__init__(
-            f"{what} enumeration exceeded the budget of {num} values; "
-            f"the abstraction is too large or num is too small")
+        super().__init__(f"{what} enumeration exceeded the bound of {num} "
+                         f"values; the abstraction is too large")
         self.what = what
         self.num = num
 
@@ -132,7 +125,16 @@ def lex_le_expr(a: Expr, b: Expr) -> Expr:
 
 # -- model-level construction ----------------------------------------------
 
-def _image(parts, num: int, backend: str, what: str,
+def _values(var_sorts, hyp: Expr, trm: Expr, backend: str, what: str):
+    """Every value of ``trm`` under ``hyp``, or NotTotal naming ``what``."""
+    bound = enumeration.VALUE_BOUND
+    r = compute_finite_values(var_sorts, hyp, trm, bound, backend)
+    if not r.is_total:
+        raise NotTotal(what, bound)
+    return r.values
+
+
+def _image(parts, backend: str, what: str,
            scope: Optional[tuple[Value, ...]] = None,
            measures: tuple[str, ...] = ()
            ) -> dict[tuple[Value, Value], set[str]]:
@@ -157,20 +159,16 @@ def _image(parts, num: int, backend: str, what: str,
     hyp = rel
     if scope is not None:
         hyp = And((rel, Or(tuple(Eq(node, Const(u)) for u in scope))))
-    r = compute_finite_values(var_sorts, hyp, TupleE(tuple(items)), num,
-                              backend)
-    if not r.is_total:
-        raise NotTotal(what, num)
     image: dict[tuple[Value, Value], set[str]] = {}
-    for q in r.values:
+    for q in _values(var_sorts, hyp, TupleE(tuple(items)), backend, what):
         (_, u), (_, v), *flags = q.items  # type: ignore[union-attr]
         image.setdefault((u, v), set()).update(
             f for f, x in flags if x == BoolV(True))
     return image
 
 
-def map_graph(model: Model, map_name: str, backend: str = "exhaustive",
-              num: int = 4096) -> Graph:
+def map_graph(model: Model, map_name: str,
+              backend: str = "exhaustive") -> Graph:
     """Abstract graph of a map: its seed nodes, closed under the image of
     its relation.
 
@@ -189,13 +187,10 @@ def map_graph(model: Model, map_name: str, backend: str = "exhaustive",
     else:
         seeds, sweep = "domain", "relation"
         hyp, trm = mp.domain, mp.node
-    r = compute_finite_values(var_sorts, hyp, trm, num, backend)
-    if not r.is_total:
-        raise NotTotal(seeds, num)
+    nodes: set[Value] = set(_values(var_sorts, hyp, trm, backend, seeds))
     succ: dict[Value, list[Value]] = {}
-    for u, v in _image(parts, num, backend, sweep):
+    for u, v in _image(parts, backend, sweep):
         succ.setdefault(u, []).append(v)
-    nodes: set[Value] = set(r.values)
     arcs: set[tuple[Value, Value]] = set()
     work = list(nodes)
     while work:
@@ -226,7 +221,7 @@ def tag_graph(model: Model, map_name: str, g: Graph,
     tags: dict[tuple[int, int, str], str] = {}
     sources = sorted({i for (i, _) in g.arcs})
     if sources:
-        image = _image(parts, TAG_BUDGET, backend, "tag",
+        image = _image(parts, backend, "tag",
                        tuple(g.nodes[i] for i in sources), mp.measure_names)
         for (i, j) in g.arcs:
             got = image.get((g.nodes[i], g.nodes[j]), ())

@@ -44,6 +44,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import enumeration
 from .absgraph import NON_INC, STRICT_DEC, Graph, NotTotal, TaggedGraph
 from .enumeration import compute_finite_values
 from .measure import Omap
@@ -111,7 +112,7 @@ class Sweep:
 
 
 def relation_cases(model: Model, map_name: str, scope: tuple[Value, ...],
-                   backend: str = "exhaustive", num: int = 65536) -> Sweep:
+                   backend: str = "exhaustive") -> Sweep:
     """The one enumeration behind the relation checks: the distinct (source
     node, destination node, source and destination measures) combinations
     of related pairs whose source maps into ``scope``, canonically ordered.
@@ -125,10 +126,11 @@ def relation_cases(model: Model, map_name: str, scope: tuple[Value, ...],
         items.append((f"src-{name}", ord_x))
         items.append((f"dst-{name}", subst_vars(ord_x, {mp.var: dst_state})))
     in_scope = Or(tuple(Eq(node_x, Const(u)) for u in scope))
+    bound = enumeration.VALUE_BOUND
     r = compute_finite_values(var_sorts, And((rel, in_scope)),
-                              TupleE(tuple(items)), num, backend)
+                              TupleE(tuple(items)), bound, backend)
     if not r.is_total:
-        raise NotTotal("certificate sweep", num)
+        raise NotTotal("certificate sweep", bound)
     rows = r.values
     if not rows:
         return Sweep(rows, {})
@@ -340,8 +342,7 @@ def check_measure_decrease(omap: Omap, sweep: Sweep) -> CheckResult:
 
 def certify_relation(model: Model, map_name: str, tg: TaggedGraph,
                      omap: Omap, model_text: str,
-                     backend: str = "exhaustive",
-                     num: int = 65536) -> Certificate:
+                     backend: str = "exhaustive") -> Certificate:
     """Run the five checks.  The relation is enumerated once, from the
     graph's and the omap's nodes; the closure, tag and measure-decrease
     checks all read those cases.  An omap no bnl can be built from (see
@@ -367,7 +368,7 @@ def certify_relation(model: Model, map_name: str, tg: TaggedGraph,
                     f"omap descriptor {list(desc)} of {value_text(node)} "
                     f"has entry {e!r}, neither a natural nor a measure name")
     scope = tuple(dict.fromkeys(omap.nodes + tg.nodes))
-    sweep = relation_cases(model, map_name, scope, backend, num)
+    sweep = relation_cases(model, map_name, scope, backend)
     checks = [check_closure(tg, sweep)]
     checks.extend(check_arc_tags(tg, sweep))
     checks.append(check_omap_valid(tg, omap))

@@ -33,6 +33,7 @@ from .measure import (
     CycleCounterexample,
     SynthesisError,
     counterexample_report,
+    counterexample_to_json,
     omap_from_json,
     omap_to_json,
     synthesize_omap,
@@ -92,12 +93,6 @@ def _add_common(p: argparse.ArgumentParser, *, map_required: bool = True):
     p.add_argument("--map", required=map_required,
                    help="abstraction map name")
     p.add_argument("--backend", choices=BACKENDS, default="exhaustive")
-    p.add_argument("--num", type=int,
-                   help="value budget per enumeration query (default 4096, "
-                        "which for a graph bounds the distinct abstract "
-                        "(source, destination) pairs of the whole relation; "
-                        "certification sweeps 65536, and large sweeps such "
-                        "as nlock at --n 4 --runs 3 --width 4 need more)")
     _add_params(p)
     p.add_argument("--out", help="output file (default: stdout)")
 
@@ -108,9 +103,9 @@ def _add_params(p: argparse.ArgumentParser):
     p.add_argument("--width", type=int, help="ticket counter bit width")
 
 
-def _tagged(model: Model, map_name: str, backend: str, num: Optional[int]):
-    g = map_graph(model, map_name, backend, num or 4096)
-    return tag_graph(model, map_name, g, backend)
+def _tagged(model: Model, map_name: str, backend: str):
+    return tag_graph(model, map_name, map_graph(model, map_name, backend),
+                     backend)
 
 
 def _cmd_check(args) -> int:
@@ -130,32 +125,31 @@ def _cmd_check(args) -> int:
 
 def _cmd_reach(args) -> int:
     model, _ = _load_model(args)
-    g = map_graph(model, args.map, args.backend, args.num or 4096)
-    _emit(graph_text(g), args.out)
+    _emit(graph_text(map_graph(model, args.map, args.backend)), args.out)
     return 0
 
 
 def _cmd_order(args) -> int:
     model, _ = _load_model(args)
-    tg = _tagged(model, args.map, args.backend, args.num)
-    _emit(graph_text(tg), args.out)
+    _emit(graph_text(_tagged(model, args.map, args.backend)), args.out)
     return 0
 
 
 def _cmd_synth(args) -> int:
     model, _ = _load_model(args)
-    tg = _tagged(model, args.map, args.backend, args.num)
+    tg = _tagged(model, args.map, args.backend)
     try:
-        omap = synthesize_omap(tg)
+        doc, code = omap_to_json(synthesize_omap(tg)), 0
     except CycleCounterexample as cc:
         if not verify_counterexample(tg, cc):
             raise SynthesisError(f"counterexample failed verification: {cc}")
         sys.stdout.write(counterexample_report(cc))
-        return 2
-    doc = omap_to_json(omap)
+        if args.out is None:  # the report says it all
+            return 2
+        doc, code = counterexample_to_json(cc), 2
     doc["map"] = args.map
     _emit(json.dumps(doc, indent=2) + "\n", args.out)
-    return 0
+    return code
 
 
 def _cmd_certify(args) -> int:
@@ -166,9 +160,8 @@ def _cmd_certify(args) -> int:
     map_name = args.map or doc.get("map")
     if not map_name:
         raise ModelError("omap names no map; pass --map")
-    tg = _tagged(model, map_name, args.backend, args.num)
-    cert = certify_relation(model, map_name, tg, omap, text,
-                            args.backend, args.num or 65536)
+    tg = _tagged(model, map_name, args.backend)
+    cert = certify_relation(model, map_name, tg, omap, text, args.backend)
     _emit(certificate_text(cert), args.out)
     return 0 if cert.passed else 2
 
@@ -185,7 +178,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     model, _ = _load_model(args)
-    tg = _tagged(model, args.map, args.backend, args.num)
+    tg = _tagged(model, args.map, args.backend)
     _emit(graph_to_dot(tg, title=args.map), args.out)
     return 0
 
@@ -237,7 +230,7 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
     ap = _build_parser()
     try:
         args = ap.parse_args(argv)
-        for flag in ("n", "runs", "width", "num"):
+        for flag in ("n", "runs", "width"):
             v = getattr(args, flag, None)
             if v is not None and v < 1:
                 return ap._fail(f"--{flag} must be at least 1")

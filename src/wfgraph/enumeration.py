@@ -5,8 +5,9 @@ variables satisfying ``hyp``, which distinct values does ``trm`` take?  It
 stops after ``num`` values.  ``is_total`` is True exactly when enumeration
 finished by exhausting the value set (the final probe found nothing new),
 so a result that fills the budget precisely reports is_total=False even if
-nothing further exists; callers that need totality pass a budget strictly
-above the largest possible count.
+nothing further exists.  Every graph, tag and certificate query passes
+``VALUE_BOUND``, one past the exhaustive row cap, and raises NotTotal on a
+cutoff: only a SAT query with more values than a table may hold is cut off.
 
 Backends:
   exhaustive  vectorized sweep over the variable domains (numpy)
@@ -30,9 +31,11 @@ from dataclasses import dataclass
 from .bitblast import bitblast
 from .model import Expr, Sort
 from .sat import DpllSolver
-from .veceval import DistinctRows, distinct_rows, exhaustive_values
+from .veceval import (
+    DEFAULT_ROW_CAP, DistinctRows, distinct_rows, exhaustive_values)
 
 BACKENDS = ("exhaustive", "sat")
+VALUE_BOUND = DEFAULT_ROW_CAP + 1
 
 
 @dataclass(frozen=True)

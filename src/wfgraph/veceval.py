@@ -728,23 +728,26 @@ def _leaf_card(leaf: VVal) -> int:
     raise TypeError("not a scalar leaf")
 
 
-# packed keys stay int64: a key's bound may reach 2^63 (max + 1)
+# packed keys, and so their bound and each column's card, stay int64
 _KEY_BOUND = 1 << 63
 
 
 def _pack(columns: Iterable[tuple[np.ndarray, int]]) -> np.ndarray:
     """One int64 key per row of the (column, cardinality) pairs, at least
     one, ordered as the rows are lexicographically: mixed radix,
-    ``key * card + col`` column by column.  When the next column would take
-    the keys' bound past ``_KEY_BOUND``, the keys so far are re-densified
-    first by a 1-D unique; a dense key stays below the row count, so any
-    number of columns fits while rows x card does.  Columns are read one
-    at a time, so a generator keeps only one of them alive."""
+    ``key * card + col`` column by column.  Before the keys' bound would
+    reach ``_KEY_BOUND``, the keys so far are re-densified by a 1-D unique,
+    and then the column too if it still would; dense codes stay below the
+    row count, so any columns fit while rows x rows does.  Columns are read
+    one at a time, so a generator keeps only one of them alive."""
     key, bound = np.int64(0), 1
     for col, card in columns:
-        if bound * card > _KEY_BOUND:
+        if bound * card >= _KEY_BOUND:
             uniq, key = np.unique(key, return_inverse=True)
             bound = len(uniq)
+            if bound * card >= _KEY_BOUND:
+                uniq, col = np.unique(col, return_inverse=True)
+                card = len(uniq)
         key = key * card + col
         bound *= card
     return key

@@ -5,16 +5,18 @@ over the whole concrete relation.  These are the per-node loops it
 replaced, kept as the oracle its graphs are compared against: a worklist
 that asks one step query per reached node (the node fixed through the
 ``@src`` variable), one relation query per domain node of a blocking map,
-and one tag query per source node of a graph.
+and one tag query per source node of a graph.  Every query runs under the
+library's one value bound, ``enumeration.VALUE_BOUND``.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
+from wfgraph import enumeration
 from wfgraph.absgraph import (
     MAY_INC, NON_INC, STRICT_DEC, Graph, GraphError, NotTotal, TaggedGraph,
-    TAG_BUDGET, lex_le_expr, lex_lt_expr)
+    lex_le_expr, lex_lt_expr)
 from wfgraph.enumeration import compute_finite_values
 from wfgraph.model import (
     And, BoolV, Const, Eq, Expr, Model, TupleE, Value, Var,
@@ -31,30 +33,32 @@ def _freeze(nodes: set[Value], arcs: set[tuple[Value, Value]]) -> Graph:
                                        for (u, v) in arcs)))
 
 
-def reach_graph(model: Model, map_name: str, backend: str = "exhaustive",
-                num: int = 4096) -> Graph:
+def _values(var_sorts, hyp: Expr, trm: Expr, backend: str, what: str):
+    bound = enumeration.VALUE_BOUND
+    r = compute_finite_values(var_sorts, hyp, trm, bound, backend)
+    if not r.is_total:
+        raise NotTotal(what, bound)
+    return r.values
+
+
+def reach_graph(model: Model, map_name: str,
+                backend: str = "exhaustive") -> Graph:
     """Worklist closure from the initial nodes, one step query per reached
     node."""
     mp, rel, y, var_sorts = relation_parts(model, map_name)
     node = mp.node
     init_trm = subst_vars(node, {mp.var: model.define(model.system.init).body})
-    r = compute_finite_values(var_sorts, Const(BoolV(True)), init_trm, num,
-                              backend)
-    if not r.is_total:
-        raise NotTotal("init", num)
+    init = _values(var_sorts, Const(BoolV(True)), init_trm, backend, "init")
     step_hyp = And((Eq(node, Var(SRC_VAR)), rel))
     step_trm = subst_vars(node, {mp.var: y})
-    nodes: set[Value] = set(r.values)
+    nodes: set[Value] = set(init)
     arcs: set[tuple[Value, Value]] = set()
-    work = list(r.values)
+    work = list(init)
     while work:
         u = work.pop()
         sub = {SRC_VAR: Const(u)}
-        ru = compute_finite_values(var_sorts, subst_vars(step_hyp, sub),
-                                   subst_vars(step_trm, sub), num, backend)
-        if not ru.is_total:
-            raise NotTotal("step", num)
-        for v in ru.values:
+        for v in _values(var_sorts, subst_vars(step_hyp, sub),
+                         subst_vars(step_trm, sub), backend, "step"):
             arcs.add((u, v))
             if v not in nodes:
                 nodes.add(v)
@@ -62,23 +66,17 @@ def reach_graph(model: Model, map_name: str, backend: str = "exhaustive",
     return _freeze(nodes, arcs)
 
 
-def rel_graph(model: Model, map_name: str, backend: str = "exhaustive",
-              num: int = 4096) -> Graph:
+def rel_graph(model: Model, map_name: str,
+              backend: str = "exhaustive") -> Graph:
     """Domain values as nodes, one relation query per domain node."""
     mp, rel, dst_state, var_sorts = relation_parts(model, map_name)
-    r = compute_finite_values(var_sorts, mp.domain, mp.node, num, backend)
-    if not r.is_total:
-        raise NotTotal("domain", num)
+    domain = _values(var_sorts, mp.domain, mp.node, backend, "domain")
     dst_trm = subst_vars(mp.node, {mp.var: dst_state})
-    nodes: set[Value] = set(r.values)
+    nodes: set[Value] = set(domain)
     arcs: set[tuple[Value, Value]] = set()
-    for u in r.values:
-        ru = compute_finite_values(var_sorts,
-                                   And((rel, Eq(mp.node, Const(u)))),
-                                   dst_trm, num, backend)
-        if not ru.is_total:
-            raise NotTotal("relation", num)
-        for v in ru.values:
+    for u in domain:
+        for v in _values(var_sorts, And((rel, Eq(mp.node, Const(u)))),
+                         dst_trm, backend, "relation"):
             if v not in nodes:
                 raise GraphError(
                     f"relation leaves the declared domain: "
@@ -87,11 +85,11 @@ def rel_graph(model: Model, map_name: str, backend: str = "exhaustive",
     return _freeze(nodes, arcs)
 
 
-def map_graph(model: Model, map_name: str, backend: str = "exhaustive",
-              num: int = 4096) -> Graph:
+def map_graph(model: Model, map_name: str,
+              backend: str = "exhaustive") -> Graph:
     if model.map_decl(map_name).kind == "step":
-        return reach_graph(model, map_name, backend, num)
-    return rel_graph(model, map_name, backend, num)
+        return reach_graph(model, map_name, backend)
+    return rel_graph(model, map_name, backend)
 
 
 def tag_graph(model: Model, map_name: str, g: Graph,
@@ -110,11 +108,8 @@ def tag_graph(model: Model, map_name: str, g: Graph,
     tags: dict[tuple[int, int, str], str] = {}
     for i in sorted({i for (i, _) in g.arcs}):
         hyp_u = And((rel, Eq(mp.node, Const(g.nodes[i]))))
-        r = compute_finite_values(var_sorts, hyp_u, trm, TAG_BUDGET, backend)
-        if not r.is_total:
-            raise NotTotal("tag", TAG_BUDGET)
         held: dict[Value, set[str]] = {}  # dst -> flags true for it
-        for q in r.values:
+        for q in _values(var_sorts, hyp_u, trm, backend, "tag"):
             (_, dst), *flags = q.items  # type: ignore[union-attr]
             held.setdefault(dst, set()).update(
                 f for f, x in flags if x == BoolV(True))

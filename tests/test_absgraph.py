@@ -15,6 +15,7 @@ import pytest
 import _pernode as pernode
 from _native_bakery import BakeSh, BakeTr, bake_init, bake_tr_next
 import wfgraph.absgraph as absgraph
+from wfgraph import enumeration
 from wfgraph.absgraph import (
     Graph,
     GraphError,
@@ -30,7 +31,8 @@ from wfgraph.absgraph import (
     tag_graph,
 )
 from wfgraph.bakery import bakery_model, bakery_text
-from wfgraph.enumeration import compute_finite_values
+from wfgraph.certify import relation_cases
+from wfgraph.enumeration import BACKENDS, compute_finite_values
 from wfgraph.model import (
     And,
     BoolV,
@@ -314,16 +316,28 @@ def test_graph_json_roundtrip(rank_tg):
         graph_from_json(bad)
 
 
-def test_not_total_budgets(model):
+def test_not_total_budgets(model, monkeypatch):
+    # every query runs under the one value bound; set low, it names the
+    # query that reached it.  At (2,2,3) rank's init query has 1 value and
+    # its step image 134; nlock's domain has 64, its tag image 196, and its
+    # certificate sweep 11,264 cases
+    for backend in BACKENDS:
+        for bound, name, what in ((1, "rank", "init"), (2, "rank", "step"),
+                                  (10, "nlock", "domain"),
+                                  (100, "nlock", "tag")):
+            monkeypatch.setattr(enumeration, "VALUE_BOUND", bound)
+            with pytest.raises(NotTotal) as e:
+                tag_graph(model, name, map_graph(model, name, backend),
+                          backend)
+            assert (e.value.what, e.value.num) == (what, bound)
+            assert str(e.value) == (
+                f"{what} enumeration exceeded the bound of {bound} values; "
+                f"the abstraction is too large")
+    monkeypatch.setattr(enumeration, "VALUE_BOUND", 1000)
+    tg = tag_graph(model, "nlock", map_graph(model, "nlock"))
     with pytest.raises(NotTotal) as e:
-        map_graph(model, "rank", num=1)
-    assert e.value.what == "init"
-    with pytest.raises(NotTotal) as e:
-        map_graph(model, "rank", num=2)
-    assert e.value.what == "step"
-    with pytest.raises(NotTotal) as e:
-        map_graph(model, "nlock", num=10)
-    assert e.value.what == "domain"
+        relation_cases(model, "nlock", tg.nodes)
+    assert (e.value.what, e.value.num) == ("certificate sweep", 1000)
 
 
 def test_blocking_graph_stays_in_its_domain():

@@ -11,9 +11,11 @@ import subprocess
 import pytest
 
 import wfgraph.cli as cli
+from wfgraph import enumeration
 from wfgraph.absgraph import graph_from_json
 from wfgraph.bakery import bakery_text
 from wfgraph.cli import cli_main
+from wfgraph.enumeration import BACKENDS
 from wfgraph.measure import CycleCounterexample
 from wfgraph.model import NatV
 from wfgraph.veceval import Capacity
@@ -247,6 +249,19 @@ def test_synth_rejects_runs_decrement_removed(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.startswith("non-decreasing cycle of 16 arcs:")
     assert "(:loc 15)" in out and "(:loc 0)" in out
+    # with --out the same report is printed and the cycle written as JSON
+    cx = tmp_path / "cx.json"
+    assert cli_main(["synth", "--map", "rank", "--model", str(f),
+                     "--width", "2", "--out", str(cx)]) == 2
+    assert capsys.readouterr().out == out
+    doc = json.loads(cx.read_text())
+    assert (doc["format"], doc["map"]) == ("wfgraph-counterexample-v1", "rank")
+    texts = doc["cycle_texts"]
+    assert len(doc["cycle"]) == len(texts) == len(doc["arc_tags"]) + 1 == 17
+    arcs = [f"  {u} -> {v}  "
+            f"[{' '.join(f'{k}:{t}' for k, t in sorted(tags.items()))}]\n"
+            for u, v, tags in zip(texts, texts[1:], doc["arc_tags"])]
+    assert out == "non-decreasing cycle of 16 arcs:\n" + "".join(arcs)
 
 
 def test_synth_rejects_truncated_nlock_measures(tmp_path, capsys):
@@ -301,15 +316,47 @@ def test_usage_errors_exit_1(capsys):
         assert "Traceback" not in err
 
 
-def test_tool_errors_exit_1(tmp_path, capsys):
+def test_tool_errors_exit_1(tmp_path, capsys, monkeypatch):
     assert cli_main(["reach", "--map", "bogus"]) == 1
-    assert cli_main(["reach", "--map", "rank", "--num", "2"]) == 1  # NotTotal
     assert cli_main(["reach", "--map", "rank",
                      "--model", str(tmp_path / "missing.wfm")]) == 1
     assert cli_main(["run", "--n", "0"]) == 1
-    assert cli_main(["synth", "--map", "rank", "--num", "0"]) == 1
     err = capsys.readouterr().err
     assert "error" in err
+    # no flag sets a value budget
+    with pytest.raises(SystemExit) as e:
+        cli_main(["synth", "--map", "rank", "--num", "4096"])
+    assert e.value.code == 1
+    capsys.readouterr()
+    # a query that reaches the one value bound is a one-line tool error: at
+    # (2,1,2) nlock's tag image has 196 values and its sweep 2,816 cases
+    inst = ["--map", "nlock", "--runs", "1", "--width", "2"]
+    for backend in BACKENDS:
+        om = tmp_path / f"om-{backend}.json"
+        assert cli_main(["synth", *inst, "--backend", backend,
+                         "--out", str(om)]) == 0
+        monkeypatch.setattr(enumeration, "VALUE_BOUND", 500)
+        assert cli_main(["certify", *inst, "--backend", backend,
+                         "--omap", str(om)]) == 1
+        monkeypatch.setattr(enumeration, "VALUE_BOUND", 2)
+        assert cli_main(["reach", "--map", "rank", "--width", "2",
+                         "--backend", backend]) == 1
+        monkeypatch.undo()
+        assert capsys.readouterr().err == (
+            "wfgraph: error: certificate sweep enumeration exceeded the "
+            "bound of 500 values; the abstraction is too large\n"
+            "wfgraph: error: step enumeration exceeded the bound of 2 "
+            "values; the abstraction is too large\n")
+
+
+def test_default_flags_certify_a_180224_case_sweep(tmp_path, capsys):
+    # nlock (2,3,5)'s certificate sweep has 180,224 cases; every query runs
+    # under the one value bound, so default flags certify it
+    inst = ["--map", "nlock", "--n", "2", "--runs", "3", "--width", "5"]
+    om = tmp_path / "om.json"
+    assert cli_main(["synth", *inst, "--out", str(om)]) == 0
+    assert cli_main(["certify", *inst, "--omap", str(om)]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
 def test_model_without_system_is_a_tool_error(tmp_path, capsys):

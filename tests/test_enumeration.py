@@ -8,6 +8,7 @@ import pytest
 
 import wfgraph.veceval as veceval
 from _gen import rand_expr, rand_sort, rand_var_sorts
+from wfgraph.bitblast import BlastError
 from wfgraph.enumeration import BACKENDS, EnumResult, compute_finite_values
 from wfgraph.model import (
     BOOL,
@@ -25,6 +26,7 @@ from wfgraph.model import (
     NatSort,
     NatV,
     Not,
+    Or,
     TupleE,
     TupleSort,
     TupleV,
@@ -222,6 +224,41 @@ def test_term_without_output_bits():
     never = Lt(Var("x"), Const(NatV(0, 2)))
     res = _compare(vs, never, unit, 5)
     assert list(res.values) == [] and res.is_total
+
+
+def _only(var_sorts, models):
+    """A hypothesis that holds on exactly ``models`` (one tuple of naturals
+    per model, in ``var_sorts`` order)."""
+    names = list(var_sorts)
+    return Or(tuple(And(tuple(Eq(Var(k), Const(NatV(x, var_sorts[k].width)))
+                              for k, x in zip(names, m))) for m in models))
+
+
+def test_wide_naturals_rank_canonically_on_sat():
+    # 5 models x a 62-bit leaf's cardinality passes int64 even when the key
+    # before it is dense, so that leaf's codes are made dense too
+    vs = {"y": NatSort(2), "x": NatSort(62)}
+    models = [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1)]
+    trm = TupleE((("a", Var("y")), ("b", Var("x"))))
+    res = compute_finite_values(vs, _only(vs, models), trm, 10, "sat")
+    assert res.is_total
+    assert [(q.items[0][1].val, q.items[1][1].val) for q in res.values] == \
+        sorted(models)
+    # a 63-bit leaf: its cardinality, 2^63, is no int64 itself
+    vs = {"x": NatSort(63)}
+    top = (1 << 63) - 1
+    res = compute_finite_values(vs, _only(vs, [(top,), (0,), (5,)]), Var("x"),
+                                10, "sat")
+    assert list(res.values) == [NatV(0, 63), NatV(5, 63), NatV(top, 63)]
+
+
+def test_output_natural_wider_than_int64_is_refused():
+    vs = {"x": NatSort(64)}
+    with pytest.raises(BlastError) as e:
+        compute_finite_values(vs, _only(vs, [((1 << 64) - 1,)]), Var("x"), 10,
+                              "sat")
+    assert str(e.value) == \
+        "an output natural of 64 bits is wider than an int64 code's 63"
 
 
 def test_zero_budget():

@@ -529,10 +529,12 @@ def test_distinct_rows_past_64_bits_of_cardinality():
 
 def _lex_rank_oracle(cols, cards):
     """Ranking one column at a time: the rank so far, scaled by the next
-    column's cardinality, plus that column, re-densified by a 1-D unique."""
+    column's cardinality, plus that column, re-densified by a 1-D unique.
+    The sums are Python integers, so no cardinality can overflow them."""
     rank = np.zeros(len(cols[0]), dtype=np.int64)
     for col, card in zip(cols, cards):
-        _, rank = np.unique(rank * card + col, return_inverse=True)
+        _, rank = np.unique(rank.astype(object) * card + col.astype(object),
+                            return_inverse=True)
     first = np.empty(int(rank.max()) + 1, dtype=np.int64)
     first[rank] = np.arange(len(rank))
     return rank, first
@@ -541,9 +543,10 @@ def _lex_rank_oracle(cols, cards):
 @st.composite
 def _columns(draw):
     n_rows = draw(st.integers(1, 40))
-    # rows x card stays within int64, as both rankings need
-    cards = draw(st.lists(st.sampled_from((1, 2, 3, 16, 2**20, 2**40, 2**56)),
-                          min_size=1, max_size=6))
+    # up to 2^63, the widest natural an int64 code holds
+    cards = draw(st.lists(st.sampled_from(
+        (1, 2, 3, 16, 2**20, 2**40, 2**56, 2**62, 2**63)),
+        min_size=1, max_size=6))
     # a few codes per column, so that rows repeat
     cols = [np.array(draw(st.lists(
         st.sampled_from(sorted({0, 1 % card, card // 2, card - 1})),
