@@ -9,9 +9,19 @@ a record read is a field of an input, and only tuples are record-sorted.
 Variable 1 is reserved as the constant TRUE (asserted by a unit clause), so
 constant bits need no special cases downstream.
 
+Gates are hash-consed (structural hashing): each distinct gate is built
+once, and a repeated request returns its literal and adds no clauses.  An
+AND is keyed by its literal set after constant and duplicate folding, so an
+OR shares it by De Morgan; an XOR by its operands' variables, the sign
+folded into the literal; an ITE by its three literals.  Most repeats are
+the arm tests of a record-valued ``case``, which ``scalarize`` splits into
+one ``case`` per field.  The CNF that ``check --dump-cnf`` writes is this
+one: nlock's relation at the default (2,2,3) is ``p cnf 125 286``, and
+would be ``p cnf 153 376`` with every requested gate built anew.
+
 Variable numbering is deterministic: inputs in declaration order (fields in
-sort order, bits LSB-first), then internal gate variables in creation order.
-Identical inputs therefore produce bit-identical clause lists.
+sort order, bits LSB-first), then each gate's variable at its first
+request.  Identical inputs therefore produce bit-identical clause lists.
 
 Results are not decoded here: ``Circuit.output_columns`` turns the output
 bits of the models a solver found into one integer code column per scalar
@@ -87,10 +97,18 @@ def bitval_lits(v: BitVal) -> list[int]:
     return out
 
 
+def _same_width(a: list[int], b: list[int], op: str):
+    if len(a) != len(b):
+        raise BlastError(f"operands of {op} have {len(a)} and {len(b)} bits")
+
+
 class _Builder:
     def __init__(self):
         self.num_vars = 1  # variable 1 = TRUE
         self.clauses: list[list[int]] = [[TRUE]]
+        # each distinct gate is built once: a gate's key, after constant
+        # folding, to its literal
+        self.gates: dict[tuple, int] = {}
 
     def new_var(self) -> int:
         self.num_vars += 1
@@ -111,10 +129,13 @@ class _Builder:
             return TRUE
         if len(out) == 1:
             return out[0]
-        g = self.new_var()
-        for l in out:
-            self.add([-g, l])
-        self.add([g] + [-l for l in out])
+        key = ("and", frozenset(out))
+        g = self.gates.get(key)
+        if g is None:
+            g = self.gates[key] = self.new_var()
+            for l in out:
+                self.add([-g, l])
+            self.add([g] + [-l for l in out])
         return g
 
     def g_or(self, lits: list[int]) -> int:
@@ -133,12 +154,18 @@ class _Builder:
             return -TRUE
         if a == -b:
             return TRUE
-        g = self.new_var()
-        self.add([-g, a, b])
-        self.add([-g, -a, -b])
-        self.add([g, -a, b])
-        self.add([g, a, -b])
-        return g
+        # keyed by the operands' variables: negating one negates the gate
+        sign = -1 if (a < 0) != (b < 0) else 1
+        a, b = sorted((abs(a), abs(b)))
+        key = ("xor", a, b)
+        g = self.gates.get(key)
+        if g is None:
+            g = self.gates[key] = self.new_var()
+            self.add([-g, a, b])
+            self.add([-g, -a, -b])
+            self.add([g, -a, b])
+            self.add([g, a, -b])
+        return sign * g
 
     def g_ite(self, c: int, t: int, e: int) -> int:
         if c == TRUE:
@@ -151,20 +178,24 @@ class _Builder:
             return c
         if t == -TRUE and e == TRUE:
             return -c
-        g = self.new_var()
-        self.add([-g, -c, t])
-        self.add([-g, c, e])
-        self.add([g, -c, -t])
-        self.add([g, c, -e])
+        key = ("ite", c, t, e)
+        g = self.gates.get(key)
+        if g is None:
+            g = self.gates[key] = self.new_var()
+            self.add([-g, -c, t])
+            self.add([-g, c, e])
+            self.add([g, -c, -t])
+            self.add([g, c, -e])
         return g
 
     # -- vectors --------------------------------------------------------
     def eq_bits(self, a: list[int], b: list[int]) -> int:
-        assert len(a) == len(b)
+        _same_width(a, b, "=")
         return self.g_and([-self.g_xor(x, y) for x, y in zip(a, b)])
 
     def lt_bits(self, a: list[int], b: list[int], strict: bool) -> int:
         """a < b (or a <= b) over little-endian unsigned vectors."""
+        _same_width(a, b, "<" if strict else "<=")
         acc = -TRUE if strict else TRUE
         for x, y in zip(a, b):  # LSB upward; the last update dominates
             bit_lt = self.g_and([-x, y])
@@ -173,7 +204,7 @@ class _Builder:
         return acc
 
     def add_mod(self, a: list[int], b: list[int]) -> list[int]:
-        assert len(a) == len(b)
+        _same_width(a, b, "+")
         out = []
         carry = -TRUE
         for x, y in zip(a, b):
@@ -185,7 +216,7 @@ class _Builder:
         return out
 
     def sub_sat(self, a: list[int], b: list[int]) -> list[int]:
-        assert len(a) == len(b)
+        _same_width(a, b, "-")
         diff = []
         borrow = -TRUE
         for x, y in zip(a, b):

@@ -323,10 +323,19 @@ VVal = Union[VBool, VNat, VEnum, VRec]
 Scalar = Union[VBool, VNat, VEnum]
 
 
+def _int64_width(width: int, what: str):
+    if width > 63:
+        raise ValueError(
+            f"{what} of {width} bits is wider than an int64 code's 63")
+
+
 def _vconst(v: Value) -> Scalar:
     if isinstance(v, BoolV):
         return VBool(np.bool_(v.val))
     if isinstance(v, NatV):
+        if v.val >= _KEY_BOUND:
+            raise ValueError(f"the natural constant {v.val} does not fit an "
+                             f"int64 column")
         return VNat(np.int64(v.val), v.width)
     assert isinstance(v, EnumV), "record constants are scalarized away"
     return VEnum(np.int64(v.index), v.syms)
@@ -433,6 +442,7 @@ def eval_vec(e: Expr, table: Table) -> VVal:
     if isinstance(e, AddMod):
         a, b = eval_vec(e.a, table), eval_vec(e.b, table)
         assert isinstance(a, VNat) and isinstance(b, VNat) and a.width == b.width
+        _int64_width(a.width, "a sum")  # its mask alone would pass int64
         return VNat((a.arr + b.arr) & ((1 << a.width) - 1), a.width)
     if isinstance(e, SubSat):
         a, b = eval_vec(e.a, table), eval_vec(e.b, table)
@@ -898,6 +908,10 @@ def exhaustive_values(var_sorts: dict[str, Sort], hyp: Expr, trm: Expr,
     hyp_s = scalarize(hyp, var_sorts)
     trm_s = scalarize(trm, var_sorts)
     table = build_table(var_sorts, hyp_s, [trm_s])
+    out = eval_vec(trm_s, table)  # an empty table has empty columns
+    for leaf in vval_leaves(out):
+        if isinstance(leaf, VNat):  # refused on sat too
+            _int64_width(leaf.width, "an output natural")
     if table.n == 0:
         return DistinctRows.empty()
-    return distinct_rows(eval_vec(trm_s, table), table.n, limit)
+    return distinct_rows(out, table.n, limit)

@@ -13,19 +13,22 @@ import random
 import pytest
 
 from _gen import rand_env, rand_expr, rand_sort, rand_var_sorts, rand_value
-from wfgraph.bitblast import TRUE, BlastError, bitblast, dimacs
+from wfgraph.bitblast import (
+    TRUE, BlastError, _Builder, bitblast, bitval_lits, dimacs)
 from wfgraph.model import (
     BOOL,
     AddMod,
     And,
     BoolSort,
     BoolV,
+    CaseNat,
     Const,
     EnumSort,
     EnumV,
     Eq,
     Field,
     Ite,
+    Le,
     Lt,
     NatSort,
     NatV,
@@ -118,6 +121,79 @@ def test_random_exprs_match_evaluator():
     assert checked > 1000
 
 
+def test_equal_subterms_share_their_gates():
+    # one random subterm built twice from the same RNG state: equal trees,
+    # distinct objects, so only the builder's gate table can share them
+    rng = random.Random(20240912)
+    checked = 0
+    for _ in range(60):
+        var_sorts = rand_var_sorts(rng)
+        s = rand_sort(rng)
+        state = rng.getstate()
+        first = rand_expr(rng, var_sorts, s, 4)
+        rng.setstate(state)
+        second = rand_expr(rng, var_sorts, s, 4)
+        assert first == second and first is not second
+        other = rand_expr(rng, var_sorts, rand_sort(rng), 3)
+        trm = TupleE((("a", first), ("b", other), ("c", second)))
+        hyp = rand_expr(rng, var_sorts, BOOL, 3)
+        circuit = bitblast(trm, hyp, var_sorts)
+        out = dict(circuit.output.items)
+        assert bitval_lits(out["a"]) == bitval_lits(out["c"])
+        for env in _assignments(var_sorts, rng):
+            model = _solve_forced(circuit, var_sorts, env)
+            assert (model is not None) == eval_expr(hyp, env).val
+            if model is not None:
+                assert _decode(circuit, model) == eval_expr(trm, env)
+                checked += 1
+    assert checked > 400
+
+
+def test_builder_builds_each_gate_once():
+    bld = _Builder()
+    a, b, c = bld.new_var(), bld.new_var(), bld.new_var()
+
+    def size():
+        return bld.num_vars, len(bld.clauses)
+
+    g = bld.g_and([a, b])
+    built = size()
+    # the same literal set, in any order and with repeats; OR by De Morgan
+    assert bld.g_and([b, a, b]) == g
+    assert -bld.g_or([-a, -b]) == g
+    assert size() == built
+    x = bld.g_xor(a, b)
+    built = size()
+    # keyed by the operands' variables, the sign folded into the literal
+    assert bld.g_xor(b, a) == x
+    assert -bld.g_xor(-a, b) == x == bld.g_xor(-a, -b)
+    assert size() == built
+    i = bld.g_ite(a, b, c)
+    built = size()
+    assert bld.g_ite(a, b, c) == i
+    assert size() == built
+    # a different gate over the same literals is a new gate
+    assert bld.g_ite(a, c, b) not in (i, -i)
+    assert bld.g_and([a, -b]) not in (g, -g)
+
+
+def test_record_case_builds_each_arm_test_once():
+    # scalarize splits a record-valued case into one case per field, each
+    # testing every arm's key again: the tests are built for the first field
+    # and shared by the others
+    def blast(fields):
+        rec = TupleSort(fields)
+        vs = {"k": NatSort(2), "p": rec, "q": rec, "r": rec, "s": rec}
+        trm = CaseNat(Var("k"), ((0, Var("p")), (1, Var("q")), (2, Var("r"))),
+                      Var("s"))
+        return bitblast(trm, Const(BoolV(True)), vs)
+
+    one = blast((("a", BOOL),))
+    two = blast((("a", BOOL), ("b", BOOL)))
+    # field b adds one input bit per record variable and one ite per arm
+    assert two.num_vars == one.num_vars + 4 + 3
+
+
 def test_encoding_is_deterministic():
     rng = random.Random(7)
     var_sorts = rand_var_sorts(rng)
@@ -128,6 +204,7 @@ def test_encoding_is_deterministic():
     assert a.inputs == b.inputs
     assert a.outputs == b.outputs
     assert (a.num_vars, a.hyp_lit) == (b.num_vars, b.hyp_lit)
+    assert dimacs(a, (a.hyp_lit,)) == dimacs(b, (b.hyp_lit,))
 
 
 def test_var_one_is_reserved_true():
@@ -164,6 +241,17 @@ def test_arith_gates(a, b):
         model = _solve_forced(c, vs, env)
         assert model is not None
         assert _decode(c, model) == want
+
+
+def test_mismatched_widths_are_refused():
+    # the elaborator never builds these; a library caller can
+    x, narrow = Var("x"), Const(NatV(1, 1))
+    for trm, op in ((Lt(x, narrow), "<"), (Le(x, narrow), "<="),
+                    (Eq(x, narrow), "="), (AddMod(x, narrow), "+"),
+                    (SubSat(x, narrow), "-")):
+        with pytest.raises(BlastError) as e:
+            bitblast(trm, Const(BoolV(True)), {"x": NatSort(3)})
+        assert str(e.value) == f"operands of {op} have 3 and 1 bits"
 
 
 def test_unsat_hypothesis():

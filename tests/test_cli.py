@@ -349,6 +349,25 @@ def test_tool_errors_exit_1(tmp_path, capsys, monkeypatch):
             "values; the abstraction is too large\n")
 
 
+def test_natural_constant_past_int64_is_a_tool_error(tmp_path, capsys):
+    # a map node reading a 64-bit constant of 2^63: the exhaustive backend
+    # refuses the constant, sat the 64-bit output natural
+    f = _mutant(tmp_path, "big.wfm", "(:inv (counters-ok a)))",
+                "(:inv (counters-ok a)) (:big (big)))")
+    text, anchor = f.read_text(), "(define done ((a proc)) bool a.done)"
+    assert anchor in text, "transform target drifted"
+    f.write_text(text.replace(anchor, anchor + "\n  (define big () (nat 64) "
+                              "9223372036854775808)"))
+    for backend, msg in (
+            ("exhaustive", "the natural constant 9223372036854775808 does not "
+                           "fit an int64 column"),
+            ("sat", "an output natural of 64 bits is wider than an int64 "
+                    "code's 63")):
+        assert cli_main(["reach", "--map", "rank", "--model", str(f),
+                         "--backend", backend]) == 1
+        assert capsys.readouterr().err == f"wfgraph: error: {msg}\n"
+
+
 def test_default_flags_certify_a_180224_case_sweep(tmp_path, capsys):
     # nlock (2,3,5)'s certificate sweep has 180,224 cases; every query runs
     # under the one value bound, so default flags certify it

@@ -12,6 +12,7 @@ from wfgraph.bitblast import BlastError
 from wfgraph.enumeration import BACKENDS, EnumResult, compute_finite_values
 from wfgraph.model import (
     BOOL,
+    AddMod,
     And,
     BoolSort,
     BoolV,
@@ -259,6 +260,80 @@ def test_output_natural_wider_than_int64_is_refused():
                               "sat")
     assert str(e.value) == \
         "an output natural of 64 bits is wider than an int64 code's 63"
+
+
+def test_naturals_past_int64_are_refused_on_exhaustive():
+    # the exhaustive backend's columns are int64: a constant of 2^63 or more,
+    # a sum whose mask passes int64, or an output natural wider than 63 bits
+    # is a one-line error there, not an OverflowError or a different answer
+    vs = {"b": NatSort(1)}
+    top = Const(BoolV(True))
+    big, bigger = Const(NatV(1 << 63, 64)), Const(NatV((1 << 63) + 1, 64))
+    three, four = Const(NatV(3, 64)), Const(NatV(4, 64))
+    too_big = "the natural constant 9223372036854775808 does not fit an " \
+        "int64 column"
+    too_wide = "an output natural of 64 bits is wider than an int64 code's 63"
+    cases = [  # term, exhaustive's error, sat's error or values
+        (big, too_big, too_wide),
+        (Lt(big, bigger), too_big, [BoolV(True)]),
+        (three, too_wide, too_wide),
+        (Lt(AddMod(three, four), Const(NatV(9, 64))),
+         "a sum of 64 bits is wider than an int64 code's 63", [BoolV(True)]),
+    ]
+    for trm, exh, sat in cases:
+        with pytest.raises(ValueError) as e:
+            compute_finite_values(vs, top, trm, 10, "exhaustive")
+        assert str(e.value) == exh
+        if isinstance(sat, str):
+            with pytest.raises(BlastError) as e:
+                compute_finite_values(vs, top, trm, 10, "sat")
+            assert str(e.value) == sat
+        else:
+            assert list(compute_finite_values(vs, top, trm, 10, "sat").values) \
+                == sat
+    # refused even when no row satisfies the hypothesis, as on sat
+    for backend in BACKENDS:
+        with pytest.raises(ValueError, match="output natural of 64 bits"):
+            compute_finite_values(vs, Const(BoolV(False)), three, 10, backend)
+
+
+def test_comparison_of_unequal_widths_is_refused_on_sat():
+    # a hand-built term the elaborator never makes: sat used to compare the
+    # low bit only and answer true; exhaustive compares the values
+    vs = {"x": NatSort(3)}
+    hyp = Eq(Var("x"), Const(NatV(2, 3)))
+    trm = Lt(Var("x"), Const(NatV(1, 1)))
+    assert list(compute_finite_values(vs, hyp, trm, 10, "exhaustive").values) \
+        == [BoolV(False)]
+    with pytest.raises(BlastError) as e:
+        compute_finite_values(vs, hyp, trm, 10, "sat")
+    assert str(e.value) == "operands of < have 3 and 1 bits"
+
+
+def test_total_sat_queries_probe_once_past_their_values(monkeypatch):
+    # rank's pipeline at (1,1,2) and (2,1,2), as the sat-rank benchmark runs
+    # it: every query is total, and its last solve is the one that finds
+    # nothing new
+    from wfgraph import absgraph, bakery, certify, measure
+    seen = []
+
+    def recording(*args, **kwargs):
+        seen.append(compute_finite_values(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(absgraph, "compute_finite_values", recording)
+    monkeypatch.setattr(certify, "compute_finite_values", recording)
+    for params in ((1, 1, 2), (2, 1, 2)):
+        model = bakery.bakery_model(*params)
+        g = absgraph.map_graph(model, "rank", "sat")
+        tg = absgraph.tag_graph(model, "rank", g, "sat")
+        om = measure.synthesize_omap(tg)
+        assert certify.certify_relation(model, "rank", tg, om,
+                                        bakery.bakery_text(), "sat").passed
+    assert len(seen) == 8
+    assert all(r.is_total and r.solve_calls == len(r.values) + 1
+               for r in seen)
+    assert sum(len(r.values) for r in seen) == 352
 
 
 def test_zero_budget():
