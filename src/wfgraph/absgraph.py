@@ -11,9 +11,9 @@ measure strictly decreases, never increases, or may increase across the
 concrete pairs the arc abstracts, from one more image query that carries
 per-measure order flags.
 
-Every enumeration must be total: a query that reaches
-``enumeration.VALUE_BOUND`` values raises NotTotal rather than returning a
-partial graph.
+Every query is total: ``enumeration.compute_finite_values`` returns every
+value or raises NotTotal naming the query (``init``, ``step``, ``domain``,
+``relation`` or ``tag``), so no graph is built from a partial image.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from . import enumeration
-from .enumeration import compute_finite_values
+# NotTotal is raised by enumeration; it stays importable from here
+from .enumeration import NotTotal, compute_finite_values  # noqa: F401
 from .model import (
     And, BoolV, Const, Eq, Expr, Le, Lt, Model, Or, TupleE, Value,
     canonical_sorted, subst_vars, value_from_json, value_text, value_to_json)
@@ -38,16 +38,6 @@ ORDER_TAGS = (STRICT_DEC, NON_INC, MAY_INC)
 
 class GraphError(ValueError):
     pass
-
-
-class NotTotal(GraphError):
-    """An enumeration hit its bound before exhausting the value set."""
-
-    def __init__(self, what: str, num: int):
-        super().__init__(f"{what} enumeration exceeded the bound of {num} "
-                         f"values; the abstraction is too large")
-        self.what = what
-        self.num = num
 
 
 @dataclass(frozen=True)
@@ -125,15 +115,6 @@ def lex_le_expr(a: Expr, b: Expr) -> Expr:
 
 # -- model-level construction ----------------------------------------------
 
-def _values(var_sorts, hyp: Expr, trm: Expr, backend: str, what: str):
-    """Every value of ``trm`` under ``hyp``, or NotTotal naming ``what``."""
-    bound = enumeration.VALUE_BOUND
-    r = compute_finite_values(var_sorts, hyp, trm, bound, backend)
-    if not r.is_total:
-        raise NotTotal(what, bound)
-    return r.values
-
-
 def _image(parts, backend: str, what: str,
            scope: Optional[tuple[Value, ...]] = None,
            measures: tuple[str, ...] = ()
@@ -160,7 +141,8 @@ def _image(parts, backend: str, what: str,
     if scope is not None:
         hyp = And((rel, Or(tuple(Eq(node, Const(u)) for u in scope))))
     image: dict[tuple[Value, Value], set[str]] = {}
-    for q in _values(var_sorts, hyp, TupleE(tuple(items)), backend, what):
+    for q in compute_finite_values(var_sorts, hyp, TupleE(tuple(items)),
+                                   backend, what).values:
         (_, u), (_, v), *flags = q.items  # type: ignore[union-attr]
         image.setdefault((u, v), set()).update(
             f for f, x in flags if x == BoolV(True))
@@ -187,7 +169,8 @@ def map_graph(model: Model, map_name: str,
     else:
         seeds, sweep = "domain", "relation"
         hyp, trm = mp.domain, mp.node
-    nodes: set[Value] = set(_values(var_sorts, hyp, trm, backend, seeds))
+    nodes: set[Value] = set(
+        compute_finite_values(var_sorts, hyp, trm, backend, seeds).values)
     succ: dict[Value, list[Value]] = {}
     for u, v in _image(parts, backend, sweep):
         succ.setdefault(u, []).append(v)

@@ -54,7 +54,10 @@ def bakery_text() -> str:
     return (resources.files("wfgraph") / "models" / "bakery.wfm").read_text()
 
 
-def bakery_model(n: int = 2, r: int = 2, w: int = 3) -> Model:
+def bakery_model(n: Optional[int] = None, r: Optional[int] = None,
+                 w: Optional[int] = None) -> Model:
+    """The bundled bakery; a parameter left unset keeps the model's own
+    default, from its `params` declaration."""
     return parse_model(bakery_text(), {"n": n, "r": r, "w": w})
 
 
@@ -260,12 +263,12 @@ class Bakery:
     True
     """
 
-    def __init__(self, n: int = 2, r: int = 2, w: int = 3,
-                 backend: str = "exhaustive"):
-        if n < 1 or r < 1 or w < 1:
+    def __init__(self, n: Optional[int] = None, r: Optional[int] = None,
+                 w: Optional[int] = None, backend: str = "exhaustive"):
+        if any(p is not None and p < 1 for p in (n, r, w)):
             raise BakeryError("parameters must be positive")
-        self.n, self.r, self.w = n, r, w
         self.model = bakery_model(n, r, w)
+        self.n, self.r, self.w = (dict(self.model.params)[k] for k in "nrw")
         self.system = System.compile(self.model)
         self.rank_omap = self._synth("rank", backend)
         self._rank_e, self._rank_o = abstraction_functions(self.model, "rank")

@@ -378,10 +378,7 @@ class Circuit:
         def leaf(v: BitVal) -> VVal:
             if isinstance(v, BBool):
                 return VBool(codes(1).astype(bool))
-            if isinstance(v, BNat):
-                if v.width > 63:  # 1 << 63 wraps in int64
-                    raise BlastError(f"an output natural of {v.width} bits "
-                                     f"is wider than an int64 code's 63")
+            if isinstance(v, BNat):  # distinct_rows refuses past 63 bits
                 return VNat(codes(v.width), v.width)
             if isinstance(v, BEnum):
                 col = codes(len(v.bits))

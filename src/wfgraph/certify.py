@@ -31,8 +31,10 @@ measure name.  A Certificate records input hashes and one verdict per
 check; it passes only if every check does.  The relation itself comes from
 ``system.relation_parts``, which says what the model's `system`
 declaration means; from ``absgraph`` this module takes only the graph data
-types, the tag names, ``NotTotal`` and ``graph_text`` (for the graph's
-hash), never graph construction.
+types, the tag names and ``graph_text`` (for the graph's hash), never graph
+construction.  The sweep is total or refused: ``compute_finite_values``
+raises NotTotal, naming the ``certificate sweep``, rather than return part
+of the relation.
 """
 
 from __future__ import annotations
@@ -44,8 +46,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import enumeration
-from .absgraph import NON_INC, STRICT_DEC, Graph, NotTotal, TaggedGraph
+from .absgraph import NON_INC, STRICT_DEC, Graph, TaggedGraph
 from .enumeration import compute_finite_values
 from .measure import Omap
 from .model import (
@@ -126,12 +127,9 @@ def relation_cases(model: Model, map_name: str, scope: tuple[Value, ...],
         items.append((f"src-{name}", ord_x))
         items.append((f"dst-{name}", subst_vars(ord_x, {mp.var: dst_state})))
     in_scope = Or(tuple(Eq(node_x, Const(u)) for u in scope))
-    bound = enumeration.VALUE_BOUND
-    r = compute_finite_values(var_sorts, And((rel, in_scope)),
-                              TupleE(tuple(items)), bound, backend)
-    if not r.is_total:
-        raise NotTotal("certificate sweep", bound)
-    rows = r.values
+    rows = compute_finite_values(var_sorts, And((rel, in_scope)),
+                                 TupleE(tuple(items)), backend,
+                                 "certificate sweep").values
     if not rows:
         return Sweep(rows, {})
     # canonical order sorts on src, then dst, so each pair's cases are

@@ -13,15 +13,13 @@ import sys
 from typing import Optional
 
 from .absgraph import (
-    GraphError,
-    NotTotal,
     graph_text,
     graph_to_dot,
     map_graph,
     tag_graph,
 )
 from .bakery import Bakery, bakery_text
-from .bitblast import BlastError, bitblast, dimacs
+from .bitblast import bitblast, dimacs
 from .certify import (
     CertificationError,
     DescentError,
@@ -40,13 +38,12 @@ from .measure import (
     verify_counterexample,
 )
 from .model import Model, ModelError, parse_model
-from .ordinals import OrdinalError
 from .system import BakeryError, relation_parts
 from .veceval import Capacity
 
-_TOOL_ERRORS = (ModelError, GraphError, NotTotal, BlastError, OrdinalError,
-                SynthesisError, CertificationError, Capacity, OSError,
-                ValueError)
+# every other library error (model, graph, enumeration bound, bitblast,
+# ordinal, synthesis) is a ValueError
+_TOOL_ERRORS = (ValueError, CertificationError, Capacity, OSError)
 _VERDICT_ERRORS = (CycleCounterexample, DescentError, BakeryError)
 
 
@@ -68,15 +65,9 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
 
 
-def _params(args) -> Optional[dict[str, int]]:
-    ps = {}
-    if args.n is not None:
-        ps["n"] = args.n
-    if args.runs is not None:
-        ps["r"] = args.runs
-    if args.width is not None:
-        ps["w"] = args.width
-    return ps or None
+def _params(args) -> dict[str, Optional[int]]:
+    """The parameters given on the command line; None keeps the model's."""
+    return {"n": args.n, "r": args.runs, "w": args.width}
 
 
 def _load_model(args) -> tuple[Model, str]:
@@ -167,10 +158,7 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    b = Bakery(n=2 if args.n is None else args.n,
-               r=2 if args.runs is None else args.runs,
-               w=3 if args.width is None else args.width,
-               backend=args.backend)
+    b = Bakery(**_params(args), backend=args.backend)
     res = b.run(seed=args.seed)
     _emit("".join(line + "\n" for line in res.trace), args.out)
     return 0

@@ -1036,7 +1036,8 @@ def parse_model(text: str, params: Optional[dict[str, int]] = None) -> Model:
     """Parse ``text`` into a ``Model``.
 
     ``params`` overrides the declared parameter defaults before widths are
-    resolved, so the same source instantiates at different scales.
+    resolved, so the same source instantiates at different scales; an
+    override of None keeps the declared default.
     """
     try:
         forms = parse_sexprs(text)
@@ -1078,7 +1079,7 @@ def parse_model(text: str, params: Optional[dict[str, int]] = None) -> Model:
                 if pname in param_map:
                     raise ParseError(f"duplicate parameter '{pname}'", p.pos())
                 val = int(p.items[1].value)
-                if params and pname in params:
+                if params and params.get(pname) is not None:
                     val = int(params[pname])
                 if val < 0:
                     raise ParseError("parameter must be a natural", p.pos())
@@ -1240,7 +1241,8 @@ def parse_model(text: str, params: Optional[dict[str, int]] = None) -> Model:
             raise ParseError(f"unknown top-level form '{head}'", form.pos())
 
     if params:
-        unknown = sorted(set(params) - set(param_map))
+        unknown = sorted(k for k, v in params.items()
+                         if v is not None and k not in param_map)
         if unknown:
             raise ModelError(
                 f"override for undeclared parameter(s): {', '.join(unknown)}")

@@ -72,11 +72,13 @@ from .model import (
 
 
 class Capacity(Exception):
-    """The enumeration's surviving rows, or one atom's domain, would exceed
-    the configured row cap."""
+    """A query's surviving rows, or one atom's domain, would exceed the row
+    cap.  ``what`` names the query; ``build_table`` does not know it, and
+    ``enumeration.compute_finite_values`` raises the named error."""
 
-    def __init__(self, rows: int, cap: int):
-        super().__init__(f"enumeration needs {rows} rows, cap is {cap}")
+    def __init__(self, rows: int, cap: int, what: str = "table"):
+        super().__init__(f"{what} enumeration needs {rows} rows, "
+                         f"cap is {cap}")
         self.rows = rows
         self.cap = cap
 
@@ -443,7 +445,12 @@ def eval_vec(e: Expr, table: Table) -> VVal:
         a, b = eval_vec(e.a, table), eval_vec(e.b, table)
         assert isinstance(a, VNat) and isinstance(b, VNat) and a.width == b.width
         _int64_width(a.width, "a sum")  # its mask alone would pass int64
-        return VNat((a.arr + b.arr) & ((1 << a.width) - 1), a.width)
+        # two 63-bit naturals can sum past int64; the sum wraps modulo 2^64,
+        # which leaves the low bits the mask keeps unchanged, so numpy's
+        # overflow warning (raised for scalar operands only) is noise
+        with np.errstate(over="ignore"):
+            total = a.arr + b.arr
+        return VNat(total & ((1 << a.width) - 1), a.width)
     if isinstance(e, SubSat):
         a, b = eval_vec(e.a, table), eval_vec(e.b, table)
         assert isinstance(a, VNat) and isinstance(b, VNat) and a.width == b.width
@@ -803,11 +810,6 @@ class DistinctRows(Sequence[Value]):
         self.item_ids = item_ids
         self._n = n
 
-    @classmethod
-    def empty(cls) -> "DistinctRows":
-        """The result with no values."""
-        return cls(None, [[]], [np.zeros(0, dtype=np.int64)], 0)
-
     def item(self, k: int, row: int) -> Value:
         """Item ``k`` of row ``row``."""
         return self.item_values[k][self.item_ids[k][row]]
@@ -850,12 +852,12 @@ class DistinctRows(Sequence[Value]):
         return f"DistinctRows({list(self)!r})"
 
 
-def distinct_rows(v: VVal, n_rows: int,
-                  limit: Optional[int] = None) -> DistinctRows:
+def distinct_rows(v: VVal, n_rows: int) -> DistinctRows:
     """Distinct values of ``v`` across its ``n_rows`` rows, canonically
-    ordered; with a ``limit``, only the first ``limit`` of them.  The rows
-    are a table's, or the models a solver found (``Circuit.output_columns``):
-    this is the one decoder of enumeration results.
+    ordered.  The rows are a table's, or the models a solver found
+    (``Circuit.output_columns``): this is the one decoder of enumeration
+    results, so it alone refuses an output natural wider than an int64
+    code, whether or not any row exists.
 
     Leaf codes form one integer column per leaf, and rows are ranked
     lexicographically over those columns (``lex_rank``); because every
@@ -868,8 +870,11 @@ def distinct_rows(v: VVal, n_rows: int,
     and each distinct item value is decoded once.  No row is built here
     (see ``DistinctRows``).
     """
-    if n_rows == 0 or limit == 0:
-        return DistinctRows.empty()
+    for leaf in vval_leaves(v):
+        if isinstance(leaf, VNat):
+            _int64_width(leaf.width, "an output natural")
+    if n_rows == 0:
+        return DistinctRows(None, [[]], [np.zeros(0, dtype=np.int64)], 0)
     items = v.items if isinstance(v, VRec) else ((None, v),)
     names = tuple(n for n, _ in items) if isinstance(v, VRec) else None
     leaves = vval_leaves(v)
@@ -879,8 +884,7 @@ def distinct_rows(v: VVal, n_rows: int,
     cols = [np.broadcast_to(np.asarray(leaf.arr, dtype=np.int64), (n_rows,))
             for leaf in leaves]
     cards = [_leaf_card(leaf) for leaf in leaves]
-    _, first = lex_rank(cols, cards)
-    first = first[:limit]  # rank order is canonical order
+    _, first = lex_rank(cols, cards)  # rank order is canonical order
     uniq = [col[first] for col in cols]
     item_values: list[list[Value]] = []
     item_ids: list[np.ndarray] = []
@@ -900,18 +904,13 @@ def distinct_rows(v: VVal, n_rows: int,
     return DistinctRows(names, item_values, item_ids, len(first))
 
 
-def exhaustive_values(var_sorts: dict[str, Sort], hyp: Expr, trm: Expr,
-                      limit: Optional[int] = None) -> DistinctRows:
+def exhaustive_values(var_sorts: dict[str, Sort], hyp: Expr,
+                      trm: Expr) -> DistinctRows:
     """All distinct values of ``trm`` over environments satisfying ``hyp``,
-    canonically ordered, or the first ``limit`` of them.  The reference
-    backend behind compute-finite-values."""
+    canonically ordered.  The reference backend behind
+    compute-finite-values."""
     hyp_s = scalarize(hyp, var_sorts)
     trm_s = scalarize(trm, var_sorts)
     table = build_table(var_sorts, hyp_s, [trm_s])
-    out = eval_vec(trm_s, table)  # an empty table has empty columns
-    for leaf in vval_leaves(out):
-        if isinstance(leaf, VNat):  # refused on sat too
-            _int64_width(leaf.width, "an output natural")
-    if table.n == 0:
-        return DistinctRows.empty()
-    return distinct_rows(out, table.n, limit)
+    # an empty table has empty columns
+    return distinct_rows(eval_vec(trm_s, table), table.n)

@@ -1,4 +1,5 @@
-"""Random scalar expressions and values, shared by the oracle tests.
+"""Random scalar expressions and values, shared by the oracle tests, and
+the backend-agreement check they are put to.
 
 The generator stays inside the scalar fragment (no records): that is the
 fragment the circuit encoder receives after scalarization, and it keeps the
@@ -10,6 +11,8 @@ from __future__ import annotations
 import random
 from typing import Optional
 
+from wfgraph import enumeration
+from wfgraph.enumeration import BACKENDS, NotTotal, compute_finite_values
 from wfgraph.model import (
     BOOL,
     AddMod,
@@ -133,3 +136,33 @@ def _case(rng: random.Random, var_sorts: dict[str, Sort], s: Sort,
     keys = sorted(rng.sample(range(4), rng.randint(1, 3)))
     arms = tuple((k, sub(s)) for k in keys)
     return CaseNat(scrut, arms, sub(s))
+
+
+# a value bound that many random queries reach
+LOW_BOUND = 4
+
+
+def _answers(var_sorts, hyp, trm):
+    """Each backend's result, or the bound of the NotTotal it raised."""
+    got = []
+    for backend in BACKENDS:
+        try:
+            got.append(compute_finite_values(var_sorts, hyp, trm, backend))
+        except NotTotal as e:
+            got.append(e.num)
+    return got
+
+
+def backends_agree(monkeypatch, var_sorts, hyp, trm):
+    """Ask one query on both backends at the default value bound, where both
+    must return the same result, and at ``LOW_BOUND``, where both must
+    refuse exactly when the query has that many values or more, and return
+    that same result otherwise.  Returns the result."""
+    ref, got = _answers(var_sorts, hyp, trm)
+    assert got == ref, (hyp, trm)
+    with monkeypatch.context() as m:
+        m.setattr(enumeration, "VALUE_BOUND", LOW_BOUND)
+        low = _answers(var_sorts, hyp, trm)
+    want = LOW_BOUND if len(ref.values) >= LOW_BOUND else ref
+    assert low == [want, want], (hyp, trm)
+    return ref

@@ -5,17 +5,16 @@ over the whole concrete relation.  These are the per-node loops it
 replaced, kept as the oracle its graphs are compared against: a worklist
 that asks one step query per reached node (the node fixed through the
 ``@src`` variable), one relation query per domain node of a blocking map,
-and one tag query per source node of a graph.  Every query runs under the
-library's one value bound, ``enumeration.VALUE_BOUND``.
+and one tag query per source node of a graph.  Every query is total or
+raises NotTotal, as the library's are.
 """
 
 from __future__ import annotations
 
 from typing import Optional
 
-from wfgraph import enumeration
 from wfgraph.absgraph import (
-    MAY_INC, NON_INC, STRICT_DEC, Graph, GraphError, NotTotal, TaggedGraph,
+    MAY_INC, NON_INC, STRICT_DEC, Graph, GraphError, TaggedGraph,
     lex_le_expr, lex_lt_expr)
 from wfgraph.enumeration import compute_finite_values
 from wfgraph.model import (
@@ -34,11 +33,7 @@ def _freeze(nodes: set[Value], arcs: set[tuple[Value, Value]]) -> Graph:
 
 
 def _values(var_sorts, hyp: Expr, trm: Expr, backend: str, what: str):
-    bound = enumeration.VALUE_BOUND
-    r = compute_finite_values(var_sorts, hyp, trm, bound, backend)
-    if not r.is_total:
-        raise NotTotal(what, bound)
-    return r.values
+    return compute_finite_values(var_sorts, hyp, trm, backend, what).values
 
 
 def reach_graph(model: Model, map_name: str,

@@ -236,9 +236,9 @@ def test_graph_and_tagging_each_sweep_once(model, monkeypatch):
     graphs = {name: map_graph(model, name) for name in ("rank", "nlock")}
     calls = []
 
-    def counting(var_sorts, hyp, trm, num, backend):
+    def counting(var_sorts, hyp, trm, backend, what):
         calls.append(backend)
-        return compute_finite_values(var_sorts, hyp, trm, num, backend)
+        return compute_finite_values(var_sorts, hyp, trm, backend, what)
 
     monkeypatch.setattr(absgraph, "compute_finite_values", counting)
     for name, g in graphs.items():
@@ -353,15 +353,13 @@ def test_blocking_graph_stays_in_its_domain():
     m = parse_model(narrowed, {"n": 2, "r": 2, "w": 3})
     mp = m.map_decl("nlock")
     state = {mp.var: mp.state_sort}
-    domain = compute_finite_values(state, mp.domain, mp.node, 4096,
-                                   "exhaustive")
-    assert domain.is_total
+    domain = compute_finite_values(state, mp.domain, mp.node)
     blok = m.define(m.system.blok).apply(Var(mp.var), Var("b"))
     leaving = compute_finite_values(
         {**state, "b": mp.state_sort},
         And((blok, mp.domain, Not(subst_vars(mp.domain, {mp.var: Var("b")})))),
-        mp.node, 4096, "exhaustive")
-    assert leaving.is_total and len(leaving.values) == 5
+        mp.node)
+    assert len(leaving.values) == 5
     g = map_graph(m, "nlock")
     assert set(g.nodes) == set(domain.values)
     assert {g.nodes[j] for (_, j) in g.arcs} <= set(domain.values)

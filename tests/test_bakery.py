@@ -148,8 +148,8 @@ def test_done_cannot_block_model_route(model):
         Not(Field(b, "pos-valid")),
     ))
     r = compute_finite_values({"a": proc, "b": proc}, hyp,
-                              Const(BoolV(True)), 2)
-    assert r.values == () and r.is_total
+                              Const(BoolV(True)))
+    assert r.values == ()
 
 
 def test_self_block_impossible_with_consistent_flags(system):

@@ -422,12 +422,13 @@ def _imports(module: str) -> dict[str, set[str]]:
 
 
 def test_trust_boundary_imports():
-    # the certifier takes from the graph builder only data types, tag names,
-    # the budget error and the graph's serialization (hashed into the
-    # certificate), never graph construction
+    # the certifier takes from the graph builder only data types, tag names
+    # and the graph's serialization (hashed into the certificate), never
+    # graph construction; its query refuses a partial sweep by itself
     found = _imports("certify")
-    assert found[".absgraph"] == {"Graph", "TaggedGraph", "NotTotal",
-                                  "STRICT_DEC", "NON_INC", "graph_text"}
+    assert found[".absgraph"] == {"Graph", "TaggedGraph", "STRICT_DEC",
+                                  "NON_INC", "graph_text"}
+    assert found[".enumeration"] == {"compute_finite_values"}
     assert found[".system"] == {"relation_parts"}
     # the benchmark tracer resolves ``wfgraph.certify:eval_expr``
     assert "eval_expr" in found[".model"]

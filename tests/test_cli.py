@@ -4,6 +4,7 @@ Everything drives cli_main in process; one subprocess test confirms the
 installed console script wires up the same entry point.
 """
 
+import functools
 import json
 import shutil
 import subprocess
@@ -11,14 +12,14 @@ import subprocess
 import pytest
 
 import wfgraph.cli as cli
-from wfgraph import enumeration
+from wfgraph import enumeration, veceval
 from wfgraph.absgraph import graph_from_json
-from wfgraph.bakery import bakery_text
+from wfgraph import bakery
+from wfgraph.bakery import Bakery, bakery_model, bakery_text
 from wfgraph.cli import cli_main
 from wfgraph.enumeration import BACKENDS
 from wfgraph.measure import CycleCounterexample
 from wfgraph.model import NatV
-from wfgraph.veceval import Capacity
 
 CHECK_LINE = ("ok: model bakery, params {'n': 2, 'r': 2, 'w': 3}, "
               "maps: rank (step), nlock (blok)\n")
@@ -294,6 +295,23 @@ def test_run_trace(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_unset_parameters_come_from_the_model(monkeypatch, capsys):
+    # the default bakery instance is declared once, by the model's params:
+    # Bakery, bakery_model and `run` leave every unset parameter to it
+    b = Bakery(r=1, w=2)
+    assert (b.n, b.r, b.w) == (2, 1, 2)
+    declared = "(params (n 2) (r 2) (w 3))"
+    text = bakery_text()
+    assert declared in text, "transform target drifted"
+    monkeypatch.setattr(bakery, "bakery_text", lambda: text.replace(
+        declared, "(params (n 2) (r 1) (w 2))"))
+    assert dict(bakery_model().params) == {"n": 2, "r": 1, "w": 2}
+    assert cli_main(["run", "--seed", "3"]) == 0
+    implicit = capsys.readouterr().out
+    assert cli_main(["run", "--seed", "3", "--runs", "1", "--width", "2"]) == 0
+    assert capsys.readouterr().out == implicit
+
+
 def test_usage_errors_exit_1(capsys):
     with pytest.raises(SystemExit) as e:
         cli_main([])
@@ -391,20 +409,42 @@ def test_model_without_system_is_a_tool_error(tmp_path, capsys):
             "wfgraph: error: model 'nosys' declares no system\n"
 
 
-def test_capacity_is_a_tool_error(monkeypatch, tmp_path, capsys):
-    # a sweep whose surviving rows pass the cap; raise that from the stage
-    # rather than build it
-    def too_big(*args, **kwargs):
-        raise Capacity(16777216, 4194304)
+def test_capacity_is_a_tool_error(monkeypatch, capsys):
+    # a query whose table passes a lowered row cap is one line naming the
+    # query: at (2,2,2) rank's step table has 512 rows, nlock's domain
+    # table 128 and its relation table 2,816
+    build_table = veceval.build_table
+    for cap, map_name, what, rows in ((64, "rank", "step", 512),
+                                      (64, "nlock", "domain", 128),
+                                      (1000, "nlock", "relation", 2816)):
+        monkeypatch.setattr(veceval, "build_table",
+                            functools.partial(build_table, row_cap=cap))
+        assert cli_main(["reach", "--map", map_name, "--width", "2"]) == 1
+        assert capsys.readouterr().err == (
+            f"wfgraph: error: {what} enumeration needs {rows} rows, "
+            f"cap is {cap}\n")
 
-    om = tmp_path / "om.json"
-    assert cli_main(["synth", "--map", "nlock", "--width", "2",
-                     "--out", str(om)]) == 0
-    monkeypatch.setattr(cli, "certify_relation", too_big)
-    assert cli_main(["certify", "--omap", str(om), "--width", "2"]) == 1
-    err = capsys.readouterr().err
-    assert err == ("wfgraph: error: enumeration needs 16777216 rows, "
-                   "cap is 4194304\n")
+
+def test_sum_past_int64_prints_no_warning(tmp_path, capsys):
+    # a rank node reading the sum of two 63-bit constants: the exhaustive
+    # backend's scalar sum passes int64 and wraps, which the mask undoes,
+    # so both backends print the same graph and nothing on stderr
+    f = _mutant(tmp_path, "sum.wfm", "(:inv (counters-ok a)))",
+                "(:inv (counters-ok a)) (:big (+ (big) (big))))")
+    text, anchor = f.read_text(), "(define done ((a proc)) bool a.done)"
+    assert anchor in text, "transform target drifted"
+    f.write_text(text.replace(anchor, anchor + "\n  (define big () (nat 63) "
+                              "9223372036854775807)"))
+    outs = []
+    for backend in BACKENDS:
+        assert cli_main(["reach", "--map", "rank", "--model", str(f),
+                         "--backend", backend]) == 0
+        out = capsys.readouterr()
+        assert out.err == ""
+        outs.append(out.out)
+    assert outs[0] == outs[1]
+    texts = json.loads(outs[0])["node_texts"]
+    assert texts and all("(:big 9223372036854775806)" in t for t in texts)
 
 
 def test_synth_refuses_unverified_counterexample(monkeypatch, capsys):

@@ -7,9 +7,11 @@ import random
 import pytest
 
 import wfgraph.veceval as veceval
-from _gen import rand_expr, rand_sort, rand_var_sorts
+from _gen import backends_agree, rand_expr, rand_sort, rand_var_sorts
+from wfgraph import enumeration
 from wfgraph.bitblast import BlastError
-from wfgraph.enumeration import BACKENDS, EnumResult, compute_finite_values
+from wfgraph.enumeration import (
+    BACKENDS, EnumResult, NotTotal, compute_finite_values)
 from wfgraph.model import (
     BOOL,
     AddMod,
@@ -47,23 +49,24 @@ def _domain(var_sorts) -> int:
     return total
 
 
-def _compare(var_sorts, hyp, trm, num):
-    ref = compute_finite_values(var_sorts, hyp, trm, num, "exhaustive")
-    got = compute_finite_values(var_sorts, hyp, trm, num, "sat")
+def _compare(var_sorts, hyp, trm):
+    ref = compute_finite_values(var_sorts, hyp, trm, "exhaustive")
+    got = compute_finite_values(var_sorts, hyp, trm, "sat")
     assert got == ref, (hyp, trm)
     return ref
 
 
-def test_backends_agree_on_random_queries():
+def test_backends_agree_on_random_queries(monkeypatch):
     """Acceptance: 200 randomized queries, domains up to 2^16, identical
-    EnumResults from both backends."""
+    EnumResults from both backends, and at a low value bound both refuse
+    the same queries."""
     rng = random.Random(424242)
     agreed = 0
     for _ in range(160):
         var_sorts = rand_var_sorts(rng, max_vars=3, max_width=3)
         hyp = rand_expr(rng, var_sorts, BOOL, 3)
         trm = rand_expr(rng, var_sorts, rand_sort(rng), 3)
-        _compare(var_sorts, hyp, trm, _domain(var_sorts) + 1)
+        backends_agree(monkeypatch, var_sorts, hyp, trm)
         agreed += 1
     # wide domains, narrow terms: totality must still be provable
     for _ in range(40):
@@ -71,53 +74,27 @@ def test_backends_agree_on_random_queries():
         assert _domain(var_sorts) == 1 << 16
         hyp = rand_expr(rng, var_sorts, BOOL, 3)
         trm = rand_expr(rng, var_sorts, NatSort(rng.randint(1, 3)), 2)
-        res = _compare(var_sorts, hyp, trm, 65537)
-        assert res.is_total
+        backends_agree(monkeypatch, var_sorts, hyp, trm)
         agreed += 1
     assert agreed == 200
 
 
-def test_cutoff_semantics():
-    vs = {"x": NatSort(4)}
+def test_value_bound_answers_in_full_or_refuses(monkeypatch):
+    # a query returns every value or raises NotTotal naming itself, on both
+    # backends alike: x over nat 4 has 16 values, which a bound of 3 or 16
+    # refuses and a bound of 17 returns in full, in one probe more
+    vs = {"x": NatSort(4), "y": NatSort(4)}
     top = Const(BoolV(True))
-    for backend in ("exhaustive", "sat"):
-        res = compute_finite_values(vs, top, Var("x"), 5, backend)
-        assert len(res.values) == 5
-        assert not res.is_total
-        assert res.solve_calls == 5
-        # budget exactly equal to the value count is not proof of totality
-        res = compute_finite_values(vs, top, Var("x"), 16, backend)
-        assert len(res.values) == 16
-        assert not res.is_total
-        assert res.solve_calls == 16
-        res = compute_finite_values(vs, top, Var("x"), 17, backend)
-        assert res.is_total
-        assert res.solve_calls == 17
-
-
-@pytest.mark.parametrize("trm", [
-    Var("x"),
-    TupleE((("x", Var("x")), ("y", Var("y")), ("z", Var("z")))),
-], ids=["scalar", "record"])
-def test_over_budget_exhaustive_query_decodes_at_most_num(monkeypatch, trm):
-    vs = {"x": NatSort(3), "y": NatSort(3), "z": NatSort(3)}
-    top = Const(BoolV(True))
-    full = compute_finite_values(vs, top, trm, 1000)
-    assert full.is_total
-    leaves = len(trm.items) if isinstance(trm, TupleE) else 1
-    decoded = []
-    leaf_value = veceval._leaf_value
-
-    def counting(leaf, code):
-        decoded.append(code)
-        return leaf_value(leaf, code)
-
-    monkeypatch.setattr(veceval, "_leaf_value", counting)
-    for num in (0, 1, 5):
-        decoded.clear()
-        res = compute_finite_values(vs, top, trm, num)
-        assert res == EnumResult(full.values[:num], False, num)
-        assert len(decoded) <= num * leaves
+    for bound in (3, 16):
+        monkeypatch.setattr(enumeration, "VALUE_BOUND", bound)
+        for backend in BACKENDS:
+            with pytest.raises(NotTotal) as e:
+                compute_finite_values(vs, top, Var("x"), backend, "step")
+            assert (e.value.what, e.value.num) == ("step", bound)
+    monkeypatch.setattr(enumeration, "VALUE_BOUND", 17)
+    want = EnumResult([NatV(k, 4) for k in range(16)], 17)
+    for backend in BACKENDS:
+        assert compute_finite_values(vs, top, Var("x"), backend) == want
 
 
 def _sort_values(s):
@@ -168,8 +145,7 @@ def test_whole_record_query():
             itertools.product(*(_sort_values(s) for s in vs.values())))
     want = canonical_sorted({run(env) for env in envs if holds(env).val})
     assert len(want) > 20
-    res = _compare(vs, hyp, trm, _domain(vs) + 1)
-    assert res.is_total
+    res = _compare(vs, hyp, trm)
     assert list(res.values) == want
 
     for e in (hyp, trm):
@@ -211,7 +187,7 @@ def test_unnamed_tuple_equality_compares_every_item():
     vs = {"x": NatSort(2), "y": NatSort(2)}
     pair = TupleE(((None, Var("x")), (None, Var("y"))))
     want = TupleE(((None, Const(NatV(1, 2))), (None, Const(NatV(2, 2)))))
-    res = _compare(vs, Eq(pair, want), pair, 17)
+    res = _compare(vs, Eq(pair, want), pair)
     assert list(res.values) == [TupleV(((None, NatV(1, 2)), (None, NatV(2, 2))))]
 
 
@@ -220,11 +196,11 @@ def test_term_without_output_bits():
     # hypothesis
     vs = {"x": NatSort(2)}
     unit = TupleE(())
-    res = _compare(vs, Const(BoolV(True)), unit, 5)
-    assert list(res.values) == [TupleV(())] and res.is_total
+    res = _compare(vs, Const(BoolV(True)), unit)
+    assert list(res.values) == [TupleV(())]
     never = Lt(Var("x"), Const(NatV(0, 2)))
-    res = _compare(vs, never, unit, 5)
-    assert list(res.values) == [] and res.is_total
+    res = _compare(vs, never, unit)
+    assert list(res.values) == []
 
 
 def _only(var_sorts, models):
@@ -241,22 +217,21 @@ def test_wide_naturals_rank_canonically_on_sat():
     vs = {"y": NatSort(2), "x": NatSort(62)}
     models = [(0, 0), (1, 0), (2, 0), (3, 0), (0, 1)]
     trm = TupleE((("a", Var("y")), ("b", Var("x"))))
-    res = compute_finite_values(vs, _only(vs, models), trm, 10, "sat")
-    assert res.is_total
+    res = compute_finite_values(vs, _only(vs, models), trm, "sat")
     assert [(q.items[0][1].val, q.items[1][1].val) for q in res.values] == \
         sorted(models)
     # a 63-bit leaf: its cardinality, 2^63, is no int64 itself
     vs = {"x": NatSort(63)}
     top = (1 << 63) - 1
     res = compute_finite_values(vs, _only(vs, [(top,), (0,), (5,)]), Var("x"),
-                                10, "sat")
+                                "sat")
     assert list(res.values) == [NatV(0, 63), NatV(5, 63), NatV(top, 63)]
 
 
 def test_output_natural_wider_than_int64_is_refused():
     vs = {"x": NatSort(64)}
-    with pytest.raises(BlastError) as e:
-        compute_finite_values(vs, _only(vs, [((1 << 64) - 1,)]), Var("x"), 10,
+    with pytest.raises(ValueError) as e:
+        compute_finite_values(vs, _only(vs, [((1 << 64) - 1,)]), Var("x"),
                               "sat")
     assert str(e.value) == \
         "an output natural of 64 bits is wider than an int64 code's 63"
@@ -265,7 +240,8 @@ def test_output_natural_wider_than_int64_is_refused():
 def test_naturals_past_int64_are_refused_on_exhaustive():
     # the exhaustive backend's columns are int64: a constant of 2^63 or more,
     # a sum whose mask passes int64, or an output natural wider than 63 bits
-    # is a one-line error there, not an OverflowError or a different answer
+    # is a one-line error there, not an OverflowError or a different answer.
+    # The output natural is refused by the one decoder, on both backends
     vs = {"b": NatSort(1)}
     top = Const(BoolV(True))
     big, bigger = Const(NatV(1 << 63, 64)), Const(NatV((1 << 63) + 1, 64))
@@ -282,19 +258,30 @@ def test_naturals_past_int64_are_refused_on_exhaustive():
     ]
     for trm, exh, sat in cases:
         with pytest.raises(ValueError) as e:
-            compute_finite_values(vs, top, trm, 10, "exhaustive")
+            compute_finite_values(vs, top, trm, "exhaustive")
         assert str(e.value) == exh
         if isinstance(sat, str):
-            with pytest.raises(BlastError) as e:
-                compute_finite_values(vs, top, trm, 10, "sat")
+            with pytest.raises(ValueError) as e:
+                compute_finite_values(vs, top, trm, "sat")
             assert str(e.value) == sat
         else:
-            assert list(compute_finite_values(vs, top, trm, 10, "sat").values) \
+            assert list(compute_finite_values(vs, top, trm, "sat").values) \
                 == sat
-    # refused even when no row satisfies the hypothesis, as on sat
+    # refused even when no row satisfies the hypothesis
     for backend in BACKENDS:
         with pytest.raises(ValueError, match="output natural of 64 bits"):
-            compute_finite_values(vs, Const(BoolV(False)), three, 10, backend)
+            compute_finite_values(vs, Const(BoolV(False)), three, backend)
+
+
+def test_sum_of_63_bit_naturals_wraps_quietly():
+    # 2 x (2^63 - 1) passes int64 as a numpy scalar sum; the masked sum is
+    # still 2^63 - 2, and no overflow warning is printed (pytest turns a
+    # RuntimeWarning into an error)
+    top = Const(NatV((1 << 63) - 1, 63))
+    for backend in BACKENDS:
+        res = compute_finite_values({"b": BOOL}, Const(BoolV(True)),
+                                    AddMod(top, top), backend)
+        assert list(res.values) == [NatV((1 << 63) - 2, 63)], backend
 
 
 def test_comparison_of_unequal_widths_is_refused_on_sat():
@@ -303,10 +290,10 @@ def test_comparison_of_unequal_widths_is_refused_on_sat():
     vs = {"x": NatSort(3)}
     hyp = Eq(Var("x"), Const(NatV(2, 3)))
     trm = Lt(Var("x"), Const(NatV(1, 1)))
-    assert list(compute_finite_values(vs, hyp, trm, 10, "exhaustive").values) \
+    assert list(compute_finite_values(vs, hyp, trm, "exhaustive").values) \
         == [BoolV(False)]
     with pytest.raises(BlastError) as e:
-        compute_finite_values(vs, hyp, trm, 10, "sat")
+        compute_finite_values(vs, hyp, trm, "sat")
     assert str(e.value) == "operands of < have 3 and 1 bits"
 
 
@@ -331,17 +318,8 @@ def test_total_sat_queries_probe_once_past_their_values(monkeypatch):
         assert certify.certify_relation(model, "rank", tg, om,
                                         bakery.bakery_text(), "sat").passed
     assert len(seen) == 8
-    assert all(r.is_total and r.solve_calls == len(r.values) + 1
-               for r in seen)
+    assert all(r.solve_calls == len(r.values) + 1 for r in seen)
     assert sum(len(r.values) for r in seen) == 352
-
-
-def test_zero_budget():
-    vs = {"x": NatSort(2)}
-    for backend in ("exhaustive", "sat"):
-        res = compute_finite_values(vs, Const(BoolV(True)), Var("x"), 0,
-                                    backend)
-        assert res == EnumResult((), False, 0)
 
 
 def test_unsat_hypothesis_is_total_in_one_call():
@@ -349,17 +327,15 @@ def test_unsat_hypothesis_is_total_in_one_call():
     hyp = And((Lt(Var("x"), Const(NatV(2, 3))),
                Not(Lt(Var("x"), Const(NatV(4, 3))))))
     for backend in ("exhaustive", "sat"):
-        res = compute_finite_values(vs, hyp, Var("x"), 10, backend)
-        assert res.values == ()
-        assert res.is_total
-        assert res.solve_calls == 1
+        res = compute_finite_values(vs, hyp, Var("x"), backend)
+        assert res == EnumResult((), 1)
 
 
 def test_values_are_canonically_sorted_and_distinct():
     vs = {"x": NatSort(3), "b": BOOL}
     trm = Var("x")
     for backend in ("exhaustive", "sat"):
-        res = compute_finite_values(vs, Const(BoolV(True)), trm, 100, backend)
+        res = compute_finite_values(vs, Const(BoolV(True)), trm, backend)
         vals = [v.val for v in res.values]
         assert vals == sorted(set(vals)) == list(range(8))
 
@@ -368,16 +344,15 @@ def test_solve_calls_count_blocking_probes():
     # n distinct values cost n SAT calls plus one final UNSAT probe
     vs = {"x": NatSort(2)}
     res = compute_finite_values(vs, Const(BoolV(True)),
-                                Eq(Var("x"), Var("x")), 10, "sat")
-    assert res.values == (BoolV(True),)
-    assert res.is_total
-    assert res.solve_calls == 2
+                                Eq(Var("x"), Var("x")), "sat")
+    assert res == EnumResult((BoolV(True),), 2)
 
 
 def test_bad_backend_and_budget():
     vs = {"x": BOOL}
     with pytest.raises(ValueError):
-        compute_finite_values(vs, Const(BoolV(True)), Var("x"), 1, "z3")
-    with pytest.raises(ValueError):
-        compute_finite_values(vs, Const(BoolV(True)), Var("x"), -1)
+        compute_finite_values(vs, Const(BoolV(True)), Var("x"), "z3")
+    # there is no value budget: a number where one went is no backend
+    with pytest.raises(ValueError, match="unknown backend 10"):
+        compute_finite_values(vs, Const(BoolV(True)), Var("x"), 10)
     assert BACKENDS == ("exhaustive", "sat")

@@ -353,8 +353,8 @@ def test_enum_model_elaborates_evaluates_and_prints():
                              if pick({"a": x}).val})
     assert 0 < len(want) < len(states)
     for backend in BACKENDS:
-        r = compute_finite_values({"a": lamp}, hyp, trm, 100, backend)
-        assert r.is_total and list(r.values) == want, backend
+        r = compute_finite_values({"a": lamp}, hyp, trm, backend)
+        assert list(r.values) == want, backend
     assert [value_text(x) for x in want[:2]] == [
         "((:color red) (:n 0) (:on nil))", "((:color red) (:n 0) (:on t))"]
 
@@ -388,10 +388,8 @@ def test_enum_literal_takes_its_sort_from_a_sibling():
         assert 0 < len(want) < len(states), k
         assert [x for x in states if eval_expr(left, {"a": x}).val] == want
         for backend in BACKENDS:
-            r = compute_finite_values({"a": lamp}, left, Var("a"), 100,
-                                      backend)
-            assert r.is_total and list(r.values) == canonical_sorted(want), \
-                (k, backend)
+            r = compute_finite_values({"a": lamp}, left, Var("a"), backend)
+            assert list(r.values) == canonical_sorted(want), (k, backend)
     # a literal with no sort anywhere is still refused
     with pytest.raises(ModelError, match="cannot infer a sort"):
         parse_model("(model m (sort s (c (enum x y)))"
