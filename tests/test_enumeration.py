@@ -79,7 +79,7 @@ def test_backends_agree_on_random_queries(monkeypatch):
     assert agreed == 200
 
 
-def test_value_bound_answers_in_full_or_refuses(monkeypatch):
+def test_cutoff_semantics(monkeypatch):
     # a query returns every value or raises NotTotal naming itself, on both
     # backends alike: x over nat 4 has 16 values, which a bound of 3 or 16
     # refuses and a bound of 17 returns in full, in one probe more
@@ -95,6 +95,17 @@ def test_value_bound_answers_in_full_or_refuses(monkeypatch):
     want = EnumResult([NatV(k, 4) for k in range(16)], 17)
     for backend in BACKENDS:
         assert compute_finite_values(vs, top, Var("x"), backend) == want
+
+
+def test_zero_budget(monkeypatch):
+    # a bound of 0 proves no value set total, not even the empty one
+    monkeypatch.setattr(enumeration, "VALUE_BOUND", 0)
+    vs = {"x": NatSort(2)}
+    for hyp in (Const(BoolV(True)), Const(BoolV(False))):
+        for backend in BACKENDS:
+            with pytest.raises(NotTotal) as e:
+                compute_finite_values(vs, hyp, Var("x"), backend)
+            assert (e.value.what, e.value.num) == ("query", 0)
 
 
 def _sort_values(s):
