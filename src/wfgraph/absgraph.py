@@ -235,23 +235,42 @@ def graph_to_json(g: Graph) -> dict:
     return doc
 
 
-def graph_from_json(doc: dict) -> Graph:
-    if doc.get("format") != "wfgraph-graph-v1":
+def graph_from_json(doc) -> Graph:
+    """The graph that ``graph_to_json`` wrote as ``doc``.  Entries are read
+    as they are, never coerced: anything else raises GraphError."""
+    if not isinstance(doc, dict) or doc.get("format") != "wfgraph-graph-v1":
         raise GraphError("not a graph document")
+    required = {"nodes": list, "arcs": list}
+    if "measures" in doc:
+        required.update(measures=list, widths=dict, arc_tags=list)
+    for key, kind in required.items():
+        if not isinstance(doc.get(key), kind):
+            raise GraphError(f"graph {key!r} is missing or not a "
+                             f"{kind.__name__}")
     nodes = tuple(value_from_json(n) for n in doc["nodes"])
-    arcs = tuple((int(i), int(j)) for i, j in doc["arcs"])
+    for a in doc["arcs"]:
+        if not (isinstance(a, list) and len(a) == 2 and all(
+                type(i) is int and 0 <= i < len(nodes) for i in a)):
+            raise GraphError(f"bad arc {a!r} of {len(nodes)} nodes")
+    arcs = tuple((i, j) for i, j in doc["arcs"])
     if "measures" not in doc:
         return Graph(nodes, arcs)
     measures = tuple(doc["measures"])
-    widths = {str(k): int(v) for k, v in doc["widths"].items()}
+    widths = doc["widths"]
+    if not all(isinstance(m, str) for m in measures):
+        raise GraphError("graph measures must be names")
+    if not all(type(w) is int for w in widths.values()):
+        raise GraphError("graph widths must be integers")
+    if len(doc["arc_tags"]) != len(arcs):
+        raise GraphError("arc/arc tag count mismatch")
     tags: dict[tuple[int, int, str], str] = {}
     for (i, j), per in zip(arcs, doc["arc_tags"]):
         for name in measures:
-            tag = per[name]
+            tag = per.get(name) if isinstance(per, dict) else None
             if tag not in ORDER_TAGS:
                 raise GraphError(f"unknown order tag {tag!r}")
             tags[(i, j, name)] = tag
-    return TaggedGraph(nodes, arcs, measures, widths, tags)
+    return TaggedGraph(nodes, arcs, measures, dict(widths), tags)
 
 
 def graph_text(g: Graph) -> str:

@@ -1,13 +1,15 @@
 """Tseitin translation of well-sorted expressions to CNF.
 
-Encoding: booleans are one literal; naturals are little-endian literal
-vectors, one per bit; enums are binary codes over the minimal bit count with
-clauses excluding out-of-range codes; record inputs and tuple outputs
-concatenate their fields in declaration order.  Both expressions are
-scalarized first (``veceval.scalarize``), so every gate works on scalars:
-a record read is a field of an input, and only tuples are record-sorted.
-Variable 1 is reserved as the constant TRUE (asserted by a unit clause), so
-constant bits need no special cases downstream.
+Encoding: a scalar is a ``BLeaf``, its sort and the bits of its integer
+code (``model.value_code``), LSB first, one literal per bit of
+``sort_bits``: a boolean is one literal, a natural one per bit, an enum its
+symbol's position over the minimal bit count, with clauses excluding the
+codes past ``sort_card``.  Both expressions are scalarized first
+(``veceval.scalarize``), so every gate works on scalars: the inputs are one
+leaf per atom, keyed by ``(var, field)`` as ``veceval.Table``'s columns
+are, and a tuple output is a ``veceval.VRec`` of leaves.  Variable 1 is
+reserved as the constant TRUE (asserted by a unit clause), so constant bits
+need no special cases downstream.
 
 Gates are hash-consed (structural hashing): each distinct gate is built
 once, and a repeated request returns its literal and adds no clauses.  An
@@ -26,19 +28,22 @@ request.  Identical inputs therefore produce bit-identical clause lists.
 Results are not decoded here: ``Circuit.output_columns`` turns the output
 bits of the models a solver found into one integer code column per scalar
 leaf, the codes ``veceval`` evaluates to, and ``veceval.distinct_rows``
-decodes and orders them as it does the exhaustive backend's columns.
+decodes and orders them as it does the exhaustive backend's columns.  The
+output leaves carry their sorts, so a natural too wide for an int64 code is
+refused (``veceval.int64_codes``) before any model is searched for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 from .model import (
-    AddMod, And, BoolSort, BoolV, CaseNat, Const, EnumSort, EnumV, Eq, Expr,
-    Field, Ite, Le, Lt, NatSort, NatV, Not, Or, Sort, SubSat, TupleE, Value,
-    Var, sort_bits)
-from .veceval import VBool, VEnum, VNat, VRec, VVal, scalarize
+    BOOL, AddMod, And, BoolSort, CaseNat, Const, Eq, Expr, Field, Ite, Le,
+    Lt, NatSort, Not, Or, Sort, SubSat, TupleE, Value, Var, sort_bits,
+    sort_card, value_code, value_sort)
+from .veceval import (
+    AtomKey, VLeaf, VRec, VVal, all_atoms, scalarize, vval_leaves)
 
 # numpy after wfgraph.model: compiling model from source with numpy already
 # loaded raises the process's peak RSS
@@ -52,49 +57,20 @@ class BlastError(ValueError):
 
 
 @dataclass
-class BBool:
-    lit: int
+class BLeaf:
+    """A scalar as literals, the bits of its code (``model.value_code``)
+    LSB first, and its sort: ``sort_bits(sort)`` literals."""
+    lits: list[int]
+    sort: Sort
 
 
-@dataclass
-class BNat:
-    bits: list[int]  # little-endian
-
-    @property
-    def width(self) -> int:
-        return len(self.bits)
-
-
-@dataclass
-class BEnum:
-    bits: list[int]
-    syms: tuple[str, ...]
-
-
-@dataclass
-class BRec:
-    items: tuple[tuple[Optional[str], "BitVal"], ...]
-
-    def get(self, name: str) -> "BitVal":
-        for n, v in self.items:
-            if n == name:
-                return v
-        raise KeyError(name)
-
-
-BitVal = Union[BBool, BNat, BEnum, BRec]
+# records of literal leaves are ``veceval.VRec``s, as records of lanes are
+BitVal = Union[BLeaf, VRec]
 
 
 def bitval_lits(v: BitVal) -> list[int]:
     """Flatten to the canonical literal order (fields in order, LSB-first)."""
-    if isinstance(v, BBool):
-        return [v.lit]
-    if isinstance(v, (BNat, BEnum)):
-        return list(v.bits)
-    out: list[int] = []
-    for _, x in v.items:
-        out.extend(bitval_lits(x))
-    return out
+    return [l for leaf in vval_leaves(v) for l in leaf.lits]
 
 
 def _same_width(a: list[int], b: list[int], op: str):
@@ -233,33 +209,23 @@ def _const_bits(value: int, width: int) -> list[int]:
     return [TRUE if (value >> i) & 1 else -TRUE for i in range(width)]
 
 
-def _encode_const(v: Value) -> BitVal:
-    if isinstance(v, BoolV):
-        return BBool(TRUE if v.val else -TRUE)
-    if isinstance(v, NatV):
-        return BNat(_const_bits(v.val, v.width))
-    assert isinstance(v, EnumV), "record constants are scalarized away"
-    return BEnum(_const_bits(v.index, sort_bits(EnumSort(v.syms))), v.syms)
+def _encode_const(v: Value) -> BLeaf:
+    s = value_sort(v)
+    return BLeaf(_const_bits(value_code(v), sort_bits(s)), s)
 
 
-def _ite_val(bld: _Builder, c: int, t: BitVal, e: BitVal) -> BitVal:
-    if isinstance(t, BBool):
-        assert isinstance(e, BBool)
-        return BBool(bld.g_ite(c, t.lit, e.lit))
-    if isinstance(t, BNat):
-        assert isinstance(e, BNat) and t.width == e.width
-        return BNat([bld.g_ite(c, x, y) for x, y in zip(t.bits, e.bits)])
-    assert isinstance(t, BEnum) and isinstance(e, BEnum) and t.syms == e.syms, \
+def _bool(lit: int) -> BLeaf:
+    return BLeaf([lit], BOOL)
+
+
+def _ite_val(bld: _Builder, c: int, t: BLeaf, e: BLeaf) -> BLeaf:
+    assert isinstance(t, BLeaf) and t.sort == e.sort, \
         "record branches are scalarized away"
-    return BEnum([bld.g_ite(c, x, y) for x, y in zip(t.bits, e.bits)], t.syms)
-
-
-def _eq_val(bld: _Builder, a: BitVal, b: BitVal) -> int:
-    return bld.eq_bits(bitval_lits(a), bitval_lits(b))
+    return BLeaf([bld.g_ite(c, x, y) for x, y in zip(t.lits, e.lits)], t.sort)
 
 
 class _Encoder:
-    def __init__(self, bld: _Builder, env: dict[str, BitVal]):
+    def __init__(self, bld: _Builder, env: dict[AtomKey, BLeaf]):
         self.bld = bld
         self.env = env
         # scalarize hands one condition (or scrutinee) node to every
@@ -269,13 +235,13 @@ class _Encoder:
 
     def bool_lit(self, e: Expr) -> int:
         v = self.encode(e)
-        assert isinstance(v, BBool)
-        return v.lit
+        assert isinstance(v.sort, BoolSort)
+        return v.lits[0]
 
     def nat_bits(self, e: Expr) -> list[int]:
         v = self.encode(e)
-        assert isinstance(v, BNat)
-        return v.bits
+        assert isinstance(v.sort, NatSort)
+        return v.lits
 
     def encode(self, e: Expr) -> BitVal:
         v = self.encoded.get(id(e))
@@ -286,34 +252,33 @@ class _Encoder:
     def _encode(self, e: Expr) -> BitVal:
         bld = self.bld
         if isinstance(e, Var):
-            return self.env[e.name]
+            return self.env[e.name, None]
         if isinstance(e, Const):
             return _encode_const(e.value)
         if isinstance(e, Field):
-            rec = self.encode(e.rec)
-            assert isinstance(rec, BRec)
-            return rec.get(e.name)
+            assert isinstance(e.rec, Var), "expression is not scalarized"
+            return self.env[e.rec.name, e.name]
         if isinstance(e, Ite):
             return _ite_val(bld, self.bool_lit(e.cond),
                             self.encode(e.then), self.encode(e.alt))
         if isinstance(e, Eq):
-            return BBool(_eq_val(bld, self.encode(e.a), self.encode(e.b)))
-        if isinstance(e, Lt):
-            return BBool(bld.lt_bits(self.nat_bits(e.a), self.nat_bits(e.b), True))
-        if isinstance(e, Le):
-            return BBool(bld.lt_bits(self.nat_bits(e.a), self.nat_bits(e.b), False))
-        if isinstance(e, AddMod):
-            return BNat(bld.add_mod(self.nat_bits(e.a), self.nat_bits(e.b)))
-        if isinstance(e, SubSat):
-            return BNat(bld.sub_sat(self.nat_bits(e.a), self.nat_bits(e.b)))
+            return _bool(bld.eq_bits(self.encode(e.a).lits,
+                                     self.encode(e.b).lits))
+        if isinstance(e, (Lt, Le)):
+            return _bool(bld.lt_bits(self.nat_bits(e.a), self.nat_bits(e.b),
+                                     isinstance(e, Lt)))
+        if isinstance(e, (AddMod, SubSat)):
+            a = self.encode(e.a)
+            op = bld.add_mod if isinstance(e, AddMod) else bld.sub_sat
+            return BLeaf(op(a.lits, self.nat_bits(e.b)), a.sort)
         if isinstance(e, Not):
-            return BBool(-self.bool_lit(e.a))
+            return _bool(-self.bool_lit(e.a))
         if isinstance(e, And):
-            return BBool(bld.g_and([self.bool_lit(x) for x in e.args]))
+            return _bool(bld.g_and([self.bool_lit(x) for x in e.args]))
         if isinstance(e, Or):
-            return BBool(bld.g_or([self.bool_lit(x) for x in e.args]))
+            return _bool(bld.g_or([self.bool_lit(x) for x in e.args]))
         if isinstance(e, TupleE):
-            return BRec(tuple((n, self.encode(x)) for n, x in e.items))
+            return VRec(tuple((n, self.encode(x)) for n, x in e.items))
         if isinstance(e, CaseNat):
             scrut = self.nat_bits(e.scrut)
             out = self.encode(e.default)
@@ -326,19 +291,15 @@ class _Encoder:
         raise BlastError(f"cannot encode {type(e).__name__}")
 
 
-def _alloc_input(bld: _Builder, s: Sort) -> BitVal:
-    if isinstance(s, BoolSort):
-        return BBool(bld.new_var())
-    if isinstance(s, NatSort):
-        return BNat([bld.new_var() for _ in range(s.width)])
-    if isinstance(s, EnumSort):
-        nbits = sort_bits(s)
-        bits = [bld.new_var() for _ in range(nbits)]
-        for code in range(len(s.syms), 1 << nbits):
-            bld.add([bits[i] if not ((code >> i) & 1) else -bits[i]
-                     for i in range(nbits)])
-        return BEnum(bits, s.syms)
-    return BRec(tuple((n, _alloc_input(bld, fs)) for n, fs in s.fields))
+def _alloc_input(bld: _Builder, s: Sort) -> BLeaf:
+    """Fresh literals for an atom of scalar sort ``s``, with a clause
+    excluding each code past ``sort_card(s)`` (an enum's unused codes)."""
+    nbits = sort_bits(s)
+    bits = [bld.new_var() for _ in range(nbits)]
+    for code in range(sort_card(s), 1 << nbits):
+        bld.add([bits[i] if not ((code >> i) & 1) else -bits[i]
+                 for i in range(nbits)])
+    return BLeaf(bits, s)
 
 
 @dataclass
@@ -376,18 +337,16 @@ class Circuit:
             return part @ (1 << np.arange(width, dtype=np.int64))
 
         def leaf(v: BitVal) -> VVal:
-            if isinstance(v, BBool):
-                return VBool(codes(1).astype(bool))
-            if isinstance(v, BNat):  # distinct_rows refuses past 63 bits
-                return VNat(codes(v.width), v.width)
-            if isinstance(v, BEnum):
-                col = codes(len(v.bits))
-                bad = col[col >= len(v.syms)]
+            if isinstance(v, VRec):
+                return VRec(tuple((n, leaf(x)) for n, x in v.items))
+            col = codes(len(v.lits))
+            card = sort_card(v.sort)
+            if card < 1 << len(v.lits):  # an enum's unused codes
+                bad = col[col >= card]
                 if bad.size:
                     raise BlastError(
                         f"enum code {bad[0]} out of range: encoding bug")
-                return VEnum(col, v.syms)
-            return VRec(tuple((n, leaf(x)) for n, x in v.items))
+            return VLeaf(col, v.sort)
 
         return leaf(self.output)
 
@@ -397,17 +356,17 @@ def bitblast(trm: Expr, hyp: Expr, var_sorts: dict[str, Sort]) -> Circuit:
     trm = scalarize(trm, var_sorts)
     hyp = scalarize(hyp, var_sorts)
     bld = _Builder()
-    env: dict[str, BitVal] = {}
-    inputs: dict[str, list[int]] = {}
-    for name, s in var_sorts.items():
-        env[name] = _alloc_input(bld, s)
-        inputs[name] = bitval_lits(env[name])
+    # keyed by atom, as a ``veceval.Table``'s columns are
+    env: dict[AtomKey, BLeaf] = {}
+    inputs: dict[str, list[int]] = {name: [] for name in var_sorts}
+    for key, s in all_atoms(var_sorts):
+        env[key] = _alloc_input(bld, s)
+        inputs[key[0]] += env[key].lits
     enc = _Encoder(bld, env)
-    hyp_val = enc.encode(hyp)
-    assert isinstance(hyp_val, BBool)
+    hyp_lit = enc.bool_lit(hyp)
     output = enc.encode(trm)
     return Circuit(num_vars=bld.num_vars, clauses=bld.clauses, inputs=inputs,
-                   output=output, hyp_lit=hyp_val.lit)
+                   output=output, hyp_lit=hyp_lit)
 
 
 def dimacs(circuit: Circuit, extra_units: tuple[int, ...] = ()) -> str:

@@ -17,11 +17,12 @@ Evaluation is independent per backend: numpy columns on one side, CNF and
 a CDCL solver on the other.  Decoding and canonical order are shared: every
 backend hands one integer code column per scalar leaf of ``trm`` to
 ``veceval.distinct_rows``, which returns one ``veceval.DistinctRows`` (per
-top-level item, its distinct values and an integer id column) and refuses
-an output natural too wide for an int64 code.  The exhaustive backend's
-columns are its table's; the SAT backend's are the output bits of each
-model found, which also make its blocking clause
-(``Circuit.output_columns``).
+top-level item, its distinct values and an integer id column).  The
+exhaustive backend's columns are its table's; the SAT backend's are the
+output bits of each model found, which also make its blocking clause
+(``Circuit.output_columns``).  Either backend's leaves carry their model
+sorts, so an output natural too wide for an int64 code is refused from
+them (``veceval.int64_codes``): on SAT before the first solve.
 """
 
 from __future__ import annotations
@@ -32,7 +33,8 @@ from .bitblast import bitblast
 from .model import Expr, Sort
 from .sat import DpllSolver
 from .veceval import (
-    DEFAULT_ROW_CAP, Capacity, DistinctRows, distinct_rows, exhaustive_values)
+    DEFAULT_ROW_CAP, Capacity, DistinctRows, distinct_rows, exhaustive_values,
+    int64_codes)
 
 BACKENDS = ("exhaustive", "sat")
 VALUE_BOUND = DEFAULT_ROW_CAP + 1
@@ -70,6 +72,7 @@ def compute_finite_values(var_sorts: dict[str, Sort], hyp: Expr, trm: Expr,
             raise Capacity(err.rows, err.cap, what) from None
     else:
         circuit = bitblast(trm, hyp, var_sorts)
+        int64_codes(circuit.output)  # refused before the first solve
         outputs = circuit.outputs
         solver = DpllSolver(circuit.num_vars)
         for clause in circuit.clauses:

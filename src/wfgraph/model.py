@@ -285,6 +285,45 @@ def default_value(s: Sort) -> Value:
     return TupleV(tuple((n, default_value(fs)) for n, fs in s.fields))
 
 
+def value_sort(v: Value) -> Sort:
+    """The sort of ``v``: kind, nat width, enum symbols and field names."""
+    if isinstance(v, BoolV):
+        return BOOL
+    if isinstance(v, NatV):
+        return NatSort(v.width)
+    if isinstance(v, EnumV):
+        return EnumSort(v.syms)
+    return TupleSort(tuple((n, value_sort(x)) for n, x in v.items))
+
+
+# The one mapping between a scalar value and its integer code: a boolean's
+# truth, a natural's number, an enum symbol's position.  Codes of sort ``s``
+# fill ``[0, sort_card(s))`` and order as ``value_key`` orders the values,
+# which both enumeration backends' canonical order rests on.
+
+
+def value_code(v: Value) -> int:
+    """The code of scalar ``v``."""
+    if isinstance(v, BoolV):
+        return int(v.val)
+    if isinstance(v, NatV):
+        return v.val
+    if isinstance(v, EnumV):
+        return v.index
+    raise TypeError("a record value has no code")
+
+
+def code_value(s: Sort, code: int) -> Value:
+    """The value of scalar sort ``s`` whose code is ``code``."""
+    if isinstance(s, BoolSort):
+        return BoolV(bool(code))
+    if isinstance(s, NatSort):
+        return NatV(int(code), s.width)
+    if isinstance(s, EnumSort):
+        return EnumV(s.syms[int(code)], s.syms)
+    raise TypeError("a record sort has no codes")
+
+
 def has_sort(v: Value, s: Sort) -> bool:
     """Whether ``v`` is a value of sort ``s``: same kind, nat width, enum
     symbols, and field names in order, recursively."""

@@ -2,7 +2,11 @@
 
 The exhaustive enumeration backend materializes one numpy column per scalar
 "atom" (a scalar-sorted variable, or one field of a record variable) and
-evaluates expressions over whole columns at once.
+evaluates expressions over whole columns at once.  A scalar result is a
+``VLeaf``: one integer code per row (``model.value_code``) and the model
+sort that alone says how to read the codes (``sort_card``,
+``code_value``).  A ``TupleE`` evaluates to a ``VRec`` of results; the SAT
+backend builds its records of literal leaves as ``VRec`` too.
 
 Both enumeration backends evaluate scalarized expressions only
 (``scalarize``): every record read is a ``Field(Var, f)`` leaf, naming its
@@ -49,10 +53,11 @@ satisfying row extends to full environments by fixing them arbitrarily.
 
 Results stay columnar too: ``distinct_rows`` ranks the surviving rows (or
 the SAT backend's models, as code columns) and returns a ``DistinctRows``,
-which holds each top-level item's distinct values, decoded once, and one
-integer id column per item.  A row's value is built only when a caller
-reads that row, so a consumer that works on the ids (the certifier's sweep)
-decodes nothing but the items and its witnesses.
+which holds each top-level item's distinct values, decoded once by
+``model.code_value``, and one integer id column per item.  A row's value is
+built only when a caller reads that row, so a consumer that works on the
+ids (the certifier's sweep) decodes nothing but the items and its
+witnesses.
 """
 
 from __future__ import annotations
@@ -66,9 +71,10 @@ from typing import Optional, Union
 import numpy as np
 
 from .model import (
-    AddMod, And, BoolSort, BoolV, CaseNat, Const, EnumSort, EnumV, Eq,
-    Expr, Field, Ite, Le, Lt, NatSort, NatV, Not, Or, Sort, SubSat, TupleE,
-    TupleSort, TupleV, Update, Value, Var, expr_children, sort_card)
+    BOOL, AddMod, And, BoolSort, BoolV, CaseNat, Const, Eq, Expr, Field, Ite,
+    Le, Lt, NatSort, Not, Or, Sort, SubSat, TupleE, TupleSort, TupleV,
+    Update, Value, Var, code_value, expr_children, sort_card, value_code,
+    value_sort)
 
 
 class Capacity(Exception):
@@ -232,20 +238,24 @@ def scalarize(e: Expr, var_sorts: dict[str, Sort]) -> Expr:
 AtomKey = tuple[str, Optional[str]]  # (variable, field); field None for scalars
 
 
+def all_atoms(var_sorts: dict[str, Sort]) -> Iterator[tuple[AtomKey, Sort]]:
+    """Every atom of ``var_sorts`` with its scalar sort, in variable
+    declaration order, then field declaration order."""
+    for var, sort in var_sorts.items():
+        fields = sort.fields if isinstance(sort, TupleSort) else ((None, sort),)
+        for f, s in fields:
+            yield (var, f), s
+
+
 def atoms_for(exprs: list[Expr], var_sorts: dict[str, Sort],
               memo: Optional[dict] = None) -> list[AtomKey]:
     """The atoms that scalarized ``exprs`` read (their ``Field(Var, f)``
-    leaves and scalar variables), in deterministic order: variable
-    declaration order, then field declaration order.  ``memo`` (a query's
-    ``Table.atoms``) keeps each subtree's atoms from one call to the next
-    (see ``_atoms``)."""
+    leaves and scalar variables), in ``all_atoms`` order.  ``memo`` (a
+    query's ``Table.atoms``) keeps each subtree's atoms from one call to the
+    next (see ``_atoms``)."""
     memo = {} if memo is None else memo
     read = frozenset().union(*(_atoms(x, memo) for x in exprs))
-    keys: list[AtomKey] = []
-    for var, sort in var_sorts.items():
-        fields = sort.fields if isinstance(sort, TupleSort) else ((None, sort),)
-        keys.extend((var, f) for f, _ in fields if (var, f) in read)
-    return keys
+    return [k for k, _ in all_atoms(var_sorts) if k in read]
 
 
 _NO_ATOMS: frozenset[AtomKey] = frozenset()
@@ -284,14 +294,15 @@ def atom_sort(key: AtomKey, var_sorts: dict[str, Sort]) -> Sort:
     return s.field_sort(fld)
 
 
+def _dtype(s: Sort) -> type:
+    """The numpy type of a column of scalar sort ``s``."""
+    return np.bool_ if isinstance(s, BoolSort) else np.int64
+
+
 def _atom_domain(s: Sort) -> np.ndarray:
-    if isinstance(s, BoolSort):
-        return np.array([False, True])
-    if isinstance(s, NatSort):
-        return np.arange(1 << s.width, dtype=np.int64)
-    if isinstance(s, EnumSort):
-        return np.arange(len(s.syms), dtype=np.int64)
-    raise TypeError("record-valued atom")
+    """Every code of scalar sort ``s``, in order."""
+    return np.arange(sort_card(s), dtype=np.int64).astype(_dtype(s),
+                                                          copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -299,30 +310,22 @@ def _atom_domain(s: Sort) -> np.ndarray:
 
 
 @dataclass
-class VBool:
+class VLeaf:
+    """A scalar lane per row: the rows' codes (``model.value_code``), a
+    numpy bool array for a boolean, and their sort.  A constant is one
+    numpy scalar, broadcast over the rows."""
     arr: np.ndarray
-
-
-@dataclass
-class VNat:
-    arr: np.ndarray
-    width: int
-
-
-@dataclass
-class VEnum:
-    arr: np.ndarray  # indices
-    syms: tuple[str, ...]
+    sort: Sort
 
 
 @dataclass
 class VRec:
-    """What a ``TupleE`` evaluates to; its items are scalar or ``VRec``."""
+    """What a ``TupleE`` evaluates to; its items are leaves or ``VRec``.
+    ``bitblast`` builds its records of literal leaves as ``VRec`` too."""
     items: tuple[tuple[Optional[str], "VVal"], ...]
 
 
-VVal = Union[VBool, VNat, VEnum, VRec]
-Scalar = Union[VBool, VNat, VEnum]
+VVal = Union[VLeaf, VRec]
 
 
 def _int64_width(width: int, what: str):
@@ -331,19 +334,25 @@ def _int64_width(width: int, what: str):
             f"{what} of {width} bits is wider than an int64 code's 63")
 
 
-def _vconst(v: Value) -> Scalar:
-    if isinstance(v, BoolV):
-        return VBool(np.bool_(v.val))
-    if isinstance(v, NatV):
-        if v.val >= _KEY_BOUND:
-            raise ValueError(f"the natural constant {v.val} does not fit an "
-                             f"int64 column")
-        return VNat(np.int64(v.val), v.width)
-    assert isinstance(v, EnumV), "record constants are scalarized away"
-    return VEnum(np.int64(v.index), v.syms)
+def int64_codes(v) -> None:
+    """Refuse a result whose natural leaves are too wide for an int64 code:
+    ``v``'s leaves are typed by their sorts, so no row need exist.  Leaves
+    hold lanes here and literals in ``bitblast``."""
+    for leaf in vval_leaves(v):
+        if isinstance(leaf.sort, NatSort):
+            _int64_width(leaf.sort.width, "an output natural")
 
 
-def _vwhere(mask: np.ndarray, a: Scalar, b: Scalar) -> Scalar:
+def _vconst(v: Value) -> VLeaf:
+    code = value_code(v)
+    if code >= _KEY_BOUND:  # only a natural's code can be this large
+        raise ValueError(f"the natural constant {code} does not fit an "
+                         f"int64 column")
+    s = value_sort(v)
+    return VLeaf(_dtype(s)(code), s)
+
+
+def _vwhere(mask: np.ndarray, a: VLeaf, b: VLeaf) -> VLeaf:
     return replace(a, arr=np.where(mask, a.arr, b.arr))
 
 
@@ -370,8 +379,7 @@ class Table:
         if not self.n:
             for k in keys:
                 s = atom_sort(k, self.var_sorts)
-                self.cols[k] = np.zeros(
-                    0, bool if isinstance(s, BoolSort) else np.int64)
+                self.cols[k] = np.zeros(0, _dtype(s))
             return
         domains = [_atom_domain(atom_sort(k, self.var_sorts)) for k in keys]
         factor = 1
@@ -403,19 +411,11 @@ class Table:
                 self.cols[k] = self.cols[k][keep]
             self.n = len(keep)
 
-    def var_vval(self, name: str, field: Optional[str] = None) -> Scalar:
+    def var_vval(self, name: str, field: Optional[str] = None) -> VLeaf:
         """The column of atom ``(name, field)``; ``field`` is None for a
         scalar variable."""
         key = (name, field)
-        arr = self.cols[key]
-        s = atom_sort(key, self.var_sorts)
-        if isinstance(s, BoolSort):
-            return VBool(arr.astype(bool) if arr.dtype != np.bool_ else arr)
-        if isinstance(s, NatSort):
-            return VNat(arr, s.width)
-        if isinstance(s, EnumSort):
-            return VEnum(arr, s.syms)
-        raise TypeError("record-valued atom")
+        return VLeaf(self.cols[key], atom_sort(key, self.var_sorts))
 
 
 def eval_vec(e: Expr, table: Table) -> VVal:
@@ -429,48 +429,43 @@ def eval_vec(e: Expr, table: Table) -> VVal:
         return table.var_vval(e.rec.name, e.name)
     if isinstance(e, Ite):
         c = eval_vec(e.cond, table)
-        assert isinstance(c, VBool)
         return _vwhere(c.arr, eval_vec(e.then, table), eval_vec(e.alt, table))
     if isinstance(e, Eq):
-        return VBool(eval_vec(e.a, table).arr == eval_vec(e.b, table).arr)
+        a, b = eval_vec(e.a, table).arr, eval_vec(e.b, table).arr
+        return VLeaf(a == b, BOOL)
     if isinstance(e, Lt):
-        a, b = eval_vec(e.a, table), eval_vec(e.b, table)
-        assert isinstance(a, VNat) and isinstance(b, VNat)
-        return VBool(a.arr < b.arr)
+        a, b = eval_vec(e.a, table).arr, eval_vec(e.b, table).arr
+        return VLeaf(a < b, BOOL)
     if isinstance(e, Le):
-        a, b = eval_vec(e.a, table), eval_vec(e.b, table)
-        assert isinstance(a, VNat) and isinstance(b, VNat)
-        return VBool(a.arr <= b.arr)
+        a, b = eval_vec(e.a, table).arr, eval_vec(e.b, table).arr
+        return VLeaf(a <= b, BOOL)
     if isinstance(e, AddMod):
         a, b = eval_vec(e.a, table), eval_vec(e.b, table)
-        assert isinstance(a, VNat) and isinstance(b, VNat) and a.width == b.width
-        _int64_width(a.width, "a sum")  # its mask alone would pass int64
+        assert isinstance(a.sort, NatSort) and a.sort == b.sort
+        width = a.sort.width
+        _int64_width(width, "a sum")  # its mask alone would pass int64
         # two 63-bit naturals can sum past int64; the sum wraps modulo 2^64,
         # which leaves the low bits the mask keeps unchanged, so numpy's
         # overflow warning (raised for scalar operands only) is noise
         with np.errstate(over="ignore"):
             total = a.arr + b.arr
-        return VNat(total & ((1 << a.width) - 1), a.width)
+        return VLeaf(total & ((1 << width) - 1), a.sort)
     if isinstance(e, SubSat):
         a, b = eval_vec(e.a, table), eval_vec(e.b, table)
-        assert isinstance(a, VNat) and isinstance(b, VNat) and a.width == b.width
-        return VNat(np.maximum(a.arr - b.arr, 0), a.width)
+        assert isinstance(a.sort, NatSort) and a.sort == b.sort
+        return VLeaf(np.maximum(a.arr - b.arr, 0), a.sort)
     if isinstance(e, Not):
-        a = eval_vec(e.a, table)
-        assert isinstance(a, VBool)
-        return VBool(~np.asarray(a.arr))
+        return VLeaf(~np.asarray(eval_vec(e.a, table).arr), BOOL)
     if isinstance(e, (And, Or)):
         acc = np.bool_(isinstance(e, And))
         for x in e.args:
-            v = eval_vec(x, table)
-            assert isinstance(v, VBool)
-            acc = (acc & v.arr) if isinstance(e, And) else (acc | v.arr)
-        return VBool(acc)
+            v = eval_vec(x, table).arr
+            acc = (acc & v) if isinstance(e, And) else (acc | v)
+        return VLeaf(acc, BOOL)
     if isinstance(e, TupleE):
         return VRec(tuple((n, eval_vec(x, table)) for n, x in e.items))
     if isinstance(e, CaseNat):
         scrut = eval_vec(e.scrut, table)
-        assert isinstance(scrut, VNat)
         result = eval_vec(e.default, table)
         for key, body in reversed(e.arms):
             result = _vwhere(scrut.arr == key, eval_vec(body, table), result)
@@ -548,7 +543,7 @@ def _scope_may(leaves: tuple[Expr, ...], codes: np.ndarray, table: Table
             v = eval_vec(leaves[j], table)
             yield np.concatenate((np.broadcast_to(
                 np.asarray(v.arr, dtype=np.int64), (table.n,)),
-                codes[:, j])), _leaf_card(v)
+                codes[:, j])), sort_card(v.sort)
 
     if present:
         key = _pack(columns())
@@ -577,9 +572,8 @@ def _may(e: Expr, table: Table) -> tuple[np.ndarray, np.ndarray]:
         if hit[1] is not None:
             return _scope_may(*hit[1], table)
     if _present(e, table):
-        v = eval_vec(e, table)
-        assert isinstance(v, VBool)
-        return v.arr, ~np.asarray(v.arr)
+        v = eval_vec(e, table).arr
+        return v, ~np.asarray(v)
     if isinstance(e, Not):
         t, f = _may(e.a, table)
         return f, t
@@ -717,32 +711,12 @@ def vval_leaves(v: VVal) -> list[VVal]:
     return [v]
 
 
-def _leaf_value(leaf: VVal, code: int) -> Value:
-    if isinstance(leaf, VBool):
-        return BoolV(bool(code))
-    if isinstance(leaf, VNat):
-        return NatV(int(code), leaf.width)
-    if isinstance(leaf, VEnum):
-        return EnumV(leaf.syms[int(code)], leaf.syms)
-    raise TypeError("not a scalar leaf")
-
-
 def _rebuild(v: VVal, codes: list[int], pos: list[int]) -> Value:
     if isinstance(v, VRec):
         return TupleV(tuple((n, _rebuild(x, codes, pos)) for n, x in v.items))
     i = pos[0]
     pos[0] += 1
-    return _leaf_value(v, codes[i])
-
-
-def _leaf_card(leaf: VVal) -> int:
-    if isinstance(leaf, VBool):
-        return 2
-    if isinstance(leaf, VNat):
-        return 1 << leaf.width
-    if isinstance(leaf, VEnum):
-        return len(leaf.syms)
-    raise TypeError("not a scalar leaf")
+    return code_value(v.sort, codes[i])
 
 
 # packed keys, and so their bound and each column's card, stay int64
@@ -870,9 +844,7 @@ def distinct_rows(v: VVal, n_rows: int) -> DistinctRows:
     and each distinct item value is decoded once.  No row is built here
     (see ``DistinctRows``).
     """
-    for leaf in vval_leaves(v):
-        if isinstance(leaf, VNat):
-            _int64_width(leaf.width, "an output natural")
+    int64_codes(v)
     if n_rows == 0:
         return DistinctRows(None, [[]], [np.zeros(0, dtype=np.int64)], 0)
     items = v.items if isinstance(v, VRec) else ((None, v),)
@@ -883,7 +855,7 @@ def distinct_rows(v: VVal, n_rows: int) -> DistinctRows:
                             [np.zeros(1, dtype=np.int64) for _ in items], 1)
     cols = [np.broadcast_to(np.asarray(leaf.arr, dtype=np.int64), (n_rows,))
             for leaf in leaves]
-    cards = [_leaf_card(leaf) for leaf in leaves]
+    cards = [sort_card(leaf.sort) for leaf in leaves]
     _, first = lex_rank(cols, cards)  # rank order is canonical order
     uniq = [col[first] for col in cols]
     item_values: list[list[Value]] = []

@@ -8,6 +8,7 @@ instance, and the per-node loops that the relation sweeps replaced
 """
 
 import itertools
+import json
 from collections import Counter
 
 import pytest
@@ -314,6 +315,54 @@ def test_graph_json_roundtrip(rank_tg):
     bad["arc_tags"][0]["runs"] = "sideways"
     with pytest.raises(GraphError):
         graph_from_json(bad)
+
+
+def _set(key, value):
+    return lambda doc: doc.__setitem__(key, value)
+
+
+def _set_in(key, index, value):
+    return lambda doc: doc[key].__setitem__(index, value)
+
+
+# each edit of rank's tagged graph document (21 nodes), and the one-line
+# error it reads as: none is coerced, and none is a KeyError
+BAD_GRAPH_DOCS = {
+    "text and float arc": (_set_in("arcs", 0, ["0", 1.7]),
+                           "bad arc ['0', 1.7] of 21 nodes"),
+    "arc past the nodes": (_set_in("arcs", 0, [0, 99]),
+                           "bad arc [0, 99] of 21 nodes"),
+    "bool arc": (_set_in("arcs", 0, [False, 1]),
+                 "bad arc [False, 1] of 21 nodes"),
+    "three-node arc": (_set_in("arcs", 0, [0, 1, 2]),
+                       "bad arc [0, 1, 2] of 21 nodes"),
+    "no arcs": (lambda doc: doc.pop("arcs"),
+                "graph 'arcs' is missing or not a list"),
+    "measures as text": (_set("measures", "runs"),
+                         "graph 'measures' is missing or not a list"),
+    "no widths": (lambda doc: doc.pop("widths"),
+                  "graph 'widths' is missing or not a dict"),
+    "text width": (_set_in("widths", "runs", "1"),
+                   "graph widths must be integers"),
+    "float width": (_set_in("widths", "runs", 1.9),
+                    "graph widths must be integers"),
+    "measure not a name": (_set("measures", ["runs", 2]),
+                           "graph measures must be names"),
+    "one arc tag short": (lambda doc: doc["arc_tags"].pop(),
+                          "arc/arc tag count mismatch"),
+    "tag missing": (lambda doc: doc["arc_tags"][0].pop("loop"),
+                    "unknown order tag None"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_GRAPH_DOCS)
+def test_graph_from_json_refuses_what_it_would_coerce(rank_tg, case):
+    edit, message = BAD_GRAPH_DOCS[case]
+    doc = json.loads(graph_text(rank_tg))
+    edit(doc)
+    with pytest.raises(GraphError) as e:
+        graph_from_json(doc)
+    assert str(e.value) == message
 
 
 def test_not_total_budgets(model, monkeypatch):

@@ -3,6 +3,7 @@ honest artifacts (both maps must pass) and tampered ones (each check must
 catch its own class of lie)."""
 
 import ast
+import dataclasses
 import hashlib
 import json
 import re
@@ -14,8 +15,8 @@ import _rowwise as rowwise
 import wfgraph.certify as certify
 import wfgraph.system as system
 from wfgraph.absgraph import (
-    MAY_INC, NON_INC, STRICT_DEC, TaggedGraph, graph_text, map_graph,
-    tag_graph)
+    MAY_INC, NON_INC, STRICT_DEC, TaggedGraph, graph_from_json, graph_text,
+    map_graph, tag_graph)
 from wfgraph.bakery import bakery_model, bakery_text
 from wfgraph.certify import (
     Certificate,
@@ -29,7 +30,8 @@ from wfgraph.certify import (
     relation_cases,
 )
 from wfgraph.measure import Omap, omap_text, synthesize_omap
-from wfgraph.model import TupleV, eval_expr, value_from_json, value_text
+from wfgraph.model import (
+    TupleV, eval_expr, parse_model, value_from_json, value_text)
 from wfgraph.ordinals import OrdinalError
 from wfgraph.system import abstraction_functions
 
@@ -539,3 +541,49 @@ def test_measure_decrease_matches_rowwise_on_omap_lies(oracle_sweep):
                   got.passed or got.witness["reason"].split(":")[0])
     assert {"bnl does not decrease", "destination outside the omap",
             OrdinalError} <= kinds
+
+
+# A step map whose node reads an enum field: the bundled model has none.
+# The phases are declared out of alphabetical order, and a node's code is
+# its phase's position, so the graph lists wait, work, rest, stop.
+JOBS = """(model jobs
+  (params (w 2))
+  (sort job (phase (enum wait work rest stop)) (left (nat w)) (done bool))
+  (sort shared (tick bool))
+  (define init () job (tuple (:phase wait) (:left 3) (:done nil)))
+  (define next ((a job) (sh shared)) job
+    (if (= a.phase wait) (update a :phase work)
+      (if (= a.phase work) (update a :phase rest :left (1- a.left))
+        (if (= a.phase rest)
+            (update a :phase (if (= a.left 0) stop wait))
+            (update a :done t)))))
+  (define shared-next ((sh shared) (a job)) shared sh)
+  (define blok ((a job) (b job)) bool nil)
+  (define done ((a job)) bool a.done)
+  (map rank ((a job))
+    (kind step)
+    (node (:phase a.phase) (:left=0 (= a.left 0)) (:done a.done))
+    (measure left (tuple a.left)))
+  (system (state job) (shared shared) (init init) (next next)
+          (shared-next shared-next) (blok blok) (done done)))
+"""
+
+
+def test_enum_node_takes_the_pipeline_alike_on_both_backends():
+    m = parse_model(JOBS)
+    got = {}
+    for backend in ("exhaustive", "sat"):
+        tg = tag_graph(m, "rank", map_graph(m, "rank", backend), backend)
+        omap = synthesize_omap(tg)
+        cert = certify_relation(m, "rank", tg, omap, JOBS, backend)
+        assert cert.passed, backend
+        got[backend] = (graph_text(tg), omap_text(omap),
+                        dataclasses.replace(cert, backend=None))
+    assert got["sat"] == got["exhaustive"]
+    tg = graph_from_json(json.loads(got["sat"][0]))
+    assert [value_text(n.get("phase")) for n in tg.nodes] == [
+        "wait", "work", "rest", "rest", "stop", "stop"]
+    # the wait, work, rest loop: the work step takes one off left
+    assert {(0, 1), (1, 2), (2, 0)} <= set(tg.arcs)
+    assert tg.tags[(1, 2, "left")] == STRICT_DEC
+    assert tg.tags[(2, 0, "left")] == tg.tags[(0, 1, "left")] == NON_INC

@@ -5,6 +5,7 @@ installed console script wires up the same entry point.
 """
 
 import functools
+import hashlib
 import json
 import shutil
 import subprocess
@@ -51,6 +52,28 @@ def test_check_dump_cnf(tmp_path, capsys):
     assert lines[0].startswith("p cnf ")
     assert lines[1] == "1 0"  # the reserved TRUE literal
     assert all(l.endswith(" 0") for l in lines[1:])
+
+
+# sha256 of each relation's DIMACS text at (2,2,3): the encoding (variable
+# numbering, gates, clause order) changes only when a change says so
+CNF_SHA256 = {
+    "rank": ("p cnf 26 8", "3d97b4324f93b4b481aad1dace1573628249066d"
+                           "06028855d013f4c8745afbc4"),
+    "nlock": ("p cnf 125 286", "ba33f8f813a392a732a92b15e0fe375e245e65b6"
+                               "4929bc828baa0cc6e79e3142"),
+}
+
+
+@pytest.mark.parametrize("map_name", CNF_SHA256)
+def test_dump_cnf_is_pinned(map_name, tmp_path, capsys):
+    out = tmp_path / "rel.cnf"
+    assert cli_main(["check", "--map", map_name, "--n", "2", "--runs", "2",
+                     "--width", "3", "--dump-cnf", str(out)]) == 0
+    capsys.readouterr()
+    text = out.read_text()
+    header, digest = CNF_SHA256[map_name]
+    assert text.splitlines()[0] == header
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_dump_cnf_needs_map(capsys):

@@ -40,6 +40,7 @@ from wfgraph.model import (
     expr_children,
     sort_card,
 )
+from wfgraph.sat import DpllSolver
 
 
 def _domain(var_sorts) -> int:
@@ -244,6 +245,21 @@ def test_output_natural_wider_than_int64_is_refused():
     with pytest.raises(ValueError) as e:
         compute_finite_values(vs, _only(vs, [((1 << 64) - 1,)]), Var("x"),
                               "sat")
+    assert str(e.value) == \
+        "an output natural of 64 bits is wider than an int64 code's 63"
+
+
+def test_wide_sat_output_is_refused_before_the_first_solve(monkeypatch):
+    # the output leaves' sorts are known once the term is blasted, so no
+    # model is searched for: unrefused, this query would solve until the
+    # value bound, about 4.2 million times
+    def solve(self):
+        raise AssertionError("a solve before the refusal")
+
+    monkeypatch.setattr(DpllSolver, "solve", solve)
+    with pytest.raises(ValueError) as e:
+        compute_finite_values({"x": NatSort(64)}, Const(BoolV(True)),
+                              Var("x"), "sat")
     assert str(e.value) == \
         "an output natural of 64 bits is wider than an int64 code's 63"
 

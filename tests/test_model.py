@@ -7,6 +7,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from _gen import rand_expr, rand_sort, rand_var_sorts
 from wfgraph.bakery import bakery_text
@@ -29,6 +31,7 @@ from wfgraph.model import (
     TupleV,
     Var,
     canonical_sorted,
+    code_value,
     compile_expr,
     default_value,
     eval_expr,
@@ -39,11 +42,12 @@ from wfgraph.model import (
     subst_vars,
     value_from_json,
     value_text,
+    value_code,
     value_to_json,
 )
 from wfgraph.enumeration import BACKENDS, compute_finite_values
 from wfgraph.sexpr import SExprError, parse_sexprs, pretty, to_text
-from wfgraph.veceval import Table, _leaf_value, eval_vec
+from wfgraph.veceval import Table, eval_vec
 
 
 @pytest.fixture(scope="module")
@@ -190,6 +194,35 @@ def test_canonical_sorted_is_total_and_stable():
     assert [v.val for v in ordered] == [1, 1, 3, 5]
 
 
+@st.composite
+def _scalar_values(draw):
+    """A scalar sort (bool, nat of 1-63 bits, enum of 1-5 symbols out of
+    alphabetical order) and a few values of it."""
+    kind = draw(st.sampled_from(("bool", "nat", "enum")))
+    if kind == "bool":
+        s, value = BOOL, st.builds(BoolV, st.booleans())
+    elif kind == "nat":
+        width = draw(st.integers(1, 63))
+        s = NatSort(width)
+        value = st.builds(NatV, st.integers(0, (1 << width) - 1),
+                          st.just(width))
+    else:
+        syms = draw(st.permutations("edcba"))[:draw(st.integers(1, 5))]
+        s = EnumSort(tuple(syms))
+        value = st.builds(EnumV, st.sampled_from(syms), st.just(s.syms))
+    return s, draw(st.lists(value, min_size=1, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_scalar_values())
+def test_value_codes_round_trip_and_order_canonically(case):
+    s, values = case
+    for v in values:
+        assert code_value(s, value_code(v)) == v
+        assert 0 <= value_code(v) < sort_card(s)
+    assert sorted(values, key=value_code) == canonical_sorted(values)
+
+
 # -- evaluation --------------------------------------------------------------
 
 def test_init_state(bakery):
@@ -268,7 +301,7 @@ def test_compiled_matches_vectorized_on_random_scalar_expressions(seed):
     table.extend([(v, None) for v in var_sorts])
 
     def column(vv):
-        return [_leaf_value(vv, c)
+        return [code_value(vv.sort, c)
                 for c in np.broadcast_to(vv.arr, (table.n,)).tolist()]
 
     cols = {v: column(table.var_vval(v)) for v in var_sorts}

@@ -28,11 +28,12 @@ from wfgraph.absgraph import graph_text, map_graph, tag_graph
 from wfgraph.bakery import bakery_model
 from wfgraph.certify import relation_cases
 from wfgraph.model import (
-    BOOL, AddMod, And, BoolV, CaseNat, Const, Eq, Le, Lt, NatSort, NatV, Or,
+    BOOL, AddMod, And, BoolV, CaseNat, Const, EnumSort, Eq, Le, Lt, NatSort,
+    NatV, Or,
     TupleE, TupleV, Var, canonical_sorted, sort_card, subst_vars)
 from wfgraph.system import relation_parts
 from wfgraph.veceval import (
-    Capacity, Table, VBool, VEnum, VNat, VRec, _may, atom_sort,
+    Capacity, Table, VLeaf, VRec, _may, atom_sort,
     atoms_for, build_table, distinct_rows, eval_vec, exhaustive_values,
     lex_rank, scalarize, split_conjuncts)
 
@@ -401,6 +402,7 @@ def _reference_rows(v, n_rows):
 
 
 SYMS = ("lo", "mid", "hi")
+ENUM, NAT2 = EnumSort(SYMS), NatSort(2)
 
 
 @st.composite
@@ -413,10 +415,10 @@ def _leaf(draw, n_rows):
         codes = np.array(draw(st.lists(st.integers(0, hi), min_size=n_rows,
                                        max_size=n_rows)), dtype=np.int64)
     if kind == "bool":
-        return VBool(np.asarray(codes).astype(bool))
+        return VLeaf(np.asarray(codes).astype(bool), BOOL)
     if kind == "nat":
-        return VNat(codes, 2)
-    return VEnum(codes, SYMS)
+        return VLeaf(codes, NAT2)
+    return VLeaf(codes, ENUM)
 
 
 @st.composite
@@ -471,19 +473,20 @@ def test_distinct_rows_columns_follow_canonical_item_order(case):
 
 
 def test_distinct_rows_decodes_each_item_value_once(monkeypatch):
-    node = VRec((("loc", VNat(np.array([0, 0, 1, 1, 1, 0]), 2)),
-                 ("ok", VBool(np.array([True] * 6)))))
-    pairs = VRec((("src", node), ("m", VNat(np.array([0, 1, 2, 2, 3, 0]), 2)),
-                  ("e", VEnum(np.int64(1), SYMS))))
+    node = VRec((("loc", VLeaf(np.array([0, 0, 1, 1, 1, 0]), NAT2)),
+                 ("ok", VLeaf(np.array([True] * 6), BOOL))))
+    pairs = VRec((("src", node),
+                  ("m", VLeaf(np.array([0, 1, 2, 2, 3, 0]), NAT2)),
+                  ("e", VLeaf(np.int64(1), ENUM))))
     ref = _reference_rows(pairs, 6)
     decoded = []
-    leaf_value = veceval._leaf_value
+    code_value = veceval.code_value
 
-    def counting(leaf, code):
+    def counting(sort, code):
         decoded.append(code)
-        return leaf_value(leaf, code)
+        return code_value(sort, code)
 
-    monkeypatch.setattr(veceval, "_leaf_value", counting)
+    monkeypatch.setattr(veceval, "code_value", counting)
     got = distinct_rows(pairs, 6)
     # 2 distinct nodes of 2 leaves, 4 distinct m, 1 distinct e
     assert len(decoded) == 2 * 2 + 4 + 1
@@ -494,16 +497,17 @@ def test_distinct_rows_decodes_each_item_value_once(monkeypatch):
 
 
 def test_distinct_rows_edge_cases():
-    rec = VRec((("a", VNat(np.array([1, 1, 0]), 2)),))
+    rec = VRec((("a", VLeaf(np.array([1, 1, 0]), NAT2)),))
     assert distinct_rows(rec, 0) == []
-    assert distinct_rows(VNat(np.array([], dtype=np.int64), 2), 0) == []
+    assert distinct_rows(VLeaf(np.array([], dtype=np.int64), NAT2), 0) == []
     assert distinct_rows(VRec(()), 3) == _reference_rows(VRec(()), 3)
-    shared = VRec((("x", VBool(np.array([True, False, True]))),))
+    shared = VRec((("x", VLeaf(np.array([True, False, True]), BOOL)),))
     twice = VRec((("p", shared), ("q", shared), ("e", VRec(()))))
     assert distinct_rows(twice, 3) == _reference_rows(twice, 3)
     # a sub-value that repeats across rows is decoded once and shared
-    node = VRec((("loc", VNat(np.int64(2), 2)), ("ok", VBool(np.bool_(True)))))
-    pairs = VRec((("src", node), ("m", VNat(np.array([0, 1, 2]), 2))))
+    node = VRec((("loc", VLeaf(np.int64(2), NAT2)),
+                 ("ok", VLeaf(np.bool_(True), BOOL))))
+    pairs = VRec((("src", node), ("m", VLeaf(np.array([0, 1, 2]), NAT2))))
     got = distinct_rows(pairs, 3)
     assert got == _reference_rows(pairs, 3) and len(got) == 3
     assert got[0].items[0][1] is got[2].items[0][1]
@@ -515,7 +519,7 @@ def test_distinct_rows_past_64_bits_of_cardinality():
     rng = np.random.default_rng(5)
     n_rows = 400
     cols = rng.integers(0, 4, size=(10, n_rows)) * 85  # 0, 85, 170, 255
-    rec = VRec(tuple((f"f{i}", VNat(cols[i], 8)) for i in range(10)))
+    rec = VRec(tuple((f"f{i}", VLeaf(cols[i], NatSort(8))) for i in range(10)))
     got = distinct_rows(rec, n_rows)
     assert got == _reference_rows(rec, n_rows)
     assert 1 < len(got) <= n_rows
@@ -594,12 +598,12 @@ def test_lex_rank_sorts_once_unless_the_key_would_pass_int64(monkeypatch):
 
 
 def test_distinct_rows_packed_edge_cases():
-    one_row = VRec((("a", VNat(np.array([3]), 2)),
-                    ("b", VBool(np.array([True])))))
-    one_col = VNat(np.array([2, 0, 2, 1]), 2)
-    same = VRec((("a", VNat(np.full(5, 3), 2)),
-                 ("e", VEnum(np.full(5, 1), SYMS))))
-    width0 = VRec((("x", VRec(())), ("a", VNat(np.array([1, 0, 1]), 2)),
+    one_row = VRec((("a", VLeaf(np.array([3]), NAT2)),
+                    ("b", VLeaf(np.array([True]), BOOL))))
+    one_col = VLeaf(np.array([2, 0, 2, 1]), NAT2)
+    same = VRec((("a", VLeaf(np.full(5, 3), NAT2)),
+                 ("e", VLeaf(np.full(5, 1), ENUM))))
+    width0 = VRec((("x", VRec(())), ("a", VLeaf(np.array([1, 0, 1]), NAT2)),
                    ("y", VRec((("z", VRec(())),)))))
     for v, n_rows in ((one_row, 1), (one_col, 4), (same, 5), (width0, 3)):
         got = distinct_rows(v, n_rows)
