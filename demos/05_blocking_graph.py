@@ -33,7 +33,7 @@ for node, desc in bakery.nlock_omap.descriptors:
 # Replay a seeded run and keep the state with the deepest blocker chain
 # starting from any process that still has work to do.
 rng = random.Random(1)
-st = bakery.init()
+st = system.initial
 deepest = (0, st, 0)
 while not all(system.done(a) for a in st.trs):
     for s0 in range(bakery.n):

@@ -4,15 +4,16 @@ A graph's nodes are the values an abstraction map's node expression takes;
 arcs record which nodes can follow which.  Both come from the image of the
 map's concrete relation (``system.relation_parts``): one enumeration query
 for the distinct (node(x), node(y)) pairs of related states x, y.
-``map_graph`` keeps what that image reaches from the map's seed nodes: the
-initial node of a step map, every domain node of a blocking map.
+``map_graph`` keeps what that image reaches from the map's seed nodes: for
+a step map the nodes of the system's initial processes, compiled from the
+model (``system.System``), and for a blocking map every domain node.
 ``tag_graph`` tags every arc, per component measure, with whether the
 measure strictly decreases, never increases, or may increase across the
 concrete pairs the arc abstracts, from one more image query that carries
 per-measure order flags.
 
 Every query is total: ``enumeration.compute_finite_values`` returns every
-value or raises NotTotal naming the query (``init``, ``step``, ``domain``,
+value or raises NotTotal naming the query (``step``, ``domain``,
 ``relation`` or ``tag``), so no graph is built from a partial image.
 """
 
@@ -28,7 +29,7 @@ from .enumeration import NotTotal, compute_finite_values  # noqa: F401
 from .model import (
     And, BoolV, Const, Eq, Expr, Le, Lt, Model, Or, TupleE, Value,
     canonical_sorted, subst_vars, value_from_json, value_text, value_to_json)
-from .system import relation_parts
+from .system import System, abstraction_functions, relation_parts
 
 STRICT_DEC = "strict-dec"
 NON_INC = "non-inc"
@@ -154,23 +155,23 @@ def map_graph(model: Model, map_name: str,
     """Abstract graph of a map: its seed nodes, closed under the image of
     its relation.
 
-    A step map is seeded with the node of the system's init state, a
-    blocking map with every node of its declared domain.  One query finds
-    the seeds, one more the relation's image (``_image``); the graph keeps
-    the image pairs the seeds reach.  A blocking map's relation already
-    keeps both ends in its domain, so its graph is the whole image.
+    A step map is seeded with the node of each process of the system's
+    initial state, a blocking map with every node of its declared domain,
+    which one query finds.  One more query finds the relation's image
+    (``_image``); the graph keeps the image pairs the seeds reach.  A
+    blocking map's relation already keeps both ends in its domain, so its
+    graph is the whole image.
     """
     parts = relation_parts(model, map_name)
     mp, _, _, var_sorts = parts
     if mp.kind == "step":
-        init = model.define(model.system.init).body  # type: ignore[union-attr]
-        seeds, sweep = "init", "step"
-        hyp, trm = Const(BoolV(True)), subst_vars(mp.node, {mp.var: init})
+        map_e, _ = abstraction_functions(model, map_name)
+        nodes: set[Value] = set(map(map_e, System.compile(model).initial.trs))
+        sweep = "step"
     else:
-        seeds, sweep = "domain", "relation"
-        hyp, trm = mp.domain, mp.node
-    nodes: set[Value] = set(
-        compute_finite_values(var_sorts, hyp, trm, backend, seeds).values)
+        nodes = set(compute_finite_values(
+            var_sorts, mp.domain, mp.node, backend, "domain").values)
+        sweep = "relation"
     succ: dict[Value, list[Value]] = {}
     for u, v in _image(parts, backend, sweep):
         succ.setdefault(u, []).append(v)

@@ -2,7 +2,8 @@
 a monitored scheduler.
 
 `models/bakery.wfm` is the one source of truth.  `Bakery` holds the
-model's `system` declaration compiled once (`system.System`: `next`,
+model's `system` declaration compiled once (`system.System`: the initial
+state, where every run starts unless given another, and `next`,
 `shared-next`, `blok` and `done` as closures) and steps model values with
 it: each process is a `TupleV` of the state sort, whose fields are read
 with `get` (`a.get("pos-valid")`).  Every run is watched by the synthesized
@@ -36,7 +37,7 @@ from typing import Callable, Optional, Sequence
 from .absgraph import map_graph, tag_graph
 from .certify import DescentError
 from .measure import Omap, synthesize_omap
-from .model import Model, NatV, TupleV, parse_model
+from .model import Model, TupleV, parse_model
 from .ordinals import (
     Bnl,
     Ordinal,
@@ -187,9 +188,11 @@ class _StepGraph:
         return v
 
     def choose(self, b: "Bakery", v: int,
-               oracle: Optional[Callable[[Sequence[int]], int]]) -> int:
-        """The process to step at node v: its witness without an oracle,
-        else the oracle's pick from a fresh list of its ready indices."""
+               oracle: Optional[Callable[[Sequence[int]], int]],
+               k: int) -> int:
+        """The process to step at node v as step k + 1 of a run: its
+        witness without an oracle, else the oracle's pick from a fresh list
+        of its ready indices, which must be one of them."""
         w = self.witness[v]
         if w is None:
             w = self.witness[v] = choose_ready(
@@ -200,7 +203,11 @@ class _StepGraph:
         if ready is None:
             ready = self.ready[v] = _ready_indices(
                 self.states[v].trs, b.system, w)
-        return oracle(list(ready))
+        i = oracle(list(ready))
+        if i not in ready:  # i also numbers the successor's key
+            raise BakeryError(f"step {k + 1} chose index {i}, not a process "
+                              f"that is ready: {ready}")
+        return i
 
     def step(self, b: "Bakery", v: int, i: int, k: int) -> tuple[int, str]:
         """Arc (v, i), stepped and checked the first time it is taken as
@@ -209,8 +216,6 @@ class _StepGraph:
         if arc is not None:
             return arc
         st, bn = self.states[v], self.bnll[v]
-        if not 0 <= i < len(st.trs):  # i also numbers the successor's key
-            raise BakeryError(f"step {k + 1} chose index {i}, not a process")
         st2 = b.step(st, i)
         nums = list(self.keys[v])
         nums[i] = self._intern(st2.trs[i])
@@ -281,16 +286,6 @@ class Bakery:
         g = map_graph(self.model, map_name, backend)
         return synthesize_omap(tag_graph(self.model, map_name, g, backend))
 
-    def init(self) -> SystemState:
-        """n copies of the model's `init` process, with indices 1..n, and
-        the shared state at its sort's default value."""
-        width = self.system.init.get("ndx").width
-        return SystemState(
-            tuple(TupleV(tuple((k, NatV(i + 1, width) if k == "ndx" else v)
-                               for k, v in self.system.init.items))
-                  for i in range(self.n)),
-            self.system.sh0)
-
     def nlock_msr(self, a: TupleV) -> Ordinal:
         return self.nlock_omap.msr(a, self._nlock_e, self._nlock_o)
 
@@ -309,7 +304,8 @@ class Bakery:
             oracle: Optional[Callable[[Sequence[int]], int]] = None,
             seed: Optional[int] = None,
             max_steps: int = 100_000) -> RunResult:
-        """Step chosen processes until all are done.
+        """Step chosen processes until all are done, from `st` or else the
+        system's initial state.
 
         Without an oracle the deterministic blocker-chain witness is
         scheduled; `seed` installs a seeded random oracle instead, and an
@@ -326,7 +322,7 @@ class Bakery:
         instance must not overlap: the graph has no lock.
         """
         if st is None:
-            st = self.init()
+            st = self.system.initial
         if oracle is None and seed is not None:
             rng = random.Random(seed)
             oracle = rng.choice
@@ -337,7 +333,8 @@ class Bakery:
         while not g.done[v]:
             if len(trace) >= max_steps:
                 raise BakeryError(f"run exceeded {max_steps} steps")
-            v, text = g.step(self, v, g.choose(self, v, oracle), len(trace))
+            k = len(trace)
+            v, text = g.step(self, v, g.choose(self, v, oracle, k), k)
             measures.append(g.ordinal[v])
             trace.append(f"step {len(trace) + 1}{text}")
         return RunResult(g.states[v], tuple(trace), tuple(measures))

@@ -231,6 +231,9 @@ def cli_main(argv: Optional[list[str]] = None) -> int:
     except _TOOL_ERRORS as err:
         print(f"wfgraph: error: {err}", file=sys.stderr)
         return 1
+    except RecursionError:  # expressions are walked by recursion
+        print("wfgraph: error: model nests too deeply", file=sys.stderr)
+        return 1
 
 
 def console_main() -> None:

@@ -2,9 +2,10 @@
 
 A model declares record sorts over booleans, fixed-width naturals, and
 enumerations, plus named total functions, abstraction maps, and the system
-wiring (init / next / shared-next / blok / done).  Expressions are elaborated
-against declared sorts at parse time, so every ``Expr`` reaching the
-evaluator or the CNF translator is well-sorted by construction.
+wiring (processes / init / next / shared-next / blok / done).  Expressions
+are elaborated against declared sorts at parse time, so every ``Expr``
+reaching the evaluator or the CNF translator is well-sorted by
+construction.
 
 The surface syntax is s-expressions (see ``sexpr``).  ``a.field`` reads a
 record field, ``(update a :f e ...)`` copies a record with fields replaced,
@@ -708,7 +709,8 @@ class MapDecl:
 class SystemDecl:
     state_sort_name: str
     shared_sort_name: str
-    init: str
+    processes: int
+    init: str                      # takes the process index, 1..processes
     next: str
     shared_next: str
     blok: str
@@ -1246,19 +1248,26 @@ def parse_model(text: str, params: Optional[dict[str, int]] = None) -> Model:
             for f in rest:
                 if not f.is_list or len(f.items) != 2 or f.items[0].kind != "sym":
                     raise ParseError("(system (role name)...)", f.pos())
-                fields[f.items[0].value] = f.items[1].sym()
-            required = ("state", "shared", "init", "next", "shared-next",
-                        "blok", "done")
+                role, x = f.items[0].value, f.items[1]
+                fields[role] = x if role == "processes" else x.sym()
+            required = ("state", "shared", "processes", "init", "next",
+                        "shared-next", "blok", "done")
             for r in required:
                 if r not in fields:
                     raise ParseError(f"system is missing ({r} ...)", form.pos())
+            pc = fields["processes"]
+            count = (pc.value if pc.kind == "int" else
+                     param_map.get(pc.value) if pc.kind == "sym" else None)
+            if count is None or count < 1:
+                raise ParseError("(processes n) takes a parameter or a literal "
+                                 "of at least 1", pc.pos())
             for role in ("state", "shared"):
                 if fields[role] not in sorts:
                     raise ParseError(f"unknown sort '{fields[role]}'", form.pos())
             st = sorts[fields["state"]]
             sh = sorts[fields["shared"]]
             sigs = {
-                "init": ((), st),
+                "init": (None, st),  # one natural that holds every index
                 "next": ((st, sh), st),
                 "shared-next": ((sh, st), sh),
                 "blok": ((st, st), BOOL),
@@ -1269,12 +1278,17 @@ def parse_model(text: str, params: Optional[dict[str, int]] = None) -> Model:
                 if dn not in defines:
                     raise ParseError(f"unknown definition '{dn}'", form.pos())
                 d = defines[dn]
-                if tuple(s for _, s in d.params) != psorts or d.result != rsort:
+                got = tuple(s for _, s in d.params)
+                if psorts is None and len(got) == 1 and isinstance(
+                        got[0], NatSort) and count < 1 << got[0].width:
+                    psorts = got  # init's index holds every process's
+                if got != psorts or d.result != rsort:
                     raise ParseError(f"'{dn}' has the wrong signature for "
                                      f"({role} ...)", form.pos())
-            system = SystemDecl(fields["state"], fields["shared"], fields["init"],
-                                fields["next"], fields["shared-next"],
-                                fields["blok"], fields["done"])
+            system = SystemDecl(fields["state"], fields["shared"], count,
+                                fields["init"], fields["next"],
+                                fields["shared-next"], fields["blok"],
+                                fields["done"])
 
         else:
             raise ParseError(f"unknown top-level form '{head}'", form.pos())
@@ -1408,6 +1422,7 @@ def pretty_print(model: Model) -> str:
         forms.append(lst(sym("system"),
                          lst(sym("state"), sym(sy.state_sort_name)),
                          lst(sym("shared"), sym(sy.shared_sort_name)),
+                         lst(sym("processes"), num(sy.processes)),
                          lst(sym("init"), sym(sy.init)),
                          lst(sym("next"), sym(sy.next)),
                          lst(sym("shared-next"), sym(sy.shared_next)),

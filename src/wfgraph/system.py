@@ -1,16 +1,20 @@
 """What a model's `system` declaration means, said once.
 
 A model's `system` names the definitions that make up its concurrent
-system: the `init` process, the `next` and `shared-next` steps, the `blok`
-(waits-on) predicate and `done`.  Everything that reads them reads them
-here:
+system: the number of `processes`, the `init` process (a function of the
+process index), the `next` and `shared-next` steps, the `blok` (waits-on)
+predicate and `done`.  Everything that reads them reads them here:
 
   relation_parts         a map's concrete relation, as a symbolic
                          hypothesis over free state variables; the graph
                          builder (``absgraph``) and the certifier
                          (``certify``) both enumerate it
   System, SystemState    the same definitions compiled to closures over
-                         model values, for monitored runs (``bakery``)
+                         model values, for monitored runs (``bakery``), and
+                         the initial state: process k is ``init(k)`` for
+                         k = 1..processes, the shared state its sort's
+                         default; a step map's graph (``absgraph``) is
+                         seeded with its processes' nodes
   abstraction_functions  a map's node and measure expressions, compiled
 
 This module imports from ``model`` only, so the relation that the
@@ -24,7 +28,7 @@ from typing import Callable, Optional, Sequence
 
 from .model import (
     And, Expr, MapDecl, Model, ModelError, Not, Sort, SystemDecl, TupleV,
-    Value, Var, compile_expr, default_value, subst_vars)
+    Value, Var, code_value, compile_expr, default_value, subst_vars)
 
 
 class BakeryError(Exception):
@@ -100,11 +104,10 @@ class SystemState:
 @dataclass(frozen=True)
 class System:
     """A model's `system` declaration compiled to closures over model values:
-    the `init` process, the shared sort's default value, and `next`,
-    `shared-next`, `blok` and `done` as Python functions."""
+    the initial state, and `next`, `shared-next`, `blok` and `done` as
+    Python functions."""
 
-    init: TupleV
-    sh0: TupleV
+    initial: SystemState
     next: Callable[[TupleV, TupleV], TupleV]
     shared_next: Callable[[TupleV, TupleV], TupleV]
     blok: Callable[[TupleV, TupleV], bool]
@@ -122,8 +125,12 @@ class System:
         shn, (sh2, a2) = define(sy.shared_next)
         blok, (a3, b3) = define(sy.blok)
         done, (a4,) = define(sy.done)
-        return cls(define(sy.init)[0]({}),
-                   default_value(model.record_sort(sy.shared_sort_name)),
+        init, (i,) = define(sy.init)
+        index = model.define(sy.init).params[0][1]
+        return cls(SystemState(
+                       tuple(init({i: code_value(index, k)})
+                             for k in range(1, sy.processes + 1)),
+                       default_value(model.record_sort(sy.shared_sort_name))),
                    lambda a, sh: nxt({a1: a, sh1: sh}),
                    lambda sh, a: shn({sh2: sh, a2: a}),
                    lambda a, b: blok({a3: a, b3: b}).val,

@@ -3,9 +3,10 @@
 ``wfgraph.absgraph`` builds each graph, and each tagging, from one query
 over the whole concrete relation.  These are the per-node loops it
 replaced, kept as the oracle its graphs are compared against: a worklist
-that asks one step query per reached node (the node fixed through the
-``@src`` variable), one relation query per domain node of a blocking map,
-and one tag query per source node of a graph.  Every query is total or
+from the nodes of the system's initial processes that asks one step query
+per reached node (the node fixed through the ``@src`` variable), one
+relation query per domain node of a blocking map, and one tag query per
+source node of a graph.  Every query is total or
 raises NotTotal, as the library's are.
 """
 
@@ -19,8 +20,8 @@ from wfgraph.absgraph import (
 from wfgraph.enumeration import compute_finite_values
 from wfgraph.model import (
     And, BoolV, Const, Eq, Expr, Model, TupleE, Value, Var,
-    canonical_sorted, subst_vars, value_text)
-from wfgraph.system import relation_parts
+    canonical_sorted, eval_expr, subst_vars, value_text)
+from wfgraph.system import System, relation_parts
 
 SRC_VAR = "@src"
 
@@ -42,8 +43,8 @@ def reach_graph(model: Model, map_name: str,
     node."""
     mp, rel, y, var_sorts = relation_parts(model, map_name)
     node = mp.node
-    init_trm = subst_vars(node, {mp.var: model.define(model.system.init).body})
-    init = _values(var_sorts, Const(BoolV(True)), init_trm, backend, "init")
+    init = {eval_expr(node, {mp.var: a})
+            for a in System.compile(model).initial.trs}
     step_hyp = And((Eq(node, Var(SRC_VAR)), rel))
     step_trm = subst_vars(node, {mp.var: y})
     nodes: set[Value] = set(init)

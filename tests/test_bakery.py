@@ -26,15 +26,19 @@ from _native_bakery import (
     bake_tr_blok,
     bake_tr_next,
 )
+import wfgraph.bakery as bakery_module
+from wfgraph.absgraph import map_graph, tag_graph
 from wfgraph.bakery import (
     Bakery,
     bakery_model,
+    bakery_text,
     choose_ready,
     find_unblok,
 )
-from wfgraph.certify import CertificationError, DescentError
+from wfgraph.certify import (
+    CertificationError, DescentError, certify_relation)
 from wfgraph.enumeration import compute_finite_values
-from wfgraph.measure import Omap
+from wfgraph.measure import Omap, omap_text, synthesize_omap
 from wfgraph.model import (
     And,
     BoolSort,
@@ -50,7 +54,7 @@ from wfgraph.model import (
 )
 from wfgraph.ordinals import (
     Ordinal, bnll_lt, bnll_to_ordinal, o_lt, ordinal_text)
-from wfgraph.system import BakeryError, System
+from wfgraph.system import BakeryError, System, abstraction_functions
 
 
 N, R, W = 2, 2, 3
@@ -166,7 +170,7 @@ def test_find_unblok_post_over_all_interleavings():
     # undone process ends at one that is undone and unblocked
     b = Bakery(2, 2, 2)
     system = b.system
-    start = b.init()
+    start = system.initial
     seen = {start}
     q = deque([start])
     checked = 0
@@ -289,7 +293,7 @@ def test_run_on_finished_state_is_empty(bakery):
 
 
 def test_step_only_moves_one_rank_position(bakery):
-    st = bakery.init()
+    st = bakery.system.initial
     rng = random.Random(8)
     for _ in range(60):
         valid = [i for i, a in enumerate(st.trs)
@@ -311,7 +315,7 @@ def _fully_remeasured_run(b: Bakery, seed: int):
     """The monitored run with every process's rank re-measured at every
     step; ``Bakery.run`` re-measures only the process that moved."""
     oracle = random.Random(seed).choice
-    st = b.init()
+    st = b.system.initial
     bn = b.rank_bnll(st)
     measures = [bnll_to_ordinal(b.n, bn, b.rank_omap.bnl_bound)]
     while not all(b.system.done(a) for a in st.trs):
@@ -358,6 +362,40 @@ def test_run_matches_native_oracle(params, seeds):
             assert res.trace == trace, (pass_, seed)
             assert res.measures == measures, (pass_, seed)
             assert native.from_state(res.final) == final, (pass_, seed)
+
+
+def test_sat_backed_monitor_matches_exhaustive():
+    # the sat backend synthesizes the same measures, so its runs are the
+    # same runs
+    exh, sat = Bakery(2, 1, 2), Bakery(2, 1, 2, backend="sat")
+    for name in ("rank_omap", "nlock_omap"):
+        assert omap_text(getattr(sat, name)) == omap_text(getattr(exh, name))
+    for seed in range(3):
+        assert sat.run(seed=seed) == exh.run(seed=seed)
+
+
+@pytest.mark.parametrize("backend", ["exhaustive", "sat"])
+def test_step_graph_holds_every_initial_process(backend, monkeypatch):
+    # a rank node that tells process 1 from the others: the graph is seeded
+    # with every initial process's node, so the certified omap covers the
+    # state every run starts from
+    text = bakery_text()
+    edited = text.replace("(:inv (counters-ok a)))",
+                          "(:inv (counters-ok a)) (:first (= a.ndx 1)))")
+    assert edited != text, "transform target drifted"
+    monkeypatch.setattr(bakery_module, "bakery_text", lambda: edited)
+    model = bakery_model(2, 1, 2)
+    g = map_graph(model, "rank", backend)
+    assert (len(g.nodes), len(g.arcs)) == (40, 42)
+    map_e, _ = abstraction_functions(model, "rank")
+    seeds = {map_e(a) for a in System.compile(model).initial.trs}
+    assert len(seeds) == 2 and seeds <= set(g.nodes)
+    tg = tag_graph(model, "rank", g, backend)
+    cert = certify_relation(model, "rank", tg, synthesize_omap(tg), edited,
+                            backend)
+    assert cert.passed
+    res = Bakery(2, 1, 2, backend).run(seed=0)
+    assert res.steps and all(a.get("done").val for a in res.final.trs)
 
 
 def _rebound(b: Bakery, **attrs) -> Bakery:
@@ -433,7 +471,7 @@ def test_replayed_run_steps_and_measures_nothing(monkeypatch):
 
 
 def test_warm_run_from_mid_state_matches_fresh(bakery):
-    st = bakery.init()
+    st = bakery.system.initial
     for _ in range(30):
         st = bakery.step(st, choose_ready(st.trs, bakery.system))
     bakery.run()  # stores the witness path, which passes through st
@@ -479,6 +517,25 @@ def test_oracle_must_pick_a_process_index(bakery, pick):
         bakery.run(oracle=lambda valid: pick)
 
 
+def test_oracle_must_pick_a_ready_process():
+    # a done process: once process 0 has finished, only 1 is ready
+    with pytest.raises(BakeryError, match=r"^step 26 chose index 0, not a "
+                       r"process that is ready: \[1\]$"):
+        Bakery(2, 1, 2).run(oracle=lambda valid: 0)
+    # a blocked one: replay seeded picks to the first state where a process
+    # waits on another, then pick the waiter
+    b = Bakery(2, 2, 3)
+    st, rng = b.system.initial, random.Random(0)
+    while (k := next((i for i, a in enumerate(st.trs)
+                      if b.system.blocker(a, st.trs) is not None),
+                     None)) is None:
+        st = b.step(st, choose_ready(st.trs, b.system, rng.choice))
+    assert not b.system.done(st.trs[k])
+    with pytest.raises(BakeryError, match=rf"^step 1 chose index {k}, not a "
+                       rf"process that is ready: \[{1 - k}\]$"):
+        b.run(st=st, oracle=lambda valid: k)
+
+
 def test_parameter_validation():
     with pytest.raises(BakeryError):
         Bakery(n=0)
@@ -490,7 +547,7 @@ def test_parameter_validation():
 
 def test_nlock_measure_falls_along_blocker_chain(bakery):
     # pick a mid-run state with a real waiter and check the measured walk
-    st = bakery.init()
+    st = bakery.system.initial
     for _ in range(40):
         i = choose_ready(st.trs, bakery.system, None, bakery.nlock_msr)
         st = bakery.step(st, i)

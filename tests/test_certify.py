@@ -376,8 +376,7 @@ def test_certificate_json_and_hashes(model, rank_parts):
 def test_abstraction_functions(model, rank_parts):
     tg, _ = rank_parts
     map_e, map_o = abstraction_functions(model, "rank")
-    init = model.define("init").body
-    x0 = eval_expr(init, {})
+    x0 = system.System.compile(model).initial.trs[0]
     assert map_e(x0) == tg.nodes[0]
     assert map_o(x0, "runs") == (2,)
     assert map_o(x0, "loop") == (0,)
@@ -385,6 +384,7 @@ def test_abstraction_functions(model, rank_parts):
 
 def test_abstraction_functions_compile_each_expression_once(
         model, monkeypatch):
+    x0 = system.System.compile(model).initial.trs[1]
     compiled = []
     compile_expr = system.compile_expr
 
@@ -396,7 +396,6 @@ def test_abstraction_functions_compile_each_expression_once(
     mp = model.map_decl("rank")
     map_e, map_o = abstraction_functions(model, "rank")
     assert compiled == [mp.node] + [e for _, e in mp.measures]
-    x0 = eval_expr(model.define("init").body, {})
     for _ in range(3):
         assert map_e(x0) == eval_expr(mp.node, {mp.var: x0})
         for name in mp.measure_names:
@@ -550,7 +549,7 @@ JOBS = """(model jobs
   (params (w 2))
   (sort job (phase (enum wait work rest stop)) (left (nat w)) (done bool))
   (sort shared (tick bool))
-  (define init () job (tuple (:phase wait) (:left 3) (:done nil)))
+  (define init ((i (nat 1))) job (tuple (:phase wait) (:left 3) (:done nil)))
   (define next ((a job) (sh shared)) job
     (if (= a.phase wait) (update a :phase work)
       (if (= a.phase work) (update a :phase rest :left (1- a.left))
@@ -564,7 +563,7 @@ JOBS = """(model jobs
     (kind step)
     (node (:phase a.phase) (:left=0 (= a.left 0)) (:done a.done))
     (measure left (tuple a.left)))
-  (system (state job) (shared shared) (init init) (next next)
+  (system (state job) (shared shared) (processes 1) (init init) (next next)
           (shared-next shared-next) (blok blok) (done done)))
 """
 

@@ -432,6 +432,19 @@ def test_model_without_system_is_a_tool_error(tmp_path, capsys):
             "wfgraph: error: model 'nosys' declares no system\n"
 
 
+def test_deep_nesting_is_a_tool_error(tmp_path, capsys):
+    # expressions are elaborated, compiled and translated by recursion, one
+    # level per nesting level: a chain past Python's limit is a one-line
+    # tool error, not a traceback
+    f = tmp_path / "deep.wfm"
+    f.write_text("(model deep\n  (sort s (x (nat 2)))\n"
+                 "  (define p ((a s)) bool " + "(not " * 1000 + "(= a.x 0)"
+                 + ")" * 1000 + "))\n")
+    assert cli_main(["check", "--model", str(f)]) == 1
+    assert capsys.readouterr().err == \
+        "wfgraph: error: model nests too deeply\n"
+
+
 def test_capacity_is_a_tool_error(monkeypatch, capsys):
     # a query whose table passes a lowered row cap is one line naming the
     # query: at (2,2,2) rank's step table has 512 rows, nlock's domain

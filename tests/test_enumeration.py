@@ -344,9 +344,9 @@ def test_total_sat_queries_probe_once_past_their_values(monkeypatch):
         om = measure.synthesize_omap(tg)
         assert certify.certify_relation(model, "rank", tg, om,
                                         bakery.bakery_text(), "sat").passed
-    assert len(seen) == 8
+    assert len(seen) == 6
     assert all(r.solve_calls == len(r.values) + 1 for r in seen)
-    assert sum(len(r.values) for r in seen) == 352
+    assert sum(len(r.values) for r in seen) == 350
 
 
 def test_unsat_hypothesis_is_total_in_one_call():

@@ -47,12 +47,17 @@ from wfgraph.model import (
 )
 from wfgraph.enumeration import BACKENDS, compute_finite_values
 from wfgraph.sexpr import SExprError, parse_sexprs, pretty, to_text
+from wfgraph.system import System
 from wfgraph.veceval import Table, eval_vec
 
 
 @pytest.fixture(scope="module")
 def bakery():
     return parse_model(bakery_text())
+
+
+def _initial(model):
+    return System.compile(model).initial
 
 
 # -- s-expressions -----------------------------------------------------------
@@ -114,6 +119,42 @@ def test_parse_error_carries_position():
     assert ei.value.pos is not None
 
 
+INIT = "(define init ((i (nat (bits n)))) proc"
+SIG = "'init' has the wrong signature for (init ...)"
+COUNT = "(processes n) takes a parameter or a literal of at least 1"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("(processes n) ", "", "system is missing (processes ...)"),
+    ("(processes n)", "(processes 0)", COUNT),
+    ("(processes n)", "(processes q)", COUNT),
+    ("(processes n)", "(processes (bits n))", COUNT),
+    ("(processes n)", "(processes 4)", SIG),
+    (INIT, "(define init () proc", SIG),
+    (INIT, "(define init ((i bool)) proc", SIG),
+    (INIT, "(define init ((i (nat 1))) proc", SIG),
+    (INIT, "(define init ((i (nat 2)) (j (nat 2))) proc", SIG),
+])
+def test_system_refuses_a_bad_process_count_or_init(old, new, message):
+    # the system declares how many processes there are, and its init takes
+    # one natural that holds every process index (the edited inits do not
+    # read theirs)
+    text = bakery_text().replace("(:ndx i)", "(:ndx 1)")
+    assert old in text
+    with pytest.raises(ParseError) as e:
+        parse_model(text.replace(old, new, 1))
+    assert e.value.message == message
+    assert "\n" not in str(e.value)
+
+
+def test_system_process_count_is_a_parameter_or_a_literal():
+    text = bakery_text()
+    m = parse_model(text.replace("(processes n)", "(processes 3)"))
+    assert m.system.processes == 3
+    assert [a.get("ndx").val for a in _initial(m).trs] == [1, 2, 3]
+    assert parse_model(text, {"n": 3}).system.processes == 3
+
+
 def test_measure_names_and_widths(bakery):
     mp = bakery.map_decl("rank")
     assert mp.measure_names == ("runs", "loop")
@@ -154,7 +195,7 @@ def test_value_text_forms(bakery):
 
 def test_value_json_roundtrip(bakery):
     proc = bakery.record_sort("proc")
-    init = eval_expr(bakery.define("init").body, {})
+    init = _initial(bakery).trs[0]
     for v in (BoolV(True), NatV(6, 3), EnumV("b", ("a", "b")), init,
               default_value(proc)):
         assert value_from_json(value_to_json(v)) == v
@@ -226,16 +267,20 @@ def test_value_codes_round_trip_and_order_canonically(case):
 # -- evaluation --------------------------------------------------------------
 
 def test_init_state(bakery):
-    init = eval_expr(bakery.define("init").body, {})
-    assert init.get("loc") == NatV(0, 5)
-    assert init.get("runs") == NatV(2, 2)
-    assert init.get("ndx") == NatV(1, 2)
-    assert init.get("done") == BoolV(False)
+    # process k is init(k), for k = 1..n; the shared state is its default
+    initial = _initial(bakery)
+    assert [a.get("ndx") for a in initial.trs] == [NatV(1, 2), NatV(2, 2)]
+    for init in initial.trs:
+        assert init.get("loc") == NatV(0, 5)
+        assert init.get("runs") == NatV(2, 2)
+        assert init.get("done") == BoolV(False)
+    assert initial.sh == default_value(bakery.record_sort("shared"))
+    assert len(_initial(parse_model(bakery_text(), {"n": 5})).trs) == 5
 
 
 def test_next_case_arms(bakery):
     nxt = bakery.define("next")
-    init = eval_expr(bakery.define("init").body, {})
+    init = _initial(bakery).trs[0]
     sh = default_value(bakery.record_sort("shared"))
     a1 = eval_expr(nxt.apply(Const(init), Const(sh)), {})
     assert a1.get("loc") == NatV(1, 5)
@@ -251,7 +296,7 @@ def test_next_case_arms(bakery):
 
 def test_shared_next_updates_max_at_loc6(bakery):
     shn = bakery.define("shared-next")
-    init = eval_expr(bakery.define("init").body, {})
+    init = _initial(bakery).trs[0]
     a = TupleV(tuple((n, NatV(6, 5) if n == "loc" else
                       NatV(4, 3) if n == "pos" else
                       NatV(3, 3) if n == "temp" else v)
@@ -324,7 +369,8 @@ def test_parse_rejects_mixed_eq():
 
 def test_subst_closes_a_map_node(bakery):
     mp = bakery.map_decl("rank")
-    closed = subst_vars(mp.node, {mp.var: bakery.define("init").body})
+    init = bakery.define("init").apply(Const(NatV(2, 2)))
+    closed = subst_vars(mp.node, {mp.var: init})
     assert eval_expr(closed, {}).get("loc") == NatV(0, 5)
 
 
@@ -346,6 +392,7 @@ def test_pretty_print_roundtrip(bakery):
     again = parse_model(text)
     assert again == bakery
     assert pretty_print(again) == text
+    assert "(processes 2)" in text
 
 
 LAMPS = """(model lamps
