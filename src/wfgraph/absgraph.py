@@ -2,19 +2,22 @@
 
 A graph's nodes are the values an abstraction map's node expression takes;
 arcs record which nodes can follow which.  Both come from the image of the
-map's concrete relation (``system.relation_parts``): one enumeration query
-for the distinct (node(x), node(y)) pairs of related states x, y.
-``map_graph`` keeps what that image reaches from the map's seed nodes: for
-a step map the nodes of the system's initial processes, compiled from the
-model (``system.System``), and for a blocking map every domain node.
-``tag_graph`` tags every arc, per component measure, with whether the
-measure strictly decreases, never increases, or may increase across the
-concrete pairs the arc abstracts, from one more image query that carries
-per-measure order flags.
+map's concrete relation (``system.relation_parts``): the distinct
+(node(x), node(y)) pairs of related states x, y.  ``map_graph`` keeps what
+that image reaches from the map's seed nodes.  A step map's seeds are the
+nodes of the system's initial processes, compiled from the model
+(``system.System``), and one ``enumeration.reach`` query finds the arcs
+they reach.  A blocking map's seeds are every domain node, so its graph is
+the whole image, which one enumeration query finds.  ``tag_graph`` tags
+every arc, per component measure, with whether the measure strictly
+decreases, never increases, or may increase across the concrete pairs the
+arc abstracts, from one more image query that carries per-measure order
+flags.
 
-Every query is total: ``enumeration.compute_finite_values`` returns every
-value or raises NotTotal naming the query (``step``, ``domain``,
-``relation`` or ``tag``), so no graph is built from a partial image.
+Every query is total: ``enumeration.compute_finite_values`` and
+``enumeration.reach`` return every value or arc, or raise NotTotal naming
+the query (``step``, ``domain``, ``relation`` or ``tag``), so no graph is
+built from a partial image.  This module holds no backend's code.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from functools import cached_property
 from typing import Optional
 
 # NotTotal is raised by enumeration; it stays importable from here
-from .enumeration import NotTotal, compute_finite_values  # noqa: F401
+from .enumeration import NotTotal, compute_finite_values, reach  # noqa: F401
 from .model import (
     And, BoolV, Const, Eq, Expr, Le, Lt, Model, Or, TupleE, Value,
     canonical_sorted, subst_vars, value_from_json, value_text, value_to_json)
@@ -156,34 +159,25 @@ def map_graph(model: Model, map_name: str,
     its relation.
 
     A step map is seeded with the node of each process of the system's
-    initial state, a blocking map with every node of its declared domain,
-    which one query finds.  One more query finds the relation's image
-    (``_image``); the graph keeps the image pairs the seeds reach.  A
-    blocking map's relation already keeps both ends in its domain, so its
-    graph is the whole image.
+    initial state, and one reach query (``enumeration.reach``) finds the
+    image arcs those seeds reach.  A blocking map is seeded with every
+    node of its declared domain, which one query finds; its relation
+    already keeps both ends in that domain, so its graph is the whole
+    image, which one more query finds (``_image``).
     """
     parts = relation_parts(model, map_name)
-    mp, _, _, var_sorts = parts
+    mp, rel, dst_state, var_sorts = parts
     if mp.kind == "step":
         map_e, _ = abstraction_functions(model, map_name)
         nodes: set[Value] = set(map(map_e, System.compile(model).initial.trs))
-        sweep = "step"
+        arcs = set(reach(var_sorts, rel, mp.node,
+                         subst_vars(mp.node, {mp.var: dst_state}), nodes,
+                         backend, "step"))
     else:
         nodes = set(compute_finite_values(
             var_sorts, mp.domain, mp.node, backend, "domain").values)
-        sweep = "relation"
-    succ: dict[Value, list[Value]] = {}
-    for u, v in _image(parts, backend, sweep):
-        succ.setdefault(u, []).append(v)
-    arcs: set[tuple[Value, Value]] = set()
-    work = list(nodes)
-    while work:
-        u = work.pop()
-        for v in succ.get(u, ()):
-            arcs.add((u, v))
-            if v not in nodes:
-                nodes.add(v)
-                work.append(v)
+        arcs = set(_image(parts, backend, "relation"))
+    nodes.update(v for _, v in arcs)
     return _freeze(nodes, arcs)
 
 

@@ -234,7 +234,8 @@ class _StepGraph:
             bn2 = self.bnll[u]
         if not bnll_lt(bn2, bn):
             raise DescentError(
-                f"rank measure failed to fall at step {k}: {bn} -> {bn2}")
+                f"rank measure failed to fall at step {k + 1}: "
+                f"{bn} -> {bn2}")
         if u is None:
             u = self._add(b, key, bn2)
         before, after = st.trs[i], self.states[u].trs[i]

@@ -73,6 +73,17 @@ def bitval_lits(v: BitVal) -> list[int]:
     return [l for leaf in vval_leaves(v) for l in leaf.lits]
 
 
+def value_lits(v: BitVal, value: Value) -> list[int]:
+    """The literals that are true exactly when ``v`` takes ``value``: per
+    leaf, in ``bitval_lits`` order, each bit of its code's literal or its
+    negation."""
+    if isinstance(v, VRec):
+        return [l for (_, x), (_, y) in zip(v.items, value.items)
+                for l in value_lits(x, y)]
+    code = value_code(value)
+    return [l if code >> i & 1 else -l for i, l in enumerate(v.lits)]
+
+
 def _same_width(a: list[int], b: list[int], op: str):
     if len(a) != len(b):
         raise BlastError(f"operands of {op} have {len(a)} and {len(b)} bits")

@@ -8,10 +8,19 @@ at call time, one past the exhaustive row cap, so only a SAT query can)
 raises NotTotal, and an exhaustive table past the row cap raises
 ``veceval.Capacity``; both name the query.
 
+``reach`` asks for the arcs (u, v) of the relation {(src, dst) under
+``hyp``} that a set of seed nodes reaches.  It takes nodes first in, first
+out, in canonical order, and refuses with NotTotal once the reached arcs
+reach ``VALUE_BOUND``, on both backends at the same count.
+
 Backends:
-  exhaustive  vectorized sweep over the variable domains (numpy)
-  sat         bit-blast to CNF, enumerate models with the built-in solver,
-              blocking each found output pattern
+  exhaustive  vectorized sweep over the variable domains (numpy); a reach
+              sweeps the relation's whole image once and walks it
+  sat         bit-blast to CNF once, load the built-in solver once and
+              enumerate models, blocking each found output pattern; a
+              reach asks once per reached node, its ``src`` bits given as
+              assumptions (``DpllSolver.solve``), so only reachable
+              arcs are enumerated
 
 Evaluation is independent per backend: numpy columns on one side, CNF and
 a CDCL solver on the other.  Decoding and canonical order are shared: every
@@ -27,10 +36,12 @@ them (``veceval.int64_codes``): on SAT before the first solve.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from typing import Iterable, Sequence
 
-from .bitblast import bitblast
-from .model import Expr, Sort
+from .bitblast import Circuit, bitblast, value_lits
+from .model import Expr, Sort, TupleE, Value, canonical_sorted
 from .sat import DpllSolver
 from .veceval import (
     DEFAULT_ROW_CAP, Capacity, DistinctRows, distinct_rows, exhaustive_values,
@@ -56,36 +67,106 @@ class EnumResult:
     solve_calls: int
 
 
+def _check_backend(backend: str):
+    if backend not in BACKENDS:
+        raise ValueError(f"unknown backend {backend!r}")
+
+
+def _exhaustive_values(var_sorts: dict[str, Sort], hyp: Expr, trm: Expr,
+                       what: str) -> DistinctRows:
+    try:
+        return exhaustive_values(var_sorts, hyp, trm)
+    except Capacity as err:
+        raise Capacity(err.rows, err.cap, what) from None
+
+
+def _load(var_sorts: dict[str, Sort], hyp: Expr, trm: Expr
+          ) -> tuple[Circuit, DpllSolver]:
+    """``trm`` under ``hyp`` bitblasted once and loaded into one solver,
+    ``hyp`` asserted.  A too-wide output is refused before any solve."""
+    circuit = bitblast(trm, hyp, var_sorts)
+    int64_codes(circuit.output)
+    solver = DpllSolver(circuit.num_vars)
+    for clause in circuit.clauses:
+        solver.add_clause(clause)
+    solver.add_clause([circuit.hyp_lit])
+    return circuit, solver
+
+
+def _models(circuit: Circuit, solver: DpllSolver, limit: int,
+            assumptions: Sequence[int] = ()) -> DistinctRows:
+    """The output values of the models under ``assumptions``, at most
+    ``limit`` of them.  Each model's output pattern is blocked, so each is
+    a new value; the solver keeps the blocking clauses."""
+    outputs = circuit.outputs
+    rows: list[list[bool]] = []
+    while len(rows) < limit and solver.solve(assumptions):
+        model = solver.model
+        bits = [model[l] if l > 0 else not model[-l] for l in outputs]
+        rows.append(bits)
+        solver.add_clause([-l if b else l for l, b in zip(outputs, bits)])
+    return distinct_rows(circuit.output_columns(rows), len(rows))
+
+
 def compute_finite_values(var_sorts: dict[str, Sort], hyp: Expr, trm: Expr,
                           backend: str = "exhaustive",
                           what: str = "query") -> EnumResult:
     """Every value of ``trm`` under ``hyp``, or NotTotal (or Capacity)
     naming the query ``what``.  ``solve_calls`` counts one probe past the
     values: the SAT backend's last solve is the one that finds nothing."""
-    if backend not in BACKENDS:
-        raise ValueError(f"unknown backend {backend!r}")
+    _check_backend(backend)
     bound = VALUE_BOUND
     if backend == "exhaustive":
-        try:
-            values = exhaustive_values(var_sorts, hyp, trm)
-        except Capacity as err:
-            raise Capacity(err.rows, err.cap, what) from None
+        values = _exhaustive_values(var_sorts, hyp, trm, what)
     else:
-        circuit = bitblast(trm, hyp, var_sorts)
-        int64_codes(circuit.output)  # refused before the first solve
-        outputs = circuit.outputs
-        solver = DpllSolver(circuit.num_vars)
-        for clause in circuit.clauses:
-            solver.add_clause(clause)
-        solver.add_clause([circuit.hyp_lit])
-        # each model's output pattern is blocked, so each is a new value
-        rows: list[list[bool]] = []
-        while len(rows) < bound and solver.solve():
-            model = solver.model
-            bits = [model[l] if l > 0 else not model[-l] for l in outputs]
-            rows.append(bits)
-            solver.add_clause([-l if b else l for l, b in zip(outputs, bits)])
-        values = distinct_rows(circuit.output_columns(rows), len(rows))
+        values = _models(*_load(var_sorts, hyp, trm), bound)
     if len(values) >= bound:
         raise NotTotal(what, bound)
     return EnumResult(values, len(values) + 1)
+
+
+def reach(var_sorts: dict[str, Sort], hyp: Expr, src: Expr, dst: Expr,
+          seeds: Iterable[Value], backend: str = "exhaustive",
+          what: str = "query") -> list[tuple[Value, Value]]:
+    """The arcs (u, v) of the relation {(src, dst) under ``hyp``} that
+    ``seeds`` reach, or NotTotal naming the query ``what`` once they reach
+    ``VALUE_BOUND`` (or Capacity).
+
+    Nodes are taken first in, first out, seeds and each node's
+    successors in canonical order, so both backends list the same arcs
+    in the same order.  The exhaustive backend finds the whole image in
+    one sweep; the SAT backend loads one solver and enumerates each
+    reached node's successors with that node's ``src`` bits assumed."""
+    _check_backend(backend)
+    pair = TupleE((("src", src), ("dst", dst)))
+    if backend == "exhaustive":
+        succ: dict[Value, list[Value]] = {}
+        image = _exhaustive_values(var_sorts, hyp, pair, what)
+        for i in range(len(image)):
+            succ.setdefault(image.item(0, i), []).append(image.item(1, i))
+
+        def successors(u: Value, limit: int) -> Sequence[Value]:
+            return succ.get(u, ())
+    else:
+        circuit, solver = _load(var_sorts, hyp, pair)
+        src_bits = circuit.output.items[0][1]
+
+        def successors(u: Value, limit: int) -> Sequence[Value]:
+            found = _models(circuit, solver, limit, value_lits(src_bits, u))
+            return [found.item(1, i) for i in range(len(found))]
+    bound = VALUE_BOUND
+    order = canonical_sorted(set(seeds))
+    seen = set(order)
+    queue = deque(order)
+    arcs: list[tuple[Value, Value]] = []
+    while queue:
+        u = queue.popleft()
+        for v in successors(u, bound - len(arcs)):
+            arcs.append((u, v))
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+        if len(arcs) >= bound:
+            raise NotTotal(what, bound)
+    return arcs
+

@@ -1245,13 +1245,18 @@ def parse_model(text: str, params: Optional[dict[str, int]] = None) -> Model:
 
         elif head == "system":
             fields = {}
+            required = ("state", "shared", "processes", "init", "next",
+                        "shared-next", "blok", "done")
             for f in rest:
                 if not f.is_list or len(f.items) != 2 or f.items[0].kind != "sym":
                     raise ParseError("(system (role name)...)", f.pos())
                 role, x = f.items[0].value, f.items[1]
+                if role not in required:
+                    raise ParseError(f"unknown system role '{role}'", f.pos())
+                if role in fields:
+                    raise ParseError(f"duplicate system role '{role}'",
+                                     f.pos())
                 fields[role] = x if role == "processes" else x.sym()
-            required = ("state", "shared", "processes", "init", "next",
-                        "shared-next", "blok", "done")
             for r in required:
                 if r not in fields:
                     raise ParseError(f"system is missing ({r} ...)", form.pos())

@@ -30,6 +30,18 @@ stay, since the clause set only grows.  Units at level 0 are assigned for
 good, so a level-0 conflict or an empty clause leaves the solver
 unsatisfiable from then on.
 
+``solve(assumptions)`` asks for a model in which the given literals are
+true, as MiniSat does: assumption k is decided at level k + 1 (an empty
+level when it is already true), before any free decision, so learned
+clauses stay implied by the clauses alone.  A false assumption, at level 0
+or implied by earlier ones, makes ``solve`` return False; the solver stays
+usable.  A call with the same assumptions as the last keeps the trail,
+re-deciding any assumption a blocking clause cancelled, so enumeration
+under fixed assumptions continues where it stopped; a call with other
+assumptions cancels to level 0 first.  The reach query of the enumeration
+layer asks once per node: the node's source bits as assumptions, its
+successors enumerated by blocking clauses.
+
 The class keeps the name ``DpllSolver``: the benchmark's tracer
 (``perfbench/tracer.py``) wraps ``DpllSolver.solve`` and
 ``DpllSolver.add_clause`` by name for its ``sat.*`` spans.
@@ -37,7 +49,7 @@ The class keeps the name ``DpllSolver``: the benchmark's tracer
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Sequence
 
 
 class DpllSolver:
@@ -65,6 +77,7 @@ class DpllSolver:
         self._next = 1  # no variable below this one is unassigned
         self._seen = bytearray(n)
         self._ok = True
+        self._assumed: tuple[int, ...] = ()  # codes of the last assumptions
 
     def _assign(self, code: int, reason: Optional[list[int]]):
         self._val[code] = 1
@@ -90,11 +103,14 @@ class DpllSolver:
         self._qhead = start
         self._next = low
 
-    def add_clause(self, lits: list[int]):
+    def _check_range(self, lits: Sequence[int]):
         n = self.num_vars
         if lits and (0 in lits or min(lits) < -n or max(lits) > n):
             bad = next(l for l in lits if not 1 <= abs(l) <= n)
             raise ValueError(f"literal {bad} out of range")
+
+    def add_clause(self, lits: list[int]):
+        self._check_range(lits)
         if not self._ok:
             return
         val, level = self._val, self._level
@@ -212,9 +228,17 @@ class DpllSolver:
                 learnt[1], learnt[k] = learnt[k], learnt[1]
         return learnt, back
 
-    def solve(self) -> bool:
+    def solve(self, assumptions: Sequence[int] = ()) -> bool:
+        """Whether the clauses have a model in which every literal of
+        ``assumptions`` is true; the model is then ``self.model``.  False
+        under assumptions says nothing about the clauses alone."""
+        self._check_range(assumptions)
         if not self._ok:
             return False
+        assumed = tuple(l << 1 if l > 0 else -l << 1 | 1 for l in assumptions)
+        if assumed != self._assumed:
+            self._cancel_until(0)
+            self._assumed = assumed
         val = self._val
         while True:
             confl = self._propagate()
@@ -230,6 +254,17 @@ class DpllSolver:
                     self._assign(learnt[0], learnt)
                 else:
                     self._assign(learnt[0], None)
+                continue
+            dl = len(self._lim)
+            if dl < len(assumed):
+                # assumption dl is decision level dl + 1; one already true
+                # opens an empty level, one already false has no model
+                code = assumed[dl]
+                if val[code] == -1:
+                    return False
+                self._lim.append(len(self._trail))
+                if not val[code]:
+                    self._assign(code, None)
                 continue
             # both codes of an unassigned variable read 0, those of an
             # assigned one read 1 and -1

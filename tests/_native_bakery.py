@@ -237,7 +237,7 @@ def native_run(b: Bakery, seed: Optional[int] = None, max_steps: int = 100_000
         bn2[i] = rank(st2.trs[i])
         if not bnll_lt(bn2, bn):
             raise DescentError(f"rank measure failed to fall at step "
-                               f"{len(trace)}: {bn} -> {bn2}")
+                               f"{len(trace) + 1}: {bn} -> {bn2}")
         m = bnll_to_ordinal(b.n, bn2, bound)
         measures.append(m)
         trace.append(

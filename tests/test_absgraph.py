@@ -33,7 +33,7 @@ from wfgraph.absgraph import (
 )
 from wfgraph.bakery import bakery_model, bakery_text
 from wfgraph.certify import relation_cases
-from wfgraph.enumeration import BACKENDS, compute_finite_values
+from wfgraph.enumeration import BACKENDS, compute_finite_values, reach
 from wfgraph.model import (
     And,
     BoolV,
@@ -232,7 +232,7 @@ def test_backends_agree_on_rank_graph():
 
 
 def test_graph_and_tagging_each_sweep_once(model, monkeypatch):
-    # a step graph is one relation sweep (its seeds are compiled from the
+    # a step graph is one reach query (its seeds are compiled from the
     # system's initial state), a blocking graph one domain query plus one
     # sweep, and a tagging one sweep; a graph without arcs needs no tag
     # query
@@ -240,14 +240,20 @@ def test_graph_and_tagging_each_sweep_once(model, monkeypatch):
     calls = []
 
     def counting(var_sorts, hyp, trm, backend, what):
-        calls.append(backend)
+        calls.append(what)
         return compute_finite_values(var_sorts, hyp, trm, backend, what)
 
+    def reaching(var_sorts, hyp, src, dst, seeds, backend, what):
+        calls.append(what)
+        return reach(var_sorts, hyp, src, dst, seeds, backend, what)
+
     monkeypatch.setattr(absgraph, "compute_finite_values", counting)
+    monkeypatch.setattr(absgraph, "reach", reaching)
     for name, g in graphs.items():
         calls.clear()
         assert map_graph(model, name) == g
-        assert len(calls) == {"rank": 1, "nlock": 2}[name], name
+        assert calls == {"rank": ["step"],
+                         "nlock": ["domain", "relation"]}[name], name
         calls.clear()
         tag_graph(model, name, g)
         assert len(calls) == 1, name
@@ -369,9 +375,9 @@ def test_graph_from_json_refuses_what_it_would_coerce(rank_tg, case):
 
 def test_not_total_budgets(model, monkeypatch):
     # every query runs under the one value bound; set low, it names the
-    # query that reached it.  At (2,2,3) rank's step image has 134 values;
-    # nlock's domain has 64, its tag image 196, and its certificate sweep
-    # 11,264 cases
+    # query that reached it.  At (2,2,3) rank's seeds reach 23 arcs of its
+    # step image's 134; nlock's domain has 64, its tag image 196, and its
+    # certificate sweep 11,264 cases
     for backend in BACKENDS:
         for bound, name, what in ((2, "rank", "step"),
                                   (10, "nlock", "domain"),
@@ -389,6 +395,21 @@ def test_not_total_budgets(model, monkeypatch):
     with pytest.raises(NotTotal) as e:
         relation_cases(model, "nlock", tg.nodes)
     assert (e.value.what, e.value.num) == ("certificate sweep", 1000)
+
+
+def test_step_graph_bound_counts_reached_arcs(model, monkeypatch):
+    # the bound counts the arcs rank's seeds reach (23 at (2,2,3)), not its
+    # whole step image (134 pairs), on both backends alike
+    want = map_graph(model, "rank")
+    assert len(want.arcs) == 23
+    for backend in BACKENDS:
+        for bound in (24, 100, 134):
+            monkeypatch.setattr(enumeration, "VALUE_BOUND", bound)
+            assert map_graph(model, "rank", backend) == want, (backend, bound)
+        monkeypatch.setattr(enumeration, "VALUE_BOUND", 23)
+        with pytest.raises(NotTotal) as e:
+            map_graph(model, "rank", backend)
+        assert (e.value.what, e.value.num) == ("step", 23)
 
 
 def test_blocking_graph_stays_in_its_domain():

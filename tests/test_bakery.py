@@ -455,6 +455,25 @@ def test_monitor_catches_tampered_measure(bakery):
     assert bakery.run(seed=3).steps == 98
 
 
+@pytest.mark.parametrize("other, step", [(1, 1), (17, 24)])
+def test_descent_error_names_the_failing_step(bakery, other, step):
+    # swapping rank descriptor 0 with another makes the run fail at the
+    # step its trace would number ``step``; the native mirror agrees
+    om = bakery.rank_omap
+    descs = list(om.descriptors)
+    descs[0], descs[other] = ((descs[0][0], descs[other][1]),
+                              (descs[other][0], descs[0][1]))
+    tampered = _rebound(
+        bakery, rank_omap=Omap(tuple(descs), om.measures, om.widths))
+    want = f"rank measure failed to fall at step {step}: "
+    with pytest.raises(DescentError) as e:
+        tampered.run()
+    assert str(e.value).startswith(want)
+    with pytest.raises(DescentError) as n:
+        native.native_run(tampered)
+    assert str(n.value) == str(e.value)
+
+
 def test_replayed_run_steps_and_measures_nothing(monkeypatch):
     b = Bakery(2, 1, 2)
     calls = []

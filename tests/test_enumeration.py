@@ -11,7 +11,7 @@ from _gen import backends_agree, rand_expr, rand_sort, rand_var_sorts
 from wfgraph import enumeration
 from wfgraph.bitblast import BlastError
 from wfgraph.enumeration import (
-    BACKENDS, EnumResult, NotTotal, compute_finite_values)
+    BACKENDS, EnumResult, NotTotal, compute_finite_values, reach)
 from wfgraph.model import (
     BOOL,
     AddMod,
@@ -327,26 +327,73 @@ def test_comparison_of_unequal_widths_is_refused_on_sat():
 def test_total_sat_queries_probe_once_past_their_values(monkeypatch):
     # rank's pipeline at (1,1,2) and (2,1,2), as the sat-rank benchmark runs
     # it: every query is total, and its last solve is the one that finds
-    # nothing new
-    from wfgraph import absgraph, bakery, certify, measure
-    seen = []
+    # nothing new.  A reach query solves once per arc and once more per
+    # reached node, the solve that finds it no further successor.
+    from wfgraph import absgraph, bakery, certify, measure, sat
+    seen, arcs, solves = [], [], []
+    solve = sat.DpllSolver.solve
 
     def recording(*args, **kwargs):
         seen.append(compute_finite_values(*args, **kwargs))
         return seen[-1]
 
+    def reaching(*args, **kwargs):
+        arcs.append(reach(*args, **kwargs))
+        return arcs[-1]
+
+    def counting(self, *args):
+        solves.append(None)
+        return solve(self, *args)
+
     monkeypatch.setattr(absgraph, "compute_finite_values", recording)
     monkeypatch.setattr(certify, "compute_finite_values", recording)
+    monkeypatch.setattr(absgraph, "reach", reaching)
+    monkeypatch.setattr(sat.DpllSolver, "solve", counting)
+    nodes = 0
     for params in ((1, 1, 2), (2, 1, 2)):
         model = bakery.bakery_model(*params)
         g = absgraph.map_graph(model, "rank", "sat")
+        nodes += len(g.nodes)
         tg = absgraph.tag_graph(model, "rank", g, "sat")
         om = measure.synthesize_omap(tg)
         assert certify.certify_relation(model, "rank", tg, om,
                                         bakery.bakery_text(), "sat").passed
-    assert len(seen) == 6
+    assert len(seen) == 4
     assert all(r.solve_calls == len(r.values) + 1 for r in seen)
-    assert sum(len(r.values) for r in seen) == 350
+    assert sum(len(r.values) for r in seen) == 90
+    assert (sum(map(len, arcs)), nodes) == (38, 38)
+    assert len(solves) == sum(r.solve_calls for r in seen) + 38 + 38 == 170
+
+
+def test_reach_walks_first_in_first_out_on_both_backends():
+    # y = x + 1 or x + 3 (mod 8), from an x below 6: a node is (x, t), the
+    # constant bit an assumption on the TRUE literal.  Seeds 4 and 1, given
+    # out of order, reach every node; 6 and 7 have no successor, so a seed
+    # 7 reaches no arc
+    vs = {"x": NatSort(3), "y": NatSort(3)}
+    x, y = Var("x"), Var("y")
+    hyp = And((Lt(x, Const(NatV(6, 3))),
+               Or((Eq(y, AddMod(x, Const(NatV(1, 3)))),
+                   Eq(y, AddMod(x, Const(NatV(3, 3))))))))
+
+    def node(e):
+        return TupleE((("n", e), ("t", Const(BoolV(True)))))
+
+    def val(k):
+        return TupleV((("n", NatV(k, 3)), ("t", BoolV(True))))
+
+    want, queue, seen = [], [1, 4], {1, 4}
+    while queue:
+        u = queue.pop(0)
+        for v in sorted({(u + 1) % 8, (u + 3) % 8} if u < 6 else ()):
+            want.append((val(u), val(v)))
+            if v not in seen:
+                seen.add(v)
+                queue.append(v)
+    for backend in BACKENDS:
+        assert reach(vs, hyp, node(x), node(y), [val(4), val(1)],
+                     backend) == want
+        assert reach(vs, hyp, node(x), node(y), [val(7)], backend) == []
 
 
 def test_unsat_hypothesis_is_total_in_one_call():

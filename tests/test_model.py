@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from _gen import rand_expr, rand_sort, rand_var_sorts
 from wfgraph.bakery import bakery_text
+from wfgraph.cli import cli_main
 from wfgraph.model import (
     BOOL,
     And,
@@ -145,6 +146,27 @@ def test_system_refuses_a_bad_process_count_or_init(old, new, message):
         parse_model(text.replace(old, new, 1))
     assert e.value.message == message
     assert "\n" not in str(e.value)
+
+
+@pytest.mark.parametrize("extra, message", [
+    ("(shared-init done) ", "unknown system role 'shared-init'"),
+    ("(next done) ", "duplicate system role 'next'"),
+])
+def test_system_refuses_an_unknown_or_repeated_role(extra, message, tmp_path,
+                                                    capsys):
+    # a misspelt, not-yet-supported or repeated role is refused, not
+    # dropped or overwritten
+    text = bakery_text().replace("(next next)", extra + "(next next)", 1)
+    assert text != bakery_text()
+    with pytest.raises(ParseError) as e:
+        parse_model(text)
+    assert e.value.message == message
+    f = tmp_path / "bad.wfm"
+    f.write_text(text)
+    assert cli_main(["check", "--model", str(f)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("wfgraph: error: ") and message in err
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_system_process_count_is_a_parameter_or_a_literal():

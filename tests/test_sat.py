@@ -179,6 +179,82 @@ def test_learned_clauses_are_attached_and_implied():
     assert learned >= 100
 
 
+def _assumptions(rng: random.Random, num_vars: int) -> list[int]:
+    return [rng.choice((-1, 1)) * rng.randint(1, num_vars)
+            for _ in range(rng.randint(0, 4))]
+
+
+def test_assumptions_agree_with_unit_clauses():
+    # solve(assumptions) answers as a fresh solver given them as units,
+    # and its model satisfies both; the calls share one solver
+    rng = random.Random(10)
+    answers = set()
+    for num_vars, clauses in _cases(11, 300):
+        s = _solver(num_vars, clauses)
+        for _ in range(4):
+            assumed = _assumptions(rng, num_vars)
+            want = _solver(num_vars, clauses + [[l] for l in assumed]).solve()
+            got = s.solve(assumed)
+            assert got == want, (clauses, assumed)
+            answers.add((got, bool(assumed)))
+            if got:
+                assert all(_holds(s.model, c) for c in clauses)
+                assert all(_holds(s.model, [l]) for l in assumed)
+    assert answers == {(True, True), (False, True), (True, False),
+                       (False, False)}
+
+
+def test_enumeration_under_changing_assumptions_matches_truth_table():
+    # one solver asked for one model at a time under a randomly chosen
+    # assignment to the first k variables, blocking each pattern over
+    # outputs that include those variables, as a reach query does: every
+    # assignment's patterns come out exactly once each
+    rng = random.Random(12)
+    for num_vars, clauses in _cases(13, 300):
+        k = rng.randint(1, min(3, num_vars))
+        outputs = sorted(set(range(1, k + 1)) | set(rng.sample(
+            range(1, num_vars + 1), rng.randint(0, num_vars))))
+        want = {tuple(m[v] for v in outputs)
+                for m in _models(num_vars, clauses)}
+        s = _solver(num_vars, clauses)
+        open_ = [[v if (a >> (v - 1)) & 1 else -v for v in range(1, k + 1)]
+                 for a in range(1 << k)]
+        got, solves = [], 0
+        while open_:
+            assumed = rng.choice(open_)
+            solves += 1
+            if not s.solve(assumed):
+                open_.remove(assumed)
+                continue
+            pattern = tuple(s.model[v] for v in outputs)
+            assert all(pattern[v - 1] == (l > 0)
+                       for v, l in zip(range(1, k + 1), assumed))
+            got.append(pattern)
+            s.add_clause([-v if b else v for v, b in zip(outputs, pattern)])
+        assert len(got) == len(set(got)) and set(got) == want, (clauses,
+                                                                outputs)
+        assert solves == len(want) + (1 << k)
+        # the assumptions leave nothing behind: without them, every
+        # pattern is blocked
+        assert not s.solve()
+
+
+def test_falsified_assumption_leaves_the_solver_usable():
+    s = _solver(3, [[-1, 2], [-2, 3], [-3, -1]])  # 1 implies 2, 3 and not 3
+    assert not s.solve([1])
+    assert not s.solve([1])
+    assert s.solve() and s.model[1] is False
+    assert not s.solve([2, -3])
+    assert not s.solve([3, -3])                   # contradictory
+    assert s.solve([3]) and s.model[3] is True
+    s.add_clause([-2])
+    assert not s.solve([2])                       # false at level 0
+    assert s.solve([-2]) and s.model[2] is False
+    assert s.solve()
+    with pytest.raises(ValueError):
+        s.solve([4])
+
+
 def _pigeonhole(pigeons: int, holes: int):
     """Every pigeon in some hole, no two pigeons in one hole."""
     def var(p, h):
