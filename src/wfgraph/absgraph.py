@@ -8,11 +8,14 @@ that image reaches from the map's seed nodes.  A step map's seeds are the
 nodes of the system's initial processes, compiled from the model
 (``system.System``), and one ``enumeration.reach`` query finds the arcs
 they reach.  A blocking map's seeds are every domain node, so its graph is
-the whole image, which one enumeration query finds.  ``tag_graph`` tags
-every arc, per component measure, with whether the measure strictly
-decreases, never increases, or may increase across the concrete pairs the
-arc abstracts, from one more image query that carries per-measure order
-flags.
+the whole image, which one enumeration query finds.  That one query per map
+also carries per-measure order flags, as the paper extracts the graph
+"along with annotations on whether certain measures decrease or not on
+arcs".  ``tag_graph`` tags every arc, per component measure, with whether
+the measure strictly decreases, never increases, or may increase across
+the concrete pairs the arc abstracts; it reads the flags of the image
+``map_graph`` found, kept per model object (by identity, dropped with the
+object), and queries only what that image lacks.
 
 Every query is total: ``enumeration.compute_finite_values`` and
 ``enumeration.reach`` return every value or arc, or raise NotTotal naming
@@ -23,6 +26,7 @@ built from a partial image.  This module holds no backend's code.
 from __future__ import annotations
 
 import json
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -119,38 +123,69 @@ def lex_le_expr(a: Expr, b: Expr) -> Expr:
 
 # -- model-level construction ----------------------------------------------
 
-def _image(parts, backend: str, what: str,
-           scope: Optional[tuple[Value, ...]] = None,
-           measures: tuple[str, ...] = ()
-           ) -> dict[tuple[Value, Value], set[str]]:
-    """The relation's abstract image, from one enumeration query.
+@dataclass
+class _Image:
+    """A map's flagged image, decoded: each abstract pair (node(x), node(y))
+    of a related pair (x, y) whose source node was asked, mapped to the
+    flags that held on some concrete pair: ``le-<m>`` when measure m's
+    source is <=lex its destination, ``lt-<m>`` when it is <lex."""
+    flags: dict[tuple[Value, Value], set[str]]
+    asked: Optional[set[Value]]  # None: every source node
 
-    Over the related pairs (x, y) of ``parts`` (as ``relation_parts``
-    returns them) whose source node lies in ``scope`` (default: all), maps
-    each abstract pair (node(x), node(y)) to the flags that held on some
-    concrete pair: ``le-<m>`` when measure m's source is <=lex its
-    destination, ``lt-<m>`` when it is <lex.  Keys come in canonical
-    (source, destination) order.
-    """
-    mp, rel, dst_state, var_sorts = parts
+
+# per model object, by identity: (map name, backend) -> the image its last
+# builder query found; an entry goes with its model
+_IMAGES: dict[int, dict[tuple[str, str], _Image]] = {}
+
+
+def _images(model: Model) -> dict[tuple[str, str], _Image]:
+    key = id(model)
+    if key not in _IMAGES:
+        _IMAGES[key] = {}
+        weakref.finalize(model, _IMAGES.pop, key, None)
+    return _IMAGES[key]
+
+
+def _image(model: Model, map_name: str, backend: str,
+           nodes: Optional[set[Value]] = None) -> _Image:
+    """One flagged image query of the map's relation (``relation_parts``).
+
+    Without ``nodes`` it is the builder's query: a step map's pairs
+    reached from the nodes of the system's initial processes
+    (``enumeration.reach``, ``step``), a blocking map's whole image
+    (``relation``).  With ``nodes`` it asks those source nodes alone
+    (``tag``)."""
+    mp, rel, dst_state, var_sorts = relation_parts(model, map_name)
     node = mp.node
     items: list[tuple[Optional[str], Expr]] = [
         ("src", node), ("dst", subst_vars(node, {mp.var: dst_state}))]
-    for name in measures:
+    for name in mp.measure_names:
         src_e = mp.measure_expr(name)
         dst_e = subst_vars(src_e, {mp.var: dst_state})
         items.append((f"le-{name}", lex_le_expr(src_e, dst_e)))
         items.append((f"lt-{name}", lex_lt_expr(src_e, dst_e)))
-    hyp = rel
-    if scope is not None:
-        hyp = And((rel, Or(tuple(Eq(node, Const(u)) for u in scope))))
-    image: dict[tuple[Value, Value], set[str]] = {}
-    for q in compute_finite_values(var_sorts, hyp, TupleE(tuple(items)),
-                                   backend, what).values:
-        (_, u), (_, v), *flags = q.items  # type: ignore[union-attr]
-        image.setdefault((u, v), set()).update(
-            f for f, x in flags if x == BoolV(True))
-    return image
+    trm = TupleE(tuple(items))
+    asked: Optional[set[Value]]
+    if nodes is not None:
+        found = reach(var_sorts, rel, trm, nodes, backend, "tag", False)
+        asked = set(nodes)
+    elif mp.kind == "step":
+        map_e, _ = abstraction_functions(model, map_name)
+        seeds = set(map(map_e, System.compile(model).initial.trs))
+        found = reach(var_sorts, rel, trm, seeds, backend, "step")
+        # a reach asks every node it finds
+        asked = seeds | {q.items[1][1]  # type: ignore[union-attr]
+                         for q in found}
+    else:
+        found = compute_finite_values(var_sorts, rel, trm, backend,
+                                      "relation").values
+        asked = None
+    flags: dict[tuple[Value, Value], set[str]] = {}
+    for q in found:
+        (_, u), (_, v), *held = q.items  # type: ignore[union-attr]
+        flags.setdefault((u, v), set()).update(
+            f for f, x in held if x.val)  # type: ignore[union-attr]
+    return _Image(flags, asked)
 
 
 def map_graph(model: Model, map_name: str,
@@ -159,26 +194,23 @@ def map_graph(model: Model, map_name: str,
     its relation.
 
     A step map is seeded with the node of each process of the system's
-    initial state, and one reach query (``enumeration.reach``) finds the
-    image arcs those seeds reach.  A blocking map is seeded with every
-    node of its declared domain, which one query finds; its relation
-    already keeps both ends in that domain, so its graph is the whole
-    image, which one more query finds (``_image``).
+    initial state, and one flagged reach query finds the image arcs those
+    seeds reach.  A blocking map is seeded with every node of its declared
+    domain, which one query finds; its relation already keeps both ends in
+    that domain, so its graph is the whole image, which one more query
+    finds.  The flagged image is kept for ``tag_graph``.
     """
-    parts = relation_parts(model, map_name)
-    mp, rel, dst_state, var_sorts = parts
-    if mp.kind == "step":
-        map_e, _ = abstraction_functions(model, map_name)
-        nodes: set[Value] = set(map(map_e, System.compile(model).initial.trs))
-        arcs = set(reach(var_sorts, rel, mp.node,
-                         subst_vars(mp.node, {mp.var: dst_state}), nodes,
-                         backend, "step"))
-    else:
-        nodes = set(compute_finite_values(
-            var_sorts, mp.domain, mp.node, backend, "domain").values)
-        arcs = set(_image(parts, backend, "relation"))
-    nodes.update(v for _, v in arcs)
-    return _freeze(nodes, arcs)
+    mp = model.map_decl(map_name)
+    nodes: set[Value] = set()
+    if mp.kind != "step":
+        nodes.update(compute_finite_values(
+            {mp.var: mp.state_sort}, mp.domain, mp.node, backend,
+            "domain").values)
+    image = _images(model)[(map_name, backend)] = _image(model, map_name,
+                                                         backend)
+    nodes.update(image.asked or ())
+    nodes.update(v for _, v in image.flags)
+    return _freeze(nodes, set(image.flags))
 
 
 def tag_graph(model: Model, map_name: str, g: Graph,
@@ -189,20 +221,29 @@ def tag_graph(model: Model, map_name: str, g: Graph,
     For arc (u, v) and measure o with source/destination measure terms
     (s, d): if no concrete pair on the arc has d >=lex s the measure
     strictly decreases there; failing that, if none has d >lex s it is
-    non-increasing; otherwise it may increase.  One image query, scoped
-    to the sources of ``g``'s arcs, carries every arc's flags; a graph
-    without arcs asks none.  Image pairs that are not arcs of ``g`` are
-    ignored, and an arc with no concrete pair reads strict-dec.
+    non-increasing; otherwise it may increase.  The flags come from the
+    image ``map_graph`` kept for this model object, map and backend, or
+    from the same query, run here when there is none; a source node that
+    image never asked is asked now (``tag``).  A graph without arcs asks
+    nothing.  Image pairs that are not arcs of ``g`` are ignored, and an
+    arc with no concrete pair reads strict-dec.
     """
-    parts = relation_parts(model, map_name)
-    mp = parts[0]
+    mp = model.map_decl(map_name)
     tags: dict[tuple[int, int, str], str] = {}
-    sources = sorted({i for (i, _) in g.arcs})
-    if sources:
-        image = _image(parts, backend, "tag",
-                       tuple(g.nodes[i] for i in sources), mp.measure_names)
+    if g.arcs:
+        images = _images(model)
+        image = images.get((map_name, backend))
+        if image is None:
+            image = images[(map_name, backend)] = _image(model, map_name,
+                                                         backend)
+        if image.asked is not None:
+            missing = {g.nodes[i] for (i, _) in g.arcs} - image.asked
+            if missing:
+                image.flags.update(_image(model, map_name, backend,
+                                          missing).flags)
+                image.asked |= missing
         for (i, j) in g.arcs:
-            got = image.get((g.nodes[i], g.nodes[j]), ())
+            got = image.flags.get((g.nodes[i], g.nodes[j]), ())
             for name in mp.measure_names:
                 tags[(i, j, name)] = (
                     STRICT_DEC if f"le-{name}" not in got
@@ -230,6 +271,15 @@ def graph_to_json(g: Graph) -> dict:
     return doc
 
 
+def _first_repeat(items):
+    seen = set()
+    for x in items:
+        if x in seen:
+            return x
+        seen.add(x)
+    return None
+
+
 def graph_from_json(doc) -> Graph:
     """The graph that ``graph_to_json`` wrote as ``doc``.  Entries are read
     as they are, never coerced: anything else raises GraphError."""
@@ -243,11 +293,17 @@ def graph_from_json(doc) -> Graph:
             raise GraphError(f"graph {key!r} is missing or not a "
                              f"{kind.__name__}")
     nodes = tuple(value_from_json(n) for n in doc["nodes"])
+    twice = _first_repeat(nodes)
+    if twice is not None:
+        raise GraphError(f"graph lists node {value_text(twice)} twice")
     for a in doc["arcs"]:
         if not (isinstance(a, list) and len(a) == 2 and all(
                 type(i) is int and 0 <= i < len(nodes) for i in a)):
             raise GraphError(f"bad arc {a!r} of {len(nodes)} nodes")
     arcs = tuple((i, j) for i, j in doc["arcs"])
+    twice = _first_repeat(arcs)
+    if twice is not None:
+        raise GraphError(f"graph lists arc {list(twice)} twice")
     if "measures" not in doc:
         return Graph(nodes, arcs)
     measures = tuple(doc["measures"])

@@ -8,10 +8,12 @@ at call time, one past the exhaustive row cap, so only a SAT query can)
 raises NotTotal, and an exhaustive table past the row cap raises
 ``veceval.Capacity``; both name the query.
 
-``reach`` asks for the arcs (u, v) of the relation {(src, dst) under
-``hyp``} that a set of seed nodes reaches.  It takes nodes first in, first
-out, in canonical order, and refuses with NotTotal once the reached arcs
-reach ``VALUE_BOUND``, on both backends at the same count.
+``reach`` asks for the values of a term (src, dst, ...) under ``hyp``
+whose source node a set of seed nodes reaches through the arcs (src, dst);
+the later items (a graph builder's order flags) ride along.  It takes
+nodes first in, first out, in canonical order, and refuses with NotTotal
+once the reached arcs (not values) reach ``VALUE_BOUND``, on both backends
+at the same count.
 
 Backends:
   exhaustive  vectorized sweep over the variable domains (numpy); a reach
@@ -19,8 +21,8 @@ Backends:
   sat         bit-blast to CNF once, load the built-in solver once and
               enumerate models, blocking each found output pattern; a
               reach asks once per reached node, its ``src`` bits given as
-              assumptions (``DpllSolver.solve``), so only reachable
-              arcs are enumerated
+              assumptions (``DpllSolver.solve``), so only the values of
+              reachable nodes are enumerated
 
 Evaluation is independent per backend: numpy columns on one side, CNF and
 a CDCL solver on the other.  Decoding and canonical order are shared: every
@@ -38,9 +40,10 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Iterable, Iterator, Sequence
 
-from .bitblast import Circuit, bitblast, value_lits
+from .bitblast import Circuit, bitblast, bitval_lits, value_lits
 from .model import Expr, Sort, TupleE, Value, canonical_sorted
 from .sat import DpllSolver
 from .veceval import (
@@ -93,19 +96,18 @@ def _load(var_sorts: dict[str, Sort], hyp: Expr, trm: Expr
     return circuit, solver
 
 
-def _models(circuit: Circuit, solver: DpllSolver, limit: int,
-            assumptions: Sequence[int] = ()) -> DistinctRows:
-    """The output values of the models under ``assumptions``, at most
-    ``limit`` of them.  Each model's output pattern is blocked, so each is
-    a new value; the solver keeps the blocking clauses."""
+def _models(circuit: Circuit, solver: DpllSolver,
+            assumptions: Sequence[int] = ()) -> Iterator[list[bool]]:
+    """The output bits of each model under ``assumptions``, each pattern
+    new: it is blocked as it is found, and the solver keeps the blocking
+    clauses.  The one SAT enumeration loop; a caller stops it at its
+    bound."""
     outputs = circuit.outputs
-    rows: list[list[bool]] = []
-    while len(rows) < limit and solver.solve(assumptions):
+    while solver.solve(assumptions):
         model = solver.model
         bits = [model[l] if l > 0 else not model[-l] for l in outputs]
-        rows.append(bits)
         solver.add_clause([-l if b else l for l, b in zip(outputs, bits)])
-    return distinct_rows(circuit.output_columns(rows), len(rows))
+        yield bits
 
 
 def compute_finite_values(var_sorts: dict[str, Sort], hyp: Expr, trm: Expr,
@@ -119,54 +121,71 @@ def compute_finite_values(var_sorts: dict[str, Sort], hyp: Expr, trm: Expr,
     if backend == "exhaustive":
         values = _exhaustive_values(var_sorts, hyp, trm, what)
     else:
-        values = _models(*_load(var_sorts, hyp, trm), bound)
+        circuit, solver = _load(var_sorts, hyp, trm)
+        rows = list(islice(_models(circuit, solver), bound))
+        values = distinct_rows(circuit.output_columns(rows), len(rows))
     if len(values) >= bound:
         raise NotTotal(what, bound)
     return EnumResult(values, len(values) + 1)
 
 
-def reach(var_sorts: dict[str, Sort], hyp: Expr, src: Expr, dst: Expr,
+def reach(var_sorts: dict[str, Sort], hyp: Expr, trm: TupleE,
           seeds: Iterable[Value], backend: str = "exhaustive",
-          what: str = "query") -> list[tuple[Value, Value]]:
-    """The arcs (u, v) of the relation {(src, dst) under ``hyp``} that
-    ``seeds`` reach, or NotTotal naming the query ``what`` once they reach
+          what: str = "query", follow: bool = True) -> list[Value]:
+    """The values of ``trm`` under ``hyp`` whose source the seeds reach,
+    or NotTotal naming the query ``what`` once the reached arcs reach
     ``VALUE_BOUND`` (or Capacity).
 
-    Nodes are taken first in, first out, seeds and each node's
-    successors in canonical order, so both backends list the same arcs
-    in the same order.  The exhaustive backend finds the whole image in
-    one sweep; the SAT backend loads one solver and enumerates each
-    reached node's successors with that node's ``src`` bits assumed."""
+    ``trm``'s first item is the source node and its second the
+    destination node; any later items (flags) ride along.  An arc (u, v)
+    is a source and a destination that some value pairs; the bound counts
+    arcs, not values.  Nodes are taken first in, first out, seeds in
+    canonical order, and each node's values come in canonical order, so
+    its successors (its distinct destinations) do too and both backends
+    list the same values in the same order.  With ``follow`` false only
+    the seeds are asked.  The exhaustive backend finds the whole image in
+    one sweep; the SAT backend loads one solver and enumerates each asked
+    node's values with that node's source bits assumed."""
     _check_backend(backend)
-    pair = TupleE((("src", src), ("dst", dst)))
     if backend == "exhaustive":
-        succ: dict[Value, list[Value]] = {}
-        image = _exhaustive_values(var_sorts, hyp, pair, what)
-        for i in range(len(image)):
-            succ.setdefault(image.item(0, i), []).append(image.item(1, i))
+        by_src: dict[Value, list[Value]] = {}
+        for q in _exhaustive_values(var_sorts, hyp, trm, what):
+            by_src.setdefault(q.items[0][1], []).append(q)
 
-        def successors(u: Value, limit: int) -> Sequence[Value]:
-            return succ.get(u, ())
+        def values(u: Value, limit: int) -> Sequence[Value]:
+            return by_src.get(u, ())
     else:
-        circuit, solver = _load(var_sorts, hyp, pair)
-        src_bits = circuit.output.items[0][1]
+        circuit, solver = _load(var_sorts, hyp, trm)
+        (_, src_bits), (_, dst_bits), *_ = circuit.output.items
+        lo = len(bitval_lits(src_bits))
+        hi = lo + len(bitval_lits(dst_bits))
 
-        def successors(u: Value, limit: int) -> Sequence[Value]:
-            found = _models(circuit, solver, limit, value_lits(src_bits, u))
-            return [found.item(1, i) for i in range(len(found))]
+        def values(u: Value, limit: int) -> Sequence[Value]:
+            rows: list[list[bool]] = []
+            dsts: set[tuple[bool, ...]] = set()
+            for bits in _models(circuit, solver, value_lits(src_bits, u)):
+                rows.append(bits)
+                dsts.add(tuple(bits[lo:hi]))
+                if len(dsts) >= limit:
+                    break
+            return distinct_rows(circuit.output_columns(rows), len(rows))
     bound = VALUE_BOUND
     order = canonical_sorted(set(seeds))
     seen = set(order)
     queue = deque(order)
-    arcs: list[tuple[Value, Value]] = []
+    found: list[Value] = []
+    arcs = 0
     while queue:
         u = queue.popleft()
-        for v in successors(u, bound - len(arcs)):
-            arcs.append((u, v))
-            if v not in seen:
+        succ: set[Value] = set()
+        for q in values(u, bound - arcs):
+            found.append(q)
+            v = q.items[1][1]  # type: ignore[union-attr]
+            succ.add(v)
+            if follow and v not in seen:
                 seen.add(v)
                 queue.append(v)
-        if len(arcs) >= bound:
+        arcs += len(succ)
+        if arcs >= bound:
             raise NotTotal(what, bound)
-    return arcs
-
+    return found

@@ -1,10 +1,10 @@
 """Per-node reference versions of the abstract graph builder.
 
-``wfgraph.absgraph`` builds each graph from one reach query (a step map)
-or one query over the whole concrete relation (a blocking map), and each
-tagging from one query.  These are the per-node loops it replaced, each
-query built anew, kept as the oracle its graphs are compared against: a
-worklist
+``wfgraph.absgraph`` builds each graph from one flagged reach query (a
+step map) or one flagged query over the whole concrete relation (a
+blocking map), and tags it from that query's flags.  These are the
+per-node loops it replaced, each query built anew, kept as the oracle its
+graphs and tags are compared against: a worklist
 from the nodes of the system's initial processes that asks one step query
 per reached node (the node fixed through the ``@src`` variable), one
 relation query per domain node of a blocking map, and one tag query per

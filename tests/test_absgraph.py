@@ -7,8 +7,10 @@ instance, and the per-node loops that the relation sweeps replaced
 (``_pernode``) are the oracle for graphs and tags.
 """
 
+import gc
 import itertools
 import json
+import weakref
 from collections import Counter
 
 import pytest
@@ -43,11 +45,13 @@ from wfgraph.model import (
     TupleE,
     TupleV,
     Var,
+    canonical_sorted,
     eval_expr,
     parse_model,
     subst_vars,
     value_text,
 )
+from wfgraph.system import relation_parts
 
 
 @pytest.fixture(scope="module")
@@ -232,20 +236,21 @@ def test_backends_agree_on_rank_graph():
 
 
 def test_graph_and_tagging_each_sweep_once(model, monkeypatch):
-    # a step graph is one reach query (its seeds are compiled from the
-    # system's initial state), a blocking graph one domain query plus one
-    # sweep, and a tagging one sweep; a graph without arcs needs no tag
-    # query
+    # a step graph is one flagged reach query (its seeds are compiled from
+    # the system's initial state), a blocking graph one domain query plus
+    # one flagged sweep; tagging then reads the flags and asks nothing, and
+    # a graph without arcs asks nothing even on a model object no graph was
+    # built on
     graphs = {name: map_graph(model, name) for name in ("rank", "nlock")}
     calls = []
 
-    def counting(var_sorts, hyp, trm, backend, what):
-        calls.append(what)
-        return compute_finite_values(var_sorts, hyp, trm, backend, what)
+    def counting(*args):
+        calls.append(args[-1])
+        return compute_finite_values(*args)
 
-    def reaching(var_sorts, hyp, src, dst, seeds, backend, what):
-        calls.append(what)
-        return reach(var_sorts, hyp, src, dst, seeds, backend, what)
+    def reaching(*args):
+        calls.append(args[5])
+        return reach(*args)
 
     monkeypatch.setattr(absgraph, "compute_finite_values", counting)
     monkeypatch.setattr(absgraph, "reach", reaching)
@@ -256,10 +261,49 @@ def test_graph_and_tagging_each_sweep_once(model, monkeypatch):
                          "nlock": ["domain", "relation"]}[name], name
         calls.clear()
         tag_graph(model, name, g)
-        assert len(calls) == 1, name
-        calls.clear()
-        assert tag_graph(model, name, Graph(g.nodes, ())).tags == {}
         assert calls == [], name
+        fresh = bakery_model()
+        assert tag_graph(fresh, name, Graph(g.nodes, ())).tags == {}
+        assert calls == [], name
+        # tagging first runs the builder's query itself, once
+        tag_graph(fresh, name, g)
+        tag_graph(fresh, name, g)
+        assert calls == {"rank": ["step"], "nlock": ["relation"]}[name], name
+
+
+def test_an_equal_model_object_asks_again(model, monkeypatch):
+    # the builder's image is kept per model object, never by its value: a
+    # re-parsed equal model runs its query again
+    g = map_graph(model, "rank")
+    again = bakery_model()
+    assert again == model and again is not model
+    calls = []
+
+    def reaching(*args):
+        calls.append(args[5])
+        return reach(*args)
+
+    monkeypatch.setattr(absgraph, "reach", reaching)
+    tag_graph(model, "rank", g)
+    assert calls == []
+    assert tag_graph(again, "rank", g) == tag_graph(model, "rank", g)
+    assert calls == ["step"]
+
+
+def test_kept_images_go_with_their_model():
+    # an image lives as long as its model object; over 50 models built,
+    # tagged and dropped, nothing is left behind
+    gc.collect()
+    before = (len(absgraph._IMAGES), len(weakref.finalize._registry))
+    for _ in range(50):
+        m = bakery_model(1, 1, 2)
+        tag_graph(m, "rank", map_graph(m, "rank"))
+        ref = weakref.ref(m)
+        del m
+        gc.collect()
+        assert ref() is None
+        assert (len(absgraph._IMAGES),
+                len(weakref.finalize._registry)) == before
 
 
 # rank and nlock on these (backend, (n, r, w)) are built by the relation
@@ -268,23 +312,51 @@ ORACLE_CASES = [("exhaustive", (2, 2, 2)), ("exhaustive", (2, 2, 3)),
                 ("sat", (1, 1, 2))]
 
 
+def _unreached_arc(m, name, g):
+    """The first pair of the map's whole image whose source ``g`` lacks,
+    with ``g`` extended by it, or None when ``g`` holds every source."""
+    mp, rel, dst_state, var_sorts = relation_parts(m, name)
+    pair = TupleE((("src", mp.node),
+                   ("dst", subst_vars(mp.node, {mp.var: dst_state}))))
+    image = compute_finite_values(var_sorts, rel, pair).values
+    u, v = next(((q.items[0][1], q.items[1][1]) for q in image
+                 if q.items[0][1] not in g.nodes), (None, None))
+    if u is None:
+        return None
+    nodes = tuple(canonical_sorted({*g.nodes, u, v}))
+    arcs = {(g.nodes[i], g.nodes[j]) for (i, j) in g.arcs} | {(u, v)}
+    return Graph(nodes, tuple(sorted((nodes.index(a), nodes.index(b))
+                                     for (a, b) in arcs)))
+
+
 @pytest.mark.parametrize("name", ["rank", "nlock"])
 @pytest.mark.parametrize("backend,params", ORACLE_CASES, ids=[
     f"{backend}-{','.join(map(str, params))}"
     for backend, params in ORACLE_CASES])
 def test_sweeps_match_pernode_oracle(backend, params, name):
     # the same graph text, and the same tagged-graph text on the honest
-    # graph, with its first arc deleted, and with one extra arc that no
-    # concrete pair takes
+    # graph, with its first arc deleted, with one extra arc that no
+    # concrete pair takes, and with one image arc from a source the seeds
+    # never reach (a step map's; a blocking graph holds every source).
+    # The honest graph and the unreached source are also tagged first, on
+    # a model object no graph was built on
     m = bakery_model(*params)
     g = map_graph(m, name, backend)
     assert graph_text(g) == graph_text(pernode.map_graph(m, name, backend))
     arcs = set(g.arcs)
     extra = next((i, j) for i in range(len(g.nodes))
                  for j in range(len(g.nodes)) if (i, j) not in arcs)
-    for arc_set in (g.arcs, g.arcs[1:], tuple(sorted(arcs | {extra}))):
-        h = Graph(g.nodes, arc_set)
+    unreached = _unreached_arc(m, name, g)
+    assert (unreached is None) == (name == "nlock")
+    first = [g] if unreached is None else [g, unreached]
+    edited = [Graph(g.nodes, g.arcs[1:]),
+              Graph(g.nodes, tuple(sorted(arcs | {extra})))]
+    for h in first + edited:
         assert graph_text(tag_graph(m, name, h, backend)) \
+            == graph_text(pernode.tag_graph(m, name, h, backend))
+    for h in first:
+        fresh = bakery_model(*params)
+        assert graph_text(tag_graph(fresh, name, h, backend)) \
             == graph_text(pernode.tag_graph(m, name, h, backend))
 
 
@@ -360,6 +432,12 @@ BAD_GRAPH_DOCS = {
                           "arc/arc tag count mismatch"),
     "tag missing": (lambda doc: doc["arc_tags"][0].pop("loop"),
                     "unknown order tag None"),
+    "node listed twice": (
+        lambda doc: doc["nodes"].__setitem__(1, doc["nodes"][0]),
+        "graph lists node ((:loc 0) (:done nil) (:loop=0 t) (:runs=0 nil) "
+        "(:inv t)) twice"),
+    "arc listed twice": (_set_in("arcs", 1, [0, 1]),
+                         "graph lists arc [0, 1] twice"),
 }
 
 
@@ -376,12 +454,12 @@ def test_graph_from_json_refuses_what_it_would_coerce(rank_tg, case):
 def test_not_total_budgets(model, monkeypatch):
     # every query runs under the one value bound; set low, it names the
     # query that reached it.  At (2,2,3) rank's seeds reach 23 arcs of its
-    # step image's 134; nlock's domain has 64, its tag image 196, and its
-    # certificate sweep 11,264 cases
+    # step image's 134; nlock's domain has 64, its flagged image 196, and
+    # its certificate sweep 11,264 cases
     for backend in BACKENDS:
         for bound, name, what in ((2, "rank", "step"),
                                   (10, "nlock", "domain"),
-                                  (100, "nlock", "tag")):
+                                  (100, "nlock", "relation")):
             monkeypatch.setattr(enumeration, "VALUE_BOUND", bound)
             with pytest.raises(NotTotal) as e:
                 tag_graph(model, name, map_graph(model, name, backend),

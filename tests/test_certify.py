@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import _rowwise as rowwise
+import wfgraph.absgraph as absgraph
 import wfgraph.certify as certify
 import wfgraph.system as system
 from wfgraph.absgraph import (
@@ -427,6 +428,10 @@ def test_trust_boundary_imports():
     # and the graph's serialization (hashed into the certificate), never
     # graph construction; its query refuses a partial sweep by itself
     found = _imports("certify")
+    assert set(found) == {
+        "__future__", "hashlib", "json", "dataclasses", "typing", "numpy",
+        ".absgraph", ".enumeration", ".measure", ".model", ".ordinals",
+        ".system", ".veceval"}
     assert found[".absgraph"] == {"Graph", "TaggedGraph", "STRICT_DEC",
                                   "NON_INC", "graph_text"}
     assert found[".enumeration"] == {"compute_finite_values"}
@@ -439,6 +444,22 @@ def test_trust_boundary_imports():
             if m.startswith((".", "wfgraph"))} == {".model"}
     # the monitor takes only its error type from the certifier
     assert _imports("bakery")[".certify"] == {"DescentError"}
+
+
+@pytest.mark.parametrize("name", ["rank", "nlock"])
+def test_certificate_reads_no_builder_image(name):
+    # the builder keeps its flagged image on the model object; the
+    # certifier runs its own sweep, so its certificate is the same on that
+    # object and on a fresh equal one, and it keeps nothing on either
+    m = bakery_model(1, 1, 2)
+    tg = tag_graph(m, name, map_graph(m, name))
+    om = synthesize_omap(tg)
+    fresh = bakery_model(1, 1, 2)
+    after = certify_relation(m, name, tg, om, bakery_text())
+    alone = certify_relation(fresh, name, tg, om, bakery_text())
+    assert after.passed
+    assert certificate_text(after) == certificate_text(alone)
+    assert id(fresh) not in absgraph._IMAGES
 
 
 # -- the columnar checks against the row-by-row oracle: identical results,

@@ -327,10 +327,12 @@ def test_comparison_of_unequal_widths_is_refused_on_sat():
 def test_total_sat_queries_probe_once_past_their_values(monkeypatch):
     # rank's pipeline at (1,1,2) and (2,1,2), as the sat-rank benchmark runs
     # it: every query is total, and its last solve is the one that finds
-    # nothing new.  A reach query solves once per arc and once more per
-    # reached node, the solve that finds it no further successor.
+    # nothing new.  The graph's flagged reach query solves once per value
+    # (here one flag pattern per arc) and once more per reached node, the
+    # solve that finds it no further value; tagging reads its flags, so the
+    # only whole-relation queries are the two certificate sweeps.
     from wfgraph import absgraph, bakery, certify, measure, sat
-    seen, arcs, solves = [], [], []
+    seen, reached, solves = [], [], []
     solve = sat.DpllSolver.solve
 
     def recording(*args, **kwargs):
@@ -338,8 +340,8 @@ def test_total_sat_queries_probe_once_past_their_values(monkeypatch):
         return seen[-1]
 
     def reaching(*args, **kwargs):
-        arcs.append(reach(*args, **kwargs))
-        return arcs[-1]
+        reached.append(reach(*args, **kwargs))
+        return reached[-1]
 
     def counting(self, *args):
         solves.append(None)
@@ -358,19 +360,21 @@ def test_total_sat_queries_probe_once_past_their_values(monkeypatch):
         om = measure.synthesize_omap(tg)
         assert certify.certify_relation(model, "rank", tg, om,
                                         bakery.bakery_text(), "sat").passed
-    assert len(seen) == 4
+    assert len(seen) == 2
     assert all(r.solve_calls == len(r.values) + 1 for r in seen)
-    assert sum(len(r.values) for r in seen) == 90
-    assert (sum(map(len, arcs)), nodes) == (38, 38)
-    assert len(solves) == sum(r.solve_calls for r in seen) + 38 + 38 == 170
+    assert sum(len(r.values) for r in seen) == 52
+    assert sum(len({(q.items[0][1], q.items[1][1]) for q in found})
+               for found in reached) == sum(map(len, reached)) == nodes == 38
+    assert len(solves) == sum(r.solve_calls for r in seen) + 38 + 38 == 130
 
 
-def test_reach_walks_first_in_first_out_on_both_backends():
+def test_reach_walks_first_in_first_out_on_both_backends(monkeypatch):
     # y = x + 1 or x + 3 (mod 8), from an x below 6: a node is (x, t), the
-    # constant bit an assumption on the TRUE literal.  Seeds 4 and 1, given
-    # out of order, reach every node; 6 and 7 have no successor, so a seed
-    # 7 reaches no arc
-    vs = {"x": NatSort(3), "y": NatSort(3)}
+    # constant bit an assumption on the TRUE literal, and a free bit z
+    # rides along as a flag, so each arc has two values.  Seeds 4 and 1,
+    # given out of order, reach every node; 6 and 7 have no successor, so a
+    # seed 7 reaches no arc
+    vs = {"x": NatSort(3), "y": NatSort(3), "z": BOOL}
     x, y = Var("x"), Var("y")
     hyp = And((Lt(x, Const(NatV(6, 3))),
                Or((Eq(y, AddMod(x, Const(NatV(1, 3)))),
@@ -382,18 +386,38 @@ def test_reach_walks_first_in_first_out_on_both_backends():
     def val(k):
         return TupleV((("n", NatV(k, 3)), ("t", BoolV(True))))
 
-    want, queue, seen = [], [1, 4], {1, 4}
-    while queue:
-        u = queue.pop(0)
-        for v in sorted({(u + 1) % 8, (u + 3) % 8} if u < 6 else ()):
-            want.append((val(u), val(v)))
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
+    trm = TupleE((("src", node(x)), ("dst", node(y)), ("z", Var("z"))))
+
+    def pattern(u, v, z):
+        return TupleV((("src", val(u)), ("dst", val(v)), ("z", BoolV(z))))
+
+    def walk(seeds):
+        out, queue, seen = [], sorted(seeds), set(seeds)
+        while queue:
+            u = queue.pop(0)
+            for v in sorted({(u + 1) % 8, (u + 3) % 8} if u < 6 else ()):
+                out += [pattern(u, v, False), pattern(u, v, True)]
+                if v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+        return out
+
+    want = walk({1, 4})
     for backend in BACKENDS:
-        assert reach(vs, hyp, node(x), node(y), [val(4), val(1)],
-                     backend) == want
-        assert reach(vs, hyp, node(x), node(y), [val(7)], backend) == []
+        assert reach(vs, hyp, trm, [val(4), val(1)], backend) == want
+        assert reach(vs, hyp, trm, [val(7)], backend) == []
+        # without following, only the seeds are asked
+        assert reach(vs, hyp, trm, [val(4), val(1)], backend,
+                     follow=False) == [q for q in want
+                                       if q.items[0][1] in (val(1), val(4))]
+        # from seed 1 the bound counts the 12 arcs, not their 24 values
+        monkeypatch.setattr(enumeration, "VALUE_BOUND", 13)
+        assert reach(vs, hyp, trm, [val(1)], backend) == walk({1})
+        monkeypatch.setattr(enumeration, "VALUE_BOUND", 12)
+        with pytest.raises(NotTotal) as e:
+            reach(vs, hyp, trm, [val(1)], backend, "step")
+        assert (e.value.what, e.value.num) == ("step", 12)
+        monkeypatch.undo()
 
 
 def test_unsat_hypothesis_is_total_in_one_call():
