@@ -1,7 +1,7 @@
 """Abstract reachable graphs over finite-state models, with order tags.
 
 A graph's nodes are the values an abstraction map's node expression takes;
-arcs record which nodes can follow which.  Both come from the image of the
+arcs record which nodes can succeed which.  Both come from the image of the
 map's concrete relation (``system.relation_parts``): the distinct
 (node(x), node(y)) pairs of related states x, y.  ``map_graph`` keeps what
 that image reaches from the map's seed nodes.  A step map's seeds are the
@@ -13,20 +13,18 @@ also carries per-measure order flags, as the paper extracts the graph
 "along with annotations on whether certain measures decrease or not on
 arcs".  ``tag_graph`` tags every arc, per component measure, with whether
 the measure strictly decreases, never increases, or may increase across
-the concrete pairs the arc abstracts; it reads the flags of the image
-``map_graph`` found, kept per model object (by identity, dropped with the
-object), and queries only what that image lacks.
+the concrete pairs the arc abstracts.  It reads the flags a graph from
+``map_graph`` keeps (``Graph.built``), and runs that query for any other.
 
 Every query is total: ``enumeration.compute_finite_values`` and
 ``enumeration.reach`` return every value or arc, or raise NotTotal naming
-the query (``step``, ``domain``, ``relation`` or ``tag``), so no graph is
-built from a partial image.  This module holds no backend's code.
+the query (``step``, ``domain`` or ``relation``), so no graph is built
+from a partial image.  This module holds no backend's code.
 """
 
 from __future__ import annotations
 
 import json
-import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -35,7 +33,8 @@ from typing import Optional
 from .enumeration import NotTotal, compute_finite_values, reach  # noqa: F401
 from .model import (
     And, BoolV, Const, Eq, Expr, Le, Lt, Model, Or, TupleE, Value,
-    canonical_sorted, subst_vars, value_from_json, value_text, value_to_json)
+    canonical_sorted, has_sort, subst_vars, value_from_json, value_text,
+    value_to_json)
 from .system import System, abstraction_functions, relation_parts
 
 STRICT_DEC = "strict-dec"
@@ -52,6 +51,8 @@ class GraphError(ValueError):
 class Graph:
     nodes: tuple[Value, ...]                 # canonically ordered
     arcs: tuple[tuple[int, int], ...]        # sorted index pairs
+    built: Optional[Built] = field(default=None, kw_only=True,
+                                   compare=False, repr=False)
 
     @cached_property
     def _index(self) -> dict[Value, int]:
@@ -82,13 +83,6 @@ class TaggedGraph(Graph):
     measures: tuple[str, ...] = ()
     widths: dict[str, int] = field(default_factory=dict)
     tags: dict[tuple[int, int, str], str] = field(default_factory=dict)
-
-
-def _freeze(nodes: set[Value], arcs: set[tuple[Value, Value]]) -> Graph:
-    ordered = tuple(canonical_sorted(list(nodes)))
-    index = {v: i for i, v in enumerate(ordered)}
-    arc_ix = tuple(sorted((index[u], index[v]) for (u, v) in arcs))
-    return Graph(ordered, arc_ix)
 
 
 def _tuple_items(e: Expr, what: str) -> list[Expr]:
@@ -123,38 +117,26 @@ def lex_le_expr(a: Expr, b: Expr) -> Expr:
 
 # -- model-level construction ----------------------------------------------
 
-@dataclass
-class _Image:
-    """A map's flagged image, decoded: each abstract pair (node(x), node(y))
-    of a related pair (x, y) whose source node was asked, mapped to the
-    flags that held on some concrete pair: ``le-<m>`` when measure m's
-    source is <=lex its destination, ``lt-<m>`` when it is <lex."""
-    flags: dict[tuple[Value, Value], set[str]]
-    asked: Optional[set[Value]]  # None: every source node
+Flags = dict[tuple[Value, Value], set[str]]
 
 
-# per model object, by identity: (map name, backend) -> the image its last
-# builder query found; an entry goes with its model
-_IMAGES: dict[int, dict[tuple[str, str], _Image]] = {}
-
-
-def _images(model: Model) -> dict[tuple[str, str], _Image]:
-    key = id(model)
-    if key not in _IMAGES:
-        _IMAGES[key] = {}
-        weakref.finalize(model, _IMAGES.pop, key, None)
-    return _IMAGES[key]
+@dataclass(frozen=True)
+class Built:
+    """The query a graph was built from: its model object, map, backend
+    and flagged image (``_image``)."""
+    model: Model
+    map_name: str
+    backend: str
+    flags: Flags
 
 
 def _image(model: Model, map_name: str, backend: str,
-           nodes: Optional[set[Value]] = None) -> _Image:
-    """One flagged image query of the map's relation (``relation_parts``).
-
-    Without ``nodes`` it is the builder's query: a step map's pairs
-    reached from the nodes of the system's initial processes
-    (``enumeration.reach``, ``step``), a blocking map's whole image
-    (``relation``).  With ``nodes`` it asks those source nodes alone
-    (``tag``)."""
+           seeds: set[Value]) -> Flags:
+    """A map's flagged image, from one query (``relation_parts``): each
+    pair (node(x), node(y)) of related states, a step map's reached from
+    ``seeds`` (``step``), a blocking map's all (``relation``), mapped to
+    the flags that held on some concrete pair: ``le-<m>`` when measure m's
+    source is <=lex its destination, ``lt-<m>`` when it is <lex."""
     mp, rel, dst_state, var_sorts = relation_parts(model, map_name)
     node = mp.node
     items: list[tuple[Optional[str], Expr]] = [
@@ -165,27 +147,17 @@ def _image(model: Model, map_name: str, backend: str,
         items.append((f"le-{name}", lex_le_expr(src_e, dst_e)))
         items.append((f"lt-{name}", lex_lt_expr(src_e, dst_e)))
     trm = TupleE(tuple(items))
-    asked: Optional[set[Value]]
-    if nodes is not None:
-        found = reach(var_sorts, rel, trm, nodes, backend, "tag", False)
-        asked = set(nodes)
-    elif mp.kind == "step":
-        map_e, _ = abstraction_functions(model, map_name)
-        seeds = set(map(map_e, System.compile(model).initial.trs))
+    if mp.kind == "step":
         found = reach(var_sorts, rel, trm, seeds, backend, "step")
-        # a reach asks every node it finds
-        asked = seeds | {q.items[1][1]  # type: ignore[union-attr]
-                         for q in found}
     else:
         found = compute_finite_values(var_sorts, rel, trm, backend,
                                       "relation").values
-        asked = None
-    flags: dict[tuple[Value, Value], set[str]] = {}
+    flags: Flags = {}
     for q in found:
         (_, u), (_, v), *held = q.items  # type: ignore[union-attr]
         flags.setdefault((u, v), set()).update(
             f for f, x in held if x.val)  # type: ignore[union-attr]
-    return _Image(flags, asked)
+    return flags
 
 
 def map_graph(model: Model, map_name: str,
@@ -198,19 +170,23 @@ def map_graph(model: Model, map_name: str,
     seeds reach.  A blocking map is seeded with every node of its declared
     domain, which one query finds; its relation already keeps both ends in
     that domain, so its graph is the whole image, which one more query
-    finds.  The flagged image is kept for ``tag_graph``.
+    finds.  The graph keeps its flagged image (``Graph.built``).
     """
     mp = model.map_decl(map_name)
-    nodes: set[Value] = set()
-    if mp.kind != "step":
-        nodes.update(compute_finite_values(
+    if mp.kind == "step":
+        map_e, _ = abstraction_functions(model, map_name)
+        nodes = set(map(map_e, System.compile(model).initial.trs))
+    else:
+        nodes = set(compute_finite_values(
             {mp.var: mp.state_sort}, mp.domain, mp.node, backend,
             "domain").values)
-    image = _images(model)[(map_name, backend)] = _image(model, map_name,
-                                                         backend)
-    nodes.update(image.asked or ())
-    nodes.update(v for _, v in image.flags)
-    return _freeze(nodes, set(image.flags))
+    flags = _image(model, map_name, backend, nodes)
+    nodes.update(v for _, v in flags)
+    ordered = tuple(canonical_sorted(list(nodes)))
+    index = {v: i for i, v in enumerate(ordered)}
+    arcs = tuple(sorted((index[u], index[v]) for (u, v) in flags))
+    return Graph(ordered, arcs,
+                 built=Built(model, map_name, backend, flags))
 
 
 def tag_graph(model: Model, map_name: str, g: Graph,
@@ -221,34 +197,34 @@ def tag_graph(model: Model, map_name: str, g: Graph,
     For arc (u, v) and measure o with source/destination measure terms
     (s, d): if no concrete pair on the arc has d >=lex s the measure
     strictly decreases there; failing that, if none has d >lex s it is
-    non-increasing; otherwise it may increase.  The flags come from the
-    image ``map_graph`` kept for this model object, map and backend, or
-    from the same query, run here when there is none; a source node that
-    image never asked is asked now (``tag``).  A graph without arcs asks
-    nothing.  Image pairs that are not arcs of ``g`` are ignored, and an
-    arc with no concrete pair reads strict-dec.
+    non-increasing; otherwise it may increase.  The flags are those ``g``
+    keeps when ``map_graph`` built it for this model object (by identity),
+    map and backend.  Any other graph is refused if a node is not of the
+    map's node sort, else the builder's query runs once: a step map's
+    reach from ``g``'s arc sources, or a blocking map's whole image.  A
+    graph without arcs asks nothing.  Image pairs that are not arcs of
+    ``g`` are ignored; an arc with no concrete pair reads strict-dec.
     """
     mp = model.map_decl(map_name)
+    built = g.built
+    if built is not None and built.model is model and (
+            built.map_name, built.backend) == (map_name, backend):
+        flags = built.flags
+    else:
+        for v in g.nodes:
+            if not has_sort(v, mp.node_sort):
+                raise GraphError(f"graph node {value_text(v)} is not a "
+                                 f"node of map '{map_name}'")
+        sources = {g.nodes[i] for (i, _) in g.arcs}
+        flags = _image(model, map_name, backend, sources) if sources else {}
     tags: dict[tuple[int, int, str], str] = {}
-    if g.arcs:
-        images = _images(model)
-        image = images.get((map_name, backend))
-        if image is None:
-            image = images[(map_name, backend)] = _image(model, map_name,
-                                                         backend)
-        if image.asked is not None:
-            missing = {g.nodes[i] for (i, _) in g.arcs} - image.asked
-            if missing:
-                image.flags.update(_image(model, map_name, backend,
-                                          missing).flags)
-                image.asked |= missing
-        for (i, j) in g.arcs:
-            got = image.flags.get((g.nodes[i], g.nodes[j]), ())
-            for name in mp.measure_names:
-                tags[(i, j, name)] = (
-                    STRICT_DEC if f"le-{name}" not in got
-                    else NON_INC if f"lt-{name}" not in got
-                    else MAY_INC)
+    for (i, j) in g.arcs:
+        got = flags.get((g.nodes[i], g.nodes[j]), ())
+        for name in mp.measure_names:
+            tags[(i, j, name)] = (
+                STRICT_DEC if f"le-{name}" not in got
+                else NON_INC if f"lt-{name}" not in got
+                else MAY_INC)
     return TaggedGraph(g.nodes, g.arcs, tuple(mp.measure_names),
                        dict(mp.widths), tags)
 
@@ -271,13 +247,12 @@ def graph_to_json(g: Graph) -> dict:
     return doc
 
 
-def _first_repeat(items):
+def _once(items, what: str, text=repr) -> None:
     seen = set()
     for x in items:
         if x in seen:
-            return x
+            raise GraphError(f"graph lists {what} {text(x)} twice")
         seen.add(x)
-    return None
 
 
 def graph_from_json(doc) -> Graph:
@@ -293,31 +268,36 @@ def graph_from_json(doc) -> Graph:
             raise GraphError(f"graph {key!r} is missing or not a "
                              f"{kind.__name__}")
     nodes = tuple(value_from_json(n) for n in doc["nodes"])
-    twice = _first_repeat(nodes)
-    if twice is not None:
-        raise GraphError(f"graph lists node {value_text(twice)} twice")
+    _once(nodes, "node", value_text)
     for a in doc["arcs"]:
         if not (isinstance(a, list) and len(a) == 2 and all(
                 type(i) is int and 0 <= i < len(nodes) for i in a)):
             raise GraphError(f"bad arc {a!r} of {len(nodes)} nodes")
     arcs = tuple((i, j) for i, j in doc["arcs"])
-    twice = _first_repeat(arcs)
-    if twice is not None:
-        raise GraphError(f"graph lists arc {list(twice)} twice")
+    _once(arcs, "arc", list)
     if "measures" not in doc:
         return Graph(nodes, arcs)
     measures = tuple(doc["measures"])
     widths = doc["widths"]
     if not all(isinstance(m, str) for m in measures):
         raise GraphError("graph measures must be names")
+    _once(measures, "measure")
+    if set(widths) != set(measures):
+        raise GraphError(f"graph widths are for {list(widths)}, not the "
+                         f"measures {list(measures)}")
     if not all(type(w) is int for w in widths.values()):
         raise GraphError("graph widths must be integers")
+    if min(widths.values(), default=0) < 0:
+        raise GraphError("graph widths must not be negative")
     if len(doc["arc_tags"]) != len(arcs):
         raise GraphError("arc/arc tag count mismatch")
     tags: dict[tuple[int, int, str], str] = {}
     for (i, j), per in zip(arcs, doc["arc_tags"]):
+        per = per if isinstance(per, dict) else {}
+        if not per.keys() <= set(measures):
+            raise GraphError(f"arc tags {sorted(per)} are not all measures")
         for name in measures:
-            tag = per.get(name) if isinstance(per, dict) else None
+            tag = per.get(name)
             if tag not in ORDER_TAGS:
                 raise GraphError(f"unknown order tag {tag!r}")
             tags[(i, j, name)] = tag

@@ -10,10 +10,10 @@ raises NotTotal, and an exhaustive table past the row cap raises
 
 ``reach`` asks for the values of a term (src, dst, ...) under ``hyp``
 whose source node a set of seed nodes reaches through the arcs (src, dst);
-the later items (a graph builder's order flags) ride along.  It takes
-nodes first in, first out, in canonical order, and refuses with NotTotal
-once the reached arcs (not values) reach ``VALUE_BOUND``, on both backends
-at the same count.
+the later items (a graph builder's order flags) ride along.  It walks
+every arc, nodes first in, first out, in canonical order, and refuses with
+NotTotal once the reached arcs (not values) reach ``VALUE_BOUND``, on both
+backends at the same count.
 
 Backends:
   exhaustive  vectorized sweep over the variable domains (numpy); a reach
@@ -131,7 +131,7 @@ def compute_finite_values(var_sorts: dict[str, Sort], hyp: Expr, trm: Expr,
 
 def reach(var_sorts: dict[str, Sort], hyp: Expr, trm: TupleE,
           seeds: Iterable[Value], backend: str = "exhaustive",
-          what: str = "query", follow: bool = True) -> list[Value]:
+          what: str = "query") -> list[Value]:
     """The values of ``trm`` under ``hyp`` whose source the seeds reach,
     or NotTotal naming the query ``what`` once the reached arcs reach
     ``VALUE_BOUND`` (or Capacity).
@@ -142,10 +142,10 @@ def reach(var_sorts: dict[str, Sort], hyp: Expr, trm: TupleE,
     arcs, not values.  Nodes are taken first in, first out, seeds in
     canonical order, and each node's values come in canonical order, so
     its successors (its distinct destinations) do too and both backends
-    list the same values in the same order.  With ``follow`` false only
-    the seeds are asked.  The exhaustive backend finds the whole image in
-    one sweep; the SAT backend loads one solver and enumerates each asked
-    node's values with that node's source bits assumed."""
+    list the same values in the same order.  The exhaustive backend finds
+    the whole image in one sweep; the SAT backend loads one solver and
+    enumerates each reached node's values with that node's source bits
+    assumed."""
     _check_backend(backend)
     if backend == "exhaustive":
         by_src: dict[Value, list[Value]] = {}
@@ -182,7 +182,7 @@ def reach(var_sorts: dict[str, Sort], hyp: Expr, trm: TupleE,
             found.append(q)
             v = q.items[1][1]  # type: ignore[union-attr]
             succ.add(v)
-            if follow and v not in seen:
+            if v not in seen:
                 seen.add(v)
                 queue.append(v)
         arcs += len(succ)

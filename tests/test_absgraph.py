@@ -7,10 +7,8 @@ instance, and the per-node loops that the relation sweeps replaced
 (``_pernode``) are the oracle for graphs and tags.
 """
 
-import gc
 import itertools
 import json
-import weakref
 from collections import Counter
 
 import pytest
@@ -238,9 +236,9 @@ def test_backends_agree_on_rank_graph():
 def test_graph_and_tagging_each_sweep_once(model, monkeypatch):
     # a step graph is one flagged reach query (its seeds are compiled from
     # the system's initial state), a blocking graph one domain query plus
-    # one flagged sweep; tagging then reads the flags and asks nothing, and
-    # a graph without arcs asks nothing even on a model object no graph was
-    # built on
+    # one flagged sweep; tagging then reads the flags the graph keeps and
+    # asks nothing, and a graph without arcs asks nothing even on a model
+    # object the graph was not built for
     graphs = {name: map_graph(model, name) for name in ("rank", "nlock")}
     calls = []
 
@@ -265,10 +263,11 @@ def test_graph_and_tagging_each_sweep_once(model, monkeypatch):
         fresh = bakery_model()
         assert tag_graph(fresh, name, Graph(g.nodes, ())).tags == {}
         assert calls == [], name
-        # tagging first runs the builder's query itself, once
+        # on another model object each tagging runs the builder's query
         tag_graph(fresh, name, g)
         tag_graph(fresh, name, g)
-        assert calls == {"rank": ["step"], "nlock": ["relation"]}[name], name
+        assert calls == {"rank": ["step"] * 2,
+                         "nlock": ["relation"] * 2}[name], name
 
 
 def test_an_equal_model_object_asks_again(model, monkeypatch):
@@ -290,20 +289,38 @@ def test_an_equal_model_object_asks_again(model, monkeypatch):
     assert calls == ["step"]
 
 
-def test_kept_images_go_with_their_model():
-    # an image lives as long as its model object; over 50 models built,
-    # tagged and dropped, nothing is left behind
-    gc.collect()
-    before = (len(absgraph._IMAGES), len(weakref.finalize._registry))
-    for _ in range(50):
-        m = bakery_model(1, 1, 2)
-        tag_graph(m, "rank", map_graph(m, "rank"))
-        ref = weakref.ref(m)
-        del m
-        gc.collect()
-        assert ref() is None
-        assert (len(absgraph._IMAGES),
-                len(weakref.finalize._registry)) == before
+def test_flags_serve_only_the_query_they_came_from(monkeypatch):
+    # a graph built on exhaustive and tagged on sat runs one sat step query
+    # and reads the same tags; a graph tagged under a map whose node sort
+    # its nodes are not of is refused, on both backends, before any query
+    m = bakery_model(1, 1, 2)
+    graphs = {name: map_graph(m, name) for name in ("rank", "nlock")}
+    calls = []
+
+    def counting(*args):
+        calls.append((args[-1], args[3]))
+        return compute_finite_values(*args)
+
+    def reaching(*args):
+        calls.append((args[5], args[4]))
+        return reach(*args)
+
+    monkeypatch.setattr(absgraph, "compute_finite_values", counting)
+    monkeypatch.setattr(absgraph, "reach", reaching)
+    g = graphs["rank"]
+    want = tag_graph(m, "rank", g)
+    assert calls == []
+    assert tag_graph(m, "rank", g, backend="sat") == want
+    assert calls == [("step", "sat")]
+    calls.clear()
+    for name, other in (("nlock", "rank"), ("rank", "nlock")):
+        node = value_text(graphs[other].nodes[0])
+        for backend in BACKENDS:
+            with pytest.raises(GraphError) as e:
+                tag_graph(m, name, graphs[other], backend)
+            assert str(e.value) == \
+                f"graph node {node} is not a node of map '{name}'"
+    assert calls == []
 
 
 # rank and nlock on these (backend, (n, r, w)) are built by the relation
@@ -380,7 +397,7 @@ def test_backends_agree_on_tags_of_edited_graphs(name):
                for msr in with_extra.measures)
 
 
-def test_graph_json_roundtrip(rank_tg):
+def test_graph_json_roundtrip(model, rank_tg):
     doc = graph_to_json(rank_tg)
     assert doc["format"] == "wfgraph-graph-v1"
     assert doc["node_texts"][0] == value_text(rank_tg.nodes[0])
@@ -388,6 +405,15 @@ def test_graph_json_roundtrip(rank_tg):
 
     plain = Graph(rank_tg.nodes, rank_tg.arcs)
     assert graph_from_json(graph_to_json(plain)) == plain
+
+    # the query a built graph keeps is no part of its value
+    for name in ("rank", "nlock"):
+        g = map_graph(model, name)
+        back = graph_from_json(graph_to_json(g))
+        assert g.built is not None and back.built is None
+        assert back == g
+        assert (hash(back), repr(back)) == (hash(g), repr(g))
+        assert graph_text(g) == graph_text(pernode.map_graph(model, name))
 
     with pytest.raises(GraphError):
         graph_from_json({"format": "something-else"})
@@ -438,6 +464,17 @@ BAD_GRAPH_DOCS = {
         "(:inv t)) twice"),
     "arc listed twice": (_set_in("arcs", 1, [0, 1]),
                          "graph lists arc [0, 1] twice"),
+    "measure listed twice": (_set("measures", ["runs", "runs"]),
+                             "graph lists measure 'runs' twice"),
+    "widths not the measures": (
+        _set("widths", {"runs": 1, "pos": 1}),
+        "graph widths are for ['runs', 'pos'], not the measures "
+        "['runs', 'loop']"),
+    "negative width": (_set_in("widths", "loop", -1),
+                       "graph widths must not be negative"),
+    "arc tag not a measure": (_set_in("arc_tags", 0, {
+        "runs": "non-inc", "loop": "non-inc", "pos": "non-inc"}),
+        "arc tags ['loop', 'pos', 'runs'] are not all measures"),
 }
 
 

@@ -406,10 +406,6 @@ def test_reach_walks_first_in_first_out_on_both_backends(monkeypatch):
     for backend in BACKENDS:
         assert reach(vs, hyp, trm, [val(4), val(1)], backend) == want
         assert reach(vs, hyp, trm, [val(7)], backend) == []
-        # without following, only the seeds are asked
-        assert reach(vs, hyp, trm, [val(4), val(1)], backend,
-                     follow=False) == [q for q in want
-                                       if q.items[0][1] in (val(1), val(4))]
         # from seed 1 the bound counts the 12 arcs, not their 24 values
         monkeypatch.setattr(enumeration, "VALUE_BOUND", 13)
         assert reach(vs, hyp, trm, [val(1)], backend) == walk({1})
