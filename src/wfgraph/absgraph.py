@@ -33,9 +33,9 @@ from typing import Optional
 from .enumeration import NotTotal, compute_finite_values, reach  # noqa: F401
 from .model import (
     And, BoolV, Const, Eq, Expr, Le, Lt, Model, Or, TupleE, Value,
-    canonical_sorted, has_sort, subst_vars, value_from_json, value_text,
-    value_to_json)
-from .system import System, abstraction_functions, relation_parts
+    canonical_sorted, compile_expr, subst_vars, value_from_json, value_sort,
+    value_text, value_to_json)
+from .system import System, relation_parts
 
 STRICT_DEC = "strict-dec"
 NON_INC = "non-inc"
@@ -174,8 +174,8 @@ def map_graph(model: Model, map_name: str,
     """
     mp = model.map_decl(map_name)
     if mp.kind == "step":
-        map_e, _ = abstraction_functions(model, map_name)
-        nodes = set(map(map_e, System.compile(model).initial.trs))
+        node = compile_expr(mp.node)
+        nodes = {node({mp.var: x}) for x in System.compile(model).initial.trs}
     else:
         nodes = set(compute_finite_values(
             {mp.var: mp.state_sort}, mp.domain, mp.node, backend,
@@ -212,7 +212,7 @@ def tag_graph(model: Model, map_name: str, g: Graph,
         flags = built.flags
     else:
         for v in g.nodes:
-            if not has_sort(v, mp.node_sort):
+            if value_sort(v) != mp.node_sort:
                 raise GraphError(f"graph node {value_text(v)} is not a "
                                  f"node of map '{map_name}'")
         sources = {g.nodes[i] for (i, _) in g.arcs}

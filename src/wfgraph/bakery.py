@@ -10,8 +10,8 @@ with `get` (`a.get("pos-valid")`).  Every run is watched by the synthesized
 measures: the scheduler's blocking descent must strictly decrease the
 no-lock measure, and each global step must strictly decrease the
 fixed-length list-of-bnl rank measure.  The measures evaluate the map's
-expressions through closures compiled once per `Bakery`
-(`system.abstraction_functions`); a step moves one process, so the monitor
+expressions through one abstraction function per map, compiled once per
+`Bakery` (`system.abstraction`); a step moves one process, so the monitor
 re-measures only that process's rank entry.
 
 Each `Bakery` keeps the steps its runs have checked as a graph
@@ -23,8 +23,8 @@ trace text.  Process values are interned, and each distinct one has its
 rank entry measured once.  A run walks the graph and computes and checks
 only what no run has reached before, so every step it takes was checked
 once under the current measures.  The graph is keyed on the compiled
-system, both omaps and their evaluators, and is rebuilt empty when any of
-them has been rebound.
+system, both omaps and their abstractions, and is rebuilt empty when any
+of them has been rebound.
 """
 
 from __future__ import annotations
@@ -46,8 +46,7 @@ from .ordinals import (
     o_lt,
     ordinal_text,
 )
-from .system import (
-    BakeryError, System, SystemState, abstraction_functions)
+from .system import BakeryError, System, SystemState, abstraction
 
 
 def bakery_text() -> str:
@@ -106,6 +105,17 @@ def _ready_indices(trs: Sequence[TupleV], system: System,
             not system.done(a) and system.blocker(a, trs) is None]
 
 
+def _pick(oracle: Callable[[Sequence[int]], int], ready: list[int],
+          who: str) -> int:
+    """The oracle's pick from a fresh copy of `ready`, which must be one
+    of them."""
+    i = oracle(list(ready))
+    if i not in ready:
+        raise BakeryError(f"{who} chose index {i}, not a process that is "
+                          f"ready: {ready}")
+    return i
+
+
 def choose_ready(trs: Sequence[TupleV], system: System,
                  oracle: Optional[Callable[[Sequence[int]], int]] = None,
                  msr: Optional[Callable[[TupleV], Ordinal]] = None) -> int:
@@ -113,7 +123,8 @@ def choose_ready(trs: Sequence[TupleV], system: System,
 
     The blocker chain from the first undone process witnesses that a valid
     choice exists; without an oracle that witness is returned, otherwise the
-    oracle picks among all valid indices.
+    oracle picks among all valid indices, and a pick that is not one of
+    them raises BakeryError.
     """
     start = system.find_undone(trs)
     if start is None:
@@ -121,7 +132,7 @@ def choose_ready(trs: Sequence[TupleV], system: System,
     witness = find_unblok(start, trs, system, msr)
     if oracle is None:
         return witness
-    return oracle(_ready_indices(trs, system, witness))
+    return _pick(oracle, _ready_indices(trs, system, witness), "the oracle")
 
 
 # -- the checked step graph --------------------------------------------------
@@ -203,11 +214,8 @@ class _StepGraph:
         if ready is None:
             ready = self.ready[v] = _ready_indices(
                 self.states[v].trs, b.system, w)
-        i = oracle(list(ready))
-        if i not in ready:  # i also numbers the successor's key
-            raise BakeryError(f"step {k + 1} chose index {i}, not a process "
-                              f"that is ready: {ready}")
-        return i
+        # the pick also numbers the successor's key
+        return _pick(oracle, ready, f"step {k + 1}")
 
     def step(self, b: "Bakery", v: int, i: int, k: int) -> tuple[int, str]:
         """Arc (v, i), stepped and checked the first time it is taken as
@@ -229,7 +237,7 @@ class _StepGraph:
             bn2[i] = self.rank.get(key[i])
             if bn2[i] is None:
                 bn2[i] = self.rank[key[i]] = b.rank_omap.mk_bnl(
-                    st2.trs[i], b._rank_e, b._rank_o)
+                    st2.trs[i], b._rank_abs)
         else:
             bn2 = self.bnll[u]
         if not bnll_lt(bn2, bn):
@@ -277,10 +285,9 @@ class Bakery:
         self.n, self.r, self.w = (dict(self.model.params)[k] for k in "nrw")
         self.system = System.compile(self.model)
         self.rank_omap = self._synth("rank", backend)
-        self._rank_e, self._rank_o = abstraction_functions(self.model, "rank")
+        self._rank_abs = abstraction(self.model, "rank")
         self.nlock_omap = self._synth("nlock", backend)
-        self._nlock_e, self._nlock_o = abstraction_functions(
-            self.model, "nlock")
+        self._nlock_abs = abstraction(self.model, "nlock")
         self._graph = _StepGraph(self._graph_basis())
 
     def _synth(self, map_name: str, backend: str) -> Omap:
@@ -288,12 +295,11 @@ class Bakery:
         return synthesize_omap(tag_graph(self.model, map_name, g, backend))
 
     def nlock_msr(self, a: TupleV) -> Ordinal:
-        return self.nlock_omap.msr(a, self._nlock_e, self._nlock_o)
+        return self.nlock_omap.msr(a, self._nlock_abs)
 
     def rank_bnll(self, st: SystemState) -> list[Bnl]:
         """Per-process rank measure values, in process order."""
-        return [self.rank_omap.mk_bnl(a, self._rank_e, self._rank_o)
-                for a in st.trs]
+        return [self.rank_omap.mk_bnl(a, self._rank_abs) for a in st.trs]
 
     def step(self, st: SystemState, i: int) -> SystemState:
         a = st.trs[i]
@@ -317,7 +323,7 @@ class Bakery:
         The run walks this instance's graph of checked steps: a state and
         a step are computed and checked the first time any run reaches
         them, and read back after that.  The graph is keyed on `system`,
-        `rank_omap`, `nlock_omap` and the measures' compiled evaluators,
+        `rank_omap`, `nlock_omap` and the maps' compiled abstractions,
         and rebuilt empty when any of them has been rebound, so every step
         taken was checked once under the current measures.  Runs on one
         instance must not overlap: the graph has no lock.
@@ -350,4 +356,4 @@ class Bakery:
 
     def _graph_basis(self) -> tuple:
         return (self.system, self.rank_omap, self.nlock_omap,
-                self._rank_e, self._rank_o, self._nlock_e, self._nlock_o)
+                self._rank_abs, self._nlock_abs)

@@ -235,6 +235,22 @@ def _ite_val(bld: _Builder, c: int, t: BLeaf, e: BLeaf) -> BLeaf:
     return BLeaf([bld.g_ite(c, x, y) for x, y in zip(t.lits, e.lits)], t.sort)
 
 
+# An encoded value's sort is checked after ``_Encoder.encode`` returns, so
+# each nesting level of an expression costs two frames (``_encode`` and
+# ``encode``), as in ``veceval.scalarize``, and a model the exhaustive
+# backend runs is not too deep to blast.
+
+
+def _lit(v: BitVal) -> int:
+    assert isinstance(v.sort, BoolSort)
+    return v.lits[0]
+
+
+def _bits(v: BitVal) -> list[int]:
+    assert isinstance(v.sort, NatSort)
+    return v.lits
+
+
 class _Encoder:
     def __init__(self, bld: _Builder, env: dict[AtomKey, BLeaf]):
         self.bld = bld
@@ -244,16 +260,6 @@ class _Encoder:
         # are ids, valid because the encoded trees outlive the encoder.
         self.encoded: dict[int, BitVal] = {}
 
-    def bool_lit(self, e: Expr) -> int:
-        v = self.encode(e)
-        assert isinstance(v.sort, BoolSort)
-        return v.lits[0]
-
-    def nat_bits(self, e: Expr) -> list[int]:
-        v = self.encode(e)
-        assert isinstance(v.sort, NatSort)
-        return v.lits
-
     def encode(self, e: Expr) -> BitVal:
         v = self.encoded.get(id(e))
         if v is None:
@@ -261,7 +267,7 @@ class _Encoder:
         return v
 
     def _encode(self, e: Expr) -> BitVal:
-        bld = self.bld
+        bld, enc = self.bld, self.encode
         if isinstance(e, Var):
             return self.env[e.name, None]
         if isinstance(e, Const):
@@ -270,34 +276,32 @@ class _Encoder:
             assert isinstance(e.rec, Var), "expression is not scalarized"
             return self.env[e.rec.name, e.name]
         if isinstance(e, Ite):
-            return _ite_val(bld, self.bool_lit(e.cond),
-                            self.encode(e.then), self.encode(e.alt))
+            return _ite_val(bld, _lit(enc(e.cond)), enc(e.then), enc(e.alt))
         if isinstance(e, Eq):
-            return _bool(bld.eq_bits(self.encode(e.a).lits,
-                                     self.encode(e.b).lits))
+            return _bool(bld.eq_bits(enc(e.a).lits, enc(e.b).lits))
         if isinstance(e, (Lt, Le)):
-            return _bool(bld.lt_bits(self.nat_bits(e.a), self.nat_bits(e.b),
+            return _bool(bld.lt_bits(_bits(enc(e.a)), _bits(enc(e.b)),
                                      isinstance(e, Lt)))
         if isinstance(e, (AddMod, SubSat)):
-            a = self.encode(e.a)
+            a = enc(e.a)
             op = bld.add_mod if isinstance(e, AddMod) else bld.sub_sat
-            return BLeaf(op(a.lits, self.nat_bits(e.b)), a.sort)
+            return BLeaf(op(a.lits, _bits(enc(e.b))), a.sort)
         if isinstance(e, Not):
-            return _bool(-self.bool_lit(e.a))
+            return _bool(-_lit(enc(e.a)))
         if isinstance(e, And):
-            return _bool(bld.g_and([self.bool_lit(x) for x in e.args]))
+            return _bool(bld.g_and([_lit(enc(x)) for x in e.args]))
         if isinstance(e, Or):
-            return _bool(bld.g_or([self.bool_lit(x) for x in e.args]))
+            return _bool(bld.g_or([_lit(enc(x)) for x in e.args]))
         if isinstance(e, TupleE):
-            return VRec(tuple((n, self.encode(x)) for n, x in e.items))
+            return VRec(tuple((n, enc(x)) for n, x in e.items))
         if isinstance(e, CaseNat):
-            scrut = self.nat_bits(e.scrut)
-            out = self.encode(e.default)
+            scrut = _bits(enc(e.scrut))
+            out = enc(e.default)
             for key, body in reversed(e.arms):
                 if key >= (1 << len(scrut)):
                     continue  # no scrutinee value can reach this arm
                 hit = bld.eq_bits(scrut, _const_bits(key, len(scrut)))
-                out = _ite_val(bld, hit, self.encode(body), out)
+                out = _ite_val(bld, hit, enc(body), out)
             return out
         raise BlastError(f"cannot encode {type(e).__name__}")
 
@@ -374,7 +378,7 @@ def bitblast(trm: Expr, hyp: Expr, var_sorts: dict[str, Sort]) -> Circuit:
         env[key] = _alloc_input(bld, s)
         inputs[key[0]] += env[key].lits
     enc = _Encoder(bld, env)
-    hyp_lit = enc.bool_lit(hyp)
+    hyp_lit = _lit(enc.encode(hyp))
     output = enc.encode(trm)
     return Circuit(num_vars=bld.num_vars, clauses=bld.clauses, inputs=inputs,
                    output=output, hyp_lit=hyp_lit)

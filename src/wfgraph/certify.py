@@ -50,8 +50,8 @@ from .absgraph import NON_INC, STRICT_DEC, Graph, TaggedGraph
 from .enumeration import compute_finite_values
 from .measure import Omap
 from .model import (
-    And, Const, Eq, Expr, Model, Or, TupleE, TupleV, Value, has_sort,
-    sort_text, subst_vars, value_text, value_to_json)
+    And, Const, Eq, Expr, Model, Or, TupleE, TupleV, Value, sort_text,
+    subst_vars, value_sort, value_text, value_to_json)
 # not called here; the benchmark tracer counts one-shot evaluations at
 # ``wfgraph.certify:eval_expr`` and resolves that name by import
 from .model import eval_expr  # noqa: F401
@@ -354,7 +354,7 @@ def certify_relation(model: Model, map_name: str, tg: TaggedGraph,
             f"{dict(omap.widths)} differ from map '{map_name}', which "
             f"declares {list(mp.measure_names)} with widths {mp.widths}")
     for node, desc in omap.descriptors:
-        if not has_sort(node, mp.node_sort):
+        if value_sort(node) != mp.node_sort:
             raise CertificationError(
                 f"omap node {json.dumps(value_to_json(node))} is not a "
                 f"node of map '{map_name}', of sort "

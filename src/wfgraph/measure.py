@@ -76,12 +76,12 @@ class Omap:
     def bnl_bound(self) -> int:
         return bnl_bnd((d for _, d in self.descriptors), self.widths)
 
-    def mk_bnl(self, x, map_e: Callable, map_o: Callable) -> Bnl:
+    def mk_bnl(self, x, abstract: Callable) -> Bnl:
         return mk_bnl(x, self._by_node, self.widths, self.bnl_bound,
-                      map_e, map_o)
+                      abstract)
 
-    def msr(self, x, map_e: Callable, map_o: Callable) -> Ordinal:
-        return bnl_to_ordinal(self.mk_bnl(x, map_e, map_o))
+    def msr(self, x, abstract: Callable) -> Ordinal:
+        return bnl_to_ordinal(self.mk_bnl(x, abstract))
 
 
 # -- strongly connected components -----------------------------------------

@@ -265,7 +265,8 @@ def value_from_json(obj) -> Value:
             return NatV(obj["n"], obj["w"])
         of = obj.get("of")
         if isinstance(obj.get("e"), str) and isinstance(of, list) \
-                and all(isinstance(s, str) for s in of):
+                and all(isinstance(s, str) for s in of) \
+                and len(set(of)) == len(of):
             return EnumV(obj["e"], tuple(of))
         items = obj.get("t")
         if isinstance(items, list) and all(
@@ -277,13 +278,9 @@ def value_from_json(obj) -> Value:
 
 def default_value(s: Sort) -> Value:
     """The all-zero value of a sort (used to fill unconstrained fields)."""
-    if isinstance(s, BoolSort):
-        return BoolV(False)
-    if isinstance(s, NatSort):
-        return NatV(0, s.width)
-    if isinstance(s, EnumSort):
-        return EnumV(s.syms[0], s.syms)
-    return TupleV(tuple((n, default_value(fs)) for n, fs in s.fields))
+    if isinstance(s, TupleSort):
+        return TupleV(tuple((n, default_value(fs)) for n, fs in s.fields))
+    return code_value(s, 0)
 
 
 def value_sort(v: Value) -> Sort:
@@ -323,20 +320,6 @@ def code_value(s: Sort, code: int) -> Value:
     if isinstance(s, EnumSort):
         return EnumV(s.syms[int(code)], s.syms)
     raise TypeError("a record sort has no codes")
-
-
-def has_sort(v: Value, s: Sort) -> bool:
-    """Whether ``v`` is a value of sort ``s``: same kind, nat width, enum
-    symbols, and field names in order, recursively."""
-    if isinstance(s, BoolSort):
-        return isinstance(v, BoolV)
-    if isinstance(s, NatSort):
-        return isinstance(v, NatV) and v.width == s.width
-    if isinstance(s, EnumSort):
-        return isinstance(v, EnumV) and v.syms == s.syms
-    return (isinstance(v, TupleV) and len(v.items) == len(s.fields)
-            and all(n == fn and has_sort(x, fs)
-                    for (n, x), (fn, fs) in zip(v.items, s.fields)))
 
 
 # ---------------------------------------------------------------------------
@@ -1093,14 +1076,10 @@ def parse_model(text: str, params: Optional[dict[str, int]] = None) -> Model:
         raise ParseError("expected model header '(model name ...)'", forms[0].pos())
     model_name = body[1].sym()
 
-    param_list: list[tuple[str, int]] = []
     param_map: dict[str, int] = {}
     sorts: dict[str, TupleSort] = {}
-    sort_list: list[tuple[str, TupleSort]] = []
     defines: dict[str, Define] = {}
-    define_list: list[tuple[str, Define]] = []
     maps: dict[str, MapDecl] = {}
-    map_list: list[tuple[str, MapDecl]] = []
     system: Optional[SystemDecl] = None
 
     def elab() -> _Elab:
@@ -1125,7 +1104,6 @@ def parse_model(text: str, params: Optional[dict[str, int]] = None) -> Model:
                 if val < 0:
                     raise ParseError("parameter must be a natural", p.pos())
                 param_map[pname] = val
-                param_list.append((pname, val))
 
         elif head == "sort":
             if not rest or rest[0].kind != "sym":
@@ -1144,7 +1122,6 @@ def parse_model(text: str, params: Optional[dict[str, int]] = None) -> Model:
                 seen.add(fname)
                 fields.append((fname, _parse_scalar_sort(f.items[1], param_map)))
             sorts[sname] = TupleSort(tuple(fields))
-            sort_list.append((sname, sorts[sname]))
 
         elif head == "define":
             if len(rest) != 4 or rest[0].kind != "sym" or not rest[1].is_list:
@@ -1168,9 +1145,7 @@ def parse_model(text: str, params: Optional[dict[str, int]] = None) -> Model:
                 env[pname] = psort
             result = _parse_param_sort(rest[2], param_map, sorts)
             bodye = elab().check(rest[3], result, env)
-            d = Define(dname, tuple(dparams), result, bodye)
-            defines[dname] = d
-            define_list.append((dname, d))
+            defines[dname] = Define(dname, tuple(dparams), result, bodye)
 
         elif head == "map":
             if len(rest) < 2 or rest[0].kind != "sym" or not rest[1].is_list \
@@ -1238,10 +1213,8 @@ def parse_model(text: str, params: Optional[dict[str, int]] = None) -> Model:
                 raise ParseError(f"map '{mname}' is missing (kind ...)", form.pos())
             if node is None:
                 raise ParseError(f"map '{mname}' is missing (node ...)", form.pos())
-            m = MapDecl(mname, mvar, ssname, ssort, kind, domain,
-                        node[0], node[1], tuple(measures))
-            maps[mname] = m
-            map_list.append((mname, m))
+            maps[mname] = MapDecl(mname, mvar, ssname, ssort, kind, domain,
+                                  node[0], node[1], tuple(measures))
 
         elif head == "system":
             fields = {}
@@ -1305,8 +1278,16 @@ def parse_model(text: str, params: Optional[dict[str, int]] = None) -> Model:
             raise ModelError(
                 f"override for undeclared parameter(s): {', '.join(unknown)}")
 
-    return Model(model_name, tuple(param_list), tuple(sort_list),
-                 tuple(define_list), tuple(map_list), system)
+    if system is not None:
+        # a map abstracts the system's processes, so it ranges over them
+        for m in maps.values():
+            if m.state_sort_name != system.state_sort_name:
+                raise ParseError(
+                    f"map '{m.name}' ranges over sort '{m.state_sort_name}', "
+                    f"not the system's state '{system.state_sort_name}'")
+
+    return Model(model_name, tuple(param_map.items()), tuple(sorts.items()),
+                 tuple(defines.items()), tuple(maps.items()), system)
 
 
 # ---------------------------------------------------------------------------

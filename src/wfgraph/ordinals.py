@@ -177,20 +177,20 @@ def bnl_bnd(descriptors: Iterable[Descriptor],
 
 def mk_bnl(x, descriptors: Mapping[object, Descriptor],
            widths: Mapping[str, int], bound: int,
-           map_e: Callable[[object], object],
-           map_o: Callable[[object, str], Sequence[int]]) -> Bnl:
+           abstract: Callable[[object], tuple[object, Mapping[str, Bnl]]]
+           ) -> Bnl:
     """Measure value of concrete state ``x``: its node's descriptor with
     measure names replaced by the state's measure tuples, zero-padded on
-    the right to ``bound``, the descriptors' common ``bnl_bnd``."""
-    node = map_e(x)
+    the right to ``bound``, the descriptors' common ``bnl_bnd``.
+    ``abstract`` maps a state to its node and its measures' tuples."""
+    node, values = abstract(x)
     if node not in descriptors:
         raise OrdinalError(
             f"state maps to a node outside the omap: {node!r}")
-    values = {name: tuple(map_o(x, name)) for name in widths}
-    for name, v in values.items():
-        if len(v) != widths[name]:
+    for name, width in widths.items():
+        got = len(values.get(name, ()))
+        if got != width:
             raise OrdinalError(
-                f"measure {name!r} produced width {len(v)}, "
-                f"declared {widths[name]}")
+                f"measure {name!r} produced width {got}, declared {width}")
     expanded = expand_descriptor(descriptors[node], values)
     return tuple(expanded) + (0,) * (bound - len(expanded))

@@ -15,7 +15,8 @@ predicate and `done`.  Everything that reads them reads them here:
                          k = 1..processes, the shared state its sort's
                          default; a step map's graph (``absgraph``) is
                          seeded with its processes' nodes
-  abstraction_functions  a map's node and measure expressions, compiled
+  abstraction            a map's node and measure expressions, compiled
+                         to one function of a state
 
 This module imports from ``model`` only, so the relation that the
 certifier checks shares no code with graph construction.
@@ -72,25 +73,23 @@ def relation_parts(model: Model, map_name: str
     return mp, rel, dst, {mp.var: mp.state_sort, **free}
 
 
-def abstraction_functions(model: Model, map_name: str):
-    """Concrete evaluators (map_e, map_o) for a map declaration.  The node
-    expression and every measure expression are compiled here, once; the
-    evaluators only call the closures."""
+def abstraction(model: Model, map_name: str
+                ) -> Callable[[Value], tuple[Value, dict[str, tuple[int, ...]]]]:
+    """A map's abstraction, compiled once: a function from a state to its
+    node and its measures' values, each a tuple of ints, by measure name in
+    declared order."""
     mp = model.map_decl(map_name)
     var = mp.var
     node = compile_expr(mp.node)
-    measures = {name: compile_expr(e) for name, e in mp.measures}
+    measures = [(name, compile_expr(e)) for name, e in mp.measures]
 
-    def map_e(x: Value) -> Value:
-        return node({var: x})
+    def abstract(x: Value) -> tuple[Value, dict[str, tuple[int, ...]]]:
+        env = {var: x}
+        return node(env), {
+            name: tuple(v.val for _, v in m(env).items)  # type: ignore
+            for name, m in measures}
 
-    def map_o(x: Value, name: str) -> tuple[int, ...]:
-        if name not in measures:
-            mp.measure_expr(name)  # raises the unknown-measure SortError
-        t = measures[name]({var: x})
-        return tuple(v.val for _, v in t.items)  # type: ignore[union-attr]
-
-    return map_e, map_o
+    return abstract
 
 
 @dataclass(frozen=True)

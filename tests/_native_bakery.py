@@ -215,10 +215,10 @@ def native_run(b: Bakery, seed: Optional[int] = None, max_steps: int = 100_000
     oracle = random.Random(seed).choice if seed is not None else None
 
     def rank(a: BakeTr):
-        return b.rank_omap.mk_bnl(tr_value(b.model, a), b._rank_e, b._rank_o)
+        return b.rank_omap.mk_bnl(tr_value(b.model, a), b._rank_abs)
 
     def nlock_msr(a: BakeTr) -> Ordinal:
-        return b.nlock_omap.msr(tr_value(b.model, a), b._nlock_e, b._nlock_o)
+        return b.nlock_omap.msr(tr_value(b.model, a), b._nlock_abs)
 
     st = bake_init(b.n, b.r)
     bn = [rank(a) for a in st.trs]

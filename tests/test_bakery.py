@@ -54,7 +54,7 @@ from wfgraph.model import (
 )
 from wfgraph.ordinals import (
     Ordinal, bnll_lt, bnll_to_ordinal, o_lt, ordinal_text)
-from wfgraph.system import BakeryError, System, abstraction_functions
+from wfgraph.system import BakeryError, System, abstraction
 
 
 N, R, W = 2, 2, 3
@@ -255,6 +255,12 @@ def test_choose_ready(system):
 
     assert choose_ready([waiter, other], system, oracle) == 1
     assert picks == [[1]]
+    # a pick that is not ready is refused, as in a run: the blocked
+    # waiter, or an index past the processes
+    for pick in (0, 7):
+        with pytest.raises(BakeryError, match=rf"^the oracle chose index "
+                           rf"{pick}, not a process that is ready: \[1\]$"):
+            choose_ready([waiter, other], system, lambda ready: pick)
     with pytest.raises(BakeryError):
         choose_ready([_proc(done=True)], system)
 
@@ -387,8 +393,8 @@ def test_step_graph_holds_every_initial_process(backend, monkeypatch):
     model = bakery_model(2, 1, 2)
     g = map_graph(model, "rank", backend)
     assert (len(g.nodes), len(g.arcs)) == (40, 42)
-    map_e, _ = abstraction_functions(model, "rank")
-    seeds = {map_e(a) for a in System.compile(model).initial.trs}
+    abstract = abstraction(model, "rank")
+    seeds = {abstract(a)[0] for a in System.compile(model).initial.trs}
     assert len(seeds) == 2 and seeds <= set(g.nodes)
     tg = tag_graph(model, "rank", g, backend)
     cert = certify_relation(model, "rank", tg, synthesize_omap(tg), edited,
@@ -487,6 +493,22 @@ def test_replayed_run_steps_and_measures_nothing(monkeypatch):
     calls.clear()
     assert b.run(seed=4) == first
     assert calls == []
+
+
+def test_monitor_graph_after_100_seeds():
+    # seeds 0-99 on one instance: the states and steps they checked, and
+    # one rank abstraction per distinct process value (the initial two,
+    # then each value a step produced)
+    b = Bakery(2, 2, 3)
+    seen = []
+    rank_abs = b._rank_abs
+    b._rank_abs = lambda a: (seen.append(a), rank_abs(a))[1]
+    for seed in range(100):
+        b.run(seed=seed)
+    g = b._graph
+    assert (len(g.states), sum(map(len, g.arcs)), len(g.rank)) == \
+        (1012, 1542, 194)
+    assert len(seen) == len(set(seen)) == 2 + 194
 
 
 def test_warm_run_from_mid_state_matches_fresh(bakery):

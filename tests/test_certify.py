@@ -33,7 +33,6 @@ from wfgraph.measure import Omap, omap_text, synthesize_omap
 from wfgraph.model import (
     TupleV, eval_expr, parse_model, value_from_json, value_text)
 from wfgraph.ordinals import OrdinalError
-from wfgraph.system import abstraction_functions
 
 
 W = 2  # width override keeping concrete sweeps quick
@@ -205,8 +204,9 @@ def test_sweep_compares_each_bnl_pair_once(nlock_223, monkeypatch):
     sweep = relation_cases(m, "nlock", om.nodes)
 
     def bnl(q, side):
-        return om.mk_bnl(q, lambda q: q.get(side), lambda q, name: [
-            x.val for _, x in q.get(f"{side}-{name}").items])
+        return om.mk_bnl(q, lambda q: (q.get(side), {
+            name: tuple(x.val for _, x in q.get(f"{side}-{name}").items)
+            for name in om.measures}))
 
     pairs = {(bnl(q, "src"), bnl(q, "dst")) for q in sweep.rows}
     assert len(sweep.rows) == 11264 and len(pairs) == 500
@@ -373,17 +373,14 @@ def test_certificate_json_and_hashes(model, rank_parts):
     assert all(ch["witness"] is None for ch in doc["checks"])
 
 
-def test_abstraction_functions(model, rank_parts):
+def test_abstraction(model, rank_parts):
     tg, _ = rank_parts
-    map_e, map_o = abstraction_functions(model, "rank")
+    abstract = system.abstraction(model, "rank")
     x0 = system.System.compile(model).initial.trs[0]
-    assert map_e(x0) == tg.nodes[0]
-    assert map_o(x0, "runs") == (2,)
-    assert map_o(x0, "loop") == (0,)
+    assert abstract(x0) == (tg.nodes[0], {"runs": (2,), "loop": (0,)})
 
 
-def test_abstraction_functions_compile_each_expression_once(
-        model, monkeypatch):
+def test_abstraction_compiles_each_expression_once(model, monkeypatch):
     x0 = system.System.compile(model).initial.trs[1]
     compiled = []
     compile_expr = system.compile_expr
@@ -394,12 +391,14 @@ def test_abstraction_functions_compile_each_expression_once(
 
     monkeypatch.setattr(system, "compile_expr", counting)
     mp = model.map_decl("rank")
-    map_e, map_o = abstraction_functions(model, "rank")
+    abstract = system.abstraction(model, "rank")
     assert compiled == [mp.node] + [e for _, e in mp.measures]
     for _ in range(3):
-        assert map_e(x0) == eval_expr(mp.node, {mp.var: x0})
+        node, measures = abstract(x0)
+        assert node == eval_expr(mp.node, {mp.var: x0})
+        assert list(measures) == list(mp.measure_names)
         for name in mp.measure_names:
-            assert map_o(x0, name) == tuple(
+            assert measures[name] == tuple(
                 x.val for _, x in eval_expr(mp.measure_expr(name),
                                             {mp.var: x0}).items)
     assert len(compiled) == 1 + len(mp.measures)

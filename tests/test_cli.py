@@ -445,6 +445,28 @@ def test_deep_nesting_is_a_tool_error(tmp_path, capsys):
         "wfgraph: error: model nests too deeply\n"
 
 
+def test_both_backends_run_a_400_deep_rank_node(tmp_path, capsys):
+    # each nesting level costs the sat encoder as many frames as the
+    # scalarizer every backend runs first, so a model that reach runs on
+    # exhaustive is not too deep for sat
+    text = bakery_text()
+    d = 400
+    deep = text.replace("(:inv (counters-ok a)))", "(:inv " + "(not " * d
+                        + "(counters-ok a)" + ")" * d + "))")
+    assert deep != text
+    f = tmp_path / "deep.wfm"
+    f.write_text(deep)
+    out = {}
+    for backend in BACKENDS:
+        assert cli_main(["reach", "--backend", backend, "--map", "rank",
+                         "--model", str(f)]) == 0, capsys.readouterr().err
+        out[backend] = capsys.readouterr().out
+    assert out["sat"] == out["exhaustive"]
+    # an even chain of negations keeps every node's value
+    assert cli_main(["reach", "--map", "rank"]) == 0
+    assert capsys.readouterr().out == out["exhaustive"]
+
+
 def test_capacity_is_a_tool_error(monkeypatch, capsys):
     # a query whose table passes a lowered row cap is one line naming the
     # query: at (2,2,2) rank's step table has 512 rows, nlock's domain

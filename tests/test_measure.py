@@ -290,14 +290,11 @@ def test_omap_accessors():
     assert om.as_dict() == {nodes[0]: (1, "m", 0), nodes[1]: (2, 0)}
     assert om.bnl_bound == 3
 
-    def map_e(x):
-        return nodes[x[0]]
+    def abstract(x):
+        return nodes[x[0]], {"m": (x[1],)}
 
-    def map_o(x, name):
-        return (x[1],)
-
-    assert om.mk_bnl((0, 5), map_e, map_o) == (1, 5, 0)
-    assert om.mk_bnl((1, 5), map_e, map_o) == (2, 0, 0)
-    assert om.msr((0, 0), map_e, map_o) == Ordinal(((2, 1),))
+    assert om.mk_bnl((0, 5), abstract) == (1, 5, 0)
+    assert om.mk_bnl((1, 5), abstract) == (2, 0, 0)
+    assert om.msr((0, 0), abstract) == Ordinal(((2, 1),))
     with pytest.raises(OrdinalError):
-        om.mk_bnl((0, 5), map_e, lambda x, name: (1, 2))  # wrong width
+        om.mk_bnl((0, 5), lambda x: (nodes[0], {"m": (1, 2)}))  # wrong width

@@ -169,6 +169,39 @@ def test_system_refuses_an_unknown_or_repeated_role(extra, message, tmp_path,
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+BADB = ("(map badb ((s shared)) (kind {}) (node (:m s.max)) "
+        "(measure m (tuple s.max)))")
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("kind", ["blok", "step"])
+def test_a_map_ranges_over_the_system_state(kind, backend, tmp_path, capsys):
+    # a map abstracts the system's processes: one over another sort is
+    # refused with one line, whether the system comes after the map or
+    # before it, and no stage runs on it
+    text = bakery_text()
+    m = BADB.format(kind)
+    message = ("map 'badb' ranges over sort 'shared', not the system's "
+               "state 'proc'")
+    f = tmp_path / "badb.wfm"
+    for edited in (text.replace("  (system ", f"  {m}\n  (system ", 1),
+                   text.rstrip().removesuffix(")") + f"\n  {m})\n"):
+        assert edited.count("(map badb") == 1
+        with pytest.raises(ParseError) as e:
+            parse_model(edited)
+        assert e.value.message == message
+        assert "\n" not in str(e.value)
+        f.write_text(edited)
+        for cmd in ("reach", "order", "synth"):
+            assert cli_main([cmd, "--backend", backend, "--map", "badb",
+                             "--model", str(f)]) == 1
+            assert capsys.readouterr().err == f"wfgraph: error: {message}\n"
+    # without a system, a map's sort is its own affair
+    start = text.index("  (system ")
+    nosys = text[:start] + m + ")\n"
+    assert parse_model(nosys).map_decl("badb").state_sort_name == "shared"
+
+
 def test_system_process_count_is_a_parameter_or_a_literal():
     text = bakery_text()
     m = parse_model(text.replace("(processes n)", "(processes 3)"))
@@ -225,7 +258,8 @@ def test_value_json_roundtrip(bakery):
 
 @pytest.mark.parametrize("obj", [
     {"n": 1.9, "w": 5}, {"b": "no"}, {"n": "3", "w": "5"}, {"n": True, "w": 3},
-    {"n": 3}, {"e": 1, "of": ["a", "b"]}, {"t": [["x"]]}, {"t": 7}, [], 7])
+    {"n": 3}, {"e": 1, "of": ["a", "b"]}, {"e": "a", "of": ["a", "a"]},
+    {"t": [["x"]]}, {"t": 7}, [], 7])
 def test_value_from_json_refuses_what_it_would_coerce(obj):
     with pytest.raises(ModelError) as err:
         value_from_json(obj)

@@ -220,27 +220,21 @@ def test_descriptor_length_and_bound():
 
 
 def test_mk_bnl_pads_to_common_bound():
-    def map_e(x):
-        return x[0]
-
-    def map_o(x, name):
-        return x[1]
+    def abstract(x):
+        return x[0], {"m": x[1]}
 
     bound = bnl_bnd(TOY_DESCRIPTORS.values(), TOY_WIDTHS)
-    args = (TOY_DESCRIPTORS, TOY_WIDTHS, bound, map_e, map_o)
+    args = (TOY_DESCRIPTORS, TOY_WIDTHS, bound, abstract)
     assert mk_bnl(("A", (5, 7)), *args) == (2, 5, 7)
     assert mk_bnl(("B", (0, 0)), *args) == (1, 0, 0)
 
 
 def test_mk_bnl_rejects_bad_states():
-    def map_e(x):
-        return x[0]
-
-    def map_o(x, name):
-        return x[1]
+    def abstract(x):
+        return x[0], {"m": x[1]}
 
     bound = bnl_bnd(TOY_DESCRIPTORS.values(), TOY_WIDTHS)
-    args = (TOY_DESCRIPTORS, TOY_WIDTHS, bound, map_e, map_o)
+    args = (TOY_DESCRIPTORS, TOY_WIDTHS, bound, abstract)
     with pytest.raises(OrdinalError):
         mk_bnl(("C", (0, 0)), *args)
     with pytest.raises(OrdinalError):
