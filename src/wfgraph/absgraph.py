@@ -5,16 +5,17 @@ arcs record which nodes can succeed which.  Both come from the image of the
 map's concrete relation (``system.relation_parts``): the distinct
 (node(x), node(y)) pairs of related states x, y.  ``map_graph`` keeps what
 that image reaches from the map's seed nodes.  A step map's seeds are the
-nodes of the system's initial processes, compiled from the model
-(``system.System``), and one ``enumeration.reach`` query finds the arcs
-they reach.  A blocking map's seeds are every domain node, so its graph is
-the whole image, which one enumeration query finds.  That one query per map
-also carries per-measure order flags, as the paper extracts the graph
-"along with annotations on whether certain measures decrease or not on
-arcs".  ``tag_graph`` tags every arc, per component measure, with whether
-the measure strictly decreases, never increases, or may increase across
-the concrete pairs the arc abstracts.  It reads the flags a graph from
-``map_graph`` keeps (``Graph.built``), and runs that query for any other.
+nodes of the system's initial processes, compiled from the model's `init`
+alone (``system.initial_state``), and one ``enumeration.reach`` query
+finds the arcs they reach.  A blocking map's seeds are every domain node,
+so its graph is the whole image, which one enumeration query finds.  That
+one query per map also carries per-measure order flags, as the paper
+extracts the graph "along with annotations on whether certain measures
+decrease or not on arcs".  ``tag_graph`` tags every arc, per component
+measure, with whether the measure strictly decreases, never increases, or
+may increase across the concrete pairs the arc abstracts.  It reads the
+flags a graph from ``map_graph`` keeps (``Graph.built``), and runs that
+query for any other.
 
 Every query is total: ``enumeration.compute_finite_values`` and
 ``enumeration.reach`` return every value or arc, or raise NotTotal naming
@@ -35,7 +36,7 @@ from .model import (
     And, BoolV, Const, Eq, Expr, Le, Lt, Model, Or, TupleE, Value,
     canonical_sorted, compile_expr, subst_vars, value_from_json, value_sort,
     value_text, value_to_json)
-from .system import System, relation_parts
+from .system import initial_state, relation_parts
 
 STRICT_DEC = "strict-dec"
 NON_INC = "non-inc"
@@ -175,7 +176,7 @@ def map_graph(model: Model, map_name: str,
     mp = model.map_decl(map_name)
     if mp.kind == "step":
         node = compile_expr(mp.node)
-        nodes = {node({mp.var: x}) for x in System.compile(model).initial.trs}
+        nodes = {node({mp.var: x}) for x in initial_state(model).trs}
     else:
         nodes = set(compute_finite_values(
             {mp.var: mp.state_sort}, mp.domain, mp.node, backend,

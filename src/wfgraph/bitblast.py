@@ -324,18 +324,15 @@ class Circuit:
     ``clauses`` hold the encoding constraints only; satisfying the instance
     additionally requires asserting ``hyp_lit`` (the enumerator adds it as a
     unit clause).  ``output`` is the encoded trm; ``outputs`` are its bits
-    in canonical order.
+    in canonical order (``bitval_lits``), listed once by ``bitblast``.
     """
 
     num_vars: int
     clauses: list[list[int]]
     inputs: dict[str, list[int]]
     output: BitVal
+    outputs: list[int]
     hyp_lit: int
-
-    @property
-    def outputs(self) -> list[int]:
-        return bitval_lits(self.output)
 
     def output_columns(self, rows: Sequence[Sequence[bool]]) -> VVal:
         """The trm values of ``rows``, each the truth values of ``outputs``
@@ -381,7 +378,8 @@ def bitblast(trm: Expr, hyp: Expr, var_sorts: dict[str, Sort]) -> Circuit:
     hyp_lit = _lit(enc.encode(hyp))
     output = enc.encode(trm)
     return Circuit(num_vars=bld.num_vars, clauses=bld.clauses, inputs=inputs,
-                   output=output, hyp_lit=hyp_lit)
+                   output=output, outputs=bitval_lits(output),
+                   hyp_lit=hyp_lit)
 
 
 def dimacs(circuit: Circuit, extra_units: tuple[int, ...] = ()) -> str:

@@ -10,19 +10,17 @@ raises NotTotal, and an exhaustive table past the row cap raises
 
 ``reach`` asks for the values of a term (src, dst, ...) under ``hyp``
 whose source node a set of seed nodes reaches through the arcs (src, dst);
-the later items (a graph builder's order flags) ride along.  It walks
-every arc, nodes first in, first out, in canonical order, and refuses with
-NotTotal once the reached arcs (not values) reach ``VALUE_BOUND``, on both
-backends at the same count.
+the later items (a graph builder's order flags) ride along.  Both backends
+walk one image's arcs first in, first out, in canonical order, and refuse
+with NotTotal once the reached arcs (not values) reach ``VALUE_BOUND``.
 
 Backends:
   exhaustive  vectorized sweep over the variable domains (numpy); a reach
-              sweeps the relation's whole image once and walks it
+              sweeps the relation's whole image once
   sat         bit-blast to CNF once, load the built-in solver once and
               enumerate models, blocking each found output pattern; a
-              reach asks once per reached node, its ``src`` bits given as
-              assumptions (``DpllSolver.solve``), so only the values of
-              reachable nodes are enumerated
+              reach enumerates each reachable node's, its ``src`` bits
+              assumed (``DpllSolver.solve``), then decodes them once
 
 Evaluation is independent per backend: numpy columns on one side, CNF and
 a CDCL solver on the other.  Decoding and canonical order are shared: every
@@ -139,46 +137,48 @@ def reach(var_sorts: dict[str, Sort], hyp: Expr, trm: TupleE,
     ``trm``'s first item is the source node and its second the
     destination node; any later items (flags) ride along.  An arc (u, v)
     is a source and a destination that some value pairs; the bound counts
-    arcs, not values.  Nodes are taken first in, first out, seeds in
-    canonical order, and each node's values come in canonical order, so
-    its successors (its distinct destinations) do too and both backends
-    list the same values in the same order.  The exhaustive backend finds
-    the whole image in one sweep; the SAT backend loads one solver and
-    enumerates each reached node's values with that node's source bits
-    assumed."""
+    arcs, not values.  SAT enumerates each reachable node once, in the
+    order found, its source bits assumed (a destination's bits on the
+    source literals are its node), and decodes all its models once.  Both
+    backends' images are walked nodes first in, first out, seeds and each
+    node's values in canonical order, so both list the same values."""
     _check_backend(backend)
-    if backend == "exhaustive":
-        by_src: dict[Value, list[Value]] = {}
-        for q in _exhaustive_values(var_sorts, hyp, trm, what):
-            by_src.setdefault(q.items[0][1], []).append(q)
-
-        def values(u: Value, limit: int) -> Sequence[Value]:
-            return by_src.get(u, ())
-    else:
-        circuit, solver = _load(var_sorts, hyp, trm)
-        (_, src_bits), (_, dst_bits), *_ = circuit.output.items
-        lo = len(bitval_lits(src_bits))
-        hi = lo + len(bitval_lits(dst_bits))
-
-        def values(u: Value, limit: int) -> Sequence[Value]:
-            rows: list[list[bool]] = []
-            dsts: set[tuple[bool, ...]] = set()
-            for bits in _models(circuit, solver, value_lits(src_bits, u)):
-                rows.append(bits)
-                dsts.add(tuple(bits[lo:hi]))
-                if len(dsts) >= limit:
-                    break
-            return distinct_rows(circuit.output_columns(rows), len(rows))
     bound = VALUE_BOUND
     order = canonical_sorted(set(seeds))
-    seen = set(order)
-    queue = deque(order)
+    if backend == "exhaustive":
+        image = _exhaustive_values(var_sorts, hyp, trm, what)
+    else:
+        circuit, solver = _load(var_sorts, hyp, trm)
+        (_, src_bits), *_ = circuit.output.items
+        src = bitval_lits(src_bits)  # dst's bits follow, as many
+        todo = deque(tuple(value_lits(src_bits, u)) for u in order)
+        reached = set(todo)
+        rows: list[list[bool]] = []
+        pairs: set[tuple] = set()
+        while todo:
+            node = todo.popleft()
+            for bits in _models(circuit, solver, node):
+                rows.append(bits)
+                dst = tuple(l if b else -l
+                            for l, b in zip(src, bits[len(src):]))
+                if (node, dst) not in pairs:
+                    pairs.add((node, dst))
+                    if len(pairs) >= bound:
+                        raise NotTotal(what, bound)
+                if dst not in reached:
+                    reached.add(dst)
+                    todo.append(dst)
+        image = distinct_rows(circuit.output_columns(rows), len(rows))
+    by_src: dict[Value, list[Value]] = {}
+    for q in image:
+        by_src.setdefault(q.items[0][1], []).append(q)
+    seen, queue = set(order), deque(order)
     found: list[Value] = []
     arcs = 0
     while queue:
         u = queue.popleft()
         succ: set[Value] = set()
-        for q in values(u, bound - arcs):
+        for q in by_src.get(u, ()):
             found.append(q)
             v = q.items[1][1]  # type: ignore[union-attr]
             succ.add(v)

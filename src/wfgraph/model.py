@@ -1061,8 +1061,17 @@ def parse_model(text: str, params: Optional[dict[str, int]] = None) -> Model:
 
     ``params`` overrides the declared parameter defaults before widths are
     resolved, so the same source instantiates at different scales; an
-    override of None keeps the declared default.
+    override of None keeps the declared default.  Expressions are read and
+    elaborated by recursion, so a model nested past Python's recursion
+    limit is a ModelError, not a RecursionError.
     """
+    try:
+        return _parse_model(text, params)
+    except RecursionError:
+        raise ModelError("model nests too deeply") from None
+
+
+def _parse_model(text: str, params: Optional[dict[str, int]]) -> Model:
     try:
         forms = parse_sexprs(text)
     except SExprError as err:

@@ -13,8 +13,10 @@ predicate and `done`.  Everything that reads them reads them here:
                          model values, for monitored runs (``bakery``), and
                          the initial state: process k is ``init(k)`` for
                          k = 1..processes, the shared state its sort's
-                         default; a step map's graph (``absgraph``) is
-                         seeded with its processes' nodes
+                         default
+  initial_state          that initial state alone, compiling only `init`;
+                         a step map's graph (``absgraph``) is seeded with
+                         its processes' nodes
   abstraction            a map's node and measure expressions, compiled
                          to one function of a state
 
@@ -100,6 +102,20 @@ class SystemState:
     sh: TupleV
 
 
+def initial_state(model: Model) -> SystemState:
+    """The system's initial state, compiling only `init`: process k is
+    ``init(k)`` for k = 1..processes, the shared state its sort's
+    default."""
+    sy = _system_decl(model)
+    d = model.define(sy.init)
+    (i, index), = d.params
+    init = compile_expr(d.body)
+    return SystemState(
+        tuple(init({i: code_value(index, k)})
+              for k in range(1, sy.processes + 1)),
+        default_value(model.record_sort(sy.shared_sort_name)))
+
+
 @dataclass(frozen=True)
 class System:
     """A model's `system` declaration compiled to closures over model values:
@@ -124,12 +140,7 @@ class System:
         shn, (sh2, a2) = define(sy.shared_next)
         blok, (a3, b3) = define(sy.blok)
         done, (a4,) = define(sy.done)
-        init, (i,) = define(sy.init)
-        index = model.define(sy.init).params[0][1]
-        return cls(SystemState(
-                       tuple(init({i: code_value(index, k)})
-                             for k in range(1, sy.processes + 1)),
-                       default_value(model.record_sort(sy.shared_sort_name))),
+        return cls(initial_state(model),
                    lambda a, sh: nxt({a1: a, sh1: sh}),
                    lambda sh, a: shn({sh2: sh, a2: a}),
                    lambda a, b: blok({a3: a, b3: b}).val,

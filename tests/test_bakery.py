@@ -404,6 +404,22 @@ def test_step_graph_holds_every_initial_process(backend, monkeypatch):
     assert res.steps and all(a.get("done").val for a in res.final.trs)
 
 
+def test_bakery_compiles_its_system_once(monkeypatch):
+    # map_graph seeds the rank map from `init` alone
+    # (system.initial_state), so the instance's own system is the one
+    # full compile
+    calls = []
+    compile_ = System.compile
+
+    def counting(model):
+        calls.append(model)
+        return compile_(model)
+
+    monkeypatch.setattr(System, "compile", staticmethod(counting))
+    b = Bakery(2, 2, 3)
+    assert len(calls) == 1 and calls[0] is b.model
+
+
 def _rebound(b: Bakery, **attrs) -> Bakery:
     """A copy of b's instance state with some attributes rebound."""
     t = Bakery.__new__(Bakery)

@@ -2,14 +2,20 @@
 identical, including totality verdicts and solve-call counts."""
 
 import itertools
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wfgraph
 import wfgraph.veceval as veceval
 from _gen import backends_agree, rand_expr, rand_sort, rand_var_sorts
 from wfgraph import enumeration
-from wfgraph.bitblast import BlastError
+from wfgraph.bitblast import BlastError, Circuit
 from wfgraph.enumeration import (
     BACKENDS, EnumResult, NotTotal, compute_finite_values, reach)
 from wfgraph.model import (
@@ -414,6 +420,63 @@ def test_reach_walks_first_in_first_out_on_both_backends(monkeypatch):
             reach(vs, hyp, trm, [val(1)], backend, "step")
         assert (e.value.what, e.value.num) == ("step", 12)
         monkeypatch.undo()
+
+
+def test_sat_reach_decodes_once(monkeypatch):
+    # a sat reach enumerates every reachable node's patterns under
+    # assumptions first, then decodes them all in one output_columns and
+    # one distinct_rows call, not one of each per reached node
+    from wfgraph import absgraph, bakery
+    calls = []
+    columns, distinct = Circuit.output_columns, enumeration.distinct_rows
+
+    def counting_columns(self, rows):
+        calls.append("output_columns")
+        return columns(self, rows)
+
+    def counting_distinct(*args):
+        calls.append("distinct_rows")
+        return distinct(*args)
+
+    monkeypatch.setattr(Circuit, "output_columns", counting_columns)
+    monkeypatch.setattr(enumeration, "distinct_rows", counting_distinct)
+    for params, nodes in (((1, 1, 2), 18), ((2, 1, 2), 20)):
+        calls.clear()
+        g = absgraph.map_graph(bakery.bakery_model(*params), "rank", "sat")
+        assert len(g.nodes) == nodes
+        assert calls == ["output_columns", "distinct_rows"]
+
+
+def test_sat_reach_solves_in_an_order_string_hashing_cannot_change():
+    # seeds are taken in canonical order and found nodes are queued as
+    # found, so the solver is asked the same assumptions in the same order
+    # under any string hash seed; a node's assumptions are asked once
+    code = """if True:
+        import json
+        from wfgraph import absgraph, bakery, sat
+        calls, solve = [], sat.DpllSolver.solve
+
+        def recording(self, assumptions=()):
+            calls.append(list(assumptions))
+            return solve(self, assumptions)
+
+        sat.DpllSolver.solve = recording
+        for params in ((1, 1, 2), (2, 1, 2)):
+            absgraph.map_graph(bakery.bakery_model(*params), "rank", "sat")
+            calls.append(None)
+        print(json.dumps(calls))
+    """
+    src = str(Path(wfgraph.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    runs = [json.loads(subprocess.run(
+        [sys.executable, "-c", code], check=True, capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=h)
+    ).stdout) for h in "01"]
+    assert runs[0] == runs[1]
+    # 38 nodes, each asked once per value and once more (38 values here),
+    # and one marker per graph
+    assert len(runs[0]) == 38 + 38 + 2
+    assert len({tuple(a) for a in runs[0] if a is not None}) == 38
 
 
 def test_unsat_hypothesis_is_total_in_one_call():

@@ -2,13 +2,19 @@
 
 import copy
 import itertools
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import wfgraph
 
 from _gen import rand_expr, rand_sort, rand_var_sorts
 from wfgraph.bakery import bakery_text
@@ -530,3 +536,29 @@ def test_enum_literal_takes_its_sort_from_a_sibling():
     with pytest.raises(ModelError, match="cannot infer a sort"):
         parse_model("(model m (sort s (c (enum x y)))"
                     " (define f ((a s)) bool (= x y)))")
+
+
+def test_deep_model_is_a_model_error_for_a_library_caller():
+    # parsing reads and elaborates expressions by recursion: a rank node
+    # over a 600-deep (not ...) chain passes Python's recursion limit, and
+    # a library caller in a fresh interpreter gets the CLI's one line as a
+    # ModelError, not a bare RecursionError
+    code = """if True:
+        from wfgraph.bakery import bakery_text
+        from wfgraph.model import ModelError, parse_model
+        text = bakery_text()
+        deep = text.replace("(:inv (counters-ok a)))", "(:inv "
+                            + "(not " * 600 + "(counters-ok a)"
+                            + ")" * 600 + "))")
+        assert deep != text
+        try:
+            parse_model(deep)
+        except ModelError as err:
+            print(repr(err))
+    """
+    src = str(Path(wfgraph.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=path)).stdout
+    assert out == "ModelError('model nests too deeply')\n"
