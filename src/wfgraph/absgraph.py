@@ -14,8 +14,8 @@ extracts the graph "along with annotations on whether certain measures
 decrease or not on arcs".  ``tag_graph`` tags every arc, per component
 measure, with whether the measure strictly decreases, never increases, or
 may increase across the concrete pairs the arc abstracts.  It reads the
-flags a graph from ``map_graph`` keeps (``Graph.built``), and runs that
-query for any other.
+flags a graph from ``map_graph`` keeps (``Graph.built``) and tags no other
+graph: graphs are outputs, written as JSON or dot and never read back.
 
 Every query is total: ``enumeration.compute_finite_values`` and
 ``enumeration.reach`` return every value or arc, or raise NotTotal naming
@@ -34,14 +34,12 @@ from typing import Optional
 from .enumeration import NotTotal, compute_finite_values, reach  # noqa: F401
 from .model import (
     And, BoolV, Const, Eq, Expr, Le, Lt, Model, Or, TupleE, Value,
-    canonical_sorted, compile_expr, subst_vars, value_from_json, value_sort,
-    value_text, value_to_json)
+    canonical_sorted, compile_expr, subst_vars, value_text, value_to_json)
 from .system import initial_state, relation_parts
 
 STRICT_DEC = "strict-dec"
 NON_INC = "non-inc"
 MAY_INC = "may-inc"
-ORDER_TAGS = (STRICT_DEC, NON_INC, MAY_INC)
 
 
 class GraphError(ValueError):
@@ -52,7 +50,9 @@ class GraphError(ValueError):
 class Graph:
     nodes: tuple[Value, ...]                 # canonically ordered
     arcs: tuple[tuple[int, int], ...]        # sorted index pairs
-    built: Optional[Built] = field(default=None, kw_only=True,
+    # set by map_graph alone; not an init field, so a copy made with
+    # dataclasses.replace is not taken for the graph that was built
+    built: Optional[Built] = field(default=None, init=False,
                                    compare=False, repr=False)
 
     @cached_property
@@ -186,8 +186,9 @@ def map_graph(model: Model, map_name: str,
     ordered = tuple(canonical_sorted(list(nodes)))
     index = {v: i for i, v in enumerate(ordered)}
     arcs = tuple(sorted((index[u], index[v]) for (u, v) in flags))
-    return Graph(ordered, arcs,
-                 built=Built(model, map_name, backend, flags))
+    g = Graph(ordered, arcs)
+    object.__setattr__(g, "built", Built(model, map_name, backend, flags))
+    return g
 
 
 def tag_graph(model: Model, map_name: str, g: Graph,
@@ -199,32 +200,23 @@ def tag_graph(model: Model, map_name: str, g: Graph,
     (s, d): if no concrete pair on the arc has d >=lex s the measure
     strictly decreases there; failing that, if none has d >lex s it is
     non-increasing; otherwise it may increase.  The flags are those ``g``
-    keeps when ``map_graph`` built it for this model object (by identity),
-    map and backend.  Any other graph is refused if a node is not of the
-    map's node sort, else the builder's query runs once: a step map's
-    reach from ``g``'s arc sources, or a blocking map's whole image.  A
-    graph without arcs asks nothing.  Image pairs that are not arcs of
-    ``g`` are ignored; an arc with no concrete pair reads strict-dec.
+    keeps (``Graph.built``), so ``g`` must be the graph ``map_graph``
+    built for this model object (by identity), map and backend; any other
+    graph raises GraphError and asks nothing.
     """
     mp = model.map_decl(map_name)
     built = g.built
-    if built is not None and built.model is model and (
-            built.map_name, built.backend) == (map_name, backend):
-        flags = built.flags
-    else:
-        for v in g.nodes:
-            if value_sort(v) != mp.node_sort:
-                raise GraphError(f"graph node {value_text(v)} is not a "
-                                 f"node of map '{map_name}'")
-        sources = {g.nodes[i] for (i, _) in g.arcs}
-        flags = _image(model, map_name, backend, sources) if sources else {}
+    if built is None or built.model is not model or (
+            built.map_name, built.backend) != (map_name, backend):
+        raise GraphError("graph was not built by map_graph for this model "
+                         "object, map and backend")
     tags: dict[tuple[int, int, str], str] = {}
     for (i, j) in g.arcs:
-        got = flags.get((g.nodes[i], g.nodes[j]), ())
+        held = built.flags[(g.nodes[i], g.nodes[j])]
         for name in mp.measure_names:
             tags[(i, j, name)] = (
-                STRICT_DEC if f"le-{name}" not in got
-                else NON_INC if f"lt-{name}" not in got
+                STRICT_DEC if f"le-{name}" not in held
+                else NON_INC if f"lt-{name}" not in held
                 else MAY_INC)
     return TaggedGraph(g.nodes, g.arcs, tuple(mp.measure_names),
                        dict(mp.widths), tags)
@@ -246,63 +238,6 @@ def graph_to_json(g: Graph) -> dict:
             {name: g.tags[(i, j, name)] for name in g.measures}
             for (i, j) in g.arcs]
     return doc
-
-
-def _once(items, what: str, text=repr) -> None:
-    seen = set()
-    for x in items:
-        if x in seen:
-            raise GraphError(f"graph lists {what} {text(x)} twice")
-        seen.add(x)
-
-
-def graph_from_json(doc) -> Graph:
-    """The graph that ``graph_to_json`` wrote as ``doc``.  Entries are read
-    as they are, never coerced: anything else raises GraphError."""
-    if not isinstance(doc, dict) or doc.get("format") != "wfgraph-graph-v1":
-        raise GraphError("not a graph document")
-    required = {"nodes": list, "arcs": list}
-    if "measures" in doc:
-        required.update(measures=list, widths=dict, arc_tags=list)
-    for key, kind in required.items():
-        if not isinstance(doc.get(key), kind):
-            raise GraphError(f"graph {key!r} is missing or not a "
-                             f"{kind.__name__}")
-    nodes = tuple(value_from_json(n) for n in doc["nodes"])
-    _once(nodes, "node", value_text)
-    for a in doc["arcs"]:
-        if not (isinstance(a, list) and len(a) == 2 and all(
-                type(i) is int and 0 <= i < len(nodes) for i in a)):
-            raise GraphError(f"bad arc {a!r} of {len(nodes)} nodes")
-    arcs = tuple((i, j) for i, j in doc["arcs"])
-    _once(arcs, "arc", list)
-    if "measures" not in doc:
-        return Graph(nodes, arcs)
-    measures = tuple(doc["measures"])
-    widths = doc["widths"]
-    if not all(isinstance(m, str) for m in measures):
-        raise GraphError("graph measures must be names")
-    _once(measures, "measure")
-    if set(widths) != set(measures):
-        raise GraphError(f"graph widths are for {list(widths)}, not the "
-                         f"measures {list(measures)}")
-    if not all(type(w) is int for w in widths.values()):
-        raise GraphError("graph widths must be integers")
-    if min(widths.values(), default=0) < 0:
-        raise GraphError("graph widths must not be negative")
-    if len(doc["arc_tags"]) != len(arcs):
-        raise GraphError("arc/arc tag count mismatch")
-    tags: dict[tuple[int, int, str], str] = {}
-    for (i, j), per in zip(arcs, doc["arc_tags"]):
-        per = per if isinstance(per, dict) else {}
-        if not per.keys() <= set(measures):
-            raise GraphError(f"arc tags {sorted(per)} are not all measures")
-        for name in measures:
-            tag = per.get(name)
-            if tag not in ORDER_TAGS:
-                raise GraphError(f"unknown order tag {tag!r}")
-            tags[(i, j, name)] = tag
-    return TaggedGraph(nodes, arcs, measures, dict(widths), tags)
 
 
 def graph_text(g: Graph) -> str:

@@ -382,10 +382,9 @@ def bitblast(trm: Expr, hyp: Expr, var_sorts: dict[str, Sort]) -> Circuit:
                    hyp_lit=hyp_lit)
 
 
-def dimacs(circuit: Circuit, extra_units: tuple[int, ...] = ()) -> str:
-    """DIMACS text of the circuit constraints plus ``extra_units`` (the
-    caller typically passes the hyp literal)."""
-    clauses = circuit.clauses + [[u] for u in extra_units]
+def dimacs(circuit: Circuit) -> str:
+    """DIMACS text of the circuit constraints plus the hypothesis unit."""
+    clauses = circuit.clauses + [[circuit.hyp_lit]]
     lines = [f"p cnf {circuit.num_vars} {len(clauses)}"]
     for c in clauses:
         lines.append(" ".join(str(l) for l in c) + " 0")

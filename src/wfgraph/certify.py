@@ -1,16 +1,16 @@
 """Independent certification of abstractions, tags, and measures.
 
 The builder modules construct a tagged graph and synthesize an omap; this
-module re-checks everything from the model and the serialized artifacts
-without trusting builder state.  One enumeration query, ``relation_cases``,
-sweeps the concrete relation once: the distinct (source node, destination
-node, source and destination measures) combinations of related pairs whose
-source lies in the graph or the omap.  The cases stay integer columns (a
-``veceval.DistinctRows``: each item's distinct values, decoded once, and
-one id per case), canonically ordered, so each (source, destination)
-pair's cases are one row range.  Four of the five checks read those
-columns, with no further queries and no ordering code shared with graph
-construction; only a witness case is decoded:
+module re-checks everything from what it is handed, the model, a tagged
+graph and an omap, without trusting builder state.  One enumeration query,
+``relation_cases``, sweeps the concrete relation once: the distinct (source
+node, destination node, source and destination measures) combinations of
+related pairs whose source lies in the graph or the omap.  The cases stay
+integer columns (a ``veceval.DistinctRows``: each item's distinct values,
+decoded once, and one id per case), canonically ordered, so each (source,
+destination) pair's cases are one row range.  Four of the five checks
+read those columns, with no further queries and no ordering code shared
+with graph construction; only a witness case is decoded:
 
   closure            every case from a graph node lands on one of that
                      node's successors
@@ -60,7 +60,7 @@ from .system import relation_parts
 from .veceval import DistinctRows, lex_rank
 
 
-class CertificationError(Exception):
+class CertificationError(ValueError):
     pass
 
 

@@ -21,7 +21,6 @@ from .absgraph import (
 from .bakery import Bakery, bakery_text
 from .bitblast import bitblast, dimacs
 from .certify import (
-    CertificationError,
     DescentError,
     certificate_text,
     certify_relation,
@@ -39,11 +38,11 @@ from .measure import (
 )
 from .model import Model, ModelError, parse_model
 from .system import BakeryError, relation_parts
-from .veceval import Capacity
 
-# every other library error (model, graph, enumeration bound, bitblast,
-# ordinal, synthesis) is a ValueError
-_TOOL_ERRORS = (ValueError, CertificationError, Capacity, OSError)
+# every other library error (model, graph, enumeration bound or capacity,
+# bitblast, ordinal, synthesis, certification) is a ValueError; the verdict
+# errors are caught first
+_TOOL_ERRORS = (ValueError, OSError)
 _VERDICT_ERRORS = (CycleCounterexample, DescentError, BakeryError)
 
 
@@ -106,7 +105,7 @@ def _cmd_check(args) -> int:
             raise ModelError("--dump-cnf needs --map to pick a relation")
         mp, rel, _, var_sorts = relation_parts(model, args.map)
         circuit = bitblast(mp.node, rel, var_sorts)
-        _emit(dimacs(circuit, (circuit.hyp_lit,)), args.dump_cnf)
+        _emit(dimacs(circuit), args.dump_cnf)
     maps = ", ".join(f"{n} ({model.map_decl(n).kind})"
                      for n in model.map_names)
     print(f"ok: model {model.name}, params "

@@ -77,7 +77,7 @@ from .model import (
     value_sort)
 
 
-class Capacity(Exception):
+class Capacity(ValueError):
     """A query's surviving rows, or one atom's domain, would exceed the row
     cap.  ``what`` names the query; ``build_table`` does not know it, and
     ``enumeration.compute_finite_values`` raises the named error."""
@@ -601,18 +601,18 @@ def _may(e: Expr, table: Table) -> tuple[np.ndarray, np.ndarray]:
     return _UNKNOWN
 
 
-def build_table(var_sorts: dict[str, Sort], hyp: Expr, trm_exprs: list[Expr],
-                row_cap: int = DEFAULT_ROW_CAP) -> Table:
+def build_table(var_sorts: dict[str, Sort], hyp: Expr,
+                trm_exprs: list[Expr]) -> Table:
     """Table of exactly the environments (projected to read atoms) that
     satisfy ``hyp``, extended to cover the atoms of ``trm_exprs``.
-    Raises Capacity when that table would exceed ``row_cap`` rows.
+    Raises Capacity when that table would exceed ``DEFAULT_ROW_CAP`` rows.
 
     The staging order is planned once per query from the atoms alone
     (``_plan``) and then run over the rows (``_run``), where a row block
     starts at the crossing that needs it.  Callers pass already-scalarized
     expressions (see ``scalarize``)."""
     table = Table(var_sorts)
-    return _run(table, _plan(var_sorts, hyp, trm_exprs, table.atoms), row_cap)
+    return _run(table, _plan(var_sorts, hyp, trm_exprs, table.atoms))
 
 
 # a step crosses its atoms (``span`` values in all), then drops the rows its
@@ -657,17 +657,18 @@ def _plan(var_sorts: dict[str, Sort], hyp: Expr, trm_exprs: list[Expr],
     return plan
 
 
-def _run(table: Table, plan: list[_Step], row_cap: int) -> Table:
+def _run(table: Table, plan: list[_Step]) -> Table:
     """Run ``plan``'s steps on ``table``.  A crossing that would take a
     table of several rows past ``CHUNK_ROWS`` sends the rows through
     ``plan[i:]`` in contiguous blocks instead.  Capacity is raised before
     any domain is built: for surviving rows, or the term's crossing, past
-    ``row_cap``, and for one atom too wide for both limits."""
+    ``DEFAULT_ROW_CAP`` (read at call time), and for one atom too wide for
+    both limits."""
     for i, (keys, span, conj) in enumerate(plan):
         rows = table.n * span
         if conj is None:
-            if rows > row_cap:
-                raise Capacity(rows, row_cap)
+            if rows > DEFAULT_ROW_CAP:
+                raise Capacity(rows, DEFAULT_ROW_CAP)
         elif keys and table.n > 1 and rows > CHUNK_ROWS:
             size = max(1, CHUNK_ROWS // span)
             parts: list[Table] = []
@@ -678,17 +679,17 @@ def _run(table: Table, plan: list[_Step], row_cap: int) -> Table:
                 block.n = min(size, table.n - lo)
                 block.cols = {k: col[lo:lo + size]
                               for k, col in table.cols.items()}
-                parts.append(_run(block, plan[i:], row_cap))
+                parts.append(_run(block, plan[i:]))
                 total += parts[-1].n
-                if total > row_cap:
-                    raise Capacity(total, row_cap)
+                if total > DEFAULT_ROW_CAP:
+                    raise Capacity(total, DEFAULT_ROW_CAP)
             table.cols = {k: np.concatenate([p.cols[k] for p in parts])
                           for k in parts[0].cols}
             table.n = total
             return table
-        elif rows > max(CHUNK_ROWS, row_cap):
+        elif rows > max(CHUNK_ROWS, DEFAULT_ROW_CAP):
             # a run this wide is one atom crossing one row: it cannot be split
-            raise Capacity(rows, row_cap)
+            raise Capacity(rows, DEFAULT_ROW_CAP)
         if keys:
             table.extend(keys)
         if conj is not None and table.n:
@@ -791,11 +792,7 @@ class DistinctRows(Sequence[Value]):
     def __len__(self) -> int:
         return self._n
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return DistinctRows(self.names, self.item_values,
-                                [ids[i] for ids in self.item_ids],
-                                len(range(self._n)[i]))
+    def __getitem__(self, i: int) -> Value:
         i = range(self._n)[i]  # negative indices; IndexError past the end
         row = [vals[ids[i]] for vals, ids in
                zip(self.item_values, self.item_ids)]

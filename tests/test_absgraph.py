@@ -10,6 +10,7 @@ instance, and the per-node loops that the relation sweeps replaced
 import itertools
 import json
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -21,8 +22,6 @@ from wfgraph.absgraph import (
     Graph,
     GraphError,
     NotTotal,
-    TaggedGraph,
-    graph_from_json,
     graph_to_dot,
     graph_text,
     graph_to_json,
@@ -43,13 +42,11 @@ from wfgraph.model import (
     TupleE,
     TupleV,
     Var,
-    canonical_sorted,
     eval_expr,
     parse_model,
     subst_vars,
     value_text,
 )
-from wfgraph.system import relation_parts
 
 
 @pytest.fixture(scope="module")
@@ -237,8 +234,7 @@ def test_graph_and_tagging_each_sweep_once(model, monkeypatch):
     # a step graph is one flagged reach query (its seeds are compiled from
     # the system's initial state), a blocking graph one domain query plus
     # one flagged sweep; tagging then reads the flags the graph keeps and
-    # asks nothing, and a graph without arcs asks nothing even on a model
-    # object the graph was not built for
+    # asks nothing
     graphs = {name: map_graph(model, name) for name in ("rank", "nlock")}
     calls = []
 
@@ -260,67 +256,39 @@ def test_graph_and_tagging_each_sweep_once(model, monkeypatch):
         calls.clear()
         tag_graph(model, name, g)
         assert calls == [], name
-        fresh = bakery_model()
-        assert tag_graph(fresh, name, Graph(g.nodes, ())).tags == {}
-        assert calls == [], name
-        # on another model object each tagging runs the builder's query
-        tag_graph(fresh, name, g)
-        tag_graph(fresh, name, g)
-        assert calls == {"rank": ["step"] * 2,
-                         "nlock": ["relation"] * 2}[name], name
 
 
-def test_an_equal_model_object_asks_again(model, monkeypatch):
-    # the builder's image is kept per model object, never by its value: a
-    # re-parsed equal model runs its query again
-    g = map_graph(model, "rank")
-    again = bakery_model()
-    assert again == model and again is not model
-    calls = []
-
-    def reaching(*args):
-        calls.append(args[5])
-        return reach(*args)
-
-    monkeypatch.setattr(absgraph, "reach", reaching)
-    tag_graph(model, "rank", g)
-    assert calls == []
-    assert tag_graph(again, "rank", g) == tag_graph(model, "rank", g)
-    assert calls == ["step"]
-
-
-def test_flags_serve_only_the_query_they_came_from(monkeypatch):
-    # a graph built on exhaustive and tagged on sat runs one sat step query
-    # and reads the same tags; a graph tagged under a map whose node sort
-    # its nodes are not of is refused, on both backends, before any query
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_tag_graph_takes_only_what_map_graph_built_for_it(backend,
+                                                          monkeypatch):
+    # the flags a graph keeps serve only the model object, map and backend
+    # it was built for; any other graph is refused with one line before
+    # any query: a hand-built graph, a copy with one arc dropped, the graph
+    # tagged on the other backend, rank's graph tagged as nlock, and the
+    # graph tagged under an equal but re-parsed model
     m = bakery_model(1, 1, 2)
-    graphs = {name: map_graph(m, name) for name in ("rank", "nlock")}
-    calls = []
+    g = map_graph(m, "rank", backend)
+    other = next(b for b in BACKENDS if b != backend)
+    again = bakery_model(1, 1, 2)
+    assert again == m and again is not m
 
-    def counting(*args):
-        calls.append((args[-1], args[3]))
-        return compute_finite_values(*args)
+    def no_query(*args):
+        raise AssertionError("tag_graph ran a query")
 
-    def reaching(*args):
-        calls.append((args[5], args[4]))
-        return reach(*args)
-
-    monkeypatch.setattr(absgraph, "compute_finite_values", counting)
-    monkeypatch.setattr(absgraph, "reach", reaching)
-    g = graphs["rank"]
-    want = tag_graph(m, "rank", g)
-    assert calls == []
-    assert tag_graph(m, "rank", g, backend="sat") == want
-    assert calls == [("step", "sat")]
-    calls.clear()
-    for name, other in (("nlock", "rank"), ("rank", "nlock")):
-        node = value_text(graphs[other].nodes[0])
-        for backend in BACKENDS:
-            with pytest.raises(GraphError) as e:
-                tag_graph(m, name, graphs[other], backend)
-            assert str(e.value) == \
-                f"graph node {node} is not a node of map '{name}'"
-    assert calls == []
+    monkeypatch.setattr(absgraph, "compute_finite_values", no_query)
+    monkeypatch.setattr(absgraph, "reach", no_query)
+    want = tag_graph(m, "rank", g, backend)
+    for model, name, h, b in ((m, "rank", Graph(g.nodes, g.arcs), backend),
+                              (m, "rank", replace(g, arcs=g.arcs[1:]),
+                               backend),
+                              (m, "rank", g, other),
+                              (m, "nlock", g, backend),
+                              (again, "rank", g, backend)):
+        with pytest.raises(GraphError) as e:
+            tag_graph(model, name, h, b)
+        assert str(e.value) == ("graph was not built by map_graph for this "
+                                "model object, map and backend")
+    assert tag_graph(m, "rank", g, backend) == want
 
 
 # rank and nlock on these (backend, (n, r, w)) are built by the relation
@@ -329,163 +297,36 @@ ORACLE_CASES = [("exhaustive", (2, 2, 2)), ("exhaustive", (2, 2, 3)),
                 ("sat", (1, 1, 2))]
 
 
-def _unreached_arc(m, name, g):
-    """The first pair of the map's whole image whose source ``g`` lacks,
-    with ``g`` extended by it, or None when ``g`` holds every source."""
-    mp, rel, dst_state, var_sorts = relation_parts(m, name)
-    pair = TupleE((("src", mp.node),
-                   ("dst", subst_vars(mp.node, {mp.var: dst_state}))))
-    image = compute_finite_values(var_sorts, rel, pair).values
-    u, v = next(((q.items[0][1], q.items[1][1]) for q in image
-                 if q.items[0][1] not in g.nodes), (None, None))
-    if u is None:
-        return None
-    nodes = tuple(canonical_sorted({*g.nodes, u, v}))
-    arcs = {(g.nodes[i], g.nodes[j]) for (i, j) in g.arcs} | {(u, v)}
-    return Graph(nodes, tuple(sorted((nodes.index(a), nodes.index(b))
-                                     for (a, b) in arcs)))
-
-
 @pytest.mark.parametrize("name", ["rank", "nlock"])
 @pytest.mark.parametrize("backend,params", ORACLE_CASES, ids=[
     f"{backend}-{','.join(map(str, params))}"
     for backend, params in ORACLE_CASES])
 def test_sweeps_match_pernode_oracle(backend, params, name):
-    # the same graph text, and the same tagged-graph text on the honest
-    # graph, with its first arc deleted, with one extra arc that no
-    # concrete pair takes, and with one image arc from a source the seeds
-    # never reach (a step map's; a blocking graph holds every source).
-    # The honest graph and the unreached source are also tagged first, on
-    # a model object no graph was built on
+    # the same graph text, and the same tagged-graph text
     m = bakery_model(*params)
     g = map_graph(m, name, backend)
     assert graph_text(g) == graph_text(pernode.map_graph(m, name, backend))
-    arcs = set(g.arcs)
-    extra = next((i, j) for i in range(len(g.nodes))
-                 for j in range(len(g.nodes)) if (i, j) not in arcs)
-    unreached = _unreached_arc(m, name, g)
-    assert (unreached is None) == (name == "nlock")
-    first = [g] if unreached is None else [g, unreached]
-    edited = [Graph(g.nodes, g.arcs[1:]),
-              Graph(g.nodes, tuple(sorted(arcs | {extra})))]
-    for h in first + edited:
-        assert graph_text(tag_graph(m, name, h, backend)) \
-            == graph_text(pernode.tag_graph(m, name, h, backend))
-    for h in first:
-        fresh = bakery_model(*params)
-        assert graph_text(tag_graph(fresh, name, h, backend)) \
-            == graph_text(pernode.tag_graph(m, name, h, backend))
-
-
-@pytest.mark.parametrize("name", ["rank", "nlock"])
-def test_backends_agree_on_tags_of_edited_graphs(name):
-    # exhaustive against sat tags on the honest graph, with its first arc
-    # deleted, and with one extra arc that no concrete pair takes
-    m = bakery_model(n=1, r=1, w=2)
-    g = map_graph(m, name)
-    arcs = set(g.arcs)
-    extra = next((i, j) for i in range(len(g.nodes))
-                 for j in range(len(g.nodes)) if (i, j) not in arcs)
-    tagged = []
-    for arc_set in (g.arcs, g.arcs[1:], tuple(sorted(arcs | {extra}))):
-        h = Graph(g.nodes, arc_set)
-        te = tag_graph(m, name, h, backend="exhaustive")
-        assert te == tag_graph(m, name, h, backend="sat")
-        tagged.append(te)
-    with_extra = tagged[-1]
-    assert all(with_extra.tags[extra + (msr,)] == "strict-dec"
-               for msr in with_extra.measures)
+    assert graph_text(tag_graph(m, name, g, backend)) \
+        == graph_text(pernode.tag_graph(m, name, g, backend))
 
 
 def test_graph_json_roundtrip(model, rank_tg):
     doc = graph_to_json(rank_tg)
     assert doc["format"] == "wfgraph-graph-v1"
     assert doc["node_texts"][0] == value_text(rank_tg.nodes[0])
-    assert graph_from_json(doc) == rank_tg
+    assert json.loads(graph_text(rank_tg)) == doc
 
-    plain = Graph(rank_tg.nodes, rank_tg.arcs)
-    assert graph_from_json(graph_to_json(plain)) == plain
-
-    # the query a built graph keeps is no part of its value
+    # the query a built graph keeps is no part of its value or its JSON
     for name in ("rank", "nlock"):
         g = map_graph(model, name)
-        back = graph_from_json(graph_to_json(g))
-        assert g.built is not None and back.built is None
-        assert back == g
-        assert (hash(back), repr(back)) == (hash(g), repr(g))
+        plain = Graph(g.nodes, g.arcs)
+        assert g.built is not None and plain.built is None
+        assert graph_to_json(g) == graph_to_json(plain)
+        assert set(graph_to_json(g)) == {"format", "nodes", "node_texts",
+                                         "arcs"}
+        assert plain == g
+        assert (hash(plain), repr(plain)) == (hash(g), repr(g))
         assert graph_text(g) == graph_text(pernode.map_graph(model, name))
-
-    with pytest.raises(GraphError):
-        graph_from_json({"format": "something-else"})
-    bad = graph_to_json(rank_tg)
-    bad["arc_tags"][0]["runs"] = "sideways"
-    with pytest.raises(GraphError):
-        graph_from_json(bad)
-
-
-def _set(key, value):
-    return lambda doc: doc.__setitem__(key, value)
-
-
-def _set_in(key, index, value):
-    return lambda doc: doc[key].__setitem__(index, value)
-
-
-# each edit of rank's tagged graph document (21 nodes), and the one-line
-# error it reads as: none is coerced, and none is a KeyError
-BAD_GRAPH_DOCS = {
-    "text and float arc": (_set_in("arcs", 0, ["0", 1.7]),
-                           "bad arc ['0', 1.7] of 21 nodes"),
-    "arc past the nodes": (_set_in("arcs", 0, [0, 99]),
-                           "bad arc [0, 99] of 21 nodes"),
-    "bool arc": (_set_in("arcs", 0, [False, 1]),
-                 "bad arc [False, 1] of 21 nodes"),
-    "three-node arc": (_set_in("arcs", 0, [0, 1, 2]),
-                       "bad arc [0, 1, 2] of 21 nodes"),
-    "no arcs": (lambda doc: doc.pop("arcs"),
-                "graph 'arcs' is missing or not a list"),
-    "measures as text": (_set("measures", "runs"),
-                         "graph 'measures' is missing or not a list"),
-    "no widths": (lambda doc: doc.pop("widths"),
-                  "graph 'widths' is missing or not a dict"),
-    "text width": (_set_in("widths", "runs", "1"),
-                   "graph widths must be integers"),
-    "float width": (_set_in("widths", "runs", 1.9),
-                    "graph widths must be integers"),
-    "measure not a name": (_set("measures", ["runs", 2]),
-                           "graph measures must be names"),
-    "one arc tag short": (lambda doc: doc["arc_tags"].pop(),
-                          "arc/arc tag count mismatch"),
-    "tag missing": (lambda doc: doc["arc_tags"][0].pop("loop"),
-                    "unknown order tag None"),
-    "node listed twice": (
-        lambda doc: doc["nodes"].__setitem__(1, doc["nodes"][0]),
-        "graph lists node ((:loc 0) (:done nil) (:loop=0 t) (:runs=0 nil) "
-        "(:inv t)) twice"),
-    "arc listed twice": (_set_in("arcs", 1, [0, 1]),
-                         "graph lists arc [0, 1] twice"),
-    "measure listed twice": (_set("measures", ["runs", "runs"]),
-                             "graph lists measure 'runs' twice"),
-    "widths not the measures": (
-        _set("widths", {"runs": 1, "pos": 1}),
-        "graph widths are for ['runs', 'pos'], not the measures "
-        "['runs', 'loop']"),
-    "negative width": (_set_in("widths", "loop", -1),
-                       "graph widths must not be negative"),
-    "arc tag not a measure": (_set_in("arc_tags", 0, {
-        "runs": "non-inc", "loop": "non-inc", "pos": "non-inc"}),
-        "arc tags ['loop', 'pos', 'runs'] are not all measures"),
-}
-
-
-@pytest.mark.parametrize("case", BAD_GRAPH_DOCS)
-def test_graph_from_json_refuses_what_it_would_coerce(rank_tg, case):
-    edit, message = BAD_GRAPH_DOCS[case]
-    doc = json.loads(graph_text(rank_tg))
-    edit(doc)
-    with pytest.raises(GraphError) as e:
-        graph_from_json(doc)
-    assert str(e.value) == message
 
 
 def test_not_total_budgets(model, monkeypatch):

@@ -204,7 +204,7 @@ def test_encoding_is_deterministic():
     assert a.inputs == b.inputs
     assert a.outputs == b.outputs
     assert (a.num_vars, a.hyp_lit) == (b.num_vars, b.hyp_lit)
-    assert dimacs(a, (a.hyp_lit,)) == dimacs(b, (b.hyp_lit,))
+    assert dimacs(a) == dimacs(b)
 
 
 def test_var_one_is_reserved_true():
@@ -306,7 +306,7 @@ def test_decode_rejects_out_of_range_enum():
 def test_dimacs_shape():
     vs = {"x": NatSort(2)}
     c = bitblast(Lt(Var("x"), Const(NatV(2, 2))), Const(BoolV(True)), vs)
-    text = dimacs(c, (c.hyp_lit,))
+    text = dimacs(c)
     lines = text.splitlines()
     head = lines[0].split()
     assert head[:2] == ["p", "cnf"]

@@ -4,7 +4,6 @@ Everything drives cli_main in process; one subprocess test confirms the
 installed console script wires up the same entry point.
 """
 
-import functools
 import hashlib
 import json
 import shutil
@@ -14,12 +13,12 @@ import pytest
 
 import wfgraph.cli as cli
 from wfgraph import enumeration, veceval
-from wfgraph.absgraph import graph_from_json
 from wfgraph import bakery
 from wfgraph.bakery import Bakery, bakery_model, bakery_text
+from wfgraph.certify import DescentError
 from wfgraph.cli import cli_main
 from wfgraph.enumeration import BACKENDS
-from wfgraph.measure import CycleCounterexample
+from wfgraph.measure import CycleCounterexample, Omap
 from wfgraph.model import NatV
 
 CHECK_LINE = ("ok: model bakery, params {'n': 2, 'r': 2, 'w': 3}, "
@@ -97,10 +96,10 @@ def test_pipeline_artifacts_and_idempotence(tmp_path, capsys):
     assert cli_main(["reach", "--map", "rank"] + args + [str(g2)]) == 0
     assert g1.read_bytes() == g2.read_bytes()
 
-    plain = graph_from_json(json.loads(g1.read_text()))
-    assert len(plain.nodes) == 21 and len(plain.arcs) == 23
-    tagged = graph_from_json(json.loads(tg1.read_text()))
-    assert tagged.measures == ("runs", "loop")
+    plain = json.loads(g1.read_text())
+    assert len(plain["nodes"]) == 21 and len(plain["arcs"]) == 23
+    tagged = json.loads(tg1.read_text())
+    assert tagged["measures"] == ["runs", "loop"]
 
     omdoc = json.loads(om1.read_text())
     assert omdoc["map"] == "rank"
@@ -471,16 +470,37 @@ def test_capacity_is_a_tool_error(monkeypatch, capsys):
     # a query whose table passes a lowered row cap is one line naming the
     # query: at (2,2,2) rank's step table has 512 rows, nlock's domain
     # table 128 and its relation table 2,816
-    build_table = veceval.build_table
     for cap, map_name, what, rows in ((64, "rank", "step", 512),
                                       (64, "nlock", "domain", 128),
                                       (1000, "nlock", "relation", 2816)):
-        monkeypatch.setattr(veceval, "build_table",
-                            functools.partial(build_table, row_cap=cap))
+        monkeypatch.setattr(veceval, "DEFAULT_ROW_CAP", cap)
         assert cli_main(["reach", "--map", map_name, "--width", "2"]) == 1
         assert capsys.readouterr().err == (
             f"wfgraph: error: {what} enumeration needs {rows} rows, "
             f"cap is {cap}\n")
+
+
+def test_descent_error_is_a_verdict(monkeypatch, capsys):
+    # a failed run monitor exits 2 although DescentError, like every
+    # library error, is a ValueError: verdicts are caught first
+    assert issubclass(DescentError, ValueError)
+
+    class Tampered(Bakery):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            om = self.rank_omap
+            d = list(om.descriptors)
+            d[0], d[1] = (d[0][0], d[1][1]), (d[1][0], d[0][1])
+            self.rank_omap = Omap(tuple(d), om.measures, om.widths)
+
+    monkeypatch.setattr(cli, "Bakery", Tampered)
+    assert cli_main(["run", "--width", "2", "--runs", "1", "--seed", "3"]) \
+        == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("wfgraph: rank measure failed to fall at "
+                              "step 1: ")
+    assert out.err.count("\n") == 1
 
 
 def test_sum_past_int64_prints_no_warning(tmp_path, capsys):
@@ -523,9 +543,9 @@ def test_non_covering_omap_fails_as_a_check(tmp_path, capsys):
     tg = tmp_path / "tg.json"
     assert cli_main(["order", "--map", "nlock", "--width", "2",
                      "--out", str(tg)]) == 0
-    graph = graph_from_json(json.loads(tg.read_text()))
+    graph = json.loads(tg.read_text())
     doc = json.loads(om.read_text())
-    k = graph.arcs[0][1]  # a node with an incoming arc
+    k = graph["arcs"][0][1]  # a node with an incoming arc
     dropped = doc["node_texts"][k]
     for key in ("nodes", "node_texts", "descriptors"):
         del doc[key][k]
