@@ -5,36 +5,41 @@ module re-checks everything from what it is handed, the model, a tagged
 graph and an omap, without trusting builder state.  One enumeration query,
 ``relation_cases``, sweeps the concrete relation once: the distinct (source
 node, destination node, source and destination measures) combinations of
-related pairs whose source lies in the graph or the omap.  The cases stay
-integer columns (a ``veceval.DistinctRows``: each item's distinct values,
-decoded once, and one id per case), canonically ordered, so each (source,
-destination) pair's cases are one row range.  Four of the five checks
-read those columns, with no further queries and no ordering code shared
-with graph construction; only a witness case is decoded:
+related pairs.  A step map is swept from the graph's and the omap's
+nodes, the pairs whose source lies in them, and its graph must hold the
+initial processes' nodes; a blocking map, which has no initial nodes, is
+swept over its whole relation.  The cases stay integer columns (a
+``veceval.DistinctRows``: each item's distinct values, decoded once, and
+one id per case), canonically ordered, so each (source, destination)
+pair's cases are one row range.  Four of the five checks read those
+columns, with no further queries and no ordering code shared with graph
+construction; only a witness case is decoded:
 
-  closure            every case from a graph node lands on one of that
-                     node's successors
+  closure            a step map's initial nodes are graph nodes, and
+                     every case starts at a graph node and lands on one
+                     of that node's successors
   strict-arc/noninc  the order tags are sound: on each tagged arc, every
                      case's measure drops (strict-dec) or does not grow
                      (non-inc), comparing ranks of the measures' tuples
   omap-valid         the descriptor mapping decreases lexicographically
                      across every arc, by symbolic entry scan (no query)
   measure-decrease   across every case the synthesized bnl and its
-                     ordinal strictly drop; a bnl is built once per
-                     distinct half-state, and each distinct (source bnl,
-                     destination bnl) pair is compared once
+                     ordinal strictly drop; the bnls are one int64 matrix,
+                     a row per distinct half-state, filled per node, and
+                     each distinct (source bnl, destination bnl) pair is
+                     compared once
 
 Before the sweep, an omap no bnl can be built from is refused: other
 measures or widths than the map's, a node that is not a value of the
-map's node sort, or a descriptor entry that is neither a natural nor a
-measure name.  A Certificate records input hashes and one verdict per
-check; it passes only if every check does.  The relation itself comes from
-``system.relation_parts``, which says what the model's `system`
-declaration means; from ``absgraph`` this module takes only the graph data
-types, the tag names and ``graph_text`` (for the graph's hash), never graph
-construction.  The sweep is total or refused: ``compute_finite_values``
-raises NotTotal, naming the ``certificate sweep``, rather than return part
-of the relation.
+map's node sort, or a descriptor entry that is neither a natural below
+2**63 nor a measure name.  A Certificate records input hashes and one
+verdict per check; it passes only if every check does.  The relation
+itself comes from ``system.relation_parts``, which says what the model's
+`system` declaration means; from ``absgraph`` this module takes only the
+graph data types, the tag names and ``graph_text`` (for the graph's
+hash), never graph construction.  The sweep is total or refused:
+``compute_finite_values`` raises NotTotal, naming the ``certificate
+sweep``, rather than return part of the relation.
 """
 
 from __future__ import annotations
@@ -50,13 +55,14 @@ from .absgraph import NON_INC, STRICT_DEC, Graph, TaggedGraph
 from .enumeration import compute_finite_values
 from .measure import Omap
 from .model import (
-    And, Const, Eq, Expr, Model, Or, TupleE, TupleV, Value, sort_text,
-    subst_vars, value_sort, value_text, value_to_json)
+    And, Const, Eq, Expr, Model, Or, TupleE, TupleV, Value, canonical_sorted,
+    compile_expr, sort_text, subst_vars, value_sort, value_text,
+    value_to_json)
 # not called here; the benchmark tracer counts one-shot evaluations at
 # ``wfgraph.certify:eval_expr`` and resolves that name by import
 from .model import eval_expr  # noqa: F401
-from .ordinals import bnl_ranks, bnl_to_ordinal, expand_descriptor, o_lt
-from .system import relation_parts
+from .ordinals import OrdinalError, bnl_ranks, bnl_to_ordinal, o_lt
+from .system import initial_state, relation_parts
 from .veceval import DistinctRows, lex_rank
 
 
@@ -107,16 +113,27 @@ SWEEP = "concrete-sweep"
 class Sweep:
     """The sweep's distinct (src, dst, src-<m>, dst-<m>...) cases as integer
     columns, canonically ordered, and each abstract (source, destination)
-    pair's row range ``[lo, hi)``, in that order."""
+    pair's row range ``[lo, hi)``, in that order.  ``roots`` are the nodes
+    the relation starts from, canonically ordered: a step map's initial
+    processes' nodes; a blocking map has none."""
     rows: DistinctRows
     pairs: dict[tuple[Value, Value], tuple[int, int]]
+    roots: tuple[Value, ...]
 
 
 def relation_cases(model: Model, map_name: str, scope: tuple[Value, ...],
                    backend: str = "exhaustive") -> Sweep:
     """The one enumeration behind the relation checks: the distinct (source
     node, destination node, source and destination measures) combinations
-    of related pairs whose source maps into ``scope``, canonically ordered.
+    of related pairs, canonically ordered.
+
+    A step map's relation is swept from ``scope`` (the graph's and the
+    omap's nodes) alone, the pairs whose source maps into it: runs start
+    at the initial processes' nodes (the sweep's ``roots``), so once the
+    graph holds those and is closed under the cases from its nodes, no
+    run reaches a node outside it.  A blocking map's relation has no
+    start: every pair in it is one a run may take, so it is swept whole
+    and ``scope`` is not read.
     """
     mp, rel, dst_state, var_sorts = relation_parts(model, map_name)
     node_x = mp.node
@@ -126,36 +143,54 @@ def relation_cases(model: Model, map_name: str, scope: tuple[Value, ...],
         ord_x = mp.measure_expr(name)
         items.append((f"src-{name}", ord_x))
         items.append((f"dst-{name}", subst_vars(ord_x, {mp.var: dst_state})))
-    in_scope = Or(tuple(Eq(node_x, Const(u)) for u in scope))
-    rows = compute_finite_values(var_sorts, And((rel, in_scope)),
-                                 TupleE(tuple(items)), backend,
-                                 "certificate sweep").values
+    roots: tuple[Value, ...] = ()
+    if mp.kind == "step":
+        rel = And((rel, Or(tuple(Eq(node_x, Const(u)) for u in scope))))
+        node = compile_expr(node_x)
+        roots = tuple(canonical_sorted(
+            {node({mp.var: x}) for x in initial_state(model).trs}))
+    rows = compute_finite_values(var_sorts, rel, TupleE(tuple(items)),
+                                 backend, "certificate sweep").values
     if not rows:
-        return Sweep(rows, {})
+        return Sweep(rows, {}, roots)
     # canonical order sorts on src, then dst, so each pair's cases are
     # adjacent: a pair starts wherever either id changes
     src, dst = rows.item_ids[0], rows.item_ids[1]
     cut = (np.flatnonzero((src[1:] != src[:-1]) | (dst[1:] != dst[:-1]))
            + 1).tolist()
     return Sweep(rows, {(rows.item(0, lo), rows.item(1, lo)): (lo, hi)
-                        for lo, hi in zip([0] + cut, cut + [len(rows)])})
+                        for lo, hi in zip([0] + cut, cut + [len(rows)])},
+                 roots)
+
+
+def _pair_witness(u: Value, v: Value) -> dict:
+    w = TupleV((("src", u), ("dst", v)))
+    return {"pair": value_to_json(w), "pair_text": value_text(w)}
 
 
 def check_closure(g: Graph, sweep: Sweep) -> CheckResult:
-    """No concrete related pair may leave the graph: for every node u, the
-    cases from u only reach u's successors.  The witness is the
-    canonically first escaping pair of the first such node."""
+    """No run may leave the graph: every root is a graph node, and every
+    case's source is a graph node u and its destination one of u's
+    successors.  The witness is the canonically first missing root; else
+    the canonically first pair whose source is not a graph node; else the
+    canonically first escaping pair of the first graph node with one."""
+    in_graph = set(g.nodes)
+    for u in sweep.roots:
+        if u not in in_graph:
+            return CheckResult("closure", False, SWEEP, {
+                "node": value_to_json(u), "node_text": value_text(u),
+                "reason": "initial node not in graph"})
     dsts: dict[Value, list[Value]] = {}
     for u, v in sweep.pairs:
+        if u not in in_graph:
+            return CheckResult("closure", False, SWEEP, _pair_witness(u, v))
         dsts.setdefault(u, []).append(v)
     for i, u in enumerate(g.nodes):
         succs = {g.nodes[j] for j in g.succ_indices(i)}
         for v in dsts.get(u, ()):
             if v not in succs:
-                w = TupleV((("src", u), ("dst", v)))
                 return CheckResult("closure", False, SWEEP,
-                                   {"pair": value_to_json(w),
-                                    "pair_text": value_text(w)})
+                                   _pair_witness(u, v))
     return CheckResult("closure", True, SWEEP)
 
 
@@ -270,15 +305,19 @@ def check_measure_decrease(omap: Omap, sweep: Sweep) -> CheckResult:
     This route shares no ordering code with graph construction.  A case's
     verdict depends only on its two padded bnls, and each side of a case,
     a (node, measure tuples) half-state, recurs across many cases.  So the
-    distinct halves of each side are found over the id columns and each
-    one's bnl is built once; the bnls get dense ranks
-    (``ordinals.bnl_ranks``), and each distinct (source rank, destination
-    rank) pair is compared once: by rank, then by ``o_lt`` on ordinals
-    built once per distinct bnl.  The pairs' verdicts are scattered back
-    over the cases, and the first failing case in canonical order is the
-    witness, the only case decoded.  ``certify_relation`` refuses omaps
-    whose bnls cannot be built; called directly on one, this raises
-    ``OrdinalError``.
+    distinct halves of each side are found over the id columns, and their
+    bnls are built as one int64 matrix, a row per half: each measure's
+    distinct values are decoded to a matrix of naturals once, and the
+    halves of one node, adjacent in rank order, take that node's
+    descriptor in one slice each, a constant for a rank entry and a gather
+    from the measure's matrix for a measure.  The bnls get dense ranks
+    (``veceval.lex_rank`` over the columns), and each distinct (source
+    rank, destination rank) pair is compared once: by rank, then by
+    ``o_lt`` on ordinals built once per distinct bnl.  The pairs' verdicts
+    are scattered back over the cases, and the first failing case in
+    canonical order is the witness, the only case decoded.
+    ``certify_relation`` refuses omaps whose bnls cannot be built; called
+    directly on one with a negative entry, this raises ``OrdinalError``.
     """
     descs = omap.as_dict()
     bound = omap.bnl_bound
@@ -301,24 +340,43 @@ def check_measure_decrease(omap: Omap, sweep: Sweep) -> CheckResult:
     if at.size:
         names = rows.names
         assert names is not None
-        bnls: list[tuple[int, ...]] = []  # each distinct half's, both sides
-        of = []  # per side, each checked case's half as an index into bnls
+        # each measure item's distinct values, a row of naturals each
+        nats = [np.array([_nats(x) for x in vals], dtype=np.int64)
+                for vals in rows.item_values[2:]]
+        sides = []  # per side, its distinct halves' bnls, a row each
+        of = []  # per side, each checked case's half as a row of the bnls
         for side in (0, 1):
             cols = [ids[at] for ids in rows.item_ids[side::2]]
             half_of, first = lex_rank(cols, [len(v) for v in
                                              rows.item_values[side::2]])
-            of.append(half_of + len(bnls))
-            for node, *key in np.column_stack(
-                    [c[first] for c in cols]).tolist():
-                values = {names[k][4:]: _nats(rows.item_values[k][i])
-                          for k, i in zip(range(side + 2, len(names), 2),
-                                          key)}
-                e = expand_descriptor(descs[rows.item_values[side][node]],
-                                      values)
-                bnls.append(tuple(e) + (0,) * (bound - len(e)))
-        rank = np.array(bnl_ranks(bnls), dtype=np.int64)
-        by_rank = dict(zip(rank.tolist(), bnls))
-        ords = {r: bnl_to_ordinal(b) for r, b in by_rank.items()}
+            of.append(half_of + sum(len(b) for b in sides))
+            node, *measure = [c[first] for c in cols]
+            by_measure = {names[k][4:]: (nats[k - 2], half_ids)
+                          for k, half_ids in
+                          zip(range(side + 2, len(names), 2), measure)}
+            bnls = np.zeros((len(first), bound), dtype=np.int64)
+            # the halves are in rank order, so each node's are one run
+            cut = (np.flatnonzero(node[1:] != node[:-1]) + 1).tolist()
+            for lo, hi in zip([0] + cut, cut + [len(node)]):
+                at_col = 0
+                for e in descs[rows.item_values[side][node[lo]]]:
+                    if isinstance(e, str):
+                        values, half_ids = by_measure[e]
+                        width = values.shape[1]
+                        bnls[lo:hi, at_col:at_col + width] = \
+                            values[half_ids[lo:hi]]
+                        at_col += width
+                    elif e < 0:
+                        raise OrdinalError(f"bnl entry {e!r} is not a natural")
+                    else:
+                        bnls[lo:hi, at_col] = e
+                        at_col += 1
+            sides.append(bnls)
+        bnls = np.concatenate(sides)
+        cols = list(bnls.T) or [np.zeros(len(bnls), dtype=np.int64)]
+        rank, first = lex_rank(cols, [int(c.max()) + 1 for c in cols])
+        by_rank = [tuple(b) for b in bnls[first].tolist()]
+        ords = [bnl_to_ordinal(b) for b in by_rank]
         n = len(by_rank)
         pairs, pair_of = np.unique(rank[of[0]] * n + rank[of[1]],
                                    return_inverse=True)
@@ -341,10 +399,11 @@ def check_measure_decrease(omap: Omap, sweep: Sweep) -> CheckResult:
 def certify_relation(model: Model, map_name: str, tg: TaggedGraph,
                      omap: Omap, model_text: str,
                      backend: str = "exhaustive") -> Certificate:
-    """Run the five checks.  The relation is enumerated once, from the
-    graph's and the omap's nodes; the closure, tag and measure-decrease
-    checks all read those cases.  An omap no bnl can be built from (see
-    the module docstring) is refused first, with ``CertificationError``."""
+    """Run the five checks.  The relation is enumerated once, a step map's
+    from the graph's and the omap's nodes, a blocking map's whole; the
+    closure, tag and measure-decrease checks all read those cases.  An
+    omap no bnl can be built from (see the module docstring) is refused
+    first, with ``CertificationError``."""
     from .absgraph import graph_text
     from .measure import omap_text
     mp = model.map_decl(map_name)
@@ -361,10 +420,12 @@ def certify_relation(model: Model, map_name: str, tg: TaggedGraph,
                 f"{sort_text(mp.node_sort)}")
         for e in desc:
             if not (e in mp.measure_names if isinstance(e, str) else
-                    isinstance(e, int) and not isinstance(e, bool) and e >= 0):
+                    isinstance(e, int) and not isinstance(e, bool)
+                    and 0 <= e < 1 << 63):
                 raise CertificationError(
                     f"omap descriptor {list(desc)} of {value_text(node)} "
-                    f"has entry {e!r}, neither a natural nor a measure name")
+                    f"has entry {e!r}, neither a natural below 2**63 nor "
+                    f"a measure name")
     scope = tuple(dict.fromkeys(omap.nodes + tg.nodes))
     sweep = relation_cases(model, map_name, scope, backend)
     checks = [check_closure(tg, sweep)]

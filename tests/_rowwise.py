@@ -14,7 +14,8 @@ from itertools import groupby
 from wfgraph.absgraph import NON_INC, STRICT_DEC, Graph, TaggedGraph
 from wfgraph.certify import SWEEP, CheckResult, Sweep
 from wfgraph.measure import Omap
-from wfgraph.model import TupleV, Value, value_text, value_to_json
+from wfgraph.model import (
+    TupleV, Value, canonical_sorted, value_text, value_to_json)
 from wfgraph.ordinals import (
     Ordinal, bnl_lt, bnl_to_ordinal, expand_descriptor, o_lt)
 
@@ -41,18 +42,28 @@ def _side(q: TupleV, side: str) -> dict[str, tuple[int, ...]]:
             if name.startswith(side + "-")}  # type: ignore[union-attr]
 
 
-def check_closure(g: Graph, sweep: RowSweep) -> CheckResult:
-    dsts: dict[Value, list[Value]] = {}
+def _pair_failure(u: Value, v: Value) -> CheckResult:
+    w = TupleV((("src", u), ("dst", v)))
+    return CheckResult("closure", False, SWEEP,
+                       {"pair": value_to_json(w), "pair_text": value_text(w)})
+
+
+def check_closure(g: Graph, sweep: RowSweep,
+                  roots: tuple[Value, ...]) -> CheckResult:
+    """``roots`` are the nodes a step map's relation starts from."""
+    for u in canonical_sorted(roots):
+        if u not in g.nodes:
+            return CheckResult("closure", False, SWEEP, {
+                "node": value_to_json(u), "node_text": value_text(u),
+                "reason": "initial node not in graph"})
     for u, v in sweep:
-        dsts.setdefault(u, []).append(v)
+        if u not in g.nodes:
+            return _pair_failure(u, v)
     for i, u in enumerate(g.nodes):
         succs = {g.nodes[j] for j in g.succ_indices(i)}
-        for v in dsts.get(u, ()):
-            if v not in succs:
-                w = TupleV((("src", u), ("dst", v)))
-                return CheckResult("closure", False, SWEEP,
-                                   {"pair": value_to_json(w),
-                                    "pair_text": value_text(w)})
+        for s, v in sweep:
+            if s == u and v not in succs:
+                return _pair_failure(u, v)
     return CheckResult("closure", True, SWEEP)
 
 

@@ -31,7 +31,8 @@ from wfgraph.certify import (
 )
 from wfgraph.measure import Omap, omap_text, synthesize_omap
 from wfgraph.model import (
-    TupleV, eval_expr, parse_model, value_from_json, value_text)
+    And, Const, Eq, Or, TupleV, eval_expr, parse_model, value_from_json,
+    value_text)
 from wfgraph.ordinals import OrdinalError
 
 
@@ -170,6 +171,18 @@ def test_tampered_omap_fails_concrete_sweep(model, rank_parts):
     assert "does not decrease" in res.witness["reason"]
 
 
+def test_empty_descriptors_tie_every_bnl(model, rank_parts):
+    # an omap of empty descriptors builds bnls of length 0: every case ties
+    tg, om = rank_parts
+    flat = Omap(tuple((node, ()) for node in om.nodes), om.measures,
+                om.widths)
+    sweep = relation_cases(model, "rank", om.nodes)
+    res = check_measure_decrease(flat, sweep)
+    assert res == rowwise.check_measure_decrease(flat,
+                                                 rowwise.row_sweep(sweep))
+    assert res.witness["reason"] == "bnl does not decrease: () !< ()"
+
+
 @pytest.fixture(scope="module")
 def nlock_223():
     m = bakery_model(n=2, r=2, w=3)
@@ -256,11 +269,12 @@ def test_certify_relation_sweeps_once(backend, monkeypatch):
                                                    "symbolic-scan"}
 
 
-@pytest.mark.parametrize("entry", [True, 1.5, "fuel"])
+@pytest.mark.parametrize("entry", [True, 1.5, "fuel", 1 << 63])
 def test_unusable_descriptor_entry_is_refused(entry, model, rank_parts,
                                               monkeypatch):
-    # a bnl is built only from naturals and the map's own measures: an omap
-    # built in Python with any other entry is refused before the sweep
+    # a bnl is built only from naturals and the map's own measures, and is
+    # held as int64: an omap built in Python with any other entry is
+    # refused before the sweep
     tg, om = rank_parts
     (node, desc), *rest = om.descriptors
     bad = Omap(((node, (entry,) + desc[1:]), *rest), om.measures, om.widths)
@@ -286,6 +300,97 @@ def test_backends_agree_on_the_whole_pipeline(name, params):
         got[backend] = (graph_text(g), graph_text(tg), omap_text(om),
                         [(c.name, c.passed, c.method) for c in cert.checks])
     assert got["sat"] == got["exhaustive"]
+
+
+# -- soundness: a graph that leaves out part of the relation, or where the
+# relation starts, fails closure
+
+
+def _drop_node(tg: TaggedGraph, k: int) -> TaggedGraph:
+    """``tg`` without node ``k`` and the arcs at it."""
+    keep = [i for i in range(len(tg.nodes)) if i != k]
+    new = {i: n for n, i in enumerate(keep)}
+    return TaggedGraph(
+        tuple(tg.nodes[i] for i in keep),
+        tuple((new[i], new[j]) for i, j in tg.arcs if k not in (i, j)),
+        tg.measures, tg.widths,
+        {(new[i], new[j], m): t for (i, j, m), t in tg.tags.items()
+         if k not in (i, j)})
+
+
+@pytest.fixture(scope="module")
+def nlock_223_graph():
+    m = bakery_model(2, 2, 3)
+    return m, tag_graph(m, "nlock", map_graph(m, "nlock"))
+
+
+@pytest.mark.parametrize("backend", ["exhaustive", "sat"])
+def test_dropped_nlock_node_fails_closure(nlock_223_graph, backend):
+    # the first node with arcs out, its 16 blocking arcs, and the arcs into
+    # it are gone; the omap synthesized from what is left is valid for it,
+    # and only the cases from the dropped node show what is missing
+    m, tg = nlock_223_graph
+    k = min(i for i, _ in tg.arcs)
+    assert k == 7 and sum(i == k for i, _ in tg.arcs) == 16
+    cut = _drop_node(tg, k)
+    cert = certify_relation(m, "nlock", cut, synthesize_omap(cut),
+                            bakery_text(), backend)
+    assert _verdicts(cert) == {c: c != "closure" for c in ALL_CHECKS}
+    src = value_from_json(cert.checks[0].witness["pair"]).get("src")
+    assert src == tg.nodes[k]
+
+
+@pytest.mark.parametrize("backend", ["exhaustive", "sat"])
+@pytest.mark.parametrize("name", ["rank", "nlock"])
+def test_empty_graph_and_omap_fail_closure(name, backend):
+    m = bakery_model(1, 1, 2)
+    mp = m.map_decl(name)
+    empty = TaggedGraph((), (), mp.measure_names, mp.widths, {})
+    cert = certify_relation(m, name, empty,
+                            Omap((), mp.measure_names, mp.widths),
+                            bakery_text(), backend)
+    assert _verdicts(cert) == {c: c != "closure" for c in ALL_CHECKS}
+    witness = cert.checks[0].witness
+    if name == "rank":  # no step is swept from no node: the root is missing
+        assert witness["reason"] == "initial node not in graph"
+        init = system.initial_state(m).trs[0]
+        assert value_from_json(witness["node"]) == eval_expr(
+            mp.node, {mp.var: init})
+    else:
+        assert "pair_text" in witness
+
+
+def test_sweep_roots_are_the_initial_nodes(model):
+    mp = model.map_decl("rank")
+    init = system.initial_state(model).trs
+    roots = relation_cases(model, "rank", ()).roots
+    assert set(roots) == {eval_expr(mp.node, {mp.var: x}) for x in init}
+    assert len(roots) == len(set(roots))
+    assert relation_cases(model, "nlock", ()).roots == ()
+
+
+@pytest.mark.parametrize("backend, params, cases",
+                         [("exhaustive", (2, 2, 3), 11264),
+                          ("sat", (2, 1, 2), 2816)],
+                         ids=["exhaustive-2,2,3", "sat-2,1,2"])
+def test_honest_nlock_sweep_equals_the_scoped_sweep(backend, params, cases,
+                                                    monkeypatch):
+    # a blocking graph holds every source of its relation, so sweeping the
+    # whole relation finds just the cases the graph's nodes scope
+    m = bakery_model(*params)
+    tg = tag_graph(m, "nlock", map_graph(m, "nlock", backend), backend)
+    whole = relation_cases(m, "nlock", (), backend)
+
+    def scoped(model, map_name):
+        mp, rel, dst, var_sorts = system.relation_parts(model, map_name)
+        in_scope = Or(tuple(Eq(mp.node, Const(u)) for u in tg.nodes))
+        return mp, And((rel, in_scope)), dst, var_sorts
+
+    monkeypatch.setattr(certify, "relation_parts", scoped)
+    part = relation_cases(m, "nlock", (), backend)
+    assert len(whole.rows) == cases
+    assert list(whole.rows) == list(part.rows)
+    assert whole.pairs == part.pairs
 
 
 # -- mutation: each lie about the graph is caught by the check that owns it,
@@ -433,7 +538,9 @@ def test_trust_boundary_imports():
     assert found[".absgraph"] == {"Graph", "TaggedGraph", "STRICT_DEC",
                                   "NON_INC", "graph_text"}
     assert found[".enumeration"] == {"compute_finite_values"}
-    assert found[".system"] == {"relation_parts"}
+    # the system layer says what the relation means and where it starts,
+    # not how a graph is built
+    assert found[".system"] == {"initial_state", "relation_parts"}
     # the benchmark tracer resolves ``wfgraph.certify:eval_expr``
     assert "eval_expr" in found[".model"]
     # the system layer, which says what the relation is, stands on the
@@ -480,12 +587,22 @@ def oracle_sweep(request):
 
 
 def test_closure_matches_rowwise_on_every_deleted_arc(oracle_sweep):
+    # and on every dropped node: a graph without an initial node, or
+    # without a node on an arc, fails; a blocking map's nodes without arcs
+    # have no cases, and may go
     tg, _, sweep, rows = oracle_sweep
     graphs = [tg] + [
         TaggedGraph(tg.nodes, tuple(x for x in tg.arcs if x != a),
                     tg.measures, tg.widths, tg.tags) for a in tg.arcs]
-    for g in graphs:
-        assert check_closure(g, sweep) == rowwise.check_closure(g, rows)
+    dropped = [_drop_node(tg, k) for k in range(len(tg.nodes))]
+    for g in graphs + dropped:
+        assert check_closure(g, sweep) == \
+            rowwise.check_closure(g, rows, sweep.roots)
+    assert not any(check_closure(g, sweep).passed for g in graphs[1:])
+    needed = {k for arc in tg.arcs for k in arc} | {
+        tg.nodes.index(u) for u in sweep.roots}
+    assert [check_closure(g, sweep).passed for g in dropped] == [
+        k not in needed for k in range(len(tg.nodes))]
 
 
 def test_arc_tags_match_rowwise_on_every_retag(oracle_sweep):

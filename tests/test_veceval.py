@@ -177,10 +177,11 @@ def _nlock_pipeline(chunk):
             sweep.pairs), depth[1] - 1
 
 
-@pytest.mark.parametrize("chunk, nested", [(1024, 2), (256, 3),
+@pytest.mark.parametrize("chunk, nested", [(1024, 2), (128, 4),
                                            (UNCHUNKED, 0)])
 def test_nlock_pipeline_through_nested_blocks(chunk, nested):
-    # the default CHUNK_ROWS makes no blocks on this instance
+    # the default CHUNK_ROWS makes no blocks on this instance; a chunk of
+    # 128 rows nests blocks in blocks past a depth of 3
     ref, none = _nlock_pipeline(veceval.CHUNK_ROWS)
     assert none == 0 and ref[0] and ref[1] and ref[2] and ref[3]
     got, depth = _nlock_pipeline(chunk)
@@ -670,21 +671,24 @@ def test_scope_lookup_keeps_every_table():
 
 def test_exhaustive_pipeline_never_imports_numpy_ma():
     # np.unique without return_inverse imports numpy.ma on its first call
-    # (numpy 2.x), close to a megabyte of resident memory for nothing
+    # (numpy 2.x), close to a megabyte of resident memory for nothing;
+    # nlock's certify ranks its bnl columns at scale
     code = """if True:
         import sys
         from wfgraph import absgraph, certify, measure
         from wfgraph.bakery import bakery_model, bakery_text
         m = bakery_model(2, 2, 3)
-        g = absgraph.map_graph(m, "rank")
-        tg = absgraph.tag_graph(m, "rank", g)
-        om = measure.synthesize_omap(tg)
-        cert = certify.certify_relation(m, "rank", tg, om, bakery_text())
-        print(len(g.nodes), cert.passed, "numpy.ma" in sys.modules)
+        for name in ("rank", "nlock"):
+            g = absgraph.map_graph(m, name)
+            tg = absgraph.tag_graph(m, name, g)
+            om = measure.synthesize_omap(tg)
+            cert = certify.certify_relation(m, name, tg, om, bakery_text())
+            print(len(g.nodes), cert.passed)
+        print("numpy.ma" in sys.modules)
     """
     src = str(Path(wfgraph.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=path)).stdout
-    assert out.split() == ["21", "True", "False"]
+    assert out.split() == ["21", "True", "64", "True", "False"]
