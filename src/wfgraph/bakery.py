@@ -22,7 +22,15 @@ arc is a step along which the rank measure fell, with its successor and
 trace text.  Process values are interned, and each distinct one has its
 rank entry measured once.  A run walks the graph and computes and checks
 only what no run has reached before, so every step it takes was checked
-once under the current measures.  The graph is keyed on the compiled
+once under the current measures.
+
+Each measure value is validated once, where it is measured: a rank entry
+(`ordinals.checked_bnl`: naturals, of the omap's `bnl_bound`) when it is
+stored, the entries of a run's starting node when that node is added, and
+a no-lock measure when `Omap.msr` builds its ordinal.  After that, rank
+bnlls are compared by plain list order and a node's ordinal is built from
+its checked entries (`ordinals.checked_ordinal`) without a second check;
+its text is rendered once per node.  The graph is keyed on the compiled
 system, both omaps and their abstractions, and is rebuilt empty when any
 of them has been rebound.
 """
@@ -41,8 +49,9 @@ from .model import Model, TupleV, parse_model
 from .ordinals import (
     Bnl,
     Ordinal,
-    bnll_lt,
-    bnll_to_ordinal,
+    OrdinalError,
+    checked_bnl,
+    checked_ordinal,
     o_lt,
     ordinal_text,
 )
@@ -106,11 +115,12 @@ def _ready_indices(trs: Sequence[TupleV], system: System,
 
 
 def _pick(oracle: Callable[[Sequence[int]], int], ready: list[int],
-          who: str) -> int:
+          step: Optional[int] = None) -> int:
     """The oracle's pick from a fresh copy of `ready`, which must be one
-    of them."""
+    of them; a refusal names the run's `step`, if given."""
     i = oracle(list(ready))
     if i not in ready:
+        who = "the oracle" if step is None else f"step {step}"
         raise BakeryError(f"{who} chose index {i}, not a process that is "
                           f"ready: {ready}")
     return i
@@ -132,7 +142,7 @@ def choose_ready(trs: Sequence[TupleV], system: System,
     witness = find_unblok(start, trs, system, msr)
     if oracle is None:
         return witness
-    return _pick(oracle, _ready_indices(trs, system, witness), "the oracle")
+    return _pick(oracle, _ready_indices(trs, system, witness))
 
 
 # -- the checked step graph --------------------------------------------------
@@ -143,8 +153,9 @@ class _StepGraph:
     Every process and shared value is interned: stored once and numbered,
     and a process value's rank entry is measured once.  A node is a
     distinct `SystemState`, numbered the first time a run reaches it and
-    keyed on the numbers of its values.  It keeps its rank bnll and that
-    bnll's ordinal, whether it is done and, computed the first time a run
+    keyed on the numbers of its values.  It keeps its rank bnll, whose
+    entries were checked when measured, that bnll's ordinal and the
+    ordinal's text, whether it is done and, computed the first time a run
     asks, its witness (`choose_ready` with the no-lock measure, which
     checks the descent along the blocker chain) and its ready indices.  An
     arc (node, i) keeps the successor's number and the trace text after
@@ -165,6 +176,7 @@ class _StepGraph:
         self.states: list[SystemState] = []
         self.bnll: list[list[Bnl]] = []
         self.ordinal: list[Ordinal] = []
+        self.text: list[str] = []  # ordinal_text of each node's ordinal
         self.done: list[bool] = []
         self.witness: list[Optional[int]] = []
         self.ready: list[Optional[list[int]]] = []
@@ -177,13 +189,22 @@ class _StepGraph:
         return k
 
     def node(self, b: "Bakery", st: SystemState) -> int:
-        """Number of st, measured and added the first time it is seen."""
+        """Number of st, measured, checked and added the first time it is
+        seen."""
         key = (*map(self._intern, st.trs), self._intern(st.sh))
         v = self.ids.get(key)
-        return self._add(b, key, b.rank_bnll(st)) if v is None else v
+        if v is not None:
+            return v
+        if len(st.trs) != b.n:
+            raise OrdinalError(
+                f"bnll length {len(st.trs)} does not match {b.n}")
+        bound = b.rank_omap.bnl_bound
+        return self._add(b, key, [checked_bnl(x, bound)
+                                  for x in b.rank_bnll(st)])
 
     def _add(self, b: "Bakery", key: tuple[int, ...], bn: list[Bnl]) -> int:
-        m = bnll_to_ordinal(b.n, bn, b.rank_omap.bnl_bound)
+        # every entry of bn was checked when it was measured
+        m = checked_ordinal([n for x in bn for n in x])
         vals = self.values
         st = SystemState(tuple(map(vals.__getitem__, key[:-1])),
                          vals[key[-1]])
@@ -192,6 +213,7 @@ class _StepGraph:
         self.states.append(st)
         self.bnll.append(bn)
         self.ordinal.append(m)
+        self.text.append(ordinal_text(m))
         self.done.append(b.system.find_undone(st.trs) is None)
         self.witness.append(None)
         self.ready.append(None)
@@ -215,7 +237,7 @@ class _StepGraph:
             ready = self.ready[v] = _ready_indices(
                 self.states[v].trs, b.system, w)
         # the pick also numbers the successor's key
-        return _pick(oracle, ready, f"step {k + 1}")
+        return _pick(oracle, ready, k + 1)
 
     def step(self, b: "Bakery", v: int, i: int, k: int) -> tuple[int, str]:
         """Arc (v, i), stepped and checked the first time it is taken as
@@ -236,11 +258,14 @@ class _StepGraph:
             bn2 = list(bn)
             bn2[i] = self.rank.get(key[i])
             if bn2[i] is None:
-                bn2[i] = self.rank[key[i]] = b.rank_omap.mk_bnl(
-                    st2.trs[i], b._rank_abs)
+                bn2[i] = self.rank[key[i]] = checked_bnl(
+                    b.rank_omap.mk_bnl(st2.trs[i], b._rank_abs),
+                    b.rank_omap.bnl_bound)
         else:
             bn2 = self.bnll[u]
-        if not bnll_lt(bn2, bn):
+        # both bnlls have n checked members of one length, so list order
+        # is bnll order
+        if not bn2 < bn:
             raise DescentError(
                 f"rank measure failed to fall at step {k + 1}: "
                 f"{bn} -> {bn2}")
@@ -250,7 +275,7 @@ class _StepGraph:
         arc = self.arcs[v][i] = (
             u, f" ndx {before.get('ndx').val} loc {before.get('loc').val} "
                f"-> {after.get('loc').val} "
-               f"measure {ordinal_text(self.ordinal[u])}")
+               f"measure {self.text[u]}")
         return arc
 
 
@@ -298,7 +323,8 @@ class Bakery:
         return self.nlock_omap.msr(a, self._nlock_abs)
 
     def rank_bnll(self, st: SystemState) -> list[Bnl]:
-        """Per-process rank measure values, in process order."""
+        """Per-process rank measure values, in process order, not yet
+        checked (a run checks each with `ordinals.checked_bnl`)."""
         return [self.rank_omap.mk_bnl(a, self._rank_abs) for a in st.trs]
 
     def step(self, st: SystemState, i: int) -> SystemState:

@@ -7,6 +7,14 @@ then position-wise by bnl order.  Both embed order-preservingly into
 Cantor-normal-form ordinals, which is what makes them usable as
 termination measures: o_lt has no infinite descending chains.
 
+Validation: every public function here checks its inputs (``_check_bnl``
+for a bnl's entries, ``is_ordinal`` for an ``Ordinal``'s terms).  A caller
+that measures many values and compares them often, such as the run
+monitor, checks each value once, when it is measured, with
+``checked_bnl``, and builds ordinals from checked values with
+``checked_ordinal``, which skips the Cantor-normal-form check their
+construction already guarantees.
+
 Measure construction: an omap assigns each abstract node a descriptor
 mixing naturals (component ranks) and measure names.  ``mk_bnl`` expands
 the descriptor of a concrete state's node, substituting the state's
@@ -31,6 +39,16 @@ def _check_bnl(a: Sequence[int]) -> None:
     for n in a:
         if not isinstance(n, int) or isinstance(n, bool) or n < 0:
             raise OrdinalError(f"bnl entry {n!r} is not a natural")
+
+
+def checked_bnl(a: Sequence[int], bound: int) -> Bnl:
+    """``a`` as a bnl of length ``bound``, its entries checked to be
+    naturals: the one check a measured value needs before it is compared
+    by tuple order or passed to ``checked_ordinal``."""
+    if len(a) != bound:
+        raise OrdinalError(f"bnl length {len(a)}, expected {bound}")
+    _check_bnl(a)
+    return tuple(a)
 
 
 def bnl_lt(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -86,7 +104,8 @@ def is_ordinal(a: Ordinal) -> bool:
         if not (isinstance(t, tuple) and len(t) == 2):
             return False
         e, c = t
-        if not (isinstance(e, int) and isinstance(c, int)):
+        if not (isinstance(e, int) and isinstance(c, int)) or \
+                isinstance(e, bool) or isinstance(c, bool):
             return False
         if e < 0 or c < 1:
             return False
@@ -119,10 +138,21 @@ def ordinal_text(a: Ordinal) -> str:
     return " + ".join(parts)
 
 
+def checked_ordinal(a: Sequence[int]) -> Ordinal:
+    """Ordinal image of a bnl whose entries are already checked naturals
+    (``checked_bnl``'s result, or a concatenation of such).  Its terms are
+    in Cantor normal form by construction, exponents falling with position
+    and zero entries dropped, so ``Ordinal``'s check is not run again."""
+    k = len(a)
+    o = object.__new__(Ordinal)
+    object.__setattr__(
+        o, "terms", tuple((k - 1 - i, n) for i, n in enumerate(a) if n > 0))
+    return o
+
+
 def bnl_to_ordinal(a: Sequence[int]) -> Ordinal:
     _check_bnl(a)
-    k = len(a)
-    return Ordinal(tuple((k - 1 - i, n) for i, n in enumerate(a) if n > 0))
+    return checked_ordinal(a)
 
 
 def bnll_to_ordinal(length: int, a: Sequence[Sequence[int]], bound: int

@@ -27,6 +27,7 @@ from _native_bakery import (
     bake_tr_next,
 )
 import wfgraph.bakery as bakery_module
+import wfgraph.ordinals as ordinals_module
 from wfgraph.absgraph import map_graph, tag_graph
 from wfgraph.bakery import (
     Bakery,
@@ -53,8 +54,8 @@ from wfgraph.model import (
     eval_expr,
 )
 from wfgraph.ordinals import (
-    Ordinal, bnll_lt, bnll_to_ordinal, o_lt, ordinal_text)
-from wfgraph.system import BakeryError, System, abstraction
+    Ordinal, OrdinalError, bnll_lt, bnll_to_ordinal, o_lt, ordinal_text)
+from wfgraph.system import BakeryError, System, SystemState, abstraction
 
 
 N, R, W = 2, 2, 3
@@ -298,6 +299,14 @@ def test_run_on_finished_state_is_empty(bakery):
     assert len(rerun.measures) == 1
 
 
+def test_run_refuses_a_state_of_another_size(bakery):
+    # the rank measure is a list of N bnls: a start state with another
+    # number of processes has no rank measure
+    st = bakery.system.initial
+    with pytest.raises(OrdinalError, match=r"^bnll length 3 does not match 2$"):
+        bakery.run(st=SystemState(st.trs + st.trs[:1], st.sh))
+
+
 def test_step_only_moves_one_rank_position(bakery):
     st = bakery.system.initial
     rng = random.Random(8)
@@ -475,6 +484,74 @@ def test_monitor_catches_tampered_measure(bakery):
     # the original instance is untouched
     assert bakery.run().steps == 98
     assert bakery.run(seed=3).steps == 98
+
+
+def _with_entry(om: Omap, node, bad) -> Omap:
+    """om with the first entry of node's descriptor replaced by bad."""
+    descs = dict(om.descriptors)
+    assert isinstance(descs[node][0], int)
+    descs[node] = (bad, *descs[node][1:])
+    return Omap(tuple(descs.items()), om.measures, om.widths)
+
+
+@pytest.mark.parametrize("bad", [-1, True])
+def test_monitor_refuses_a_non_natural_entry(bakery, bad):
+    # the monitor checks each measure value once, where it is measured: a
+    # descriptor entry that is not a natural is refused in a starting
+    # node's rank entries, in a stepped process's rank entry and in a
+    # no-lock measure along a blocker chain, on a fresh instance and on a
+    # warm one, whose stored steps hold only for its own omaps
+    bakery.run(seed=3)
+    st = bakery.system.initial
+    i = choose_ready(st.trs, bakery.system)
+    start = bakery._rank_abs(st.trs[i])[0]
+    stepped = bakery._rank_abs(bakery.step(st, i).trs[i])[0]
+    assert stepped != start
+    blocking = []  # the nodes a seeded run measures the no-lock measure at
+    nlock_abs = bakery._nlock_abs
+
+    def recording(a):
+        node, values = nlock_abs(a)
+        blocking.append(node)
+        return node, values
+
+    _rebound(bakery, _nlock_abs=recording).run(seed=3)
+    assert blocking
+    cases = [("rank_omap", start, None), ("rank_omap", stepped, None),
+             ("nlock_omap", blocking[0], 3)]
+    for b in (Bakery(N, R, W), bakery):
+        for name, node, seed in cases:
+            tampered = _rebound(
+                b, **{name: _with_entry(getattr(b, name), node, bad)})
+            with pytest.raises(OrdinalError,
+                               match=rf"^bnl entry {bad!r} is not a natural$"):
+                tampered.run(seed=seed)
+    assert bakery.run(seed=3).steps == 98
+
+
+def test_monitor_checks_each_measured_value_once(monkeypatch):
+    # over 100 seeded runs on a fresh instance, the one bnl validator runs
+    # once per measured value (each distinct rank entry, each initial
+    # entry, each no-lock measure) and no ordinal's normal form is checked
+    # again: the monitor's ordinals are built from checked entries
+    b = Bakery(2, 2, 3)
+    calls = {"_check_bnl": 0, "is_ordinal": 0, "msr": 0}
+
+    def counting(name, f):
+        def counted(*args):
+            calls[name] += 1
+            return f(*args)
+        return counted
+
+    for name in ("_check_bnl", "is_ordinal"):
+        monkeypatch.setattr(ordinals_module, name,
+                            counting(name, getattr(ordinals_module, name)))
+    monkeypatch.setattr(Omap, "msr", counting("msr", Omap.msr))
+    for seed in range(100):
+        b.run(seed=seed)
+    assert len(b._graph.rank) == 194
+    assert calls == {"_check_bnl": 194 + 2 + 102, "is_ordinal": 0,
+                     "msr": 102}
 
 
 @pytest.mark.parametrize("other, step", [(1, 1), (17, 24)])

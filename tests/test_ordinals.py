@@ -21,6 +21,8 @@ from wfgraph.ordinals import (
     bnl_to_ordinal,
     bnll_lt,
     bnll_to_ordinal,
+    checked_bnl,
+    checked_ordinal,
     descriptor_length,
     expand_descriptor,
     is_ordinal,
@@ -61,6 +63,11 @@ def test_bnl_rejects_non_naturals():
         bnl_lt((-1,), (0,))
     with pytest.raises(OrdinalError):
         bnl_lt((True,), (1,))
+    # checked_bnl refuses the same entries, and a bnl of another length
+    assert checked_bnl([2, 0, 1], 3) == (2, 0, 1)
+    for bad in ((0, -1, 0), (True, 0, 0), (0, 1.0, 0), (0, 0)):
+        with pytest.raises(OrdinalError):
+            checked_bnl(bad, 3)
 
 
 def test_bnl_ranks_are_dense_and_agree_with_bnl_lt():
@@ -141,6 +148,14 @@ def test_ordinal_text_goldens():
 def test_bnl_to_ordinal_drops_zero_entries():
     assert bnl_to_ordinal((0, 0, 0)) == Ordinal()
     assert bnl_to_ordinal((2, 0, 3)) == Ordinal(((2, 2), (0, 3)))
+    # checked_ordinal skips the normal-form check; on every small bnl it
+    # builds the ordinal the validating constructor builds
+    for bound in range(4):
+        for a in all_bnls(bound, 4):
+            terms = tuple((bound - 1 - i, n) for i, n in enumerate(a) if n)
+            o = checked_ordinal(checked_bnl(a, bound))
+            assert o == Ordinal(terms) == bnl_to_ordinal(a), a
+            assert is_ordinal(o), a
 
 
 def test_bnll_to_ordinal_golden():
@@ -155,6 +170,9 @@ def test_bnll_to_ordinal_golden():
     ((1, 1), (1, 1)),     # equal exponents
     ((1, 1), (2, 1)),     # increasing exponents
     ((-1, 1),),           # negative exponent
+    ((True, True),),      # bool exponent and coefficient
+    ((1, True),),         # bool coefficient
+    ((True, 1),),         # bool exponent
 ])
 def test_cnf_validation(terms):
     with pytest.raises(OrdinalError):
