@@ -5,8 +5,8 @@ arcs record which nodes can succeed which.  Both come from the image of the
 map's concrete relation (``system.relation_parts``): the distinct
 (node(x), node(y)) pairs of related states x, y.  ``map_graph`` keeps what
 that image reaches from the map's seed nodes.  A step map's seeds are the
-nodes of the system's initial processes, compiled from the model's `init`
-alone (``system.initial_state``), and one ``enumeration.reach`` query
+nodes of the system's initial processes (``system.initial_nodes``,
+compiled from the model's `init` alone), and one ``enumeration.reach`` query
 finds the arcs they reach.  A blocking map's seeds are every domain node,
 so its graph is the whole image, which one enumeration query finds.  That
 one query per map also carries per-measure order flags, as the paper
@@ -34,8 +34,8 @@ from typing import Optional
 from .enumeration import NotTotal, compute_finite_values, reach  # noqa: F401
 from .model import (
     And, BoolV, Const, Eq, Expr, Le, Lt, Model, Or, TupleE, Value,
-    canonical_sorted, compile_expr, subst_vars, value_text, value_to_json)
-from .system import initial_state, relation_parts
+    canonical_sorted, subst_vars, value_text, value_to_json)
+from .system import initial_nodes, relation_parts
 
 STRICT_DEC = "strict-dec"
 NON_INC = "non-inc"
@@ -175,8 +175,7 @@ def map_graph(model: Model, map_name: str,
     """
     mp = model.map_decl(map_name)
     if mp.kind == "step":
-        node = compile_expr(mp.node)
-        nodes = {node({mp.var: x}) for x in initial_state(model).trs}
+        nodes = set(initial_nodes(model, map_name))
     else:
         nodes = set(compute_finite_values(
             {mp.var: mp.state_sort}, mp.domain, mp.node, backend,

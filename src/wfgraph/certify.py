@@ -55,14 +55,13 @@ from .absgraph import NON_INC, STRICT_DEC, Graph, TaggedGraph
 from .enumeration import compute_finite_values
 from .measure import Omap
 from .model import (
-    And, Const, Eq, Expr, Model, Or, TupleE, TupleV, Value, canonical_sorted,
-    compile_expr, sort_text, subst_vars, value_sort, value_text,
-    value_to_json)
+    And, Const, Eq, Expr, Model, Or, TupleE, TupleV, Value, sort_text,
+    subst_vars, value_sort, value_text, value_to_json)
 # not called here; the benchmark tracer counts one-shot evaluations at
 # ``wfgraph.certify:eval_expr`` and resolves that name by import
 from .model import eval_expr  # noqa: F401
 from .ordinals import OrdinalError, bnl_ranks, bnl_to_ordinal, o_lt
-from .system import initial_state, relation_parts
+from .system import initial_nodes, relation_parts
 from .veceval import DistinctRows, lex_rank
 
 
@@ -146,9 +145,7 @@ def relation_cases(model: Model, map_name: str, scope: tuple[Value, ...],
     roots: tuple[Value, ...] = ()
     if mp.kind == "step":
         rel = And((rel, Or(tuple(Eq(node_x, Const(u)) for u in scope))))
-        node = compile_expr(node_x)
-        roots = tuple(canonical_sorted(
-            {node({mp.var: x}) for x in initial_state(model).trs}))
+        roots = initial_nodes(model, map_name)
     rows = compute_finite_values(var_sorts, rel, TupleE(tuple(items)),
                                  backend, "certificate sweep").values
     if not rows:

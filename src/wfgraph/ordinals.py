@@ -99,6 +99,8 @@ class Ordinal:
 
 
 def is_ordinal(a: Ordinal) -> bool:
+    if not isinstance(a.terms, tuple):  # a list would leave it unhashable
+        return False
     prev = None
     for t in a.terms:
         if not (isinstance(t, tuple) and len(t) == 2):

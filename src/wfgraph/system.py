@@ -14,9 +14,10 @@ predicate and `done`.  Everything that reads them reads them here:
                          the initial state: process k is ``init(k)`` for
                          k = 1..processes, the shared state its sort's
                          default
-  initial_state          that initial state alone, compiling only `init`;
-                         a step map's graph (``absgraph``) is seeded with
-                         its processes' nodes
+  initial_state          that initial state alone, compiling only `init`
+  initial_nodes          a step map's start: its initial processes' nodes,
+                         which seed its graph (``absgraph``) and root the
+                         certifier's sweep (``certify``)
   abstraction            a map's node and measure expressions, compiled
                          to one function of a state
 
@@ -31,7 +32,8 @@ from typing import Callable, Optional, Sequence
 
 from .model import (
     And, Expr, MapDecl, Model, ModelError, Not, Sort, SystemDecl, TupleV,
-    Value, Var, code_value, compile_expr, default_value, subst_vars)
+    Value, Var, canonical_sorted, code_value, compile_expr, default_value,
+    subst_vars)
 
 
 class BakeryError(Exception):
@@ -114,6 +116,15 @@ def initial_state(model: Model) -> SystemState:
         tuple(init({i: code_value(index, k)})
               for k in range(1, sy.processes + 1)),
         default_value(model.record_sort(sy.shared_sort_name)))
+
+
+def initial_nodes(model: Model, map_name: str) -> tuple[Value, ...]:
+    """The nodes of the initial state's processes under a map, distinct and
+    canonically ordered."""
+    mp = model.map_decl(map_name)
+    node = compile_expr(mp.node)
+    return tuple(canonical_sorted(
+        {node({mp.var: x}) for x in initial_state(model).trs}))
 
 
 @dataclass(frozen=True)

@@ -13,15 +13,16 @@ Both enumeration backends evaluate scalarized expressions only
 atom, and only ``TupleE`` containers are record-sorted.  Records are taken
 apart there and nowhere else.
 
-Six things keep the tables small and the work on them short:
+Five things keep the tables small and the work on them short:
 
 * only the atoms an expression reads become columns.  Everything else
   stays out of the cross product entirely.
 * one staging plan per query (``_plan``), fixed from the atoms alone: the
   hypothesis is split into conjuncts, the conjunct whose missing atoms span
   the smallest domain goes next, its missing atoms are crossed in leading
-  runs that fit ``CHUNK_ROWS``, and the term's atoms come last.  Each
-  conjunct's atoms are found once, and no step of the order reads a row.
+  runs that fit ``CHUNK_ROWS``, and the term's atoms come last.  Every
+  subtree's atoms are found once per query (``_atoms``), and no step of
+  the order reads a row.
 * pruning before crossing: before each run, the rows on which the conjunct
   is already false, whatever its missing atoms take, are dropped.  The
   conjunct is read three-valued, with the missing atoms unknown (``_may``):
@@ -41,12 +42,6 @@ Six things keep the tables small and the work on them short:
 * packed keys: a row's leaf codes pack into one mixed-radix int64 key
   (``_pack``), so ranking rows (``lex_rank``) is one sort, plus one more
   only each time the key would pass int64.
-* one lookup per scope test: ``scalarize`` keeps shared subtrees shared,
-  so ``Or(Eq(node, Const(u)) for u in scope)`` compares one list of leaf
-  nodes with each ``u``'s constants.  ``_may`` evaluates each present leaf
-  once and looks the rows' packed leaves up among the scope's
-  (``_scope_may``), with the generic three-valued result, and every
-  subtree's atoms are found once per query (``_atoms``).
 
 Unconstrained atoms never enter the table, which is sound because a
 satisfying row extends to full environments by fixing them arbitrarily.
@@ -171,10 +166,13 @@ def scalarize(e: Expr, var_sorts: dict[str, Sort]) -> Expr:
     and only ``TupleE`` nodes are record-sorted (see above).  Semantics are
     preserved exactly; only the tree shape changes.
 
-    A subtree that ``e`` shares is rewritten once and stays shared, so each
-    ``Eq(node, Const(u))`` of a scope test compares the same leaf nodes.
-    The memo is keyed by node id and holds its nodes: ``field_of`` makes
-    temporaries, and a freed one's id could come back as another node's."""
+    A subtree that ``e`` shares is rewritten once and stays shared, so the
+    result is no larger than ``e``'s graph of nodes: a map's node read in
+    every ``Eq(node, Const(u))`` of a certifier's scope becomes one set of
+    leaf nodes, whose atoms ``_atoms`` then finds once and ``bitblast``
+    encodes once.  The memo is keyed by node id and holds its nodes:
+    ``field_of`` makes temporaries, and a freed one's id could come back as
+    another node's."""
     memo: dict[int, tuple[Expr, Expr]] = {}
 
     def walk(x: Expr) -> Expr:
@@ -363,12 +361,10 @@ class Table:
         self.var_sorts = var_sorts
         self.n = 1
         self.cols: dict[AtomKey, np.ndarray] = {}
-        # found once per query, by node id, each entry holding its node:
-        # each subtree's atoms (``_atoms``) and what each ``Or`` is as a
-        # scope test (``_scope_test``); the plan and the query's row blocks
-        # share them
+        # each subtree's atoms (``_atoms``), found once per query by node
+        # id, each entry holding its node; the plan and the query's row
+        # blocks share them
         self.atoms: dict[int, tuple[Expr, frozenset[AtomKey]]] = {}
-        self.scopes: dict[int, tuple[Expr, Optional[_Scope]]] = {}
 
     def extend(self, keys: list[AtomKey]):
         """Cross the table with the full domains of the given missing atoms.
@@ -502,59 +498,6 @@ def _present(e: Expr, table: Table) -> bool:
 _UNKNOWN = (np.bool_(True), np.bool_(True))
 
 
-# a scope test's leaves, and per disjunct one row of their constants' codes
-_Scope = tuple[tuple[Expr, ...], np.ndarray]
-
-
-def _scope_test(e: Or) -> Optional[_Scope]:
-    """``e``'s leaves and constants when it tests a node against a scope:
-    every disjunct is ``And(Eq(leaf_j, Const c_j))`` over the same leaf
-    nodes in the same order, as ``scalarize`` makes
-    ``Or(Eq(node, Const(u)) for u in scope)`` of a map's (tuple) node."""
-    leaves: Optional[tuple[Expr, ...]] = None
-    consts = []
-    for d in e.args:
-        if not isinstance(d, And):
-            return None
-        eqs = d.args
-        if not all(isinstance(q, Eq) and isinstance(q.b, Const) for q in eqs):
-            return None
-        if leaves is None:
-            leaves = tuple(q.a for q in eqs)
-        elif len(eqs) != len(leaves) or any(
-                q.a is not x for q, x in zip(eqs, leaves)):
-            return None
-        consts.append([_vconst(q.b.value).arr for q in eqs])
-    if leaves is None:
-        return None
-    return leaves, np.array(consts, dtype=np.int64)
-
-
-def _scope_may(leaves: tuple[Expr, ...], codes: np.ndarray, table: Table
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """``_may`` of a scope test (``_scope_test``) by one lookup.  A row may
-    be in scope when its present leaves, packed as ``lex_rank`` packs
-    them, equal some disjunct's constants projected onto those leaves; it
-    may be out of scope when that misses, or when a leaf is absent."""
-    present = [j for j, x in enumerate(leaves) if _present(x, table)]
-
-    def columns():  # each present leaf's rows, then the scope's codes
-        for j in present:
-            v = eval_vec(leaves[j], table)
-            yield np.concatenate((np.broadcast_to(
-                np.asarray(v.arr, dtype=np.int64), (table.n,)),
-                codes[:, j])), sort_card(v.sort)
-
-    if present:
-        key = _pack(columns())
-        rows, want = key[:table.n], np.sort(key[table.n:])
-        at = np.minimum(np.searchsorted(want, rows), len(want) - 1)
-        t = want[at] == rows
-    else:
-        t = np.bool_(True)
-    return t, (~t if len(present) == len(leaves) else np.bool_(True))
-
-
 def _may(e: Expr, table: Table) -> tuple[np.ndarray, np.ndarray]:
     """Per row of ``table``, whether boolean ``e`` may be true and whether it
     may be false, whatever values the atoms absent from ``table`` take.
@@ -563,14 +506,7 @@ def _may(e: Expr, table: Table) -> tuple[np.ndarray, np.ndarray]:
     evaluated exactly, ``And``, ``Or`` and ``Not`` combine the two masks,
     ``Ite`` weighs its branches by its condition's masks and ``CaseNat``
     picks an arm per row when its scrutinee is present (any arm when it is
-    not); anything else that reads an absent atom may be either.  A scope
-    test is one lookup (``_scope_may``) with the same result."""
-    if isinstance(e, Or):
-        hit = table.scopes.get(id(e))
-        if hit is None:
-            hit = table.scopes[id(e)] = (e, _scope_test(e))
-        if hit[1] is not None:
-            return _scope_may(*hit[1], table)
+    not); anything else that reads an absent atom may be either."""
     if _present(e, table):
         v = eval_vec(e, table).arr
         return v, ~np.asarray(v)
@@ -675,7 +611,7 @@ def _run(table: Table, plan: list[_Step]) -> Table:
             total = 0
             for lo in range(0, table.n, size):
                 block = Table(table.var_sorts)
-                block.atoms, block.scopes = table.atoms, table.scopes
+                block.atoms = table.atoms
                 block.n = min(size, table.n - lo)
                 block.cols = {k: col[lo:lo + size]
                               for k, col in table.cols.items()}
@@ -730,8 +666,7 @@ def _pack(columns: Iterable[tuple[np.ndarray, int]]) -> np.ndarray:
     ``key * card + col`` column by column.  Before the keys' bound would
     reach ``_KEY_BOUND``, the keys so far are re-densified by a 1-D unique,
     and then the column too if it still would; dense codes stay below the
-    row count, so any columns fit while rows x rows does.  Columns are read
-    one at a time, so a generator keeps only one of them alive."""
+    row count, so any columns fit while rows x rows does."""
     key, bound = np.int64(0), 1
     for col, card in columns:
         if bound * card >= _KEY_BOUND:

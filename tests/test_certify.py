@@ -7,6 +7,7 @@ import dataclasses
 import hashlib
 import json
 import re
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -31,8 +32,8 @@ from wfgraph.certify import (
 )
 from wfgraph.measure import Omap, omap_text, synthesize_omap
 from wfgraph.model import (
-    And, Const, Eq, Or, TupleV, eval_expr, parse_model, value_from_json,
-    value_text)
+    And, Const, Eq, Or, TupleV, code_value, eval_expr, parse_model,
+    sort_card, value_from_json, value_text)
 from wfgraph.ordinals import OrdinalError
 
 
@@ -393,6 +394,37 @@ def test_honest_nlock_sweep_equals_the_scoped_sweep(backend, params, cases,
     assert whole.pairs == part.pairs
 
 
+@pytest.mark.parametrize("backend, params",
+                         [("exhaustive", (2, 2, 3)), ("sat", (2, 1, 2))],
+                         ids=["exhaustive-2,2,3", "sat-2,1,2"])
+def test_step_map_sweep_equals_the_whole_relation_in_scope(backend, params):
+    # a step map's sweep tests each source node against the scope; every
+    # value of the node sort as the scope sweeps the whole relation, and a
+    # smaller scope must give exactly its sources' cases of that
+    m = bakery_model(*params)
+    fields = m.map_decl("rank").node_sort.fields
+    every = tuple(TupleV(tuple(zip((f for f, _ in fields), vals)))
+                  for vals in product(*([code_value(s, k)
+                                         for k in range(sort_card(s))]
+                                        for _, s in fields)))
+    tg = tag_graph(m, "rank", map_graph(m, "rank", backend), backend)
+    whole = relation_cases(m, "rank", every, backend)
+    # the relation has sources that no run reaches, so the scope drops cases
+    assert {u for u, _ in whole.pairs} - set(tg.nodes)
+    for scope in (tg.nodes, tg.nodes[:1], ()):
+        part = relation_cases(m, "rank", scope, backend)
+        assert list(part.rows) == [q for q in whole.rows
+                                   if q.items[0][1] in scope]
+        # each pair keeps its cases, shifted past the dropped ones
+        pairs, at = {}, 0
+        for (u, v), (lo, hi) in whole.pairs.items():
+            if u in scope:
+                pairs[(u, v)] = (at, at + hi - lo)
+                at += hi - lo
+        assert part.pairs == pairs
+        assert part.roots == whole.roots
+
+
 # -- mutation: each lie about the graph is caught by the check that owns it,
 # with a witness naming the lie; honest weakenings pass
 
@@ -540,7 +572,7 @@ def test_trust_boundary_imports():
     assert found[".enumeration"] == {"compute_finite_values"}
     # the system layer says what the relation means and where it starts,
     # not how a graph is built
-    assert found[".system"] == {"initial_state", "relation_parts"}
+    assert found[".system"] == {"initial_nodes", "relation_parts"}
     # the benchmark tracer resolves ``wfgraph.certify:eval_expr``
     assert "eval_expr" in found[".model"]
     # the system layer, which says what the relation is, stands on the

@@ -173,6 +173,7 @@ def test_bnll_to_ordinal_golden():
     ((True, True),),      # bool exponent and coefficient
     ((1, True),),         # bool coefficient
     ((True, 1),),         # bool exponent
+    [(1, 1)],             # a list of terms, not a tuple
 ])
 def test_cnf_validation(terms):
     with pytest.raises(OrdinalError):

@@ -3,8 +3,7 @@ reference versions: demand analysis runs once per conjunct, the staged
 tables come out column for column as the per-step analysis built them,
 chunked staging returns the unchunked table row for row with each row
 block starting at its crossing, so does staging that drops the rows a
-conjunct already rules out (a sound drop), a scope test's lookup gives
-the generic three-valued masks, packed-key ranking gives the
+conjunct already rules out (a sound drop), packed-key ranking gives the
 column-by-column ranks, and the dense-rank decoder returns exactly the
 per-row rebuild."""
 
@@ -251,21 +250,11 @@ def _rand_scope(rng, var_sorts):
     return scalarize(Or(tuple(Eq(node, Const(u)) for u in scope)), var_sorts)
 
 
-def _generic_may(e, table):
-    """``_may`` with no scope lookup, on a table with ``table``'s rows."""
-    ref = Table(table.var_sorts)
-    ref.n, ref.cols = table.n, table.cols
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(veceval, "_scope_test", lambda e: None)
-        return _may(e, ref)
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_may_is_sound_on_partial_tables(seed):
     # a row of a partial table may be true (false) whenever one of its
-    # extensions over the absent atoms is true (false); a scope test's
-    # lookup gives exactly the generic masks
+    # extensions over the absent atoms is true (false), scope tests too
     rng = random.Random(seed)
     var_sorts = rand_var_sorts(rng, max_vars=4, max_width=2)
     if rng.random() < 0.5:
@@ -279,8 +268,6 @@ def test_may_is_sound_on_partial_tables(seed):
     table.filter(np.array([rng.random() < 0.7 for _ in range(table.n)]))
     may_true, may_false = (np.broadcast_to(m, (table.n,))
                            for m in _may(e, table))
-    for got, ref in zip((may_true, may_false), _generic_may(e, table)):
-        assert np.array_equal(got, np.broadcast_to(ref, (table.n,)))
     rows = table.n
     table.extend(absent)  # each row repeated once per extension, in order
     if not rows:
@@ -612,7 +599,7 @@ def test_distinct_rows_packed_edge_cases():
     assert len(distinct_rows(same, 5)) == 1
 
 
-# -- scope tests ---------------------------------------------------------------
+# -- shared subtrees ----------------------------------------------------------
 
 
 def _unshared(x):
@@ -637,36 +624,17 @@ def test_scalarize_keeps_shared_subtrees_shared(map_name):
              Or(tuple(Eq(mp.node, Const(u)) for u in scope))))
     shared, copied = scalarize(e, var_sorts), scalarize(_unshared(e), var_sorts)
     assert shared == copied
-    # only the shared node makes a scope test of the last conjunct
-    assert veceval._scope_test(split_conjuncts(shared)[-1]) is not None
-    assert veceval._scope_test(split_conjuncts(copied)[-1]) is None
 
+    def leaves(x):  # the leaf nodes each disjunct of the scope test reads
+        return [[id(q.a) for q in d.args]
+                for d in split_conjuncts(x)[-1].args]
 
-def _filter_sizes(lookup: bool):
-    """Row counts after every filter of nlock (2,2,3)'s certify sweep and
-    rank (2,3,4)'s tag query, with or without the scope lookup."""
-    sizes: list[int] = []
-    filt = Table.filter
-
-    def recording(self, mask):
-        filt(self, mask)
-        sizes.append(self.n)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Table, "filter", recording)
-        if not lookup:
-            mp.setattr(veceval, "_scope_test", lambda e: None)
-        model = bakery_model(2, 2, 3)
-        sweep = relation_cases(model, "nlock", map_graph(model, "nlock").nodes)
-        model = bakery_model(2, 3, 4)
-        tagged = tag_graph(model, "rank", map_graph(model, "rank"))
-    return sizes, list(sweep.rows), sweep.pairs, tagged.tags
-
-
-def test_scope_lookup_keeps_every_table():
-    got, ref = _filter_sizes(True), _filter_sizes(False)
-    assert got[0] and got[1] and got[3]
-    assert got == ref
+    # every disjunct reads the shared node's leaves, the very same objects;
+    # an unshared copy's disjuncts read a copy each
+    first, *rest = leaves(shared)
+    assert rest and all(ids == first for ids in rest)
+    first, *rest = leaves(copied)
+    assert rest and all(set(ids).isdisjoint(first) for ids in rest)
 
 
 def test_exhaustive_pipeline_never_imports_numpy_ma():
