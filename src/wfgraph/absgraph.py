@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-# NotTotal is raised by enumeration; it stays importable from here
+# NotTotal is enumeration's; perfbench/test_smoke.py raises it from here
 from .enumeration import NotTotal, compute_finite_values, reach  # noqa: F401
 from .model import (
     And, BoolV, Const, Eq, Expr, Le, Lt, Model, Or, TupleE, Value,
@@ -92,28 +92,27 @@ def _tuple_items(e: Expr, what: str) -> list[Expr]:
     return [x for _, x in e.items]
 
 
-def lex_lt_expr(a: Expr, b: Expr) -> Expr:
-    """a <lex b over equal-width tuples of naturals."""
-    xs, ys = _tuple_items(a, "measure"), _tuple_items(b, "measure")
-    if len(xs) != len(ys):
-        raise GraphError("lexicographic comparison of unequal widths")
-    cases = []
-    for i in range(len(xs)):
-        eqs: list[Expr] = [Eq(xs[j], ys[j]) for j in range(i)]
-        cases.append(And(tuple(eqs + [Lt(xs[i], ys[i])])))
-    return Or(tuple(cases)) if cases else Const(BoolV(False))
-
-
-def lex_le_expr(a: Expr, b: Expr) -> Expr:
+def _lex_expr(a: Expr, b: Expr, last: type[Lt] | type[Le]) -> Expr:
+    """a <lex b, or a <=lex b with ``last`` Le: one right fold."""
     xs, ys = _tuple_items(a, "measure"), _tuple_items(b, "measure")
     if len(xs) != len(ys):
         raise GraphError("lexicographic comparison of unequal widths")
     if not xs:
-        return Const(BoolV(True))
-    out: Expr = Le(xs[-1], ys[-1])
-    for i in range(len(xs) - 2, -1, -1):
-        out = Or((Lt(xs[i], ys[i]), And((Eq(xs[i], ys[i]), out))))
+        return Const(BoolV(last is Le))
+    out: Expr = last(xs[-1], ys[-1])
+    for x, y in zip(xs[-2::-1], ys[-2::-1]):
+        out = Or((Lt(x, y), And((Eq(x, y), out))))
     return out
+
+
+def lex_lt_expr(a: Expr, b: Expr) -> Expr:
+    """a <lex b over equal-width tuples of naturals."""
+    return _lex_expr(a, b, Lt)
+
+
+def lex_le_expr(a: Expr, b: Expr) -> Expr:
+    """a <=lex b over equal-width tuples of naturals."""
+    return _lex_expr(a, b, Le)
 
 
 # -- model-level construction ----------------------------------------------

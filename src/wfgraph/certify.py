@@ -12,7 +12,8 @@ swept over its whole relation.  The cases stay integer columns (a
 ``veceval.DistinctRows``: each item's distinct values, decoded once, and
 one id per case), canonically ordered, so each (source, destination)
 pair's cases are one row range.  Four of the five checks read those
-columns, with no further queries and no ordering code shared with graph
+columns, with no further queries, and order measures by this module's own
+ranker (``_rank_rows``), sharing no ordering code with graph
 construction; only a witness case is decoded:
 
   closure            a step map's initial nodes are graph nodes, and
@@ -37,7 +38,8 @@ verdict per check; it passes only if every check does.  The relation
 itself comes from ``system.relation_parts``, which says what the model's
 `system` declaration means; from ``absgraph`` this module takes only the
 graph data types, the tag names and ``graph_text`` (for the graph's
-hash), never graph construction.  The sweep is total or refused:
+hash), never graph construction, and from ``veceval`` only the
+``DistinctRows`` type.  The sweep is total or refused:
 ``compute_finite_values`` raises NotTotal, naming the ``certificate
 sweep``, rather than return part of the relation.
 """
@@ -51,18 +53,18 @@ from typing import Optional
 
 import numpy as np
 
-from .absgraph import NON_INC, STRICT_DEC, Graph, TaggedGraph
+from .absgraph import NON_INC, STRICT_DEC, Graph, TaggedGraph, graph_text
 from .enumeration import compute_finite_values
-from .measure import Omap
+from .measure import Omap, omap_text
 from .model import (
     And, Const, Eq, Expr, Model, Or, TupleE, TupleV, Value, sort_text,
     subst_vars, value_sort, value_text, value_to_json)
 # not called here; the benchmark tracer counts one-shot evaluations at
 # ``wfgraph.certify:eval_expr`` and resolves that name by import
 from .model import eval_expr  # noqa: F401
-from .ordinals import OrdinalError, bnl_ranks, bnl_to_ordinal, o_lt
+from .ordinals import OrdinalError, bnl_to_ordinal, o_lt
 from .system import initial_nodes, relation_parts
-from .veceval import DistinctRows, lex_rank
+from .veceval import DistinctRows
 
 
 class CertificationError(ValueError):
@@ -100,9 +102,20 @@ def _sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _nats(t: Value) -> tuple[int, ...]:
-    assert isinstance(t, TupleV)
-    return tuple(x.val for _, x in t.items)  # type: ignore[union-attr]
+def _rank_rows(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense lexicographic rank of each row of ``m``, an int64 matrix of
+    naturals, and the first row of each rank.  The columns are narrowed to
+    the smallest unsigned type that holds them (numpy radix-sorts narrow
+    codes), sorted by one lexsort, and compared column by column."""
+    if not m.size:  # no rows, or every row the empty tuple
+        return np.zeros(len(m), dtype=np.int64), np.arange(min(len(m), 1))
+    cols = m.T.astype(np.min_scalar_type(int(m.max())))
+    order = np.lexsort(cols[::-1])
+    # a sorted row starts a new rank where any column changes
+    new = np.r_[True, np.any([np.diff(c[order]) != 0 for c in cols], axis=0)]
+    rank = np.empty(len(m), dtype=np.int64)
+    rank[order] = np.cumsum(new) - 1
+    return rank, order[new]
 
 
 SWEEP = "concrete-sweep"
@@ -114,10 +127,12 @@ class Sweep:
     columns, canonically ordered, and each abstract (source, destination)
     pair's row range ``[lo, hi)``, in that order.  ``roots`` are the nodes
     the relation starts from, canonically ordered: a step map's initial
-    processes' nodes; a blocking map has none."""
+    processes' nodes; a blocking map has none.  ``nats`` holds each measure
+    item's distinct values, by item name, as an int64 matrix of naturals."""
     rows: DistinctRows
     pairs: dict[tuple[Value, Value], tuple[int, int]]
     roots: tuple[Value, ...]
+    nats: dict[str, np.ndarray]
 
 
 def relation_cases(model: Model, map_name: str, scope: tuple[Value, ...],
@@ -149,15 +164,18 @@ def relation_cases(model: Model, map_name: str, scope: tuple[Value, ...],
     rows = compute_finite_values(var_sorts, rel, TupleE(tuple(items)),
                                  backend, "certificate sweep").values
     if not rows:
-        return Sweep(rows, {}, roots)
+        return Sweep(rows, {}, roots, {})
     # canonical order sorts on src, then dst, so each pair's cases are
     # adjacent: a pair starts wherever either id changes
     src, dst = rows.item_ids[0], rows.item_ids[1]
     cut = (np.flatnonzero((src[1:] != src[:-1]) | (dst[1:] != dst[:-1]))
            + 1).tolist()
+    nats = {name: np.array([[x.val for _, x in t.items] for t in values],
+                           dtype=np.int64)
+            for name, values in zip(rows.names[2:], rows.item_values[2:])}
     return Sweep(rows, {(rows.item(0, lo), rows.item(1, lo)): (lo, hi)
                         for lo, hi in zip([0] + cut, cut + [len(rows)])},
-                 roots)
+                 roots, nats)
 
 
 def _pair_witness(u: Value, v: Value) -> dict:
@@ -191,26 +209,13 @@ def check_closure(g: Graph, sweep: Sweep) -> CheckResult:
     return CheckResult("closure", True, SWEEP)
 
 
-def _measure_ranks(rows: DistinctRows, name: str
-                   ) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """The item indices of measure ``name``'s source and destination
-    values, and per case their ranks in one shared order of the measure's
-    nat tuples."""
-    s, d = rows.names.index(f"src-{name}"), rows.names.index(f"dst-{name}")
-    ranks = np.array(bnl_ranks([_nats(x) for k in (s, d)
-                                for x in rows.item_values[k]]),
-                     dtype=np.int64)
-    ns = len(rows.item_values[s])
-    return s, d, ranks[:ns][rows.item_ids[s]], ranks[ns:][rows.item_ids[d]]
-
-
 def check_arc_tags(tg: TaggedGraph, sweep: Sweep) -> list[CheckResult]:
     """Tag soundness, split into the strict and non-increasing halves:
     a strict-dec tag admits no case on its arc whose measure fails to drop,
     a non-inc tag admits none whose measure grows.  Measures compare as
-    tuples of naturals, through their ranks, over the arc's row range; the
-    witness is the first offending (arc, measure) in arc order, with its
-    smallest (source, destination) pair."""
+    tuples of naturals, through their ranks (``_rank_rows``), over the
+    arc's row range; the witness is the first offending (arc, measure) in
+    arc order, with its smallest (source, destination) pair."""
     rows = sweep.rows
     ranked: dict[str, tuple[int, int, np.ndarray, np.ndarray]] = {}
     results = []
@@ -227,7 +232,15 @@ def check_arc_tags(tg: TaggedGraph, sweep: Sweep) -> list[CheckResult]:
                 if span is None:
                     continue
                 if name not in ranked:
-                    ranked[name] = _measure_ranks(rows, name)
+                    s_item, d_item = (rows.names.index(f"{side}-{name}")
+                                      for side in ("src", "dst"))
+                    ns = len(rows.item_values[s_item])
+                    # one order of the measure's source and destination values
+                    rank, _ = _rank_rows(np.concatenate(
+                        [sweep.nats[rows.names[k]] for k in (s_item, d_item)]))
+                    ranked[name] = (s_item, d_item,
+                                    rank[:ns][rows.item_ids[s_item]],
+                                    rank[ns:][rows.item_ids[d_item]])
                 s_item, d_item, s_rank, d_rank = ranked[name]
                 lo, hi = span
                 s, d = s_rank[lo:hi], d_rank[lo:hi]
@@ -302,13 +315,12 @@ def check_measure_decrease(omap: Omap, sweep: Sweep) -> CheckResult:
     This route shares no ordering code with graph construction.  A case's
     verdict depends only on its two padded bnls, and each side of a case,
     a (node, measure tuples) half-state, recurs across many cases.  So the
-    distinct halves of each side are found over the id columns, and their
-    bnls are built as one int64 matrix, a row per half: each measure's
-    distinct values are decoded to a matrix of naturals once, and the
-    halves of one node, adjacent in rank order, take that node's
-    descriptor in one slice each, a constant for a rank entry and a gather
-    from the measure's matrix for a measure.  The bnls get dense ranks
-    (``veceval.lex_rank`` over the columns), and each distinct (source
+    distinct halves of each side are ranked over the id columns
+    (``_rank_rows``), and their bnls are built as one int64 matrix, a row
+    per half: the halves of one node, adjacent in rank order, take that
+    node's descriptor in one slice each, a constant for a rank entry and
+    the halves' rows of the measure's matrix (``Sweep.nats``) for a
+    measure.  The bnls are ranked in turn, and each distinct (source
     rank, destination rank) pair is compared once: by rank, then by
     ``o_lt`` on ordinals built once per distinct bnl.  The pairs' verdicts
     are scattered back over the cases, and the first failing case in
@@ -337,20 +349,17 @@ def check_measure_decrease(omap: Omap, sweep: Sweep) -> CheckResult:
     if at.size:
         names = rows.names
         assert names is not None
-        # each measure item's distinct values, a row of naturals each
-        nats = [np.array([_nats(x) for x in vals], dtype=np.int64)
-                for vals in rows.item_values[2:]]
         sides = []  # per side, its distinct halves' bnls, a row each
         of = []  # per side, each checked case's half as a row of the bnls
         for side in (0, 1):
-            cols = [ids[at] for ids in rows.item_ids[side::2]]
-            half_of, first = lex_rank(cols, [len(v) for v in
-                                             rows.item_values[side::2]])
+            halves = np.stack([ids[at] for ids in rows.item_ids[side::2]],
+                              axis=1)
+            half_of, first = _rank_rows(halves)
             of.append(half_of + sum(len(b) for b in sides))
-            node, *measure = [c[first] for c in cols]
-            by_measure = {names[k][4:]: (nats[k - 2], half_ids)
-                          for k, half_ids in
-                          zip(range(side + 2, len(names), 2), measure)}
+            node, *measure = halves[first].T
+            # per measure, each half's value as a row of naturals
+            by_measure = {name[4:]: sweep.nats[name][ids] for name, ids in
+                          zip(names[side + 2::2], measure)}
             bnls = np.zeros((len(first), bound), dtype=np.int64)
             # the halves are in rank order, so each node's are one run
             cut = (np.flatnonzero(node[1:] != node[:-1]) + 1).tolist()
@@ -358,10 +367,9 @@ def check_measure_decrease(omap: Omap, sweep: Sweep) -> CheckResult:
                 at_col = 0
                 for e in descs[rows.item_values[side][node[lo]]]:
                     if isinstance(e, str):
-                        values, half_ids = by_measure[e]
-                        width = values.shape[1]
+                        width = by_measure[e].shape[1]
                         bnls[lo:hi, at_col:at_col + width] = \
-                            values[half_ids[lo:hi]]
+                            by_measure[e][lo:hi]
                         at_col += width
                     elif e < 0:
                         raise OrdinalError(f"bnl entry {e!r} is not a natural")
@@ -370,8 +378,7 @@ def check_measure_decrease(omap: Omap, sweep: Sweep) -> CheckResult:
                         at_col += 1
             sides.append(bnls)
         bnls = np.concatenate(sides)
-        cols = list(bnls.T) or [np.zeros(len(bnls), dtype=np.int64)]
-        rank, first = lex_rank(cols, [int(c.max()) + 1 for c in cols])
+        rank, first = _rank_rows(bnls)
         by_rank = [tuple(b) for b in bnls[first].tolist()]
         ords = [bnl_to_ordinal(b) for b in by_rank]
         n = len(by_rank)
@@ -401,8 +408,6 @@ def certify_relation(model: Model, map_name: str, tg: TaggedGraph,
     closure, tag and measure-decrease checks all read those cases.  An
     omap no bnl can be built from (see the module docstring) is refused
     first, with ``CertificationError``."""
-    from .absgraph import graph_text
-    from .measure import omap_text
     mp = model.map_decl(map_name)
     if omap.measures != mp.measure_names or omap.widths != mp.widths:
         raise CertificationError(

@@ -59,17 +59,6 @@ def bnl_lt(a: Sequence[int], b: Sequence[int]) -> bool:
     return tuple(a) < tuple(b)
 
 
-def bnl_ranks(bnls: Sequence[Sequence[int]]) -> list[int]:
-    """Dense rank of each bnl in bnl order: equal bnls share a rank, and
-    for two bnls of one length, ``bnl_lt(a, b)`` exactly when a's rank is
-    below b's.  Each bnl is validated once, so a caller comparing many
-    pairs out of few distinct bnls compares ranks instead."""
-    for a in bnls:
-        _check_bnl(a)
-    order = {t: r for r, t in enumerate(sorted({tuple(a) for a in bnls}))}
-    return [order[tuple(a)] for a in bnls]
-
-
 def bnll_lt(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> bool:
     """Length-first, then position-wise bnl order.  Every member of both
     lists is validated once, before anything is compared, so a bad entry

@@ -21,7 +21,6 @@ from wfgraph import enumeration
 from wfgraph.absgraph import (
     Graph,
     GraphError,
-    NotTotal,
     graph_to_dot,
     graph_text,
     graph_to_json,
@@ -32,7 +31,8 @@ from wfgraph.absgraph import (
 )
 from wfgraph.bakery import bakery_model, bakery_text
 from wfgraph.certify import relation_cases
-from wfgraph.enumeration import BACKENDS, compute_finite_values, reach
+from wfgraph.enumeration import (
+    BACKENDS, NotTotal, compute_finite_values, reach)
 from wfgraph.model import (
     And,
     BoolV,

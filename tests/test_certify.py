@@ -10,6 +10,7 @@ import re
 from itertools import product
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import _rowwise as rowwise
@@ -240,6 +241,56 @@ def test_sweep_compares_each_bnl_pair_once(nlock_223, monkeypatch):
     assert check_measure_decrease(om, sweep).passed
     assert len(lt_calls) == len(pairs)
     assert len(ord_calls) <= len({b for pair in pairs for b in pair})
+
+
+TOP = (1 << 63) - 1  # the largest natural an omap entry may hold
+
+
+def test_measure_decrease_matches_rowwise_up_to_int64_max(nlock_223):
+    # every nlock descriptor leads with a rank entry: shifting those so the
+    # largest is 2**63 - 1 keeps every comparison, so the omap certifies;
+    # raising one destination's to 2**63 - 1 makes the cases into it lie
+    m, om = nlock_223
+    sweep = relation_cases(m, "nlock", om.nodes)
+    rows = rowwise.row_sweep(sweep)
+    shift = TOP - max(d[0] for _, d in om.descriptors)
+    descs = [(node, (d[0] + shift, *d[1:])) for node, d in om.descriptors]
+    k = [node for node, _ in descs].index(next(iter(sweep.pairs))[1])
+    raised = list(descs)
+    raised[k] = (descs[k][0], (TOP, *descs[k][1][1:]))
+    verdicts = []
+    for d in (descs, raised):
+        lie = Omap(tuple(d), om.measures, om.widths)
+        got = check_measure_decrease(lie, sweep)
+        assert got == rowwise.check_measure_decrease(lie, rows)
+        verdicts.append(got.passed)
+    assert verdicts == [True, False]
+
+
+# the certifier's one row ranker against Python's order of tuples; at
+# 2**63 - 1, or a dozen wide columns, no mixed-radix int64 key holds a row
+RANKER_CASES = {
+    "ties": (300, 3, range(3)),
+    "one-column": (60, 1, range(10)),
+    "one-row": (1, 4, range(10)),
+    "int64-max": (200, 3, [0, 1, 1 << 62, TOP - 1, TOP]),
+    "wide": (200, 12, [0, 5, 255, 1 << 40, TOP]),
+    "no-columns": (5, 0, [0]),
+    "no-rows": (0, 3, [0]),
+}
+
+
+@pytest.mark.parametrize("case", RANKER_CASES)
+def test_rank_rows_matches_sorted_tuples(case):
+    n, k, pool = RANKER_CASES[case]
+    m = np.random.default_rng(7).choice(
+        np.array(pool, dtype=np.int64), size=(n, k))
+    rows = [tuple(r) for r in m.tolist()]
+    distinct = sorted(set(rows))
+    rank, first = certify._rank_rows(m)
+    assert rank.tolist() == [distinct.index(r) for r in rows]
+    # one row per rank, the first that holds it
+    assert first.tolist() == [rows.index(t) for t in distinct]
 
 
 def test_closure_passes_standalone(model, rank_parts):
@@ -570,6 +621,12 @@ def test_trust_boundary_imports():
     assert found[".absgraph"] == {"Graph", "TaggedGraph", "STRICT_DEC",
                                   "NON_INC", "graph_text"}
     assert found[".enumeration"] == {"compute_finite_values"}
+    assert found[".measure"] == {"Omap", "omap_text"}
+    # the certifier orders measures with its own ranker: it takes no
+    # ordering code from the builder's evaluator, nor a ranking from
+    # ``ordinals``, only the ordinal embedding it checks
+    assert found[".veceval"] == {"DistinctRows"}
+    assert found[".ordinals"] == {"OrdinalError", "bnl_to_ordinal", "o_lt"}
     # the system layer says what the relation means and where it starts,
     # not how a graph is built
     assert found[".system"] == {"initial_nodes", "relation_parts"}

@@ -17,7 +17,6 @@ from wfgraph.ordinals import (
     OrdinalError,
     bnl_bnd,
     bnl_lt,
-    bnl_ranks,
     bnl_to_ordinal,
     bnll_lt,
     bnll_to_ordinal,
@@ -68,18 +67,6 @@ def test_bnl_rejects_non_naturals():
     for bad in ((0, -1, 0), (True, 0, 0), (0, 1.0, 0), (0, 0)):
         with pytest.raises(OrdinalError):
             checked_bnl(bad, 3)
-
-
-def test_bnl_ranks_are_dense_and_agree_with_bnl_lt():
-    vals = all_bnls(2, 3)
-    vals = vals[::2] + vals + vals[1::3]  # repeats, out of order
-    ranks = bnl_ranks(vals)
-    assert sorted(set(ranks)) == list(range(len(set(vals))))
-    for (a, ra), (b, rb) in itertools.product(zip(vals, ranks), repeat=2):
-        assert (ra < rb) == bnl_lt(a, b), (a, b)
-    for bad in (-1, True):
-        with pytest.raises(OrdinalError):
-            bnl_ranks([(0, 1), (bad, 0)])
 
 
 def test_bnll_length_dominance():
