@@ -95,44 +95,14 @@ CHUNK_ROWS = 1 << 16
 #
 # Vector evaluation is eager, so a record-typed intermediate would force every
 # field of its base record into the table whether the query reads it or not.
-# Scalarizing first takes every record apart: a field read is pushed through
-# updates, branches, and tuples until it lands on a variable, and every other
-# record-sorted node (a variable or constant read whole, an update, a branch)
-# becomes a ``TupleE`` of its per-item projections, so record equality is
-# fieldwise and branches are per item, down to the scalar items of tuples
-# that hold records or tuples.  Afterwards every record read is a
-# ``Field(Var, f)`` leaf and only ``TupleE`` containers are record-sorted,
-# so both backends evaluate scalar atoms only.
-
-
-def field_of(e: Expr, name: str) -> Expr:
-    """``e.name`` with the projection pushed as deep as possible."""
-    if isinstance(e, Var):
-        return Field(e, name)
-    if isinstance(e, Const):
-        assert isinstance(e.value, TupleV)
-        return Const(e.value.get(name))
-    if isinstance(e, Update):
-        for n, x in e.updates:
-            if n == name:
-                return x
-        return field_of(e.rec, name)
-    if isinstance(e, Ite):
-        return Ite(e.cond, field_of(e.then, name), field_of(e.alt, name))
-    if isinstance(e, CaseNat):
-        return CaseNat(e.scrut,
-                       tuple((k, field_of(b, name)) for k, b in e.arms),
-                       field_of(e.default, name))
-    if isinstance(e, TupleE):
-        for n, x in e.items:
-            if n == name:
-                return x
-        raise KeyError(name)
-    if isinstance(e, Field):
-        if isinstance(e.rec, Var):
-            raise TypeError("nested record sorts are not supported")
-        return field_of(field_of(e.rec, e.name), name)
-    raise TypeError(f"no field projection on {type(e).__name__}")
+# Scalarizing first takes every record apart: every record-sorted node (a
+# variable or constant read whole, an update, a branch) becomes a ``TupleE``
+# of its per-item projections, so record equality is fieldwise and branches
+# are per item, down to the scalar items of tuples that hold records or
+# tuples, and a field read of any record but a variable picks its item from
+# the rewritten record.  Afterwards every record read is a ``Field(Var, f)``
+# leaf and only ``TupleE`` containers are record-sorted, so both backends
+# evaluate scalar atoms only.
 
 
 def _const_expr(v: Value) -> Expr:
@@ -170,16 +140,16 @@ def scalarize(e: Expr, var_sorts: dict[str, Sort]) -> Expr:
     result is no larger than ``e``'s graph of nodes: a map's node read in
     every ``Eq(node, Const(u))`` of a certifier's scope becomes one set of
     leaf nodes, whose atoms ``_atoms`` then finds once and ``bitblast``
-    encodes once.  The memo is keyed by node id and holds its nodes:
-    ``field_of`` makes temporaries, and a freed one's id could come back as
-    another node's."""
-    memo: dict[int, tuple[Expr, Expr]] = {}
+    encodes once.  Likewise every field read of one record picks its item
+    from that record's one rewrite.  The memo is keyed by node id: it only
+    ever sees subtrees of ``e``, which ``e`` keeps alive."""
+    memo: dict[int, Expr] = {}
 
     def walk(x: Expr) -> Expr:
-        hit = memo.get(id(x))
-        if hit is None:
-            hit = memo[id(x)] = (x, rewrite(x))
-        return hit[1]
+        out = memo.get(id(x))
+        if out is None:
+            out = memo[id(x)] = rewrite(x)
+        return out
 
     def rewrite(x: Expr) -> Expr:
         if isinstance(x, Var):
@@ -190,7 +160,11 @@ def scalarize(e: Expr, var_sorts: dict[str, Sort]) -> Expr:
         if isinstance(x, Const):
             return _const_expr(x.value) if isinstance(x.value, TupleV) else x
         if isinstance(x, Field):
-            return x if isinstance(x.rec, Var) else walk(field_of(x.rec, x.name))
+            if isinstance(x.rec, Var):
+                return x
+            rec = walk(x.rec)
+            assert isinstance(rec, TupleE)
+            return dict(rec.items)[x.name]
         if isinstance(x, Update):
             news = {n: walk(v) for n, v in x.updates}
             rec = walk(x.rec)
@@ -705,8 +679,9 @@ class DistinctRows(Sequence[Value]):
     into them, one id per row; a scalar term is one column whose rows are
     the bare values (``names`` is None).  ``len`` costs nothing; indexing
     and iteration build each row's ``TupleV`` from the shared item values,
-    so rows that repeat an item share that sub-value.  The sequence equals
-    any sequence of the same values in the same order.
+    so rows that repeat an item share that sub-value; a slice is the
+    ``DistinctRows`` of its rows.  The sequence equals any sequence of the
+    same values in the same order.
     """
 
     __slots__ = ("names", "item_values", "item_ids", "_n")
@@ -727,7 +702,12 @@ class DistinctRows(Sequence[Value]):
     def __len__(self) -> int:
         return self._n
 
-    def __getitem__(self, i: int) -> Value:
+    def __getitem__(self, i: Union[int, slice]
+                    ) -> Union[Value, "DistinctRows"]:
+        if isinstance(i, slice):
+            return DistinctRows(self.names, self.item_values,
+                                [ids[i] for ids in self.item_ids],
+                                len(range(self._n)[i]))
         i = range(self._n)[i]  # negative indices; IndexError past the end
         row = [vals[ids[i]] for vals, ids in
                zip(self.item_values, self.item_ids)]

@@ -1,6 +1,7 @@
 """Value enumeration: the exhaustive and SAT routes must be observationally
 identical, including totality verdicts and solve-call counts."""
 
+import hashlib
 import itertools
 import json
 import os
@@ -477,6 +478,51 @@ def test_sat_reach_solves_in_an_order_string_hashing_cannot_change():
     # and one marker per graph
     assert len(runs[0]) == 38 + 38 + 2
     assert len({tuple(a) for a in runs[0] if a is not None}) == 38
+
+
+# header and sha256 of the DIMACS text of every circuit a sat pipeline
+# bitblasts, in order: a step map's reach and certify sweep, a blocking
+# map's domain, whole image and certify sweep.  The encoding (variable
+# numbering, gates, clause order) changes only when a change says so.
+PIPELINE_CNF_SHA256 = {
+    ("rank", (2, 1, 2)): [
+        ("p cnf 180 663", "11a25bae8203ee57d110009411dae9a2"
+                          "79fce3ae4576c8923e2b2f6b68d61317"),
+        ("p cnf 191 754", "e66c379d1bd8752b1d4fa1f17d3993bd"
+                          "de033a46d2e6e4cc84bf7c9d833002d5"),
+    ],
+    ("nlock", (1, 1, 2)): [
+        ("p cnf 41 79", "e64eb8a620731c11ef8d97cb53dabfe8"
+                        "d52d5aea44794e491cb2f23dd87ff4e6"),
+        ("p cnf 114 277", "1b1f306a614daf2e13658287f293f543"
+                          "6929d3633de943d45deb5354ca211e79"),
+        ("p cnf 105 250", "b24e2a1339f856a6174193545042be7a"
+                          "e13d76edcbdff9165cbc379219acd0e7"),
+    ],
+}
+
+
+@pytest.mark.parametrize("map_name,params", PIPELINE_CNF_SHA256)
+def test_every_sat_query_cnf_is_pinned(map_name, params, monkeypatch):
+    from wfgraph import absgraph, bakery, certify, measure
+    from wfgraph.bitblast import dimacs
+    got, blast = [], enumeration.bitblast
+
+    def recording(*args):
+        circuit = blast(*args)
+        text = dimacs(circuit)
+        got.append((text.splitlines()[0],
+                    hashlib.sha256(text.encode()).hexdigest()))
+        return circuit
+
+    monkeypatch.setattr(enumeration, "bitblast", recording)
+    model = bakery.bakery_model(*params)
+    g = absgraph.map_graph(model, map_name, "sat")
+    tg = absgraph.tag_graph(model, map_name, g, "sat")
+    om = measure.synthesize_omap(tg)
+    assert certify.certify_relation(model, map_name, tg, om,
+                                    bakery.bakery_text(), "sat").passed
+    assert got == PIPELINE_CNF_SHA256[map_name, params]
 
 
 def test_unsat_hypothesis_is_total_in_one_call():

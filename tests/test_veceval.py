@@ -27,8 +27,8 @@ from wfgraph.absgraph import graph_text, map_graph, tag_graph
 from wfgraph.bakery import bakery_model
 from wfgraph.certify import relation_cases
 from wfgraph.model import (
-    BOOL, AddMod, And, BoolV, CaseNat, Const, EnumSort, Eq, Le, Lt, NatSort,
-    NatV, Or,
+    BOOL, AddMod, And, BoolV, CaseNat, Const, EnumSort, Eq, Field, Le, Lt,
+    NatSort, NatV, Or,
     TupleE, TupleV, Var, canonical_sorted, sort_card, subst_vars)
 from wfgraph.system import relation_parts
 from wfgraph.veceval import (
@@ -501,6 +501,22 @@ def test_distinct_rows_edge_cases():
     assert got[0].items[0][1] is got[2].items[0][1]
 
 
+def test_distinct_rows_slice_like_a_list():
+    rng = np.random.default_rng(7)
+    rec = VRec((("a", VLeaf(rng.integers(0, 4, 40), NAT2)),
+                ("b", VLeaf(rng.integers(0, 2, 40).astype(bool), BOOL))))
+    for v, n_rows in ((rec, 40), (VLeaf(np.array([3, 0, 2, 0]), NAT2), 4),
+                      (VRec(()), 3), (rec, 0)):
+        rows = distinct_rows(v, n_rows)
+        want = list(rows)
+        for sl in (slice(0, 2), slice(None), slice(-3, None), slice(1, -1),
+                   slice(None, None, 2), slice(None, None, -1),
+                   slice(-1, 0, -3), slice(5, 2), slice(100, None)):
+            got = rows[sl]
+            assert got == want[sl] and len(got) == len(want[sl])
+            assert list(got) == want[sl]
+
+
 def test_distinct_rows_past_64_bits_of_cardinality():
     # ten 8-bit leaves span 2**80 codes, more than any int64 row key holds;
     # the dense rank never grows past the row count
@@ -614,8 +630,8 @@ def _unshared(x):
 
 @pytest.mark.parametrize("map_name", ["rank", "nlock"])
 def test_scalarize_keeps_shared_subtrees_shared(map_name):
-    # scalarize memoizes by node id; the memo holds its nodes, so a freed
-    # field_of temporary's id cannot come back as another node's
+    # scalarize memoizes by node id, and a field read picks its item from
+    # the record's rewrite, so only subtrees of the input are ever walked
     model = bakery_model(2, 2, 3)
     mp, rel, dst, var_sorts = relation_parts(model, map_name)
     node_y = subst_vars(mp.node, {mp.var: dst})
@@ -635,6 +651,21 @@ def test_scalarize_keeps_shared_subtrees_shared(map_name):
     assert rest and all(ids == first for ids in rest)
     first, *rest = leaves(copied)
     assert rest and all(set(ids).isdisjoint(first) for ids in rest)
+
+
+def test_field_reads_of_one_record_share_its_rewrite():
+    # rank's destination is next(x, sh), a record-valued case: two reads
+    # of its loc are the one item of its one rewrite, not two rewrites
+    model = bakery_model(2, 2, 3)
+    _, _, dst, var_sorts = relation_parts(model, "rank")
+    assert isinstance(dst, CaseNat)
+    e = TupleE((("a", Field(dst, "loc")), ("b", Field(dst, "loc")),
+                ("c", Field(dst, "done"))))
+    got = scalarize(e, var_sorts)
+    (_, a), (_, b), (_, c) = got.items
+    assert isinstance(a, CaseNat) and isinstance(c, CaseNat)
+    assert a is b
+    assert got == scalarize(_unshared(e), var_sorts)
 
 
 def test_exhaustive_pipeline_never_imports_numpy_ma():
