@@ -160,6 +160,8 @@ class DpllSolver:
             qhead += 1
             false_lit = p ^ 1
             ws = iter(watches[p])
+            # a fresh list, not MiniSat's in-place compaction: in CPython
+            # the i/j indexing measured no faster on sat-rank
             watches[p] = keep = []
             for c in ws:
                 if c[0] == false_lit:

@@ -39,9 +39,13 @@ Five things keep the tables small and the work on them short:
   bounds the surviving rows, the term's crossing, and the one crossing that
   cannot be split: a single atom whose domain passes both ``CHUNK_ROWS``
   and the cap, unless the row it would be crossed with is already gone.
-* packed keys: a row's leaf codes pack into one mixed-radix int64 key
-  (``_pack``), so ranking rows (``lex_rank``) is one sort, plus one more
-  only each time the key would pass int64.
+* packed keys, ranked by counting: a row's leaf codes pack into one
+  mixed-radix int64 key (``_pack``) with a known bound.  A bound of at
+  most ``_COUNT_RATIO`` times the row count is ranked (``lex_rank``) with
+  a bool mask of the keys present and no sort; a wider key takes one sort,
+  plus one more only each time it would pass int64.  ``distinct_rows``
+  ranks each result item's few values first and rows over the item ranks,
+  so a query's keys are mostly counted.
 
 Unconstrained atoms never enter the table, which is sound because a
 satisfying row extends to full environments by fixing them arbitrarily.
@@ -634,13 +638,14 @@ def _rebuild(v: VVal, codes: list[int], pos: list[int]) -> Value:
 _KEY_BOUND = 1 << 63
 
 
-def _pack(columns: Iterable[tuple[np.ndarray, int]]) -> np.ndarray:
+def _pack(columns: Iterable[tuple[np.ndarray, int]]
+          ) -> tuple[np.ndarray, int]:
     """One int64 key per row of the (column, cardinality) pairs, at least
-    one, ordered as the rows are lexicographically: mixed radix,
-    ``key * card + col`` column by column.  Before the keys' bound would
-    reach ``_KEY_BOUND``, the keys so far are re-densified by a 1-D unique,
-    and then the column too if it still would; dense codes stay below the
-    row count, so any columns fit while rows x rows does."""
+    one, ordered as the rows are lexicographically, and the keys' bound:
+    mixed radix, ``key * card + col`` column by column.  Before the keys'
+    bound would reach ``_KEY_BOUND``, the keys so far are re-densified by a
+    1-D unique, and then the column too if it still would; dense codes stay
+    below the row count, so any columns fit while rows x rows does."""
     key, bound = np.int64(0), 1
     for col, card in columns:
         if bound * card >= _KEY_BOUND:
@@ -651,7 +656,12 @@ def _pack(columns: Iterable[tuple[np.ndarray, int]]) -> np.ndarray:
                 card = len(uniq)
         key = key * card + col
         bound *= card
-    return key
+    return key, bound
+
+
+# a key bound up to this many times the row count is ranked by counting: its
+# bool mask is no larger than one int64 column
+_COUNT_RATIO = 8
 
 
 def lex_rank(cols: list[np.ndarray], cards: list[int]
@@ -659,13 +669,21 @@ def lex_rank(cols: list[np.ndarray], cards: list[int]
     """Dense lexicographic rank of every row of ``cols``, and one row
     index per rank.
 
-    The columns are packed into one int64 key per row (``_pack``) and
-    ranked by one unique: one sort, where ranking column by column took
-    one per column.  Packing sorts once more each time the key would pass
-    int64.  Column ``j`` holds codes in ``[0, cards[j])``.
+    The columns are packed into one int64 key per row (``_pack``).  When
+    the keys' bound is at most ``_COUNT_RATIO`` times the row count, the
+    keys are ranked by counting: a mask of the keys present, and each key's
+    place among them, with no sort.  A wider key is ranked by one unique.
+    Packing sorts once more each time the key would pass int64.  Column
+    ``j`` holds codes in ``[0, cards[j])``.
     """
-    # return_inverse also keeps np.unique from importing numpy.ma
-    _, rank = np.unique(_pack(zip(cols, cards)), return_inverse=True)
+    key, bound = _pack(zip(cols, cards))
+    if bound <= _COUNT_RATIO * len(key):
+        present = np.zeros(bound, dtype=bool)
+        present[key] = True
+        rank = np.searchsorted(np.flatnonzero(present), key)
+    else:
+        # return_inverse also keeps np.unique from importing numpy.ma
+        _, rank = np.unique(key, return_inverse=True)
     first = np.empty(int(rank.max()) + 1, dtype=np.int64)
     first[rank] = np.arange(len(rank))  # rows of equal rank are equal
     return rank, first
@@ -745,47 +763,44 @@ def distinct_rows(v: VVal, n_rows: int) -> DistinctRows:
     results, so it alone refuses an output natural wider than an int64
     code, whether or not any row exists.
 
-    Leaf codes form one integer column per leaf, and rows are ranked
-    lexicographically over those columns (``lex_rank``); because every
-    leaf's numeric code is ordered the same way as the canonical Value
-    order within its sort, rank order IS the canonical order.
-
-    A record's top-level items repeat across rows (the same source node
-    pairs with many destinations), so each item's columns are ranked on
-    their own over the distinct rows: that rank is the item's id column,
-    and each distinct item value is decoded once.  No row is built here
-    (see ``DistinctRows``).
+    Each top-level item is ranked over all rows from its own leaf columns
+    (``lex_rank``); because every leaf's numeric code is ordered the same
+    way as the canonical Value order within its sort, rank order IS the
+    canonical order.  An item's values repeat across rows (the same source
+    node pairs with many destinations), so its key's bound is small, it is
+    ranked by counting, and each distinct item value is decoded once.  The
+    item ranks are held in the narrowest unsigned type, and rows are ranked
+    over them in item order, with a key bound of the product of the items'
+    distinct counts; the item rank of each distinct row is its id in that
+    item.  No row is built here (see ``DistinctRows``).
     """
     int64_codes(v)
     if n_rows == 0:
         return DistinctRows(None, [[]], [np.zeros(0, dtype=np.int64)], 0)
     items = v.items if isinstance(v, VRec) else ((None, v),)
     names = tuple(n for n, _ in items) if isinstance(v, VRec) else None
-    leaves = vval_leaves(v)
-    if not leaves:
+    if not vval_leaves(v):
         return DistinctRows(names, [[_rebuild(x, [], [0])] for _, x in items],
                             [np.zeros(1, dtype=np.int64) for _ in items], 1)
-    cols = [np.broadcast_to(np.asarray(leaf.arr, dtype=np.int64), (n_rows,))
-            for leaf in leaves]
-    cards = [sort_card(leaf.sort) for leaf in leaves]
-    _, first = lex_rank(cols, cards)  # rank order is canonical order
-    uniq = [col[first] for col in cols]
     item_values: list[list[Value]] = []
-    item_ids: list[np.ndarray] = []
-    start = 0
+    ranks: list[np.ndarray] = []
     for _, item in items:
-        width = len(vval_leaves(item))
-        if width == 0:
+        leaves = vval_leaves(item)
+        if not leaves:
             item_values.append([_rebuild(item, [], [0])])
-            item_ids.append(np.zeros(len(first), dtype=np.int64))
+            ranks.append(np.broadcast_to(np.uint8(0), (n_rows,)))
             continue
-        part = uniq[start:start + width]
-        rank, part_first = lex_rank(part, cards[start:start + width])
-        start += width
-        codes = np.column_stack([col[part_first] for col in part]).tolist()
+        cols = [np.broadcast_to(leaf.arr, (n_rows,)) for leaf in leaves]
+        rank, first = lex_rank(cols, [sort_card(leaf.sort) for leaf in leaves])
+        codes = np.column_stack([col[first] for col in cols]).tolist()
         item_values.append([_rebuild(item, row, [0]) for row in codes])
-        item_ids.append(rank)
-    return DistinctRows(names, item_values, item_ids, len(first))
+        # below 2^32 rows an unsigned rank is at most uint32, which packs
+        # into int64 keys (a uint64 column would make them floats)
+        ranks.append(rank.astype(np.min_scalar_type(len(first) - 1)))
+    _, first = lex_rank(ranks, [len(vals) for vals in item_values])
+    return DistinctRows(names, item_values,
+                        [rank[first].astype(np.int64) for rank in ranks],
+                        len(first))
 
 
 def exhaustive_values(var_sorts: dict[str, Sort], hyp: Expr,

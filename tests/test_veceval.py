@@ -4,16 +4,18 @@ tables come out column for column as the per-step analysis built them,
 chunked staging returns the unchunked table row for row with each row
 block starting at its crossing, so does staging that drops the rows a
 conjunct already rules out (a sound drop), packed-key ranking gives the
-column-by-column ranks, and the dense-rank decoder returns exactly the
-per-row rebuild."""
+column-by-column ranks, counting the keys it can and sorting the rest,
+and the dense-rank decoder returns exactly the per-row rebuild."""
 
 import dataclasses
 import os
 import random
 import subprocess
 import sys
+from contextlib import contextmanager
 from math import prod
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -561,44 +563,103 @@ def _columns(draw):
     return cols, cards
 
 
-def _assert_oracle_ranks(cols, cards):
-    rank, first = lex_rank(cols, cards)
-    want_rank, want_first = _lex_rank_oracle(cols, cards)
-    assert rank.dtype == want_rank.dtype == np.int64
-    assert np.array_equal(rank, want_rank)
-    assert np.array_equal(first, want_first)
-
-
 @settings(max_examples=300, deadline=None)
 @given(_columns())
 def test_lex_rank_matches_column_by_column_ranking(case):
-    _assert_oracle_ranks(*case)
+    _check_lex_rank(*case)
 
 
-def test_lex_rank_sorts_once_unless_the_key_would_pass_int64(monkeypatch):
-    sorts = []
+@contextmanager
+def _sorts():
+    """A list that gets one entry per sort (``np.unique`` call) made in
+    the block."""
+    calls = []
     unique = np.unique
 
-    def counting(x, *args, **kw):
-        sorts.append(len(x))
-        return unique(x, *args, **kw)
+    def counting(*args, **kw):
+        calls.append(None)
+        return unique(*args, **kw)
 
-    monkeypatch.setattr(veceval.np, "unique", counting)
+    with mock.patch.object(veceval.np, "unique", counting):
+        yield calls
+
+
+def _check_lex_rank(cols, cards) -> int:
+    """The sorts ``lex_rank`` makes on ``cols``, whose ranks and first rows
+    must be the oracle's."""
+    with _sorts() as sorts:
+        got = lex_rank(cols, cards)
+    want = _lex_rank_oracle(cols, cards)
+    assert got[0].dtype == want[0].dtype == np.int64
+    assert np.array_equal(got[0], want[0])
+    assert np.array_equal(got[1], want[1])
+    return len(sorts)
+
+
+@st.composite
+def _near_count_bound(draw):
+    """Columns whose key bound is within 2 of the counting bound, optionally
+    after two leading 62-bit columns that make packing re-densify."""
+    n_rows = draw(st.integers(1, 40))
+    bound = veceval._COUNT_RATIO * n_rows + draw(st.integers(-2, 2))
+    split = draw(st.sampled_from([d for d in (1, 2, 3, 4) if bound % d == 0]))
+    cards = [split, bound // split]
+    if draw(st.booleans()):
+        cards = [2**62, 2**62] + cards
+    cols = [np.array(draw(st.lists(
+        st.sampled_from(sorted({0, card // 2, card - 1})) if card > 2**40
+        else st.integers(0, card - 1),
+        min_size=n_rows, max_size=n_rows)), dtype=np.int64) for card in cards]
+    return cols, cards
+
+
+@settings(max_examples=300, deadline=None)
+@given(_near_count_bound())
+def test_lex_rank_counts_or_sorts_by_the_key_bound(case):
+    cols, cards = case
+    n_rows = len(cols[0])
+    with _sorts() as sorts:
+        _, bound = veceval._pack(zip(cols, cards))
+    redensifies = len(sorts)
+    if cards[0] == 2**62:
+        assert 1 <= redensifies <= 2
+    else:
+        assert redensifies == 0 and bound == prod(cards)
+    counted = bound <= veceval._COUNT_RATIO * n_rows
+    assert _check_lex_rank(cols, cards) == redensifies + (not counted)
+
+
+def test_lex_rank_sorts_only_keys_too_wide_to_count():
     rng = np.random.default_rng(3)
-    small = [rng.integers(0, 16, 50) for _ in range(15)]  # 2^60 codes
-    _assert_oracle_ranks(small, [16] * 15)
-    assert len(sorts) == 1 + 15  # the oracle's sorts follow the packed one
-    sorts.clear()
+    # 50 rows: a key bound up to 400 is counted, a wider one sorted once
+    for cards, sorts in (([20, 20], 0), ([16, 25], 0), ([400], 0),
+                         ([401], 1), ([20, 21], 1), ([16] * 15, 1)):
+        cols = [rng.integers(0, card, 50) for card in cards]
+        assert _check_lex_rank(cols, cards) == sorts
     # 2^40 x 2^40 x 2^40 passes int64 twice: two re-densifies, one final
     wide = [rng.integers(0, 3, 50) << 38 for _ in range(3)]
     assert prod([2**40] * 3) > 2**63
-    _assert_oracle_ranks(wide, [2**40] * 3)
-    assert len(sorts) == 3 + 3
+    assert _check_lex_rank(wide, [2**40] * 3) == 2 + 1
+    # a re-densify that leaves a bound to count: two codes per column
+    narrow = [rng.integers(0, 2, 50) * (2**62 - 1) for _ in range(2)]
+    assert _check_lex_rank(narrow, [2**62] * 2) == 2
     # one row, one column, all rows equal
     for cols, cards in (([np.array([5])], [8]),
                         ([np.array([2, 0, 2, 1])], [3]),
                         ([np.full(6, 4), np.full(6, 1)], [2**40, 2**40])):
-        _assert_oracle_ranks(cols, cards)
+        _check_lex_rank(cols, cards)
+
+
+def test_nlock_rows_are_ranked_by_counting():
+    # every item key of nlock (2,2,3) is counted; the builder's relation
+    # rows are too, and the certify sweep's rows take at most one sort
+    model = bakery_model(2, 2, 3)
+    with _sorts() as sorts:
+        map_graph(model, "nlock")
+    assert sorts == []
+    with _sorts() as sorts:
+        sweep = relation_cases(model, "nlock", ())
+    assert len(sorts) <= 1 and len(sweep.rows) > 0
 
 
 def test_distinct_rows_packed_edge_cases():
