@@ -645,8 +645,12 @@ def _pack(columns: Iterable[tuple[np.ndarray, int]]
     mixed radix, ``key * card + col`` column by column.  Before the keys'
     bound would reach ``_KEY_BOUND``, the keys so far are re-densified by a
     1-D unique, and then the column too if it still would; dense codes stay
-    below the row count, so any columns fit while rows x rows does."""
-    key, bound = np.int64(0), 1
+    below the row count, so any columns fit while rows x rows does.
+
+    The key starts as a one-entry int64 array, not a scalar, so a narrow
+    column (a bool leaf, an unsigned item rank) is summed into an int64 key
+    under both NumPy 1's value-based promotion and NumPy 2's."""
+    key, bound = np.zeros(1, dtype=np.int64), 1
     for col, card in columns:
         if bound * card >= _KEY_BOUND:
             uniq, key = np.unique(key, return_inverse=True)

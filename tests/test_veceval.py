@@ -650,6 +650,23 @@ def test_lex_rank_sorts_only_keys_too_wide_to_count():
         _check_lex_rank(cols, cards)
 
 
+def test_narrow_columns_pack_into_int64_keys():
+    # item ranks reach _pack as narrow unsigned columns, and leaves as bool:
+    # their keys pass 255 (and 65,535), so a key that kept a column's dtype
+    # would wrap.  Counted and sorted routes both.
+    rng = np.random.default_rng(5)
+    for n_rows, cards, dtypes in (
+            (400, [2, 32, 32], [np.bool_, np.uint8, np.uint8]),
+            (200, [6, 21, 32, 32, 8, 8], [np.uint8] * 6),
+            (200, [300, 6, 300], [np.uint16, np.uint8, np.uint16])):
+        cols = [rng.integers(0, card, n_rows).astype(dtype)
+                for card, dtype in zip(cards, dtypes)]
+        key, bound = veceval._pack(zip(cols, cards))
+        assert key.dtype == np.int64 and bound == prod(cards)
+        assert key.max() > 255 and key.shape == (n_rows,)
+        _check_lex_rank(cols, cards)
+
+
 def test_nlock_rows_are_ranked_by_counting():
     # every item key of nlock (2,2,3) is counted; the builder's relation
     # rows are too, and the certify sweep's rows take at most one sort
