@@ -15,24 +15,24 @@ expressions through one abstraction function per map, compiled once per
 re-measures only that process's rank entry.
 
 Each `Bakery` keeps the steps its runs have checked as a graph
-(`_StepGraph`).  A node is a distinct system state, with its rank measure,
-whether it is done and, once a run needs them, its witness (whose blocker
-chain the no-lock measure was checked along) and its ready indices; an
-arc is a step along which the rank measure fell, with its successor and
-trace text.  Process values are interned, and each distinct one has its
-rank entry measured once.  A run walks the graph and computes and checks
-only what no run has reached before, so every step it takes was checked
-once under the current measures.
+(`_StepGraph`) of one `_Node` per distinct system state, with its rank
+measure, whether it is done and, once a run needs them, its witness (whose
+blocker chain the no-lock measure was checked along) and its ready
+indices; an arc is a step along which the rank measure fell, with its
+successor and trace text.  Process values are interned, and each distinct
+one, in a starting state or a stepped one, has its rank entry measured
+once.  A run walks the graph and computes and checks only what no run has
+reached before, so every step it takes was checked once under the current
+measures.
 
 Each measure value is validated once, where it is measured: a rank entry
 (`ordinals.checked_bnl`: naturals, of the omap's `bnl_bound`) when it is
-stored, the entries of a run's starting node when that node is added, and
-a no-lock measure when `Omap.msr` builds its ordinal.  After that, rank
-bnlls are compared by plain list order and a node's ordinal is built from
-its checked entries (`ordinals.checked_ordinal`) without a second check;
-its text is rendered once per node.  The graph is keyed on the compiled
-system, both omaps and their abstractions, and is rebuilt empty when any
-of them has been rebound.
+stored, and a no-lock measure when `Omap.msr` builds its ordinal.  After
+that, rank bnlls are compared by plain list order and a node's ordinal is
+built from its checked entries (`ordinals.checked_ordinal`) without a
+second check; its text is rendered once per node.  The graph is keyed on
+the compiled system, both omaps and their abstractions, and is rebuilt
+empty when any of them has been rebound.
 """
 
 from __future__ import annotations
@@ -147,20 +147,36 @@ def choose_ready(trs: Sequence[TupleV], system: System,
 
 # -- the checked step graph --------------------------------------------------
 
+class _Node:
+    """A checked state: its values' numbers (`key`), rank bnll, ordinal
+    and text, whether it is done, its witness and ready indices once asked
+    for, and `arcs`: stepped index -> (successor, text after ``step N``)."""
+
+    __slots__ = ("state", "key", "bnll", "ordinal", "text", "done",
+                 "witness", "ready", "arcs")
+
+    def __init__(self, state: SystemState, key: tuple[int, ...],
+                 bnll: list[Bnl], done: bool):
+        self.state, self.key, self.bnll, self.done = state, key, bnll, done
+        # every entry of bnll was checked when it was measured
+        self.ordinal = checked_ordinal([n for x in bnll for n in x])
+        self.text = ordinal_text(self.ordinal)
+        self.witness: Optional[int] = None
+        self.ready: Optional[list[int]] = None
+        self.arcs: dict[int, tuple[_Node, str]] = {}
+
+
 class _StepGraph:
     """The steps a `Bakery`'s runs have taken and checked.
 
     Every process and shared value is interned: stored once and numbered,
-    and a process value's rank entry is measured once.  A node is a
-    distinct `SystemState`, numbered the first time a run reaches it and
-    keyed on the numbers of its values.  It keeps its rank bnll, whose
-    entries were checked when measured, that bnll's ordinal and the
-    ordinal's text, whether it is done and, computed the first time a run
-    asks, its witness (`choose_ready` with the no-lock measure, which
-    checks the descent along the blocker chain) and its ready indices.  An
-    arc (node, i) keeps the successor's number and the trace text after
-    ``step N``; it is stored only after the rank measure fell along it, so
-    a failing step raises every time it is taken.
+    and a process value's rank entry is measured and checked once
+    (`_entry`).  A node (`_Node`) is a distinct `SystemState`, keyed on
+    the numbers of its values.  Its witness is `choose_ready` with the
+    no-lock measure, which checks the descent along the blocker chain.  An
+    arc is stored only after the rank measure fell along it, so a failing
+    step raises every time it is taken, and the nodes form a DAG, which
+    holds no reference cycle.
 
     The graph holds for the objects in `basis` only.  It keeps no reference
     to its `Bakery`: the methods that compute take it as an argument.
@@ -171,16 +187,7 @@ class _StepGraph:
         self.value_ids: dict[TupleV, int] = {}
         self.values: list[TupleV] = []
         self.rank: dict[int, Bnl] = {}  # value number -> its rank entry
-        self.ids: dict[tuple[int, ...], int] = {}
-        self.keys: list[tuple[int, ...]] = []
-        self.states: list[SystemState] = []
-        self.bnll: list[list[Bnl]] = []
-        self.ordinal: list[Ordinal] = []
-        self.text: list[str] = []  # ordinal_text of each node's ordinal
-        self.done: list[bool] = []
-        self.witness: list[Optional[int]] = []
-        self.ready: list[Optional[list[int]]] = []
-        self.arcs: list[dict[int, tuple[int, str]]] = []
+        self.nodes: dict[tuple[int, ...], _Node] = {}
 
     def _intern(self, x: TupleV) -> int:
         k = self.value_ids.setdefault(x, len(self.values))
@@ -188,94 +195,81 @@ class _StepGraph:
             self.values.append(x)
         return k
 
-    def node(self, b: "Bakery", st: SystemState) -> int:
-        """Number of st, measured, checked and added the first time it is
+    def _entry(self, b: "Bakery", k: int) -> Bnl:
+        """Value k's rank entry, measured and checked the first time."""
+        bn = self.rank.get(k)
+        if bn is None:
+            bn = self.rank[k] = checked_bnl(
+                b.rank_omap.mk_bnl(self.values[k], b._rank_abs),
+                b.rank_omap.bnl_bound)
+        return bn
+
+    def _add(self, b: "Bakery", key: tuple[int, ...],
+             bnll: list[Bnl]) -> _Node:
+        vals = self.values
+        st = SystemState(tuple(map(vals.__getitem__, key[:-1])),
+                         vals[key[-1]])
+        done = b.system.find_undone(st.trs) is None
+        node = self.nodes[key] = _Node(st, key, bnll, done)
+        return node
+
+    def node(self, b: "Bakery", st: SystemState) -> _Node:
+        """st's node, measured, checked and added the first time it is
         seen."""
         key = (*map(self._intern, st.trs), self._intern(st.sh))
-        v = self.ids.get(key)
+        v = self.nodes.get(key)
         if v is not None:
             return v
         if len(st.trs) != b.n:
             raise OrdinalError(
                 f"bnll length {len(st.trs)} does not match {b.n}")
-        bound = b.rank_omap.bnl_bound
-        return self._add(b, key, [checked_bnl(x, bound)
-                                  for x in b.rank_bnll(st)])
+        return self._add(b, key, [self._entry(b, k) for k in key[:-1]])
 
-    def _add(self, b: "Bakery", key: tuple[int, ...], bn: list[Bnl]) -> int:
-        # every entry of bn was checked when it was measured
-        m = checked_ordinal([n for x in bn for n in x])
-        vals = self.values
-        st = SystemState(tuple(map(vals.__getitem__, key[:-1])),
-                         vals[key[-1]])
-        v = self.ids[key] = len(self.keys)
-        self.keys.append(key)
-        self.states.append(st)
-        self.bnll.append(bn)
-        self.ordinal.append(m)
-        self.text.append(ordinal_text(m))
-        self.done.append(b.system.find_undone(st.trs) is None)
-        self.witness.append(None)
-        self.ready.append(None)
-        self.arcs.append({})
-        return v
-
-    def choose(self, b: "Bakery", v: int,
+    def choose(self, b: "Bakery", v: _Node,
                oracle: Optional[Callable[[Sequence[int]], int]],
                k: int) -> int:
         """The process to step at node v as step k + 1 of a run: its
         witness without an oracle, else the oracle's pick from a fresh list
         of its ready indices, which must be one of them."""
-        w = self.witness[v]
-        if w is None:
-            w = self.witness[v] = choose_ready(
-                self.states[v].trs, b.system, None, b.nlock_msr)
+        if v.witness is None:
+            v.witness = choose_ready(v.state.trs, b.system, None,
+                                     b.nlock_msr)
         if oracle is None:
-            return w
-        ready = self.ready[v]
-        if ready is None:
-            ready = self.ready[v] = _ready_indices(
-                self.states[v].trs, b.system, w)
+            return v.witness
+        if v.ready is None:
+            v.ready = _ready_indices(v.state.trs, b.system, v.witness)
         # the pick also numbers the successor's key
-        return _pick(oracle, ready, k + 1)
+        return _pick(oracle, v.ready, k + 1)
 
-    def step(self, b: "Bakery", v: int, i: int, k: int) -> tuple[int, str]:
+    def step(self, b: "Bakery", v: _Node, i: int,
+             k: int) -> tuple[_Node, str]:
         """Arc (v, i), stepped and checked the first time it is taken as
         step k + 1 of a run: (successor, trace text after ``step N``)."""
-        arc = self.arcs[v].get(i)
+        arc = v.arcs.get(i)
         if arc is not None:
             return arc
-        st, bn = self.states[v], self.bnll[v]
-        st2 = b.step(st, i)
-        nums = list(self.keys[v])
+        st2 = b.step(v.state, i)
+        nums = list(v.key)
         nums[i] = self._intern(st2.trs[i])
         nums[-1] = self._intern(st2.sh)
         key = tuple(nums)
-        u = self.ids.get(key)
-        if u is None:
-            # only process i moved, and each entry is a function of its
-            # own process alone: measure that one entry, once per value
-            bn2 = list(bn)
-            bn2[i] = self.rank.get(key[i])
-            if bn2[i] is None:
-                bn2[i] = self.rank[key[i]] = checked_bnl(
-                    b.rank_omap.mk_bnl(st2.trs[i], b._rank_abs),
-                    b.rank_omap.bnl_bound)
-        else:
-            bn2 = self.bnll[u]
+        u = self.nodes.get(key)
+        # each entry is a function of its own process alone, measured once
+        # per value, so only moved process i's entry can be new
+        bn2 = [self._entry(b, n) for n in key[:-1]] if u is None else u.bnll
         # both bnlls have n checked members of one length, so list order
         # is bnll order
-        if not bn2 < bn:
+        if not bn2 < v.bnll:
             raise DescentError(
                 f"rank measure failed to fall at step {k + 1}: "
-                f"{bn} -> {bn2}")
+                f"{v.bnll} -> {bn2}")
         if u is None:
             u = self._add(b, key, bn2)
-        before, after = st.trs[i], self.states[u].trs[i]
-        arc = self.arcs[v][i] = (
+        before, after = v.state.trs[i], u.state.trs[i]
+        arc = v.arcs[i] = (
             u, f" ndx {before.get('ndx').val} loc {before.get('loc').val} "
                f"-> {after.get('loc').val} "
-               f"measure {self.text[u]}")
+               f"measure {u.text}")
         return arc
 
 
@@ -361,16 +355,16 @@ class Bakery:
             oracle = rng.choice
         g = self._step_graph()
         v = g.node(self, st)
-        measures = [g.ordinal[v]]
+        measures = [v.ordinal]
         trace: list[str] = []
-        while not g.done[v]:
+        while not v.done:
             if len(trace) >= max_steps:
                 raise BakeryError(f"run exceeded {max_steps} steps")
             k = len(trace)
             v, text = g.step(self, v, g.choose(self, v, oracle, k), k)
-            measures.append(g.ordinal[v])
+            measures.append(v.ordinal)
             trace.append(f"step {len(trace) + 1}{text}")
-        return RunResult(g.states[v], tuple(trace), tuple(measures))
+        return RunResult(v.state, tuple(trace), tuple(measures))
 
     def _step_graph(self) -> _StepGraph:
         """The graph of checked steps, rebuilt empty if anything it was

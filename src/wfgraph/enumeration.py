@@ -10,13 +10,13 @@ raises NotTotal, and an exhaustive table past the row cap raises
 
 ``reach`` asks for the values of a term (src, dst, ...) under ``hyp``
 whose source node a set of seed nodes reaches through the arcs (src, dst);
-the later items (a graph builder's order flags) ride along.  Both backends
-walk one image's arcs first in, first out, in canonical order, and refuse
-with NotTotal once the reached arcs (not values) reach ``VALUE_BOUND``.
+the later items (a graph builder's order flags) ride along.  Each backend
+walks its image once and returns the reached values in canonical order,
+or NotTotal once the reached arcs (not values) reach ``VALUE_BOUND``.
 
 Backends:
   exhaustive  vectorized sweep over the variable domains (numpy); a reach
-              sweeps the relation's whole image once
+              sweeps the relation's whole image once and walks its arcs
   sat         bit-blast to CNF once, load the built-in solver once and
               enumerate models, blocking each found output pattern; a
               reach enumerates each reachable node's, its ``src`` bits
@@ -129,25 +129,24 @@ def compute_finite_values(var_sorts: dict[str, Sort], hyp: Expr, trm: Expr,
 
 def reach(var_sorts: dict[str, Sort], hyp: Expr, trm: TupleE,
           seeds: Iterable[Value], backend: str = "exhaustive",
-          what: str = "query") -> list[Value]:
+          what: str = "query") -> Sequence[Value]:
     """The values of ``trm`` under ``hyp`` whose source the seeds reach,
-    or NotTotal naming the query ``what`` once the reached arcs reach
-    ``VALUE_BOUND`` (or Capacity).
+    distinct and canonically ordered, or NotTotal naming the query
+    ``what`` once the reached arcs reach ``VALUE_BOUND`` (or Capacity).
 
     ``trm``'s first item is the source node and its second the
     destination node; any later items (flags) ride along.  An arc (u, v)
     is a source and a destination that some value pairs; the bound counts
-    arcs, not values.  SAT enumerates each reachable node once, in the
-    order found, its source bits assumed (a destination's bits on the
-    source literals are its node), and decodes all its models once.  Both
-    backends' images are walked nodes first in, first out, seeds and each
-    node's values in canonical order, so both list the same values."""
+    arcs, not values.  SAT enumerates each reachable node once, seeds in
+    canonical order and the rest in the order found, its source bits
+    assumed (a destination's bits on the source literals are its node),
+    and decodes all its models once.  The exhaustive backend walks its
+    image's map of sources to destinations once and keeps the values of
+    the sources it reached."""
     _check_backend(backend)
     bound = VALUE_BOUND
     order = canonical_sorted(set(seeds))
-    if backend == "exhaustive":
-        image = _exhaustive_values(var_sorts, hyp, trm, what)
-    else:
+    if backend == "sat":
         circuit, solver = _load(var_sorts, hyp, trm)
         (_, src_bits), *_ = circuit.output.items
         src = bitval_lits(src_bits)  # dst's bits follow, as many
@@ -168,24 +167,19 @@ def reach(var_sorts: dict[str, Sort], hyp: Expr, trm: TupleE,
                 if dst not in reached:
                     reached.add(dst)
                     todo.append(dst)
-        image = distinct_rows(circuit.output_columns(rows), len(rows))
-    by_src: dict[Value, list[Value]] = {}
+        return distinct_rows(circuit.output_columns(rows), len(rows))
+    image = _exhaustive_values(var_sorts, hyp, trm, what)
+    succ: dict[Value, set[Value]] = {}
     for q in image:
-        by_src.setdefault(q.items[0][1], []).append(q)
-    seen, queue = set(order), deque(order)
-    found: list[Value] = []
-    arcs = 0
-    while queue:
-        u = queue.popleft()
-        succ: set[Value] = set()
-        for q in by_src.get(u, ()):
-            found.append(q)
-            v = q.items[1][1]  # type: ignore[union-attr]
-            succ.add(v)
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-        arcs += len(succ)
+        (_, u), (_, v), *_ = q.items  # type: ignore[union-attr]
+        succ.setdefault(u, set()).add(v)
+    seen, stack, arcs = set(order), list(order), 0
+    while stack:
+        nxt = succ.get(stack.pop(), set())
+        arcs += len(nxt)
         if arcs >= bound:
             raise NotTotal(what, bound)
-    return found
+        stack += nxt - seen
+        seen |= nxt
+    return [q for q in image
+            if q.items[0][1] in seen]  # type: ignore[union-attr]

@@ -549,7 +549,8 @@ def test_monitor_checks_each_measured_value_once(monkeypatch):
     monkeypatch.setattr(Omap, "msr", counting("msr", Omap.msr))
     for seed in range(100):
         b.run(seed=seed)
-    assert len(b._graph.rank) == 194
+    # the two initial entries are cached alongside the 194 stepped ones
+    assert len(b._graph.rank) == 194 + 2
     assert calls == {"_check_bnl": 194 + 2 + 102, "is_ordinal": 0,
                      "msr": 102}
 
@@ -599,9 +600,26 @@ def test_monitor_graph_after_100_seeds():
     for seed in range(100):
         b.run(seed=seed)
     g = b._graph
-    assert (len(g.states), sum(map(len, g.arcs)), len(g.rank)) == \
-        (1012, 1542, 194)
+    assert (len(g.nodes), sum(len(v.arcs) for v in g.nodes.values()),
+            len(g.rank)) == (1012, 1542, 194 + 2)
     assert len(seen) == len(set(seen)) == 2 + 194
+
+
+def test_new_start_of_measured_values_measures_none_again(monkeypatch):
+    # after seeded runs, a start made only of values a run has measured
+    # (the initial processes, swapped) takes every rank entry from the
+    # graph's cache: no Omap.mk_bnl call for any of its processes
+    b = Bakery(2, 2, 3)
+    for seed in range(3):
+        b.run(seed=seed)
+    init = b.system.initial
+    swapped = SystemState(init.trs[::-1], init.sh)
+    measured = []
+    mk_bnl = Omap.mk_bnl
+    monkeypatch.setattr(Omap, "mk_bnl", lambda self, a, *args: (
+        measured.append(a), mk_bnl(self, a, *args))[1])
+    b.run(st=swapped, seed=0)
+    assert [a for a in init.trs if a in measured] == []
 
 
 def test_warm_run_from_mid_state_matches_fresh(bakery):

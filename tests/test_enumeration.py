@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import wfgraph
 import wfgraph.veceval as veceval
@@ -375,7 +377,8 @@ def test_total_sat_queries_probe_once_past_their_values(monkeypatch):
     assert len(solves) == sum(r.solve_calls for r in seen) + 38 + 38 == 130
 
 
-def test_reach_walks_first_in_first_out_on_both_backends(monkeypatch):
+def test_reach_lists_reached_values_canonically_on_both_backends(
+        monkeypatch):
     # y = x + 1 or x + 3 (mod 8), from an x below 6: a node is (x, t), the
     # constant bit an assumption on the TRUE literal, and a free bit z
     # rides along as a flag, so each arc has two values.  Seeds 4 and 1,
@@ -409,18 +412,51 @@ def test_reach_walks_first_in_first_out_on_both_backends(monkeypatch):
                     queue.append(v)
         return out
 
-    want = walk({1, 4})
+    want = canonical_sorted(walk({1, 4}))
     for backend in BACKENDS:
         assert reach(vs, hyp, trm, [val(4), val(1)], backend) == want
         assert reach(vs, hyp, trm, [val(7)], backend) == []
         # from seed 1 the bound counts the 12 arcs, not their 24 values
         monkeypatch.setattr(enumeration, "VALUE_BOUND", 13)
-        assert reach(vs, hyp, trm, [val(1)], backend) == walk({1})
+        assert reach(vs, hyp, trm, [val(1)], backend) == \
+            canonical_sorted(walk({1}))
         monkeypatch.setattr(enumeration, "VALUE_BOUND", 12)
         with pytest.raises(NotTotal) as e:
             reach(vs, hyp, trm, [val(1)], backend, "step")
         assert (e.value.what, e.value.num) == ("step", 12)
         monkeypatch.undo()
+
+
+_NODES = st.integers(0, 7)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(st.tuples(_NODES, _NODES), max_size=12),
+       st.sets(_NODES, max_size=3))
+def test_reach_is_the_image_filtered_by_a_reference_walk(arcs, seeds):
+    # a random relation on 3-bit nodes x -> y, a free bit z riding along:
+    # on both backends, reach lists the whole image's values whose source
+    # a plain breadth-first walk from the seeds reaches, in the image's
+    # canonical order
+    vs = {"x": NatSort(3), "y": NatSort(3), "z": BOOL}
+    x, y = Var("x"), Var("y")
+
+    def nat(k):
+        return Const(NatV(k, 3))
+
+    hyp = Or(tuple(And((Eq(x, nat(u)), Eq(y, nat(v)))) for u, v in arcs))
+    trm = TupleE((("src", x), ("dst", y), ("z", Var("z"))))
+    seen, queue = set(seeds), list(seeds)
+    while queue:
+        u = queue.pop(0)
+        for v in {v for w, v in arcs if w == u} - seen:
+            seen.add(v)
+            queue.append(v)
+    for backend in BACKENDS:
+        image = compute_finite_values(vs, hyp, trm, backend).values
+        want = [q for q in image if q.items[0][1].val in seen]
+        got = reach(vs, hyp, trm, [NatV(k, 3) for k in seeds], backend)
+        assert got == want, backend
 
 
 def test_sat_reach_decodes_once(monkeypatch):
